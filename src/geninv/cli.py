@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class RunConfig:
     family: str = "additive"
     indices: int = 50
     trials: int = 0
-    extra: dict = field(default_factory=dict)
 
     def tolerances(self, subcommand: str) -> ToleranceConfig:
         res = self.residual_tol
@@ -285,27 +284,19 @@ def run_subcommand(name: str, inputs, config: RunConfig) -> tuple[dict, int]:
         report = handler(list(inputs), config)
         return _json_safe(report), 0
     except ExistenceError as exc:
-        return (
-            {
-                "schema": SCHEMA_VERSION,
-                "subcommand": name,
-                "error": str(exc),
-                "clause": exc.clause,
-                "margin": _json_safe(exc.margin),
-            },
-            2,
-        )
+        return _error_report(name, exc, exc.clause, _json_safe(exc.margin)), 2
     except (GenInvError, OSError, ValueError, np.linalg.LinAlgError) as exc:
-        return (
-            {
-                "schema": SCHEMA_VERSION,
-                "subcommand": name,
-                "error": str(exc),
-                "clause": "input",
-                "margin": None,
-            },
-            1,
-        )
+        return _error_report(name, exc, "input"), 1
+
+
+def _error_report(subcommand: str, exc: Exception, clause: str, margin=None) -> dict:
+    return {
+        "schema": SCHEMA_VERSION,
+        "subcommand": subcommand,
+        "error": str(exc),
+        "clause": clause,
+        "margin": margin,
+    }
 
 
 def _parse_steps(text: str) -> tuple[float, ...]:
@@ -382,18 +373,9 @@ def main(argv=None) -> int:
             trials=getattr(args, "trials", 0),
         )
     except (GenInvError, ValueError) as exc:
-        report, code = (
-            {
-                "schema": SCHEMA_VERSION,
-                "subcommand": args.subcommand,
-                "error": str(exc),
-                "clause": "input",
-                "margin": None,
-            },
-            1,
-        )
+        report = _error_report(args.subcommand, exc, "input")
         sys.stdout.write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n")
-        return code
+        return 1
     report, code = run_subcommand(args.subcommand, args.inputs, config)
     text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     if config.out:

@@ -11,13 +11,15 @@ Every other inverse here is that construction with specific subspaces:
   bott_duffin     T = range(p),   S = null(q)   for idempotents p, q
   inverse_along   T = range(d),   S = null(d)
 
-Certificates carry the residual norms of the defining equations together with
-conditioning data; a construction whose residuals exceed tolerance is rejected
-rather than returned.
+All are built as ``X = F (H A F)^{-1} H`` (Wei 1998; Sheng & Chen 2007), F an
+orthonormal basis of T and H orthonormal rows spanning S's orthogonal complement;
+existence clauses and certificates reuse its factorizations. A construction
+whose residuals exceed tolerance is rejected rather than returned.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,10 +31,10 @@ from .subspace import (
     ObliqueProjector,
     Subspace,
     column_space,
+    column_space_and_norm,
     direct_sum_check,
-    gap,
     null_space,
-    oblique_projector,
+    null_space_and_norm,
     trivial_subspace,
 )
 
@@ -41,11 +43,14 @@ from .subspace import (
 class InverseCertificate:
     """An inverse candidate bundled with the evidence that it is one.
 
-    residuals maps each defining equation to the norm of its defect;
-    restricted_condition is the condition number of ``a`` restricted to the
-    prescribed range; range_gap / nullspace_gap measure how far the computed
-    inverse's subspaces are from the prescribed ones; complement_margin is the
-    smallest singular value of the direct-sum test that granted existence.
+    residuals maps each defining equation to the norm of its defect: the
+    Frobenius norm (an upper bound on the spectral norm), or the exact
+    spectral norm where that bound exceeded the budget. restricted_condition
+    is the condition number of ``a`` restricted to the prescribed range;
+    range_gap / nullspace_gap are containment upper bounds on the gaps between
+    the computed inverse's subspaces and the prescribed ones;
+    complement_margin is the smallest singular value of the direct-sum test
+    [a(T) | S] that granted existence.
     """
 
     inverse: np.ndarray
@@ -61,49 +66,82 @@ class InverseCertificate:
     tol_used: ToleranceConfig = DEFAULT_TOL
 
 
-def _accept(residuals: dict[str, float], budgets: dict[str, float], kind: str):
-    for name, value in residuals.items():
+def _certify(defects: dict[str, np.ndarray], budgets: dict[str, float], kind: str):
+    """Norms of the defect matrices, each accepted against its budget."""
+    residuals = {}
+    for name, defect in defects.items():
+        value = kernel.residual_norm(defect, budgets[name])
         if value > budgets[name]:
             raise CertificateError(
                 f"{kind} certificate rejected: residual {name}={value:.3e} "
                 f"exceeds budget {budgets[name]:.3e}",
                 margin=value,
             )
+        residuals[name] = value
+    return residuals
+
+
+@contextmanager
+def _existence_prefixed(prefix: str):
+    """Re-raise an ExistenceError (not a CertificateError) with ``prefix`` on its message."""
+    try:
+        yield
+    except ExistenceError as exc:
+        if isinstance(exc, CertificateError):
+            raise
+        raise ExistenceError(f"{prefix}: {exc}", clause=exc.clause, margin=exc.margin) from exc
+
+
+def _containment_gaps(x, f, s_basis, core_sigma, tol: ToleranceConfig) -> tuple[float, float]:
+    """Upper bounds on gap(R(x), T) and gap(N(x), S) for ``x = F core^-1 H``.
+
+    x has smallest nonzero singular value 1/||core||, so ||core|| times ||(I - FF*) x||
+    or ||x S||, each plus 2 dim eps ||x||_F for the rounding of its two products, bounds
+    how far R(x) leaves T or S leaves N(x). Past the rank cutoff the gap is 1.
+    """
+    if core_sigma.size == 0:
+        return 0.0, 0.0
+    if core_sigma[-1] <= tol.rank_rel_tol * core_sigma[0]:
+        return 1.0, 1.0
+    rounding = 2 * max(x.shape) * np.finfo(float).eps * np.linalg.norm(x)
+    off_range = (np.linalg.norm(x - f @ (f.conj().T @ x)) + rounding) * core_sigma[0]
+    off_null = (np.linalg.norm(x @ s_basis) + rounding) * core_sigma[0]
+    return min(1.0, float(off_range)), min(1.0, float(off_null))
 
 
 def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
-    """Moore-Penrose inverse from the SVD, inverting singular values above the cutoff."""
+    """Moore-Penrose inverse from one full SVD, inverting singular values above the cutoff.
+
+    That SVD also gives T = range(a*), S = null(a*) and ||a|| ||b|| = sigma_1 / sigma_r.
+    """
     a = as_matrix(a)
-    u, sigma, v = kernel.svd(a)
+    m, n = a.shape
+    u, sigma, v = kernel.svd(a, full=True)
     r = kernel.numerical_rank(sigma, tol)
-    if r:
-        b = (v[:, :r] / sigma[:r]) @ u[:, :r].conj().T
-    else:
-        b = np.zeros((a.shape[1], a.shape[0]), dtype=a.dtype)
-    ab = a @ b
-    ba = b @ a
-    residuals = {
-        "aba": spectral_norm(ab @ a - a),
-        "bab": spectral_norm(ba @ b - b),
-        "ab_hermitian": spectral_norm(ab.conj().T - ab),
-        "ba_hermitian": spectral_norm(ba.conj().T - ba),
+    f, s_basis = v[:, :r], u[:, r:]
+    b = (f / sigma[:r]) @ u[:, :r].conj().T
+    ab, ba = a @ b, b @ a
+    defects = {
+        "aba": ab @ a - a,
+        "bab": ba @ b - b,
+        "ab_hermitian": ab.conj().T - ab,
+        "ba_hermitian": ba.conj().T - ba,
     }
-    scale = max(1.0, spectral_norm(a) * spectral_norm(b))
-    _accept(residuals, {k: tol.residual_tol * scale for k in residuals}, "moore_penrose")
-    adj = a.conj().T
-    t = column_space(adj, tol)
-    s = null_space(adj, tol)
+    condition = float(sigma[0] / sigma[r - 1]) if r else 1.0
+    budget = tol.residual_tol * max(1.0, condition)
+    residuals = _certify(defects, dict.fromkeys(defects, budget), "moore_penrose")
+    range_gap, nullspace_gap = _containment_gaps(b, f, s_basis, sigma[:r], tol)
     return InverseCertificate(
         inverse=b,
         kind="moore_penrose",
         residuals=residuals,
-        restricted_condition=float(sigma[0] / sigma[r - 1]) if r else 1.0,
-        range_gap=gap(column_space(b, tol), t).gap,
-        nullspace_gap=gap(null_space(b, tol), s).gap,
+        restricted_condition=condition,
+        range_gap=range_gap,
+        nullspace_gap=nullspace_gap,
         complement_margin=1.0,
         operator=a,
-        prescribed_range=t,
-        prescribed_nullspace=s,
+        prescribed_range=Subspace(n, f, tol),
+        prescribed_nullspace=Subspace(m, s_basis, tol),
         tol_used=tol,
     )
 
@@ -118,6 +156,16 @@ def outer_prescribed(
     injective and a(T) (+) S to fill the codomain; each failure is reported
     with the violated clause and the deciding margin.
     """
+    return _outer(a, t, s, tol, kind)[0]
+
+
+def _complement_failure(margin: float) -> ExistenceError:
+    clause = "R(A*T) (+) S != Y"
+    return ExistenceError(f"complement fails: {clause}", clause=clause, margin=margin)
+
+
+def _outer(a, t: Subspace, s: Subspace, tol: ToleranceConfig, kind: str):
+    """outer_prescribed's certificate and base budget ``residual_tol * max(1, ||a|| ||x||)``."""
     a = as_matrix(a)
     m, n = a.shape
     if t.ambient_dim != n:
@@ -129,64 +177,48 @@ def outer_prescribed(
     if t.is_trivial:
         check = direct_sum_check(trivial_subspace(m, tol), s)
         if not check.holds:
-            raise ExistenceError(
-                "complement fails: R(A*T) (+) S != Y",
-                clause="R(A*T) (+) S != Y",
-                margin=check.margin,
-            )
-        b = np.zeros((n, m), dtype=a.dtype)
-        return InverseCertificate(
-            inverse=b,
-            kind=kind,
-            residuals={"xax_x": 0.0},
-            restricted_condition=1.0,
-            range_gap=0.0,
-            nullspace_gap=0.0,
-            complement_margin=check.margin,
-            operator=a,
-            prescribed_range=t,
-            prescribed_nullspace=s,
-            tol_used=tol,
-        )
-
-    restricted = a @ t.basis
-    sig = kernel.singular_values(restricted)
-    smin = float(sig[t.dim - 1]) if sig.size >= t.dim else 0.0
-    if t.dim > m or smin <= tol.rank_rel_tol * anorm:
-        raise ExistenceError(
-            "restriction not injective",
-            clause="restriction not injective",
-            margin=smin,
-        )
-    u, _, _ = kernel.svd(restricted)
-    image = Subspace(m, u[:, : t.dim], tol)
-    check = direct_sum_check(image, s)
-    if not check.holds:
-        raise ExistenceError(
-            "complement fails: R(A*T) (+) S != Y",
-            clause="R(A*T) (+) S != Y",
-            margin=check.margin,
-        )
-    onto_image = oblique_projector(image, s, tol)
-    w = kernel.solve_on_subspace(a, t.basis, onto_image.matrix, tol)
-    b = t.basis @ w
-
-    residuals = {"xax_x": spectral_norm(b @ a @ b - b)}
-    scale = max(1.0, anorm * spectral_norm(b))
-    _accept(residuals, {"xax_x": tol.residual_tol * scale}, kind)
-    return InverseCertificate(
-        inverse=b,
+            raise _complement_failure(check.margin)
+        x, core_sigma = np.zeros((n, m), dtype=a.dtype), np.zeros(0)
+        margin, condition = check.margin, 1.0
+        base, residuals = tol.residual_tol, {"xax_x": 0.0}
+    else:
+        restricted = a @ t.basis
+        image, sig, _ = kernel.svd(restricted)
+        smin = float(sig[t.dim - 1]) if sig.size >= t.dim else 0.0
+        if t.dim > m or smin <= tol.rank_rel_tol * anorm:
+            clause = "restriction not injective"
+            raise ExistenceError(clause, clause=clause, margin=smin)
+        if t.dim + s.dim != m:
+            raise _complement_failure(direct_sum_check(Subspace(m, image, tol), s).margin)
+        q, _ = np.linalg.qr(s.basis, mode="complete")
+        h = q[:, s.dim :].conj().T
+        # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
+        # and S; cos is measured along that angle, as sqrt(1 - sin^2) cancels near sin = 1
+        _, sines, w = kernel.svd(h @ image)
+        cosine = np.linalg.norm(s.basis.conj().T @ (image @ w[:, -1]))
+        margin = float(sines[-1] / np.sqrt(1.0 + cosine))
+        if margin <= tol.rank_rel_tol:
+            raise _complement_failure(margin)
+        cu, core_sigma, cv = kernel.svd(h @ restricted)
+        x = (t.basis @ (cv / core_sigma)) @ (cu.conj().T @ h)
+        base = tol.residual_tol * max(1.0, anorm / core_sigma[-1])
+        residuals = _certify({"xax_x": x @ a @ x - x}, {"xax_x": base}, kind)
+        condition = float(sig[0] / smin)
+    range_gap, nullspace_gap = _containment_gaps(x, t.basis, s.basis, core_sigma, tol)
+    cert = InverseCertificate(
+        inverse=x,
         kind=kind,
         residuals=residuals,
-        restricted_condition=float(sig[0] / smin),
-        range_gap=gap(column_space(b, tol), t).gap,
-        nullspace_gap=gap(null_space(b, tol), s).gap,
-        complement_margin=check.margin,
+        restricted_condition=condition,
+        range_gap=range_gap,
+        nullspace_gap=nullspace_gap,
+        complement_margin=margin,
         operator=a,
         prescribed_range=t,
         prescribed_nullspace=s,
         tol_used=tol,
     )
+    return cert, base
 
 
 def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
@@ -195,77 +227,50 @@ def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
     Requires square operands of equal size. The certificate additionally
     records the residuals of the absorption equations b = x a b and c = c a x.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    c = as_matrix(c)
+    return _bc(a, b, c, tol)[0]
+
+
+def _bc(a, b, c, tol: ToleranceConfig):
+    """bc_inverse's certificate, its base budget (see ``_outer``), ||b|| and ||c||."""
+    a, b, c = (as_matrix(m) for m in (a, b, c))
     if a.shape[0] != a.shape[1] or a.shape != b.shape or a.shape != c.shape:
         raise InputError("bc_inverse needs square a, b, c of equal size")
-    t = column_space(b, tol)
-    s = null_space(c, tol)
-    try:
-        cert = outer_prescribed(a, t, s, tol, kind="bc")
-    except ExistenceError as exc:
-        if isinstance(exc, CertificateError):
-            raise
-        raise ExistenceError(
-            f"(B,C)-inverse does not exist: {exc}", clause=exc.clause, margin=exc.margin
-        ) from exc
+    t, bnorm = column_space_and_norm(b, tol)
+    s, cnorm = null_space_and_norm(c, tol)
+    with _existence_prefixed("(B,C)-inverse does not exist"):
+        cert, base = _outer(a, t, s, tol, "bc")
     x = cert.inverse
-    extra = {
-        "xab_b": spectral_norm(x @ a @ b - b),
-        "cax_c": spectral_norm(c @ a @ x - c),
-    }
-    base = max(1.0, spectral_norm(a) * spectral_norm(x))
-    budgets = {
-        "xab_b": tol.residual_tol * base * max(1.0, spectral_norm(b)),
-        "cax_c": tol.residual_tol * base * max(1.0, spectral_norm(c)),
-    }
-    _accept(extra, budgets, "bc")
-    return replace(cert, residuals={**cert.residuals, **extra})
+    defects = {"xab_b": x @ a @ b - b, "cax_c": c @ a @ x - c}
+    budgets = {"xab_b": base * max(1.0, bnorm), "cax_c": base * max(1.0, cnorm)}
+    extra = _certify(defects, budgets, "bc")
+    return replace(cert, residuals={**cert.residuals, **extra}), base, bnorm, cnorm
 
 
 def bott_duffin(
     a, p: ObliqueProjector, q: ObliqueProjector, tol: ToleranceConfig = DEFAULT_TOL
 ) -> InverseCertificate:
     """The (p, q)-inverse for idempotents p, q: range R(p), null space N(q)."""
-    cert = bc_inverse(a, p.matrix, q.matrix, tol)
-    x = cert.inverse
-    extra = {
-        "py_y": spectral_norm(p.matrix @ x - x),
-        "yq_y": spectral_norm(x @ q.matrix - x),
-        "yap_p": spectral_norm(x @ cert.operator @ p.matrix - p.matrix),
-        "qay_q": spectral_norm(q.matrix @ cert.operator @ x - q.matrix),
+    cert, base, pnorm, qnorm = _bc(a, p.matrix, q.matrix, tol)
+    x, a, pm, qm = cert.inverse, cert.operator, p.matrix, q.matrix
+    defects = {
+        "py_y": pm @ x - x,
+        "yq_y": x @ qm - x,
+        "yap_p": x @ a @ pm - pm,
+        "qay_q": qm @ a @ x - qm,
     }
-    base = max(1.0, spectral_norm(cert.operator) * spectral_norm(x))
-    budgets = {
-        "py_y": tol.residual_tol * base * max(1.0, spectral_norm(p.matrix)),
-        "yq_y": tol.residual_tol * base * max(1.0, spectral_norm(q.matrix)),
-        "yap_p": tol.residual_tol * base * max(1.0, spectral_norm(p.matrix)),
-        "qay_q": tol.residual_tol * base * max(1.0, spectral_norm(q.matrix)),
-    }
-    _accept(extra, budgets, "bott_duffin")
+    p_budget, q_budget = base * max(1.0, pnorm), base * max(1.0, qnorm)
+    budgets = dict(zip(defects, (p_budget, q_budget, p_budget, q_budget)))
+    extra = _certify(defects, budgets, "bott_duffin")
     return replace(cert, kind="bott_duffin", residuals={**cert.residuals, **extra})
 
 
 def inverse_along(a, d, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
     """Inverse of ``a`` along ``d``: the (d, d)-inverse."""
-    try:
-        cert = bc_inverse(a, d, d, tol)
-    except ExistenceError as exc:
-        if isinstance(exc, CertificateError):
-            raise
-        raise ExistenceError(
-            f"not invertible along D: {exc}", clause=exc.clause, margin=exc.margin
-        ) from exc
-    x = cert.inverse
-    d = as_matrix(d)
-    extra = {
-        "xad_d": spectral_norm(x @ cert.operator @ d - d),
-        "dax_d": spectral_norm(d @ cert.operator @ x - d),
-    }
-    base = max(1.0, spectral_norm(cert.operator) * spectral_norm(x))
-    budget = tol.residual_tol * base * max(1.0, spectral_norm(d))
-    _accept(extra, {k: budget for k in extra}, "along")
+    with _existence_prefixed("not invertible along D"):
+        cert, base, dnorm, _ = _bc(a, d, d, tol)
+    x, a, d = cert.inverse, cert.operator, as_matrix(d)
+    defects = {"xad_d": x @ a @ d - d, "dax_d": d @ a @ x - d}
+    extra = _certify(defects, dict.fromkeys(defects, base * max(1.0, dnorm)), "along")
     return replace(cert, kind="along", residuals={**cert.residuals, **extra})
 
 

@@ -62,14 +62,14 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD ``a = u @ diag(sigma) @ v.conj().T`` with orthonormal columns.
+def svd(a, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SVD ``a = u @ diag(sigma) @ v.conj().T`` with orthonormal columns, thin unless ``full``.
 
     Returns (u, sigma, v), sigma nonincreasing and nonnegative.
     """
     a = as_matrix(a)
     try:
-        u, sigma, vh = np.linalg.svd(a, full_matrices=False)
+        u, sigma, vh = np.linalg.svd(a, full_matrices=full)
     except np.linalg.LinAlgError as exc:
         raise KernelError(
             f"svd did not converge on a {a.shape[0]}x{a.shape[1]} matrix"
@@ -103,6 +103,13 @@ def spectral_norm(a) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def residual_norm(a, budget: float) -> float:
+    """Frobenius norm of ``a`` if within ``budget`` (it bounds the spectral norm), else the
+    exact spectral norm; the result exceeds ``budget`` exactly when the spectral norm does."""
+    fro = float(np.linalg.norm(a))
+    return fro if fro <= budget else spectral_norm(a)
+
+
 def solve_on_subspace(
     a, range_basis, target, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
@@ -122,7 +129,7 @@ def solve_on_subspace(
     restricted = a @ basis
     k = basis.shape[1]
     if k:
-        sig = singular_values(restricted)
+        q, sig, _ = svd(restricted)
         if numerical_rank(sig, tol) < k:
             raise ExistenceError(
                 "restriction not injective",
@@ -132,9 +139,7 @@ def solve_on_subspace(
     w, *_ = np.linalg.lstsq(restricted, rhs, rcond=None)
     if k:
         # least squares leaves only the out-of-span part of the residual
-        q, _, _ = svd(restricted)
         onto_span = q @ (q.conj().T @ (restricted @ w - rhs))
-        scale = max(1.0, spectral_norm(rhs))
-        if spectral_norm(onto_span) > tol.residual_tol * scale:
+        if spectral_norm(onto_span) > tol.residual_tol * max(1.0, spectral_norm(rhs)):
             raise KernelError("restricted solve failed its residual check")
     return w

@@ -9,6 +9,7 @@ digits, so parse(serialize(a)) reproduces a bit for bit.
 from __future__ import annotations
 
 import math
+import os.path
 from io import StringIO
 from pathlib import Path
 
@@ -43,7 +44,7 @@ def parse_matrix(source) -> np.ndarray:
         text = source.read()
     else:
         path = Path(source)
-        if path.exists():
+        if os.path.exists(path):  # False, not OSError, for content longer than a file name
             text = path.read_text()
         elif isinstance(source, str) and "\n" in source:
             text = source

@@ -47,8 +47,8 @@ class Subspace:
         d = basis.shape[1]
         if d:
             gram = basis.conj().T @ basis
-            defect = kernel.spectral_norm(gram - np.eye(d))
-            if defect > max(self.tol_used.residual_tol, 1e-12):
+            limit = max(self.tol_used.residual_tol, 1e-12)
+            if kernel.residual_norm(gram - np.eye(d), limit) > limit:
                 raise InputError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
 
@@ -64,25 +64,35 @@ def full_subspace(ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> Subsp
 
 def column_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the span of the columns of ``a`` at numerical rank."""
+    return column_space_and_norm(a, tol)[0]
+
+
+def column_space_and_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Subspace, float]:
+    """``column_space(a)`` and the spectral norm of ``a``, from one SVD."""
     a = as_matrix(a)
     if a.shape[1] == 0:
-        return trivial_subspace(a.shape[0], tol)
+        return trivial_subspace(a.shape[0], tol), 0.0
     u, sigma, _ = kernel.svd(a)
     r = kernel.numerical_rank(sigma, tol)
-    return Subspace(a.shape[0], u[:, :r], tol)
+    return Subspace(a.shape[0], u[:, :r], tol), float(sigma[0]) if sigma.size else 0.0
 
 
 def null_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of {x : a x = 0}; dimension is cols - rank."""
+    return null_space_and_norm(a, tol)[0]
+
+
+def null_space_and_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Subspace, float]:
+    """``null_space(a)`` and the spectral norm of ``a``, from one SVD."""
     a = as_matrix(a)
     m, n = a.shape
     if n == 0:
-        return trivial_subspace(0, tol)
+        return trivial_subspace(0, tol), 0.0
     if m == 0:
-        return full_subspace(n, tol)
-    _, sigma, vh = np.linalg.svd(a, full_matrices=True)
+        return full_subspace(n, tol), 0.0
+    _, sigma, v = kernel.svd(a, full=True)
     r = kernel.numerical_rank(sigma, tol)
-    return Subspace(n, vh.conj().T[:, r:], tol)
+    return Subspace(n, v[:, r:], tol), float(sigma[0])
 
 
 def orthogonal_complement(s: Subspace) -> Subspace:
@@ -107,11 +117,8 @@ def direct_sum_check(t: Subspace, s: Subspace) -> DirectSumResult:
     if t.ambient_dim != s.ambient_dim:
         raise InputError("ambient dimensions differ")
     stacked = np.hstack([_common_dtype(t.basis, s.basis), _common_dtype(s.basis, t.basis)])
-    if stacked.shape[1] == 0:
-        margin = 0.0
-    else:
-        sig = kernel.singular_values(stacked)
-        margin = float(sig[-1]) if sig.size else 0.0
+    sig = kernel.singular_values(stacked)
+    margin = float(sig[-1]) if sig.size else 0.0
     tol = t.tol_used
     holds = (t.dim + s.dim == t.ambient_dim) and margin > tol.rank_rel_tol
     return DirectSumResult(holds, margin)

@@ -1,0 +1,69 @@
+"""Factorization counts per call of the main constructions never go up.
+
+Every O(n^3) factorization goes through a numpy.linalg entry point; these
+tests count the calls made inside one construction at n = 64 (r = n / 2) and
+hold each count to the value of the full-rank construction as an upper bound.
+"""
+
+import numpy as np
+import pytest
+
+import geninv as gi
+from geninv import families
+
+from conftest import complement_rows, outer_instance_at_angles
+
+N = 64
+ENTRY_POINTS = ("svd", "qr", "inv", "solve", "lstsq")
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """List of (entry point, operand shape) filled by every numpy.linalg call."""
+    calls = []
+    for name in ENTRY_POINTS:
+        original = getattr(np.linalg, name)
+
+        def counted(x, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.shape(x)))
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _counts(calls):
+    return {name: sum(1 for n, _ in calls if n == name) for name in ENTRY_POINTS}
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_moore_penrose_takes_one_svd(linalg_calls, complex_):
+    a = families.random_rank_matrix(np.random.default_rng(1), N, N, N, complex_)
+    linalg_calls.clear()
+    gi.moore_penrose(a)
+    assert _counts(linalg_calls) == {"svd": 1, "qr": 0, "inv": 0, "solve": 0, "lstsq": 0}
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_outer_prescribed_counts(linalg_calls, complex_):
+    a, t, s = outer_instance_at_angles(np.random.default_rng(2), N, N, N // 2, complex_)
+    linalg_calls.clear()
+    gi.outer_prescribed(a, t, s)
+    counts = _counts(linalg_calls)
+    assert counts["svd"] <= 4 and counts["qr"] <= 1 and counts["inv"] <= 1
+    assert counts["solve"] == 0 and counts["lstsq"] == 0
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_bc_inverse_counts(linalg_calls, complex_):
+    rng = np.random.default_rng(3)
+    a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
+    b = t.basis @ families.random_matrix(rng, N // 2, N, complex_)
+    c = families.random_matrix(rng, N, N // 2, complex_) @ complement_rows(s)
+    linalg_calls.clear()
+    gi.bc_inverse(a, b, c)
+    counts = _counts(linalg_calls)
+    assert counts["svd"] <= 6 and counts["qr"] <= 1 and counts["inv"] <= 1
+    assert counts["solve"] == 0 and counts["lstsq"] == 0
+    square = [shape for name, shape in linalg_calls if name in ("svd", "qr") and shape == (N, N)]
+    assert len(square) <= 3

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geninv as gi
 from geninv import families
 from geninv.errors import CertificateError, ExistenceError, InputError
 
-from conftest import assert_same_subspace, outer_fullrank_oracle
+from conftest import (
+    assert_same_subspace,
+    outer_fullrank_oracle,
+    outer_instance_at_angles,
+    outer_projector_oracle,
+)
 
 
 def line(*coords):
@@ -288,3 +295,43 @@ def test_certificate_rejection_on_absurd_tolerance():
 def test_bc_inverse_requires_square():
     with pytest.raises(InputError):
         gi.bc_inverse(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)))
+
+
+@st.composite
+def outer_problems(draw):
+    """(m, n, rank of a, dim T, complex, seed) with m, n <= 12."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    rank = draw(st.integers(1, min(m, n)))
+    r = draw(st.integers(1, rank))
+    return m, n, rank, r, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(outer_problems())
+def test_outer_prescribed_property_against_oracles(problem):
+    """Both oracles agree; the margin is the direct-sum test's; the gap bounds hold."""
+    m, n, rank, r, complex_, seed = problem
+    a, t, s = outer_instance_at_angles(np.random.default_rng(seed), m, n, r, complex_, rank)
+    cert = gi.outer_prescribed(a, t, s)
+    x = cert.inverse
+    for oracle in (outer_fullrank_oracle(a, t, s), outer_projector_oracle(a, t, s)):
+        assert gi.spectral_norm(x - oracle) <= 1e-9 * gi.spectral_norm(oracle)
+    image = gi.column_space(a @ t.basis)
+    assert abs(cert.complement_margin - gi.direct_sum_check(image, s).margin) <= 1e-12
+    assert cert.range_gap >= gi.gap(gi.column_space(x), t).gap - 1e-14
+    assert cert.nullspace_gap >= gi.gap(gi.null_space(x), s).gap - 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(outer_problems())
+def test_moore_penrose_property_gap_bounds(problem):
+    """T and S read off the one SVD have the right dimensions; the gap bounds hold."""
+    m, n, rank, _, complex_, seed = problem
+    a = families.random_rank_matrix(np.random.default_rng(seed), m, n, rank, complex_)
+    cert = gi.moore_penrose(a)
+    b, t, s = cert.inverse, cert.prescribed_range, cert.prescribed_nullspace
+    assert gi.spectral_norm(b - np.linalg.pinv(a, rtol=1e-10)) <= 1e-9 * gi.spectral_norm(b)
+    assert t.dim == rank and s.dim == m - rank
+    assert cert.range_gap >= gi.gap(gi.column_space(b), t).gap - 1e-14
+    assert cert.nullspace_gap >= gi.gap(gi.null_space(b), s).gap - 1e-14

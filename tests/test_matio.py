@@ -80,3 +80,18 @@ def test_missing_file_is_input_error():
 def test_matrix_to_json_shapes():
     assert matrix_to_json(np.eye(2)) == [[1.0, 0.0], [0.0, 1.0]]
     assert matrix_to_json(np.array([[1 + 2j]])) == [[[1.0, 2.0]]]
+
+
+def test_long_content_string_is_parsed_as_content():
+    # longer than the 255-byte file-name limit, so it cannot be probed as a path
+    a = np.arange(400.0).reshape(20, 20)
+    text = serialize_matrix(a)
+    assert len(text) > 255
+    assert np.array_equal(parse_matrix(text), a)
+
+
+def test_overlong_missing_path_is_input_error():
+    with pytest.raises(InputError, match="no such matrix file"):
+        parse_matrix("m" * 300 + ".mat")
+    with pytest.raises(InputError, match="no such matrix file"):
+        parse_matrix("missing.mat")
