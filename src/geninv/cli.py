@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diagnostics, families
+from . import diagnostics, families, kernel
 from .calculus import MatrixCurve, finite_difference_check
 from .errors import ExistenceError, GenInvError, InputError
 from .inverses import (
@@ -223,7 +223,7 @@ def _cmd_seqcheck(paths, config: RunConfig) -> dict:
         limit = (a, b, c)
         sequence = families.rotating_family(a, b, c, config.indices, rng, tol)
     elif config.family == "rankdrop":
-        rank = int(np.linalg.matrix_rank(a))
+        rank = kernel.numerical_rank(kernel.singular_values(a), tol)
         if rank >= a.shape[0]:
             raise InputError("rankdrop families need a rank-deficient limit matrix")
         limit, sequence = families.rankdrop_family(
@@ -240,21 +240,7 @@ def _cmd_seqcheck(paths, config: RunConfig) -> dict:
         "verdicts": dict(sorted(report.verdicts.items())),
         "alarm": report.alarm,
         "failed_indices": list(report.failed_indices),
-        "records": {
-            "inverse_error": list(report.inverse_error),
-            "left_product_error": list(report.left_product_error),
-            "right_product_error": list(report.right_product_error),
-            "range_gap": list(report.range_gap),
-            "nullspace_gap": list(report.nullspace_gap),
-            "inverse_range_gap": list(report.inverse_range_gap),
-            "inverse_nullspace_gap": list(report.inverse_nullspace_gap),
-            "mp_range_terms": [list(p) for p in report.mp_range_terms],
-            "mp_null_terms": [list(p) for p in report.mp_null_terms],
-            "mp_cokernel_terms": [list(p) for p in report.mp_cokernel_terms],
-            "mp_corange_terms": [list(p) for p in report.mp_corange_terms],
-            "range_projector_error": list(report.range_projector_error),
-            "null_projector_error": list(report.null_projector_error),
-        },
+        "records": {name: getattr(report, name) for name in diagnostics.RECORD_NAMES},
     }
 
 

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .errors import ExistenceError, InputError
 from .inverses import InverseCertificate, bc_inverse, moore_penrose
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
-from .subspace import column_space, gap, null_space
-
-_NAN = float("nan")
+from .subspace import column_space
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,24 @@ class SequenceDiagnostics:
     remark_gap_identity_mismatch: float | None = None
 
 
+# The per-index records of SequenceDiagnostics; the *_terms records hold pairs.
+RECORD_NAMES = (
+    "inverse_error",
+    "left_product_error",
+    "right_product_error",
+    "range_gap",
+    "nullspace_gap",
+    "inverse_range_gap",
+    "inverse_nullspace_gap",
+    "mp_range_terms",
+    "mp_null_terms",
+    "mp_cokernel_terms",
+    "mp_corange_terms",
+    "range_projector_error",
+    "null_projector_error",
+)
+
+
 def converged_by_final_index(
     values, tol: ToleranceConfig, scale: float = 1.0
 ) -> bool:
@@ -83,24 +100,23 @@ def mp_gap_terms(b, bn, tol: ToleranceConfig = DEFAULT_TOL):
     ``(||(1 - b b^+) bn bn^+||, ||(1 - bn bn^+) b b^+||)`` and measure the gap
     between the column spaces; cokernel_terms are the complementary products
     ``(||b b^+ (1 - bn bn^+)||, ||bn bn^+ (1 - b b^+)||)`` and measure the gap
-    between the row-annihilator spaces.
+    between the row-annihilator spaces. b b^+ is the orthogonal projector onto
+    the column space of b.
     """
     b = as_matrix(b)
     bn = as_matrix(bn)
     if b.shape != bn.shape or b.shape[0] != b.shape[1]:
         raise InputError("mp_gap_terms needs square matrices of equal size")
-    eye = np.eye(b.shape[0])
-    p = b @ moore_penrose(b, tol).inverse
-    pn = bn @ moore_penrose(bn, tol).inverse
-    range_terms = (
-        spectral_norm((eye - p) @ pn),
-        spectral_norm((eye - pn) @ p),
-    )
-    cokernel_terms = (
-        spectral_norm(p @ (eye - pn)),
-        spectral_norm(pn @ (eye - p)),
-    )
-    return range_terms, cokernel_terms
+    p, pn = column_space(b, tol).projector(), column_space(bn, tol).projector()
+    terms = kernel.spectral_norms(_projector_terms(p, pn))
+    return (float(terms[0]), float(terms[1])), (float(terms[2]), float(terms[3]))
+
+
+def _projector_terms(p, pn) -> tuple[np.ndarray, ...]:
+    """The products of mp_gap_terms for orthogonal projectors p = b b^+ and pn = bn bn^+."""
+    eye = np.eye(p.shape[0])
+    p_perp, pn_perp = eye - p, eye - pn
+    return p_perp @ pn, pn_perp @ p, p @ pn_perp, pn @ p_perp
 
 
 def zero_limit_check(
@@ -124,10 +140,6 @@ def zero_limit_check(
     return True, nonzero[-1] + 2
 
 
-def _pair(values) -> tuple[float, float]:
-    return float(values[0]), float(values[1])
-
-
 def sequence_report(
     limit_problem, sequence, tol: ToleranceConfig = DEFAULT_TOL
 ) -> SequenceDiagnostics:
@@ -137,91 +149,146 @@ def sequence_report(
     dichotomy, see zero_limit_check). Indices where the per-index inverse does
     not exist are recorded and excluded from the verdicts.
     """
-    a, b, c = (as_matrix(x) for x in limit_problem)
-    cert = bc_inverse(a, b, c, tol)
-    x = cert.inverse
-    if spectral_norm(x) == 0.0:
+    limit = bc_inverse(*limit_problem, tol)
+    if spectral_norm(limit.inverse) == 0.0:
         raise InputError("limit inverse is zero; use zero_limit_check")
-    xa = x @ a
-    ax = a @ x
-    t_space = cert.prescribed_range
-    s_space = cert.prescribed_nullspace
-    x_range = column_space(x, tol)
-    x_null = null_space(x, tol)
-    eye = np.eye(a.shape[0])
-    bbp = b @ moore_penrose(b, tol).inverse
-    cpc = moore_penrose(c, tol).inverse @ c
-
-    cols: dict[str, list] = {
-        key: []
-        for key in (
-            "inverse_error",
-            "left_product_error",
-            "right_product_error",
-            "range_gap",
-            "nullspace_gap",
-            "inverse_range_gap",
-            "inverse_nullspace_gap",
-            "mp_range_terms",
-            "mp_null_terms",
-            "mp_cokernel_terms",
-            "mp_corange_terms",
-            "range_projector_error",
-            "null_projector_error",
-        )
-    }
-    failed: list[int] = []
-    for idx, (an, bn, cn) in enumerate(sequence, start=1):
-        an, bn, cn = as_matrix(an), as_matrix(bn), as_matrix(cn)
+    certs: list[InverseCertificate | None] = []
+    for an, bn, cn in sequence:
         try:
-            cert_n = bc_inverse(an, bn, cn, tol)
+            certs.append(bc_inverse(an, bn, cn, tol))
         except ExistenceError:
-            failed.append(idx)
-            for key, col in cols.items():
-                col.append((_NAN, _NAN) if key.startswith("mp_") and key.endswith("terms") else _NAN)
-            continue
-        xn = cert_n.inverse
-        cols["inverse_error"].append(spectral_norm(xn - x))
-        cols["left_product_error"].append(spectral_norm(xn @ an - xa))
-        cols["right_product_error"].append(spectral_norm(an @ xn - ax))
-        cols["range_gap"].append(gap(cert_n.prescribed_range, t_space).gap)
-        cols["nullspace_gap"].append(gap(cert_n.prescribed_nullspace, s_space).gap)
-        cols["inverse_range_gap"].append(gap(column_space(xn, tol), x_range).gap)
-        cols["inverse_nullspace_gap"].append(gap(null_space(xn, tol), x_null).gap)
-        br, bk = mp_gap_terms(b, bn, tol)
-        cr, ck = mp_gap_terms(c.conj().T, cn.conj().T, tol)
-        cols["mp_range_terms"].append(br)
-        cols["mp_null_terms"].append(ck)
-        cols["mp_cokernel_terms"].append(bk)
-        cols["mp_corange_terms"].append(cr)
-        bnp = bn @ moore_penrose(bn, tol).inverse
-        cnp = moore_penrose(cn, tol).inverse @ cn
-        cols["range_projector_error"].append(spectral_norm(bnp - bbp))
-        cols["null_projector_error"].append(spectral_norm(cnp - cpc))
+            certs.append(None)
+    return _diagnose(limit, certs, tol, mp_report=False)
 
+
+def mp_continuity_report(
+    a, sequence, tol: ToleranceConfig = DEFAULT_TOL
+) -> SequenceDiagnostics:
+    """Convergence diagnostics for a Moore-Penrose inverse sequence.
+
+    Specializes the sequence diagnostics to b = c = a^+ per index, evaluates
+    the eight projector characterizations, and cross-checks the algebraic gap
+    identities against geometric gaps (the largest mismatch is recorded).
+    """
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise InputError("mp_continuity_report needs a square limit element")
+    if spectral_norm(a) == 0.0:
+        raise InputError("limit element must be nonzero")
+    certs = [moore_penrose(an, tol) for an in sequence]
+    return _diagnose(moore_penrose(a, tol), certs, tol, mp_report=True)
+
+
+def _diagnose(
+    limit: InverseCertificate,
+    certs: list[InverseCertificate | None],
+    tol: ToleranceConfig,
+    mp_report: bool,
+) -> SequenceDiagnostics:
+    """A report from the limit's certificate and one per index (None where it does not exist).
+
+    Each quantity is measured for all indices at once: its spectral norms come
+    from one batched SVD, the subspaces of the x_n from one batched full SVD,
+    and the projectors b b^+ and c^+ c from the certificates' own bases.
+    """
+    live = [k for k, cert in enumerate(certs) if cert is not None]
+    certs_ok = [certs[k] for k in live]
+    x, a = limit.inverse, limit.operator
+    xa, ax = x @ a, a @ x
+    norms = kernel.spectral_norms
+    left = norms([c.inverse @ c.operator - xa for c in certs_ok])
+    right = norms([c.operator @ c.inverse - ax for c in certs_ok])
+    p, q = _mp_projectors(limit)
+    projectors = [_mp_projectors(c) for c in certs_ok]
+    b_terms = norms([t for pn, _ in projectors for t in _projector_terms(p, pn)]).reshape(-1, 4)
+    c_terms = norms([t for _, qn in projectors for t in _projector_terms(q, qn)]).reshape(-1, 4)
+    br, bk, cr, ck = b_terms[:, :2], b_terms[:, 2:], c_terms[:, :2], c_terms[:, 2:]
+    # R(x), N(x), R(x*), N(x*), each over the limit (first) and every live index
+    spaces = list(zip(*_inverse_subspaces([x] + [c.inverse for c in certs_ok], tol)))
+    x_range, x_null = (_gaps(s[1:], s[0]) for s in spaces[:2])
+    values = {
+        "inverse_error": norms([c.inverse - x for c in certs_ok]),
+        "left_product_error": left,
+        "right_product_error": right,
+        "inverse_range_gap": x_range,
+        "inverse_nullspace_gap": x_null,
+        "mp_range_terms": br,
+        "mp_null_terms": ck,
+        "mp_cokernel_terms": bk,
+        "mp_corange_terms": cr,
+    }
+    mismatch = None
+    if mp_report:
+        values.update(
+            range_gap=x_range,
+            nullspace_gap=x_null,
+            range_projector_error=left,
+            null_projector_error=right,
+        )
+        x_corange, x_cokernel = (_gaps(s[1:], s[0]) for s in spaces[2:])
+        identities = ((x_range, br), (x_null, ck), (x_cokernel, bk), (x_corange, cr))
+        mismatch = float(np.max([abs(g - t.max(axis=1)) for g, t in identities], initial=0.0))
+    else:
+        t, s = limit.prescribed_range.basis, limit.prescribed_nullspace.basis
+        values.update(
+            range_gap=_gaps([c.prescribed_range.basis for c in certs_ok], t),
+            nullspace_gap=_gaps([c.prescribed_nullspace.basis for c in certs_ok], s),
+            range_projector_error=norms([pn - p for pn, _ in projectors]),
+            null_projector_error=norms([qn - q for _, qn in projectors]),
+        )
+    records = {name: _record(values[name], live, len(certs)) for name in RECORD_NAMES}
     err_scale = max(1.0, spectral_norm(x) * max(1.0, spectral_norm(a)))
-    verdicts = _verdicts(cols, tol, err_scale)
+    verdicts = _verdicts(records, tol, err_scale)
+    if mp_report:
+        verdicts = {k: v for k, v in verdicts.items() if k.startswith("mp_")}
     return SequenceDiagnostics(
-        inverse_error=tuple(cols["inverse_error"]),
-        left_product_error=tuple(cols["left_product_error"]),
-        right_product_error=tuple(cols["right_product_error"]),
-        range_gap=tuple(cols["range_gap"]),
-        nullspace_gap=tuple(cols["nullspace_gap"]),
-        inverse_range_gap=tuple(cols["inverse_range_gap"]),
-        inverse_nullspace_gap=tuple(cols["inverse_nullspace_gap"]),
-        mp_range_terms=tuple(map(_pair, cols["mp_range_terms"])),
-        mp_null_terms=tuple(map(_pair, cols["mp_null_terms"])),
-        mp_cokernel_terms=tuple(map(_pair, cols["mp_cokernel_terms"])),
-        mp_corange_terms=tuple(map(_pair, cols["mp_corange_terms"])),
-        range_projector_error=tuple(cols["range_projector_error"]),
-        null_projector_error=tuple(cols["null_projector_error"]),
-        failed_indices=tuple(failed),
+        **records,
+        failed_indices=tuple(k + 1 for k, cert in enumerate(certs) if cert is None),
         verdicts=verdicts,
         alarm=_alarm(verdicts),
+        remark_gap_identity_mismatch=mismatch,
     )
 
 
-def _verdicts(cols: dict[str, list], tol: ToleranceConfig, err_scale: float) -> dict[str, bool]:
+def _mp_projectors(cert: InverseCertificate) -> tuple[np.ndarray, np.ndarray]:
+    """b b^+ = P_T and c^+ c = I - P_S from a certificate's orthonormal bases of T and S.
+
+    For a (b, c)-inverse T = R(b) and S = N(c); for Moore-Penrose (b = c = a^+)
+    these are a^+ a and a a^+.
+    """
+    s = cert.prescribed_nullspace
+    return cert.prescribed_range.projector(), np.eye(s.ambient_dim) - s.projector()
+
+
+def _inverse_subspaces(xs, tol: ToleranceConfig):
+    """Bases of R(x), N(x), R(x*) and N(x*) for each x, from one batched full SVD.
+
+    The rank of each x is decided as in column_space / null_space.
+    """
+    u, sigma, v = kernel.svd_stack(xs, full=True)
+    ranks = np.count_nonzero(sigma > tol.rank_rel_tol * sigma[:, :1], axis=1)
+    return [(u[k, :, :r], v[k, :, r:], v[k, :, :r], u[k, :, r:]) for k, r in enumerate(ranks)]
+
+
+def _gaps(bases, n: np.ndarray) -> np.ndarray:
+    """subspace.gap between span(n) and the span of each basis, all orthonormal."""
+    offsides = [d for m in bases for d in (m - n @ (n.conj().T @ m), n - m @ (m.conj().T @ n))]
+    deviations = np.minimum(1.0, kernel.spectral_norms(offsides)).reshape(-1, 2)
+    # gap's conventions: a deviation from {0} is 1, one of {0} is 0 (the empty matrix's norm)
+    dims = np.array([m.shape[1] for m in bases], dtype=int)
+    deviations[(dims > 0) & (n.shape[1] == 0), 0] = 1.0
+    deviations[(dims == 0) & (n.shape[1] > 0), 1] = 1.0
+    return deviations.max(axis=1)
+
+
+def _record(values: np.ndarray, live: list[int], count: int) -> tuple:
+    """Per-index values scattered over ``count`` indices, NaN at the failed ones."""
+    full = np.full((count, *values.shape[1:]), np.nan)
+    full[live] = values
+    return tuple(map(tuple, full.tolist())) if full.ndim == 2 else tuple(full.tolist())
+
+
+def _verdicts(cols: dict, tol: ToleranceConfig, err_scale: float) -> dict[str, bool]:
     def conv(key: str, scale: float = 1.0) -> bool:
         return converged_by_final_index(cols[key], tol, scale)
 
@@ -271,99 +338,3 @@ def _alarm(verdicts: dict[str, bool]) -> bool:
         if group and any(group) and not all(group):
             return True
     return False
-
-
-def mp_continuity_report(
-    a, sequence, tol: ToleranceConfig = DEFAULT_TOL
-) -> SequenceDiagnostics:
-    """Convergence diagnostics for a Moore-Penrose inverse sequence.
-
-    Specializes the sequence diagnostics to b = c = a^+ per index, evaluates
-    the eight projector characterizations, and cross-checks the algebraic gap
-    identities against geometric gaps (the largest mismatch is recorded).
-    """
-    a = as_matrix(a)
-    if spectral_norm(a) == 0.0:
-        raise InputError("limit element must be nonzero")
-    adag = moore_penrose(a, tol).inverse
-    ada = adag @ a
-    aad = a @ adag
-    adag_range = column_space(adag, tol)
-    adag_null = null_space(adag, tol)
-    adj_range = column_space(adag.conj().T, tol)
-    adj_null = null_space(adag.conj().T, tol)
-
-    cols: dict[str, list] = {
-        key: []
-        for key in (
-            "inverse_error",
-            "left_product_error",
-            "right_product_error",
-            "range_gap",
-            "nullspace_gap",
-            "inverse_range_gap",
-            "inverse_nullspace_gap",
-            "mp_range_terms",
-            "mp_null_terms",
-            "mp_cokernel_terms",
-            "mp_corange_terms",
-            "range_projector_error",
-            "null_projector_error",
-        )
-    }
-    mismatch = 0.0
-    for an in sequence:
-        an = as_matrix(an)
-        adn = moore_penrose(an, tol).inverse
-        cols["inverse_error"].append(spectral_norm(adn - adag))
-        left = spectral_norm(adn @ an - ada)
-        right = spectral_norm(an @ adn - aad)
-        cols["left_product_error"].append(left)
-        cols["right_product_error"].append(right)
-        br, bk = mp_gap_terms(adag, adn, tol)
-        cr, ck = mp_gap_terms(adag.conj().T, adn.conj().T, tol)
-        cols["mp_range_terms"].append(br)
-        cols["mp_null_terms"].append(ck)
-        cols["mp_cokernel_terms"].append(bk)
-        cols["mp_corange_terms"].append(cr)
-        g_range = gap(column_space(adn, tol), adag_range).gap
-        g_null = gap(null_space(adn, tol), adag_null).gap
-        g_cokernel = gap(null_space(adn.conj().T, tol), adj_null).gap
-        g_corange = gap(column_space(adn.conj().T, tol), adj_range).gap
-        cols["range_gap"].append(g_range)
-        cols["nullspace_gap"].append(g_null)
-        cols["inverse_range_gap"].append(g_range)
-        cols["inverse_nullspace_gap"].append(g_null)
-        mismatch = max(
-            mismatch,
-            abs(g_range - max(br)),
-            abs(g_null - max(ck)),
-            abs(g_cokernel - max(bk)),
-            abs(g_corange - max(cr)),
-        )
-        cols["range_projector_error"].append(left)
-        cols["null_projector_error"].append(right)
-
-    err_scale = max(1.0, spectral_norm(adag) * max(1.0, spectral_norm(a)))
-    verdicts = {
-        k: v for k, v in _verdicts(cols, tol, err_scale).items() if k.startswith("mp_")
-    }
-    return SequenceDiagnostics(
-        inverse_error=tuple(cols["inverse_error"]),
-        left_product_error=tuple(cols["left_product_error"]),
-        right_product_error=tuple(cols["right_product_error"]),
-        range_gap=tuple(cols["range_gap"]),
-        nullspace_gap=tuple(cols["nullspace_gap"]),
-        inverse_range_gap=tuple(cols["inverse_range_gap"]),
-        inverse_nullspace_gap=tuple(cols["inverse_nullspace_gap"]),
-        mp_range_terms=tuple(map(_pair, cols["mp_range_terms"])),
-        mp_null_terms=tuple(map(_pair, cols["mp_null_terms"])),
-        mp_cokernel_terms=tuple(map(_pair, cols["mp_cokernel_terms"])),
-        mp_corange_terms=tuple(map(_pair, cols["mp_corange_terms"])),
-        range_projector_error=tuple(cols["range_projector_error"]),
-        null_projector_error=tuple(cols["null_projector_error"]),
-        failed_indices=(),
-        verdicts=verdicts,
-        alarm=_alarm(verdicts),
-        remark_gap_identity_mismatch=mismatch,
-    )

@@ -7,6 +7,7 @@ supported; complex is the canonical path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,12 @@ def as_matrix(a) -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    dtype = _COMPLEX if np.iscomplexobj(arr) else _REAL
-    arr = arr.astype(dtype, copy=False)
+    return _finite_float(arr)
+
+
+def _finite_float(arr: np.ndarray) -> np.ndarray:
+    """as_matrix's promotion to float64/complex128 and finiteness check, for any ndim."""
+    arr = arr.astype(_COMPLEX if np.iscomplexobj(arr) else _REAL, copy=False)
     if arr.size and not np.isfinite(arr).all():
         raise InputError("matrix contains non-finite entries")
     return arr
@@ -62,31 +67,48 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def _lapack_svd(a: np.ndarray, **kwargs):
+    """np.linalg.svd of a matrix or a stack of them; a LinAlgError becomes a KernelError."""
+    try:
+        return np.linalg.svd(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise KernelError(
+            f"svd did not converge on a {a.shape[-2]}x{a.shape[-1]} matrix"
+        ) from exc
+
+
+def _as_stack(matrices) -> np.ndarray:
+    """``as_matrix`` for equal-shape matrices, stacked along a leading axis."""
+    stack = np.stack([np.asarray(m) for m in matrices])
+    if stack.ndim != 3:
+        raise InputError(f"expected 2-d matrices, got ndim={stack.ndim - 1}")
+    return _finite_float(stack)
+
+
 def svd(a, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD ``a = u @ diag(sigma) @ v.conj().T`` with orthonormal columns, thin unless ``full``.
 
     Returns (u, sigma, v), sigma nonincreasing and nonnegative.
     """
     a = as_matrix(a)
-    try:
-        u, sigma, vh = np.linalg.svd(a, full_matrices=full)
-    except np.linalg.LinAlgError as exc:
-        raise KernelError(
-            f"svd did not converge on a {a.shape[0]}x{a.shape[1]} matrix"
-        ) from exc
+    u, sigma, vh = _lapack_svd(a, full_matrices=full)
     return u, sigma, vh.conj().T
+
+
+def svd_stack(matrices, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``svd`` of equal-shape matrices from one batched LAPACK call, stacked along axis 0.
+
+    Each slice is bit-identical to ``svd`` of that matrix alone.
+    """
+    u, sigma, vh = _lapack_svd(_as_stack(matrices), full_matrices=full)
+    return u, sigma, vh.conj().swapaxes(-1, -2)
 
 
 def singular_values(a) -> np.ndarray:
     a = as_matrix(a)
     if 0 in a.shape:
         return np.zeros(0)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise KernelError(
-            f"svd did not converge on a {a.shape[0]}x{a.shape[1]} matrix"
-        ) from exc
+    return _lapack_svd(a, compute_uv=False)
 
 
 def numerical_rank(sigma, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -103,11 +125,37 @@ def spectral_norm(a) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def spectral_norms(matrices) -> np.ndarray:
+    """``spectral_norm`` of each matrix, from one batched SVD per (shape, field) group."""
+    mats = [np.asarray(m) for m in matrices]
+    groups: dict[tuple, list[int]] = {}
+    for i, m in enumerate(mats):
+        if m.size:
+            groups.setdefault((m.shape, np.iscomplexobj(m)), []).append(i)
+    norms = np.zeros(len(mats))
+    for members in groups.values():
+        norms[members] = _lapack_svd(_as_stack(mats[i] for i in members), compute_uv=False)[:, 0]
+    return norms
+
+
 def residual_norm(a, budget: float) -> float:
     """Frobenius norm of ``a`` if within ``budget`` (it bounds the spectral norm), else the
     exact spectral norm; the result exceeds ``budget`` exactly when the spectral norm does."""
-    fro = float(np.linalg.norm(a))
+    fro = _frobenius(a)
+    if fro == np.inf:  # the squared entries overflowed: rescale by the largest one
+        scale = float(np.max(np.abs(a)))
+        if scale < np.inf:
+            fro = scale * _frobenius(a / scale)
     return fro if fro <= budget else spectral_norm(a)
+
+
+def _frobenius(a) -> float:
+    """``np.linalg.norm(a)``, summed the same way and so bit-identical, but through vdot,
+    which checks no floating-point flags: an overflow gives inf without a warning."""
+    x = np.asarray(a).ravel(order="K")
+    if np.iscomplexobj(x):
+        return math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
+    return math.sqrt(np.vdot(x, x))
 
 
 def solve_on_subspace(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import geninv as gi
-from geninv import families
+from geninv import diagnostics, families
+from geninv.errors import ExistenceError
 
 
 def outer_fullrank_oracle(a, t_space, s_space):
@@ -69,6 +70,131 @@ def outer_instance_at_angles(rng, m, n, r, complex_=False, rank=None, min_angle=
         [image[:, :pairs] * np.cos(angles) + perp[:, :pairs] * np.sin(angles), perp[:, pairs:]]
     )
     return a, gi.Subspace(n, t_basis), gi.Subspace(m, s_basis)
+
+
+def _mp_gap_terms_oracle(b, bn, tol):
+    """mp_gap_terms with b b^+ formed from certified Moore-Penrose inverses."""
+    eye = np.eye(b.shape[0])
+    p = b @ gi.moore_penrose(b, tol).inverse
+    pn = bn @ gi.moore_penrose(bn, tol).inverse
+    return (
+        (gi.spectral_norm((eye - p) @ pn), gi.spectral_norm((eye - pn) @ p)),
+        (gi.spectral_norm(p @ (eye - pn)), gi.spectral_norm(pn @ (eye - p))),
+    )
+
+
+def _oracle_report(cols, failed, tol, err_scale, mp_only=False, mismatch=None):
+    """SequenceDiagnostics from per-index columns, with the library's verdict rules."""
+    verdicts = diagnostics._verdicts(cols, tol, err_scale)
+    if mp_only:
+        verdicts = {k: v for k, v in verdicts.items() if k.startswith("mp_")}
+    return gi.SequenceDiagnostics(
+        **{name: tuple(cols[name]) for name in diagnostics.RECORD_NAMES},
+        failed_indices=tuple(failed),
+        verdicts=verdicts,
+        alarm=diagnostics._alarm(verdicts),
+        remark_gap_identity_mismatch=mismatch,
+    )
+
+
+def sequence_report_oracle(limit_problem, sequence, tol):
+    """sequence_report measured index by index with per-matrix SVDs.
+
+    Every gap is subspace.gap of freshly computed subspaces and every projector
+    b b^+ / c^+ c is a product with a certified Moore-Penrose inverse; shares
+    no batching and no projector construction with the library's report.
+    """
+    a, b, c = (gi.as_matrix(m) for m in limit_problem)
+    x = gi.bc_inverse(a, b, c, tol).inverse
+    t_space, s_space = gi.column_space(b, tol), gi.null_space(c, tol)
+    x_range, x_null = gi.column_space(x, tol), gi.null_space(x, tol)
+    bbp = b @ gi.moore_penrose(b, tol).inverse
+    cpc = gi.moore_penrose(c, tol).inverse @ c
+    cols = {name: [] for name in diagnostics.RECORD_NAMES}
+    failed = []
+    for idx, (an, bn, cn) in enumerate(sequence, start=1):
+        an, bn, cn = (gi.as_matrix(m) for m in (an, bn, cn))
+        try:
+            xn = gi.bc_inverse(an, bn, cn, tol).inverse
+        except ExistenceError:
+            failed.append(idx)
+            for name, col in cols.items():
+                col.append((np.nan, np.nan) if name.endswith("_terms") else np.nan)
+            continue
+        br, bk = _mp_gap_terms_oracle(b, bn, tol)
+        cr, ck = _mp_gap_terms_oracle(c.conj().T, cn.conj().T, tol)
+        row = {
+            "inverse_error": gi.spectral_norm(xn - x),
+            "left_product_error": gi.spectral_norm(xn @ an - x @ a),
+            "right_product_error": gi.spectral_norm(an @ xn - a @ x),
+            "range_gap": gi.gap(gi.column_space(bn, tol), t_space).gap,
+            "nullspace_gap": gi.gap(gi.null_space(cn, tol), s_space).gap,
+            "inverse_range_gap": gi.gap(gi.column_space(xn, tol), x_range).gap,
+            "inverse_nullspace_gap": gi.gap(gi.null_space(xn, tol), x_null).gap,
+            "mp_range_terms": br,
+            "mp_null_terms": ck,
+            "mp_cokernel_terms": bk,
+            "mp_corange_terms": cr,
+            "range_projector_error": gi.spectral_norm(
+                bn @ gi.moore_penrose(bn, tol).inverse - bbp
+            ),
+            "null_projector_error": gi.spectral_norm(
+                gi.moore_penrose(cn, tol).inverse @ cn - cpc
+            ),
+        }
+        for name, value in row.items():
+            cols[name].append(value)
+    err_scale = max(1.0, gi.spectral_norm(x) * max(1.0, gi.spectral_norm(a)))
+    return _oracle_report(cols, failed, tol, err_scale)
+
+
+def mp_continuity_oracle(a, sequence, tol):
+    """mp_continuity_report measured index by index with per-matrix SVDs."""
+    a = gi.as_matrix(a)
+    adag = gi.moore_penrose(a, tol).inverse
+    spaces = [
+        (gi.column_space(m, tol), gi.null_space(m, tol)) for m in (adag, adag.conj().T)
+    ]
+    cols = {name: [] for name in diagnostics.RECORD_NAMES}
+    mismatch = 0.0
+    for an in sequence:
+        an = gi.as_matrix(an)
+        adn = gi.moore_penrose(an, tol).inverse
+        left = gi.spectral_norm(adn @ an - adag @ a)
+        right = gi.spectral_norm(an @ adn - a @ adag)
+        br, bk = _mp_gap_terms_oracle(adag, adn, tol)
+        cr, ck = _mp_gap_terms_oracle(adag.conj().T, adn.conj().T, tol)
+        (range_, null), (corange, cokernel) = spaces
+        g_range = gi.gap(gi.column_space(adn, tol), range_).gap
+        g_null = gi.gap(gi.null_space(adn, tol), null).gap
+        g_cokernel = gi.gap(gi.null_space(adn.conj().T, tol), cokernel).gap
+        g_corange = gi.gap(gi.column_space(adn.conj().T, tol), corange).gap
+        mismatch = max(
+            mismatch,
+            abs(g_range - max(br)),
+            abs(g_null - max(ck)),
+            abs(g_cokernel - max(bk)),
+            abs(g_corange - max(cr)),
+        )
+        row = {
+            "inverse_error": gi.spectral_norm(adn - adag),
+            "left_product_error": left,
+            "right_product_error": right,
+            "range_gap": g_range,
+            "nullspace_gap": g_null,
+            "inverse_range_gap": g_range,
+            "inverse_nullspace_gap": g_null,
+            "mp_range_terms": br,
+            "mp_null_terms": ck,
+            "mp_cokernel_terms": bk,
+            "mp_corange_terms": cr,
+            "range_projector_error": left,
+            "null_projector_error": right,
+        }
+        for name, value in row.items():
+            cols[name].append(value)
+    err_scale = max(1.0, gi.spectral_norm(adag) * max(1.0, gi.spectral_norm(a)))
+    return _oracle_report(cols, [], tol, err_scale, mp_only=True, mismatch=mismatch)
 
 
 def assert_same_subspace(s1, s2, tol=1e-9):

@@ -167,3 +167,43 @@ def test_cli_wrong_arity_exits_one(tmp_path, capsys):
     code, report = run_cli(capsys, "derivcheck", "--kind", "mp", a_path)
     assert code == 1
     assert "input file" in report["error"]
+
+
+def test_seqcheck_report_keys(tmp_path, capsys):
+    a_path = write(tmp_path / "a.mat", np.diag([1.0, 2.0, 3.0]))
+    b_path = write(tmp_path / "b.mat", np.diag([1.0, 1.0, 0.0]))
+    code, report = run_cli(capsys, "seqcheck", a_path, b_path, b_path, "--indices", "5")
+    assert code == 0
+    assert set(report) == {
+        "schema", "subcommand", "family", "indices", "verdicts", "alarm", "failed_indices",
+        "records",
+    }
+    assert report["schema"] == 1
+    assert set(report["records"]) == {
+        "inverse_error", "left_product_error", "right_product_error", "range_gap",
+        "nullspace_gap", "inverse_range_gap", "inverse_nullspace_gap", "mp_range_terms",
+        "mp_null_terms", "mp_cokernel_terms", "mp_corange_terms", "range_projector_error",
+        "null_projector_error",
+    }
+    assert all(len(values) == 5 for values in report["records"].values())
+    assert all(len(pair) == 2 for pair in report["records"]["mp_range_terms"])
+
+
+def test_seqcheck_rankdrop_uses_the_rank_tolerance(tmp_path, capsys):
+    # numerical rank at --tol-rank, not numpy's own cutoff: diag(1, 1e-12) has rank 1
+    a_path = write(tmp_path / "a.mat", np.diag([1.0, 1e-12]))
+    code, report = run_cli(
+        capsys, "seqcheck", a_path, a_path, a_path, "--family", "rankdrop", "--indices", "10"
+    )
+    assert code == 0, report
+    full_rank = write(tmp_path / "f.mat", np.diag([1.0, 1e-8]))
+    code, report = run_cli(
+        capsys, "seqcheck", full_rank, full_rank, full_rank, "--family", "rankdrop",
+    )
+    assert code == 1
+    assert "rank-deficient" in report["error"]
+    code, _ = run_cli(
+        capsys, "seqcheck", full_rank, full_rank, full_rank, "--family", "rankdrop",
+        "--indices", "10", "--tol-rank", "1e-6",
+    )
+    assert code == 0

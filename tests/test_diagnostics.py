@@ -5,6 +5,8 @@ import geninv as gi
 from geninv import diagnostics, families
 from geninv.errors import InputError
 
+from conftest import mp_continuity_oracle, sequence_report_oracle
+
 SEQ_TOL = gi.ToleranceConfig(residual_tol=1e-2)
 
 
@@ -223,3 +225,65 @@ def test_converged_by_final_index_rules():
     assert not diagnostics.converged_by_final_index(growing, tol)
     assert diagnostics.converged_by_final_index([0.0] * 10, tol)
     assert not diagnostics.converged_by_final_index([], tol)
+
+
+def _assert_matches_oracle(report, oracle):
+    assert report.verdicts == oracle.verdicts
+    assert report.alarm == oracle.alarm
+    assert report.failed_indices == oracle.failed_indices
+    for name in diagnostics.RECORD_NAMES:
+        np.testing.assert_allclose(
+            getattr(report, name), getattr(oracle, name), rtol=0, atol=1e-10, err_msg=name
+        )
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", [3, 6, 8])
+@pytest.mark.parametrize("family", ["additive", "rotating", "rankdrop", "failing"])
+def test_sequence_report_matches_per_index_oracle(family, n, complex_):
+    rng = np.random.default_rng(10 * n + complex_)
+    if family == "rankdrop":
+        limit, seq = families.rankdrop_family(rng, n, n // 2, 15, complex_)
+    else:
+        limit = families.random_solvable_triple(rng, n, n // 2, complex_)
+        maker = families.rotating_family if family == "rotating" else families.additive_family
+        seq = maker(*limit, 15, rng, SEQ_TOL)
+    if family == "failing":
+        a, b, c = limit
+        seq[4] = (a, b, np.zeros_like(c))  # N(0) is the whole space: no complement
+        seq[9] = (np.zeros_like(a), b, c)  # zero is not injective on R(b)
+    report = diagnostics.sequence_report(limit, seq, SEQ_TOL)
+    assert report.failed_indices == ((5, 10) if family == "failing" else ())
+    _assert_matches_oracle(report, sequence_report_oracle(limit, seq, SEQ_TOL))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", [3, 6, 8])
+@pytest.mark.parametrize("family", ["convergent", "rankdrop"])
+def test_mp_continuity_report_matches_per_index_oracle(family, n, complex_):
+    rng = np.random.default_rng(10 * n + complex_)
+    a, seq = getattr(families, f"mp_{family}_sequence")(rng, n, n // 2, 15, complex_)
+    report = diagnostics.mp_continuity_report(a, seq, SEQ_TOL)
+    oracle = mp_continuity_oracle(a, seq, SEQ_TOL)
+    _assert_matches_oracle(report, oracle)
+    assert report.remark_gap_identity_mismatch <= 1e-9
+    assert report.remark_gap_identity_mismatch == pytest.approx(
+        oracle.remark_gap_identity_mismatch, abs=1e-10
+    )
+
+
+def test_reports_on_empty_and_all_failing_sequences():
+    a, b = np.diag([1.0, 2.0]), np.eye(2)
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for seq in ([], [(nilpotent, nilpotent, nilpotent)] * 3):
+        report = diagnostics.sequence_report((a, b, b), seq, SEQ_TOL)
+        assert report.failed_indices == tuple(range(1, len(seq) + 1))
+        assert set(report.verdicts.values()) == {False}
+        _assert_matches_oracle(report, sequence_report_oracle((a, b, b), seq, SEQ_TOL))
+    report = diagnostics.mp_continuity_report(a, [], SEQ_TOL)
+    assert report.inverse_error == () and report.remark_gap_identity_mismatch == 0.0
+
+
+def test_mp_continuity_report_rejects_rectangular_limit():
+    with pytest.raises(InputError):
+        diagnostics.mp_continuity_report(np.ones((2, 3)), [np.ones((2, 3))], SEQ_TOL)

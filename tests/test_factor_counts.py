@@ -3,6 +3,9 @@
 Every O(n^3) factorization goes through a numpy.linalg entry point; these
 tests count the calls made inside one construction at n = 64 (r = n / 2) and
 hold each count to the value of the full-rank construction as an upper bound.
+The sequence reports are held to their per-index construction: 30 more
+indices may add no more calls than 30 more bc_inverse (6 SVD + 1 QR) or
+moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices.
 """
 
 import numpy as np
@@ -67,3 +70,34 @@ def test_bc_inverse_counts(linalg_calls, complex_):
     assert counts["solve"] == 0 and counts["lstsq"] == 0
     square = [shape for name, shape in linalg_calls if name in ("svd", "qr") and shape == (N, N)]
     assert len(square) <= 3
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_sequence_report_per_index_cost_is_the_bc_inverse(linalg_calls, complex_):
+    # per index only bc_inverse's own factorizations (<= 6 SVD + 1 QR); every
+    # diagnostic norm and subspace is one batched call per quantity
+    n = 20
+    rng = np.random.default_rng(4)
+    a, t, s = outer_instance_at_angles(rng, n, n, n // 2, complex_)
+    b = t.basis @ families.random_matrix(rng, n // 2, n, complex_)
+    c = families.random_matrix(rng, n, n // 2, complex_) @ complement_rows(s)
+    tol = gi.ToleranceConfig(residual_tol=1e-2)
+    calls = {}
+    for count in (10, 40):
+        seq = families.additive_family(a, b, c, count, np.random.default_rng(5), tol)
+        linalg_calls.clear()
+        report = gi.sequence_report((a, b, c), seq, tol)
+        calls[count] = len(linalg_calls)
+        assert not report.failed_indices
+    assert calls[40] - calls[10] <= 30 * (6 + 1)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_mp_continuity_report_per_index_cost_is_one_svd(linalg_calls, complex_):
+    calls = {}
+    for count in (10, 40):
+        a, seq = families.mp_convergent_sequence(np.random.default_rng(6), 20, 10, count, complex_)
+        linalg_calls.clear()
+        gi.mp_continuity_report(a, seq)
+        calls[count] = len(linalg_calls)
+    assert calls[40] - calls[10] <= 30

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geninv as gi
+from geninv import kernel
 from geninv.errors import ExistenceError, InputError
 
 
@@ -111,3 +114,36 @@ def test_tolerance_config_validation():
         gi.ToleranceConfig(fd_step_sweep=(1e-3, 1e-2))
     with pytest.raises(InputError):
         gi.ToleranceConfig(fd_step_sweep=())
+
+
+def test_residual_norm_does_not_overflow_on_huge_entries():
+    # the squared entries overflow; the spectral norm of the all-1e160 3x3 is 3e160
+    a = np.full((3, 3), 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel.residual_norm(a, 1.0) == pytest.approx(3e160, rel=1e-12)
+        assert kernel.residual_norm(a, 1e161) == pytest.approx(3e160, rel=1e-12)
+        assert kernel.residual_norm(1j * a, 1.0) == pytest.approx(3e160, rel=1e-12)
+
+
+def test_residual_norm_within_budget_is_numpy_frobenius_norm(rng):
+    for shape in ((1, 1), (7, 4), (30, 30)):
+        a = rng.standard_normal(shape)
+        for x in (a, a.T, np.asfortranarray(a), a + 1j * a[::-1], (a + 1j * a[::-1]).T):
+            assert kernel.residual_norm(x, 1e300) == float(np.linalg.norm(x))
+
+
+def test_batched_svd_and_norms_match_per_matrix_calls(rng):
+    mats = [rng.standard_normal((5, 3)) for _ in range(4)]
+    mats += [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
+    mats += [rng.standard_normal((4, 4)), np.zeros((4, 0)), np.zeros((4, 4))]
+    norms = kernel.spectral_norms(mats)
+    assert norms.tolist() == [gi.spectral_norm(m) for m in mats]
+    for full in (False, True):
+        u, sigma, v = kernel.svd_stack(mats[:4], full=full)
+        for k, m in enumerate(mats[:4]):
+            single = gi.svd(m, full=full)
+            assert all(np.array_equal(x[k], y) for x, y in zip((u, sigma, v), single))
+    assert kernel.spectral_norms([]).shape == (0,)
+    with pytest.raises(InputError):
+        kernel.spectral_norms([np.array([[np.inf]])])
