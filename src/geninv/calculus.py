@@ -56,12 +56,7 @@ def bc_derivative(ainv0, a0, aprime, hc_prime, bg_prime) -> np.ndarray:
     aprime, hc_prime, bg_prime = map(as_matrix, (aprime, hc_prime, bg_prime))
     if a0.shape[0] != a0.shape[1] or x.shape != a0.shape:
         raise InputError("bc_derivative needs square matrices of equal size")
-    eye = np.eye(a0.shape[0])
-    return (
-        x @ hc_prime @ (eye - a0 @ x)
-        + (eye - x @ a0) @ bg_prime @ x
-        - x @ aprime @ x
-    )
+    return _sandwich(x, a0, aprime, hc_prime, bg_prime)
 
 
 def mp_derivative(a0, adag0, aprime, aadag_prime, adaga_prime) -> np.ndarray:
@@ -76,11 +71,7 @@ def mp_derivative(a0, adag0, aprime, aadag_prime, adaga_prime) -> np.ndarray:
     m, n = a0.shape
     if x.shape != (n, m):
         raise InputError("adag0 shape does not match a0")
-    return (
-        x @ aadag_prime @ (np.eye(m) - a0 @ x)
-        + (np.eye(n) - x @ a0) @ adaga_prime @ x
-        - x @ aprime @ x
-    )
+    return _sandwich(x, a0, aprime, aadag_prime, adaga_prime)
 
 
 def oip_derivative(ainv0, a0, aprime, pprime, qprime) -> np.ndarray:
@@ -95,11 +86,13 @@ def oip_derivative(ainv0, a0, aprime, pprime, qprime) -> np.ndarray:
     m, n = a0.shape
     if x.shape != (n, m):
         raise InputError("ainv0 shape does not match a0")
-    return (
-        -x @ qprime @ (np.eye(m) - a0 @ x)
-        + (np.eye(n) - x @ a0) @ pprime @ x
-        - x @ aprime @ x
-    )
+    return _sandwich(x, a0, aprime, -qprime, pprime)
+
+
+def _sandwich(x, a0, aprime, left, right) -> np.ndarray:
+    """``x L (I - a x) + (I - x a) R x - x a' x``, the form all three derivatives share."""
+    m, n = a0.shape
+    return x @ left @ (np.eye(m) - a0 @ x) + (np.eye(n) - x @ a0) @ right @ x - x @ aprime @ x
 
 
 def difference_identity_residual(

@@ -15,7 +15,7 @@ from .calculus import MatrixCurve
 from .errors import ExistenceError, GenInvError
 from .inverses import bc_inverse, outer_prescribed
 from .kernel import DEFAULT_TOL, ToleranceConfig, spectral_norm
-from .subspace import Subspace, column_space, direct_sum_check
+from .subspace import Subspace, column_space, direct_sum_check, orthogonal_complement
 
 _DOMAIN = (-0.6, 0.6)
 
@@ -108,7 +108,7 @@ def random_solvable_triple(
         if direct_sum_check(image, s_space).margin < min_margin:
             continue
         b = t_space.basis @ random_matrix(rng, r, n, complex_)
-        s_perp = _perp_basis(s_space, complex_)
+        s_perp = orthogonal_complement(s_space).basis
         c = random_matrix(rng, n, r, complex_) @ s_perp.conj().T
         if (
             kernel.numerical_rank(kernel.singular_values(b), tol) != r
@@ -117,15 +117,6 @@ def random_solvable_triple(
             continue
         return a, b, c
     raise GenInvError("failed to sample a well-margined solvable triple")
-
-
-def _perp_basis(s: Subspace, complex_: bool) -> np.ndarray:
-    n = s.ambient_dim
-    if s.is_trivial:
-        eye = np.eye(n)
-        return eye.astype(complex) if complex_ else eye
-    _, _, vh = np.linalg.svd(s.basis.conj().T, full_matrices=True)
-    return vh.conj().T[:, s.dim:]
 
 
 def random_outer_instance(

@@ -45,7 +45,10 @@ def parse_matrix(source) -> np.ndarray:
     else:
         path = Path(source)
         if os.path.exists(path):  # False, not OSError, for content longer than a file name
-            text = path.read_text()
+            try:
+                text = path.read_text()
+            except OSError as exc:  # a directory, an unreadable file; str(exc) names the path
+                raise InputError(str(exc)) from None
         elif isinstance(source, str) and "\n" in source:
             text = source
         else:
@@ -111,5 +114,5 @@ def matrix_to_json(a):
     """Nested lists for JSON embedding; complex entries become [re, im] pairs."""
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        return [[[float(v.real), float(v.imag)] for v in row] for row in a]
-    return [[float(v) for v in row] for row in a]
+        a = np.stack([a.real, a.imag], axis=-1)
+    return a.astype(np.float64, copy=False).tolist()

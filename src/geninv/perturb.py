@@ -35,10 +35,13 @@ class PerturbationReport:
 
 def openness_radius(cert: InverseCertificate) -> float:
     """Radius of the ball around the operator inside which the inverse persists."""
-    nrm = spectral_norm(cert.inverse)
-    if nrm == 0.0:
+    return _radius(spectral_norm(cert.inverse))
+
+
+def _radius(inv_norm: float) -> float:
+    if inv_norm == 0.0:
         raise InputError("radius undefined for zero inverse")
-    return 1.0 / nrm
+    return 1.0 / inv_norm
 
 
 def perturbation_bound(
@@ -78,7 +81,8 @@ def perturbed_bc_inverse(
     e = as_matrix(e)
     if e.shape != a.shape:
         raise InputError("perturbation shape does not match the operator")
-    radius = openness_radius(cert)
+    xnorm = spectral_norm(x)  # the one SVD of x: radius, kappa, z and the bound's scale
+    radius = _radius(xnorm)
     enorm = spectral_norm(e)
     outside = enorm >= radius
 
@@ -90,7 +94,7 @@ def perturbed_bc_inverse(
         raise ExistenceError(
             "resolvent factor 1 + x e is singular",
             clause="1 + x e not invertible",
-            margin=enorm * spectral_norm(x),
+            margin=enorm * xnorm,
         ) from exc
     factor_disc = spectral_norm(left - right)
 
@@ -105,8 +109,8 @@ def perturbed_bc_inverse(
     discrepancy = None if direct is None else spectral_norm(left - direct)
     actual = None if direct is None else spectral_norm(direct - x)
 
-    kappa = spectral_norm(a) * spectral_norm(x)
-    bound = perturbation_bound(kappa, 0.0, 0.0, spectral_norm(x) * enorm, spectral_norm(x))
+    kappa = spectral_norm(a) * xnorm
+    bound = perturbation_bound(kappa, 0.0, 0.0, xnorm * enorm, xnorm)
     return PerturbationReport(
         radius=radius,
         formula_inverse=left,

@@ -207,3 +207,98 @@ def test_seqcheck_rankdrop_uses_the_rank_tolerance(tmp_path, capsys):
         "--indices", "10", "--tol-rank", "1e-6",
     )
     assert code == 0
+
+
+CERTIFICATE_KEYS = {
+    "kind", "field", "inverse", "residuals", "restricted_condition", "range_gap",
+    "nullspace_gap", "complement_margin",
+}
+GAP_KEYS = {"delta_mn", "delta_nm", "gap", "dim_m", "dim_n"}
+DERIVCHECK_KEYS = {"kind", "t0", "formula_derivative", "fd_errors", "observed_order"}
+ERROR_KEYS = {"error", "clause", "margin"}
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Small matrix files, by name, for one request of every subcommand."""
+    mats = {
+        "a": np.diag([1.0, 2.0, 3.0]),
+        "b": np.diag([1.0, 1.0, 0.0]),
+        "e": np.diag([0.1, 0.0, 0.0]),
+        "da": 0.1 * np.arange(9.0).reshape(3, 3),
+        "t": np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+        "dt": 0.1 * np.ones((3, 2)),
+        "s": np.array([[0.0], [0.0], [1.0]]),
+        "ds": np.array([[0.1], [0.0], [0.0]]),
+        "e1": np.array([[1.0], [0.0], [0.0]]),
+    }
+    return {name: write(tmp_path / f"{name}.mat", a) for name, a in mats.items()}
+
+
+@pytest.mark.parametrize(
+    "argv, code, keys",
+    [
+        (["pinv", "a"], 0, CERTIFICATE_KEYS),
+        (["bcinv", "a", "b", "b"], 0, CERTIFICATE_KEYS),
+        (["outer", "a", "t", "s"], 0, CERTIFICATE_KEYS),
+        (["along", "a", "b"], 0, CERTIFICATE_KEYS),
+        (["bottduffin", "a", "b", "b"], 0, CERTIFICATE_KEYS),
+        (["gap", "t", "e1"], 0, GAP_KEYS),
+        (["gap", "t", "e1", "--trials", "20"], 0, GAP_KEYS | {"sampling_lower_bound"}),
+        (
+            ["perturb", "a", "b", "b", "e"],
+            0,
+            {
+                "radius", "outside_ball", "formula_inverse", "direct_inverse", "discrepancy",
+                "factorization_discrepancy", "bound_value", "actual_error",
+            },
+        ),
+        (["derivcheck", "--kind", "mp", "a", "da"], 0, DERIVCHECK_KEYS),
+        (["derivcheck", "--kind", "bc", "a", "da", "b", "e", "b", "e"], 0, DERIVCHECK_KEYS),
+        (["derivcheck", "--kind", "oip", "a", "da", "t", "dt", "s", "ds"], 0, DERIVCHECK_KEYS),
+        (["outer", "a", "e1", "e1"], 2, ERROR_KEYS),
+    ],
+)
+def test_report_keys_and_exit_code_of_every_subcommand(files, capsys, argv, code, keys):
+    # seqcheck's keys are pinned by test_seqcheck_report_keys
+    argv = [files.get(token, token) for token in argv]
+    got_code, report = run_cli(capsys, *argv)
+    assert got_code == code, report
+    assert set(report) == {"schema", "subcommand"} | keys
+    assert report["schema"] == 1
+    assert report["subcommand"] == argv[0]
+
+
+def test_config_error_report_goes_to_out(files, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["pinv", files["a"], "--steps", "abc", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert report["clause"] == "input"
+    assert "unparsable step list" in report["error"]
+
+
+@pytest.mark.parametrize("indices", ["0", "-3"])
+def test_seqcheck_rejects_indices_below_one(files, capsys, indices):
+    code, report = run_cli(capsys, "seqcheck", files["a"], files["b"], files["b"], "--indices", indices)
+    assert code == 1
+    assert report["clause"] == "input"
+    assert "--indices" in report["error"]
+    assert "records" not in report
+
+
+def test_unwritable_out_reports_on_stdout(files, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code, report = run_cli(capsys, "pinv", files["a"], "--out", str(out))
+    assert code == 1
+    assert report["clause"] == "input"
+    assert str(out) in report["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["pinv"], ["bcinv", "a"], ["seqcheck", "a", "b"]])
+def test_missing_input_files_are_usage_errors(files, capsys, argv):
+    # argparse usage errors exit 1 and write no JSON report
+    assert main([files.get(token, token) for token in argv]) == 1
+    assert capsys.readouterr().out == ""

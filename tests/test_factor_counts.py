@@ -6,6 +6,7 @@ hold each count to the value of the full-rank construction as an upper bound.
 The sequence reports are held to their per-index construction: 30 more
 indices may add no more calls than 30 more bc_inverse (6 SVD + 1 QR) or
 moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices.
+perturbed_bc_inverse takes the norm of the unperturbed inverse once.
 """
 
 import numpy as np
@@ -70,6 +71,24 @@ def test_bc_inverse_counts(linalg_calls, complex_):
     assert counts["solve"] == 0 and counts["lstsq"] == 0
     square = [shape for name, shape in linalg_calls if name in ("svd", "qr") and shape == (N, N)]
     assert len(square) <= 3
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_perturbed_bc_inverse_counts(linalg_calls, complex_):
+    # ||x|| is one SVD shared by the radius, kappa, z and the bound's scale;
+    # the rest is ||a||, ||e||, three discrepancy norms and the recomputation
+    rng = np.random.default_rng(7)
+    a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
+    b = t.basis @ families.random_matrix(rng, N // 2, N, complex_)
+    c = families.random_matrix(rng, N, N // 2, complex_) @ complement_rows(s)
+    cert = gi.bc_inverse(a, b, c)
+    e = families.random_matrix(rng, N, N, complex_) * (0.3 / gi.spectral_norm(cert.inverse))
+    linalg_calls.clear()
+    report = gi.perturbed_bc_inverse(cert, e)
+    assert not report.outside_ball and report.direct_inverse is not None
+    counts = _counts(linalg_calls)
+    assert counts["svd"] <= 10 and counts["qr"] <= 1
+    assert counts["inv"] <= 1 and counts["solve"] <= 1 and counts["lstsq"] == 0
 
 
 @pytest.mark.parametrize("complex_", [False, True])

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -95,3 +96,25 @@ def test_overlong_missing_path_is_input_error():
         parse_matrix("m" * 300 + ".mat")
     with pytest.raises(InputError, match="no such matrix file"):
         parse_matrix("missing.mat")
+
+
+def test_parse_directory_is_input_error(tmp_path):
+    # an unreadable path is an InputError naming it, never a raw OSError
+    for source in (tmp_path, str(tmp_path)):
+        with pytest.raises(InputError, match=re.escape(str(tmp_path))):
+            parse_matrix(source)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_matrix_to_json_equals_entrywise_floats(complex_):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((7, 5)) + (1j * rng.standard_normal((7, 5)) if complex_ else 0.0)
+    a = gi.moore_penrose(a).inverse
+    if complex_:
+        entrywise = [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    else:
+        entrywise = [[float(v) for v in row] for row in a]
+    got = matrix_to_json(a)
+    assert got == entrywise
+    flat = np.ravel(got).tolist()
+    assert all(type(v) is float for v in flat)
