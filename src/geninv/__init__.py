@@ -46,7 +46,6 @@ from .kernel import (
     ToleranceConfig,
     as_matrix,
     numerical_rank,
-    solve_on_subspace,
     spectral_norm,
     svd,
 )

@@ -118,6 +118,12 @@ def _derivcheck(args, tol, *mats) -> dict:
     arity = 2 if args.kind == "mp" else 6
     if len(mats) != arity:
         raise InputError(f"derivcheck takes {arity} input file(s), got {len(mats)}")
+    for k in range(0, arity, 2):
+        if mats[k].shape != mats[k + 1].shape:
+            raise InputError(
+                "derivcheck base %s is %dx%d but its direction %s is %dx%d"
+                % (args.inputs[k], *mats[k].shape, args.inputs[k + 1], *mats[k + 1].shape)
+            )
 
     def affine(base, step):
         return lambda t: base + t * step

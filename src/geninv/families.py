@@ -1,29 +1,32 @@
 """Seeded generators for solvable instances, perturbation families and curves.
 
 Everything here is driven by an explicit numpy Generator so that test runs and
-CLI invocations are reproducible. Solvable instances are resampled until the
-existence margins (restricted smallest singular value and direct-sum margin)
-are comfortably above the working tolerances.
+CLI invocations are reproducible. Solvable instances are built, not sampled:
+their prescribed null space meets the image of their prescribed range at
+principal angles of at least _MIN_ANGLE, so existence holds with fixed margins.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernel
 from .calculus import MatrixCurve
 from .errors import ExistenceError, GenInvError
 from .inverses import bc_inverse, outer_prescribed
 from .kernel import DEFAULT_TOL, ToleranceConfig, spectral_norm
-from .subspace import Subspace, column_space, direct_sum_check, orthogonal_complement
+from .subspace import Subspace, orthogonal_complement
 
 _DOMAIN = (-0.6, 0.6)
+_MIN_ANGLE = 0.3  # smallest principal angle between a(T) and S in built instances
+
+
+def _gaussian(rng, m: int, n: int, complex_: bool) -> np.ndarray:
+    g = rng.standard_normal((m, n))
+    return g + 1j * rng.standard_normal((m, n)) if complex_ else g
 
 
 def random_matrix(rng, m: int, n: int, complex_: bool = False) -> np.ndarray:
-    a = rng.standard_normal((m, n))
-    if complex_:
-        a = a + 1j * rng.standard_normal((m, n))
+    a = _gaussian(rng, m, n, complex_)
     nrm = spectral_norm(a)
     return a / nrm if nrm else a
 
@@ -38,10 +41,7 @@ def random_conditioned(rng, n: int, complex_: bool = False) -> np.ndarray:
 
 
 def _haar(rng, n: int, complex_: bool) -> np.ndarray:
-    g = rng.standard_normal((n, n))
-    if complex_:
-        g = g + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_gaussian(rng, n, n, complex_))
     return q * np.sign(np.sign(np.real(np.diag(r))) + 0.5)
 
 
@@ -50,10 +50,7 @@ def random_subspace(
 ) -> Subspace:
     if dim == 0:
         return Subspace(n, np.zeros((n, 0)), tol)
-    g = rng.standard_normal((n, dim))
-    if complex_:
-        g = g + 1j * rng.standard_normal((n, dim))
-    q, _ = np.linalg.qr(g)
+    q, _ = np.linalg.qr(_gaussian(rng, n, dim, complex_))
     return Subspace(n, q, tol)
 
 
@@ -82,67 +79,40 @@ def random_rank_matrix(rng, m: int, n: int, r: int, complex_: bool = False) -> n
     return a / spectral_norm(a)
 
 
-def random_solvable_triple(
-    rng,
-    n: int,
-    r: int,
-    complex_: bool = False,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    min_margin: float = 0.05,
-    max_tries: int = 200,
-):
-    """A triple (a, b, c) whose (b, c)-inverse exists with healthy margins."""
-    if not 1 <= r <= n:
-        raise GenInvError("rank must satisfy 1 <= r <= n")
-    for _ in range(max_tries):
-        a = random_conditioned(rng, n, complex_)
-        t_space = random_subspace(rng, n, r, complex_, tol)
-        s_space = random_subspace(rng, n, n - r, complex_, tol)
-        restricted = a @ t_space.basis
-        smin = float(kernel.singular_values(restricted)[-1])
-        if smin < 0.2:
-            continue
-        image = column_space(restricted, tol)
-        if image.dim != r:
-            continue
-        if direct_sum_check(image, s_space).margin < min_margin:
-            continue
-        b = t_space.basis @ random_matrix(rng, r, n, complex_)
-        s_perp = orthogonal_complement(s_space).basis
-        c = random_matrix(rng, n, r, complex_) @ s_perp.conj().T
-        if (
-            kernel.numerical_rank(kernel.singular_values(b), tol) != r
-            or kernel.numerical_rank(kernel.singular_values(c), tol) != r
-        ):
-            continue
-        return a, b, c
-    raise GenInvError("failed to sample a well-margined solvable triple")
-
-
 def random_outer_instance(
-    rng,
-    m: int,
-    n: int,
-    r: int,
-    complex_: bool = False,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    min_margin: float = 0.05,
-    max_tries: int = 200,
+    rng, m: int, n: int, r: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL
 ):
-    """A rectangular operator with prescribed subspaces (a, t, s) that is solvable."""
-    for _ in range(max_tries):
-        a = random_matrix(rng, m, n, complex_)
-        t_space = random_subspace(rng, n, r, complex_, tol)
-        s_space = random_subspace(rng, m, m - r, complex_, tol)
-        restricted = a @ t_space.basis
-        sig = kernel.singular_values(restricted)
-        if sig.size < r or float(sig[-1]) < 0.1:
-            continue
-        image = column_space(restricted, tol)
-        if image.dim != r or direct_sum_check(image, s_space).margin < min_margin:
-            continue
-        return a, t_space, s_space
-    raise GenInvError("failed to sample a well-margined rectangular instance")
+    """A rectangular operator with prescribed subspaces (a, t, s), solvable by construction.
+
+    a has full rank with singular values in [1/3, 1] and t is an r-dimensional
+    subspace of its row space, so sigma_min(a|t) >= 1/3. s turns each of
+    min(r, m - r) directions of a(t) by an angle in [_MIN_ANGLE, pi/2] towards
+    a(t)'s orthogonal complement and takes the rest of that complement, so its
+    principal angles to a(t) (Bjorck & Golub 1973) are at least _MIN_ANGLE and
+    a(t) (+) s has margin at least sqrt(1 - cos _MIN_ANGLE).
+    """
+    if not 1 <= r <= min(m, n):
+        raise GenInvError("rank must satisfy 1 <= r <= min(m, n)")
+    a = random_rank_matrix(rng, m, n, min(m, n), complex_)
+    t_basis, _ = np.linalg.qr(a.conj().T @ _gaussian(rng, m, r, complex_))
+    q, _ = np.linalg.qr(a @ t_basis, mode="complete")
+    image, rest = q[:, :r], q[:, r:]
+    pairs = min(r, m - r)
+    theta = rng.uniform(_MIN_ANGLE, np.pi / 2, pairs)
+    turned = image[:, :pairs] * np.cos(theta) + rest[:, :pairs] * np.sin(theta)
+    s_basis = np.hstack([turned, rest[:, pairs:]])
+    return a, Subspace(n, t_basis, tol), Subspace(m, s_basis, tol)
+
+
+def random_solvable_triple(
+    rng, n: int, r: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL
+):
+    """A triple (a, b, c) of rank-r b, c whose (b, c)-inverse exists: the square
+    ``random_outer_instance`` with R(b) = T and N(c) = S."""
+    a, t_space, s_space = random_outer_instance(rng, n, n, r, complex_, tol)
+    b = t_space.basis @ random_matrix(rng, r, n, complex_)
+    c = random_matrix(rng, n, r, complex_) @ orthogonal_complement(s_space).basis.conj().T
+    return a, b, c
 
 
 def additive_family(a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL):

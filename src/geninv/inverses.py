@@ -251,27 +251,25 @@ def bott_duffin(
 ) -> InverseCertificate:
     """The (p, q)-inverse for idempotents p, q: range R(p), null space N(q)."""
     cert, base, pnorm, qnorm = _bc(a, p.matrix, q.matrix, tol)
-    x, a, pm, qm = cert.inverse, cert.operator, p.matrix, q.matrix
-    defects = {
-        "py_y": pm @ x - x,
-        "yq_y": x @ qm - x,
-        "yap_p": x @ a @ pm - pm,
-        "qay_q": qm @ a @ x - qm,
-    }
-    p_budget, q_budget = base * max(1.0, pnorm), base * max(1.0, qnorm)
-    budgets = dict(zip(defects, (p_budget, q_budget, p_budget, q_budget)))
+    x, pm, qm = cert.inverse, p.matrix, q.matrix
+    defects = {"py_y": pm @ x - x, "yq_y": x @ qm - x}
+    budgets = {"py_y": base * max(1.0, pnorm), "yq_y": base * max(1.0, qnorm)}
     extra = _certify(defects, budgets, "bott_duffin")
+    # y a p - p and q a y - q are the (p, q) absorption defects, certified by _bc
+    extra.update(yap_p=cert.residuals["xab_b"], qay_q=cert.residuals["cax_c"])
     return replace(cert, kind="bott_duffin", residuals={**cert.residuals, **extra})
 
 
 def inverse_along(a, d, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
-    """Inverse of ``a`` along ``d``: the (d, d)-inverse."""
+    """Inverse of ``a`` along ``d``: the (d, d)-inverse.
+
+    Its defining equations x a d = d = d a x are the (d, d) absorption
+    residuals, which ``_bc`` certifies.
+    """
     with _existence_prefixed("not invertible along D"):
-        cert, base, dnorm, _ = _bc(a, d, d, tol)
-    x, a, d = cert.inverse, cert.operator, as_matrix(d)
-    defects = {"xad_d": x @ a @ d - d, "dax_d": d @ a @ x - d}
-    extra = _certify(defects, dict.fromkeys(defects, base * max(1.0, dnorm)), "along")
-    return replace(cert, kind="along", residuals={**cert.residuals, **extra})
+        cert = _bc(a, d, d, tol)[0]
+    along = {"xad_d": cert.residuals["xab_b"], "dax_d": cert.residuals["cax_c"]}
+    return replace(cert, kind="along", residuals={**cert.residuals, **along})
 
 
 def reflexive_inverse(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExistenceError, InputError, KernelError
+from .errors import InputError, KernelError
 
 _REAL = np.float64
 _COMPLEX = np.complex128
@@ -156,38 +156,3 @@ def _frobenius(a) -> float:
     if np.iscomplexobj(x):
         return math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
     return math.sqrt(np.vdot(x, x))
-
-
-def solve_on_subspace(
-    a, range_basis, target, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Coefficients w with ``(a @ range_basis) @ w = target`` on span(a @ range_basis).
-
-    range_basis must have orthonormal columns and the restriction of ``a`` to
-    its span must be injective at the working rank tolerance. The component of
-    ``target`` outside span(a @ range_basis) is ignored.
-    """
-    a = as_matrix(a)
-    basis = as_matrix(range_basis)
-    rhs = as_matrix(target)
-    if basis.shape[0] != a.shape[1]:
-        raise InputError("range_basis ambient dimension does not match a")
-    if rhs.shape[0] != a.shape[0]:
-        raise InputError("target row count does not match a")
-    restricted = a @ basis
-    k = basis.shape[1]
-    if k:
-        q, sig, _ = svd(restricted)
-        if numerical_rank(sig, tol) < k:
-            raise ExistenceError(
-                "restriction not injective",
-                clause="restriction not injective",
-                margin=float(sig[-1]) if sig.size else 0.0,
-            )
-    w, *_ = np.linalg.lstsq(restricted, rhs, rcond=None)
-    if k:
-        # least squares leaves only the out-of-span part of the residual
-        onto_span = q @ (q.conj().T @ (restricted @ w - rhs))
-        if spectral_norm(onto_span) > tol.residual_tol * max(1.0, spectral_norm(rhs)):
-            raise KernelError("restricted solve failed its residual check")
-    return w

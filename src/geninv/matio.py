@@ -46,9 +46,11 @@ def parse_matrix(source) -> np.ndarray:
         path = Path(source)
         if os.path.exists(path):  # False, not OSError, for content longer than a file name
             try:
-                text = path.read_text()
+                text = path.read_text(encoding="utf-8")
             except OSError as exc:  # a directory, an unreadable file; str(exc) names the path
                 raise InputError(str(exc)) from None
+            except UnicodeDecodeError as exc:
+                raise InputError(f"matrix file {source} is not UTF-8 text: {exc}") from None
         elif isinstance(source, str) and "\n" in source:
             text = source
         else:

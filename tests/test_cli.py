@@ -169,6 +169,27 @@ def test_cli_wrong_arity_exits_one(tmp_path, capsys):
     assert "input file" in report["error"]
 
 
+def test_non_utf8_file_exits_one_naming_it(tmp_path, capsys):
+    path = tmp_path / "binary.mat"
+    path.write_bytes(b"\xff\xfe\x00\x81\x9f")
+    code, report = run_cli(capsys, "pinv", str(path))
+    assert code == 1
+    assert report["clause"] == "input"
+    assert str(path) in report["error"]
+
+
+def test_derivcheck_direction_of_another_shape_names_both_files(tmp_path, capsys):
+    a_path = write(tmp_path / "a.mat", np.eye(6))
+    t0_path = write(tmp_path / "t0.mat", np.eye(6)[:, :3])
+    t1_path = write(tmp_path / "t1.mat", np.ones((6, 6)))
+    code, report = run_cli(
+        capsys, "derivcheck", "--kind", "oip", a_path, a_path, t0_path, t1_path, t0_path, t0_path
+    )
+    assert code == 1
+    assert report["clause"] == "input"
+    assert t0_path in report["error"] and t1_path in report["error"]
+
+
 def test_seqcheck_report_keys(tmp_path, capsys):
     a_path = write(tmp_path / "a.mat", np.diag([1.0, 2.0, 3.0]))
     b_path = write(tmp_path / "b.mat", np.diag([1.0, 1.0, 0.0]))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import geninv as gi
 from geninv import kernel
-from geninv.errors import ExistenceError, InputError
+from geninv.errors import InputError
 
 
 def test_svd_diagonal():
@@ -79,23 +79,6 @@ def test_spectral_norm_submultiplicative(rng):
         a = rng.standard_normal((6, 4))
         b = rng.standard_normal((4, 5))
         assert gi.spectral_norm(a @ b) <= gi.spectral_norm(a) * gi.spectral_norm(b) + 1e-10
-
-
-def test_solve_on_subspace_identity():
-    w = gi.solve_on_subspace(np.eye(2), np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]))
-    assert np.allclose(w, [[1.0]])
-
-
-def test_solve_on_subspace_diagonal():
-    w = gi.solve_on_subspace(np.diag([2.0, 3.0]), np.eye(2), np.eye(2))
-    assert np.allclose(w, np.diag([0.5, 1.0 / 3.0]))
-
-
-def test_solve_on_subspace_rejects_deficient_restriction():
-    a = np.array([[1.0, 0.0], [0.0, 0.0]])
-    basis = np.array([[0.0], [1.0]])
-    with pytest.raises(ExistenceError, match="restriction not injective"):
-        gi.solve_on_subspace(a, basis, np.eye(2))
 
 
 def test_as_matrix_rejects_non_finite():

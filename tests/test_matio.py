@@ -105,6 +105,13 @@ def test_parse_directory_is_input_error(tmp_path):
             parse_matrix(source)
 
 
+def test_parse_non_utf8_file_is_input_error(tmp_path):
+    path = tmp_path / "binary.mat"
+    path.write_bytes(b"\xff\xfe\x00\x81\x9f")
+    with pytest.raises(InputError, match=re.escape(str(path))):
+        parse_matrix(path)
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 def test_matrix_to_json_equals_entrywise_floats(complex_):
     rng = np.random.default_rng(0)
