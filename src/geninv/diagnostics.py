@@ -25,7 +25,7 @@ from . import kernel
 from .errors import ExistenceError, InputError
 from .inverses import InverseCertificate, bc_inverse, moore_penrose
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
-from .subspace import column_space
+from .subspace import column_space, deviations
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,32 @@ RECORD_NAMES = (
     "range_projector_error",
     "null_projector_error",
 )
+
+# verdict -> the records whose convergence it asserts; one prefix's verdicts are equivalent
+CHARACTERIZATIONS = {
+    "gap_inverse": ("inverse_error",),
+    "gap_both_products": ("left_product_error", "right_product_error"),
+    "gap_left_product_null_gap": ("left_product_error", "nullspace_gap"),
+    "gap_right_product_range_gap": ("right_product_error", "range_gap"),
+    "gap_subspace_gaps": ("range_gap", "nullspace_gap"),
+    "gap_inverse_subspace_gaps": ("inverse_range_gap", "inverse_nullspace_gap"),
+    "mp_inverse": ("inverse_error",),
+    "mp_left_product_null_proj": ("left_product_error", "mp_null_terms"),
+    "mp_right_product_range_proj": ("right_product_error", "mp_range_terms"),
+    "mp_range_null_proj": ("mp_range_terms", "mp_null_terms"),
+    "mp_right_product_cokernel_proj": ("right_product_error", "mp_cokernel_terms"),
+    "mp_left_product_corange_proj": ("left_product_error", "mp_corange_terms"),
+    "mp_cokernel_corange_proj": ("mp_cokernel_terms", "mp_corange_terms"),
+    "mp_projector_products": ("range_projector_error", "null_projector_error"),
+    "oip_inverse": ("inverse_error",),
+    "oip_both_products": ("left_product_error", "right_product_error"),
+    "oip_left_product_null_gap": ("left_product_error", "nullspace_gap"),
+    "oip_right_product_range_gap": ("right_product_error", "range_gap"),
+    "oip_subspace_gaps": ("range_gap", "nullspace_gap"),
+}
+
+# judged at err_scale = max(1, ||x|| max(1, ||a||)); the other records are dimensionless
+_SCALED = frozenset({"inverse_error", "left_product_error", "right_product_error"})
 
 
 def converged_by_final_index(
@@ -266,19 +292,13 @@ def _inverse_subspaces(xs, tol: ToleranceConfig):
     The rank of each x is decided as in column_space / null_space.
     """
     u, sigma, v = kernel.svd_stack(xs, full=True)
-    ranks = np.count_nonzero(sigma > tol.rank_rel_tol * sigma[:, :1], axis=1)
+    ranks = kernel.numerical_rank(sigma, tol)
     return [(u[k, :, :r], v[k, :, r:], v[k, :, :r], u[k, :, r:]) for k, r in enumerate(ranks)]
 
 
 def _gaps(bases, n: np.ndarray) -> np.ndarray:
     """subspace.gap between span(n) and the span of each basis, all orthonormal."""
-    offsides = [d for m in bases for d in (m - n @ (n.conj().T @ m), n - m @ (m.conj().T @ n))]
-    deviations = np.minimum(1.0, kernel.spectral_norms(offsides)).reshape(-1, 2)
-    # gap's conventions: a deviation from {0} is 1, one of {0} is 0 (the empty matrix's norm)
-    dims = np.array([m.shape[1] for m in bases], dtype=int)
-    deviations[(dims > 0) & (n.shape[1] == 0), 0] = 1.0
-    deviations[(dims == 0) & (n.shape[1] > 0), 1] = 1.0
-    return deviations.max(axis=1)
+    return deviations(bases, n).max(axis=1)
 
 
 def _record(values: np.ndarray, live: list[int], count: int) -> tuple:
@@ -288,48 +308,17 @@ def _record(values: np.ndarray, live: list[int], count: int) -> tuple:
     return tuple(map(tuple, full.tolist())) if full.ndim == 2 else tuple(full.tolist())
 
 
-def _verdicts(cols: dict, tol: ToleranceConfig, err_scale: float) -> dict[str, bool]:
-    def conv(key: str, scale: float = 1.0) -> bool:
-        return converged_by_final_index(cols[key], tol, scale)
-
-    def conv_pair(key: str) -> bool:
-        first = converged_by_final_index([p[0] for p in cols[key]], tol)
-        second = converged_by_final_index([p[1] for p in cols[key]], tol)
-        return first and second
-
-    inverse = conv("inverse_error", err_scale)
-    left = conv("left_product_error", err_scale)
-    right = conv("right_product_error", err_scale)
-    range_g = conv("range_gap")
-    null_g = conv("nullspace_gap")
-    br = conv_pair("mp_range_terms")
-    ck = conv_pair("mp_null_terms")
-    bk = conv_pair("mp_cokernel_terms")
-    cr = conv_pair("mp_corange_terms")
-    proj_range = conv("range_projector_error")
-    proj_null = conv("null_projector_error")
-
-    return {
-        "gap_inverse": inverse,
-        "gap_both_products": left and right,
-        "gap_left_product_null_gap": left and null_g,
-        "gap_right_product_range_gap": right and range_g,
-        "gap_subspace_gaps": range_g and null_g,
-        "gap_inverse_subspace_gaps": conv("inverse_range_gap") and conv("inverse_nullspace_gap"),
-        "mp_inverse": inverse,
-        "mp_left_product_null_proj": left and ck,
-        "mp_right_product_range_proj": right and br,
-        "mp_range_null_proj": br and ck,
-        "mp_right_product_cokernel_proj": right and bk,
-        "mp_left_product_corange_proj": left and cr,
-        "mp_cokernel_corange_proj": bk and cr,
-        "mp_projector_products": proj_range and proj_null,
-        "oip_inverse": inverse,
-        "oip_both_products": left and right,
-        "oip_left_product_null_gap": left and null_g,
-        "oip_right_product_range_gap": right and range_g,
-        "oip_subspace_gaps": range_g and null_g,
-    }
+def _verdicts(records: dict, tol: ToleranceConfig, err_scale: float) -> dict[str, bool]:
+    """Each characterization holds when every record it asserts converges; a pair
+    record converges when both of its components do (never when it is empty)."""
+    converged = {}
+    for name in RECORD_NAMES:
+        parts = [records[name]]
+        if name.endswith("_terms"):
+            parts = [[pair[k] for pair in records[name]] for k in (0, 1)]
+        scale = err_scale if name in _SCALED else 1.0
+        converged[name] = all(converged_by_final_index(v, tol, scale) for v in parts)
+    return {v: all(converged[name] for name in names) for v, names in CHARACTERIZATIONS.items()}
 
 
 def _alarm(verdicts: dict[str, bool]) -> bool:

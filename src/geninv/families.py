@@ -14,7 +14,7 @@ from .calculus import MatrixCurve
 from .errors import ExistenceError, GenInvError
 from .inverses import bc_inverse, outer_prescribed
 from .kernel import DEFAULT_TOL, ToleranceConfig, spectral_norm
-from .subspace import Subspace, orthogonal_complement
+from .subspace import Subspace, orthogonal_complement, trivial_subspace
 
 _DOMAIN = (-0.6, 0.6)
 _MIN_ANGLE = 0.3  # smallest principal angle between a(T) and S in built instances
@@ -45,13 +45,11 @@ def _haar(rng, n: int, complex_: bool) -> np.ndarray:
     return q * np.sign(np.sign(np.real(np.diag(r))) + 0.5)
 
 
-def random_subspace(
-    rng, n: int, dim: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL
-) -> Subspace:
+def random_subspace(rng, n: int, dim: int, complex_: bool = False) -> Subspace:
     if dim == 0:
-        return Subspace(n, np.zeros((n, 0)), tol)
+        return trivial_subspace(n)
     q, _ = np.linalg.qr(_gaussian(rng, n, dim, complex_))
-    return Subspace(n, q, tol)
+    return Subspace(n, q)
 
 
 def random_skew(rng, n: int, complex_: bool = False) -> np.ndarray:
@@ -79,9 +77,7 @@ def random_rank_matrix(rng, m: int, n: int, r: int, complex_: bool = False) -> n
     return a / spectral_norm(a)
 
 
-def random_outer_instance(
-    rng, m: int, n: int, r: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL
-):
+def random_outer_instance(rng, m: int, n: int, r: int, complex_: bool = False):
     """A rectangular operator with prescribed subspaces (a, t, s), solvable by construction.
 
     a has full rank with singular values in [1/3, 1] and t is an r-dimensional
@@ -101,15 +97,13 @@ def random_outer_instance(
     theta = rng.uniform(_MIN_ANGLE, np.pi / 2, pairs)
     turned = image[:, :pairs] * np.cos(theta) + rest[:, :pairs] * np.sin(theta)
     s_basis = np.hstack([turned, rest[:, pairs:]])
-    return a, Subspace(n, t_basis, tol), Subspace(m, s_basis, tol)
+    return a, Subspace(n, t_basis), Subspace(m, s_basis)
 
 
-def random_solvable_triple(
-    rng, n: int, r: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL
-):
+def random_solvable_triple(rng, n: int, r: int, complex_: bool = False):
     """A triple (a, b, c) of rank-r b, c whose (b, c)-inverse exists: the square
     ``random_outer_instance`` with R(b) = T and N(c) = S."""
-    a, t_space, s_space = random_outer_instance(rng, n, n, r, complex_, tol)
+    a, t_space, s_space = random_outer_instance(rng, n, n, r, complex_)
     b = t_space.basis @ random_matrix(rng, r, n, complex_)
     c = random_matrix(rng, n, r, complex_) @ orthogonal_complement(s_space).basis.conj().T
     return a, b, c
@@ -127,14 +121,14 @@ def additive_family(a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL
     return [(a + (amplitude / n) * direction, b, c) for n in range(1, count + 1)]
 
 
-def rotating_family(
-    a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL, angle: float = 0.2
-):
+def rotating_family(a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL):
     """(a, u_n b, c v_n) with the prescribed subspaces rotated by angle/n.
 
-    The rotation angle is halved until the inverse exists at every index.
+    The rotation angle starts at 0.2 and is halved until the inverse exists at
+    every index.
     """
     complex_ = any(np.iscomplexobj(x) for x in (a, b, c))
+    angle = 0.2
     k1 = random_skew(rng, a.shape[0], complex_)
     k2 = random_skew(rng, a.shape[0], complex_)
     for _ in range(8):
@@ -201,7 +195,7 @@ def mp_convergent_sequence(rng, n: int, r: int, count: int, complex_: bool = Fal
 
 def bc_curves(rng, n: int, r: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL):
     """Smooth (a, b, c) curves staying inside the solvable set near t = 0."""
-    a, b, c = random_solvable_triple(rng, n, r, complex_, tol)
+    a, b, c = random_solvable_triple(rng, n, r, complex_)
     xnorm = spectral_norm(bc_inverse(a, b, c, tol).inverse)
     a1 = random_matrix(rng, n, n, complex_) * (0.2 / xnorm)
     a2 = random_matrix(rng, n, n, complex_) * (0.2 / xnorm)
@@ -224,7 +218,7 @@ def oip_curves(
     rng, m: int, n: int, r: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL
 ):
     """Operator curve plus rotating orthogonal-projector curves (range and null space)."""
-    a, t_space, s_space = random_outer_instance(rng, m, n, r, complex_, tol)
+    a, t_space, s_space = random_outer_instance(rng, m, n, r, complex_)
     xnorm = spectral_norm(outer_prescribed(a, t_space, s_space, tol).inverse)
     a1 = random_matrix(rng, m, n, complex_) * (0.2 / xnorm)
     kt = random_skew(rng, n, complex_)

@@ -101,7 +101,7 @@ def _containment_gaps(x, f, s_basis, core_sigma, tol: ToleranceConfig) -> tuple[
     """
     if core_sigma.size == 0:
         return 0.0, 0.0
-    if core_sigma[-1] <= tol.rank_rel_tol * core_sigma[0]:
+    if kernel.numerical_rank(core_sigma, tol) < core_sigma.size:
         return 1.0, 1.0
     rounding = 2 * max(x.shape) * np.finfo(float).eps * np.linalg.norm(x)
     off_range = (np.linalg.norm(x - f @ (f.conj().T @ x)) + rounding) * core_sigma[0]
@@ -147,7 +147,7 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
 
 
 def outer_prescribed(
-    a, t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL, kind: str = "outer_prescribed"
+    a, t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> InverseCertificate:
     """Outer inverse of ``a`` with range T and null space S.
 
@@ -156,7 +156,7 @@ def outer_prescribed(
     injective and a(T) (+) S to fill the codomain; each failure is reported
     with the violated clause and the deciding margin.
     """
-    return _outer(a, t, s, tol, kind)[0]
+    return _outer(a, t, s, tol, "outer_prescribed")[0]
 
 
 def _complement_failure(margin: float) -> ExistenceError:
@@ -175,7 +175,7 @@ def _outer(a, t: Subspace, s: Subspace, tol: ToleranceConfig, kind: str):
     anorm = spectral_norm(a)
 
     if t.is_trivial:
-        check = direct_sum_check(trivial_subspace(m, tol), s)
+        check = direct_sum_check(trivial_subspace(m), s, tol)
         if not check.holds:
             raise _complement_failure(check.margin)
         x, core_sigma = np.zeros((n, m), dtype=a.dtype), np.zeros(0)
@@ -189,7 +189,7 @@ def _outer(a, t: Subspace, s: Subspace, tol: ToleranceConfig, kind: str):
             clause = "restriction not injective"
             raise ExistenceError(clause, clause=clause, margin=smin)
         if t.dim + s.dim != m:
-            raise _complement_failure(direct_sum_check(Subspace(m, image, tol), s).margin)
+            raise _complement_failure(direct_sum_check(Subspace(m, image, tol), s, tol).margin)
         q, _ = np.linalg.qr(s.basis, mode="complete")
         h = q[:, s.dim :].conj().T
         # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
@@ -283,7 +283,7 @@ def reflexive_inverse(
     """
     f = as_matrix(f)
     kern = null_space(f, tol)
-    dom = direct_sum_check(kern, n_complement)
+    dom = direct_sum_check(kern, n_complement, tol)
     if not dom.holds:
         raise ExistenceError(
             "complement fails: N(F) (+) N != X",
@@ -291,7 +291,7 @@ def reflexive_inverse(
             margin=dom.margin,
         )
     ran = column_space(f, tol)
-    cod = direct_sum_check(ran, m_complement)
+    cod = direct_sum_check(ran, m_complement, tol)
     if not cod.holds:
         raise ExistenceError(
             "complement fails: R(F) (+) M != Y",

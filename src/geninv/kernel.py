@@ -111,12 +111,16 @@ def singular_values(a) -> np.ndarray:
     return _lapack_svd(a, compute_uv=False)
 
 
-def numerical_rank(sigma, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Count singular values above ``rank_rel_tol * sigma_max``; 0 for sigma_max = 0."""
+def numerical_rank(sigma, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarray:
+    """Count singular values above ``rank_rel_tol * sigma_max``; 0 for sigma_max = 0.
+
+    ``sigma`` is one nonincreasing row (an int is returned) or a stack of rows (one each).
+    """
     s = np.asarray(sigma, dtype=float)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    stacked = s.ndim > 1  # a single row keeps the fast scalar cutoff and axis-free count
+    largest = s[..., :1] if stacked else (s[0] if s.size else 0.0)
+    above = s > tol.rank_rel_tol * largest
+    return np.count_nonzero(above, axis=-1) if stacked else int(np.count_nonzero(above))
 
 
 def spectral_norm(a) -> float:

@@ -8,7 +8,7 @@ lower bound on the one-sided deviation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,11 +20,14 @@ from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^n (or R^n) carried as an orthonormal column basis."""
+    """A subspace of C^n (or R^n) carried as an orthonormal column basis.
+
+    ``tol`` only checks that the basis is orthonormal; it is not kept.
+    """
 
     ambient_dim: int
     basis: np.ndarray  # ambient_dim x dim, orthonormal columns (dim may be 0)
-    tol_used: ToleranceConfig = DEFAULT_TOL
+    tol: InitVar[ToleranceConfig] = DEFAULT_TOL
 
     @property
     def dim(self) -> int:
@@ -38,7 +41,7 @@ class Subspace:
         """Orthogonal projector onto the subspace."""
         return self.basis @ self.basis.conj().T
 
-    def __post_init__(self):
+    def __post_init__(self, tol: ToleranceConfig):
         basis = as_matrix(self.basis)
         if basis.shape[0] != self.ambient_dim:
             raise InputError("basis rows do not match ambient dimension")
@@ -47,19 +50,18 @@ class Subspace:
         d = basis.shape[1]
         if d:
             gram = basis.conj().T @ basis
-            limit = max(self.tol_used.residual_tol, 1e-12)
+            limit = max(tol.residual_tol, 1e-12)
             if kernel.residual_norm(gram - np.eye(d), limit) > limit:
                 raise InputError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", basis)
 
 
-def trivial_subspace(ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
-    dtype = np.float64
-    return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=dtype), tol)
+def trivial_subspace(ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
 
 
-def full_subspace(ambient_dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
-    return Subspace(ambient_dim, np.eye(ambient_dim), tol)
+def full_subspace(ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, np.eye(ambient_dim))
 
 
 def column_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -71,7 +73,7 @@ def column_space_and_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Subspa
     """``column_space(a)`` and the spectral norm of ``a``, from one SVD."""
     a = as_matrix(a)
     if a.shape[1] == 0:
-        return trivial_subspace(a.shape[0], tol), 0.0
+        return trivial_subspace(a.shape[0]), 0.0
     u, sigma, _ = kernel.svd(a)
     r = kernel.numerical_rank(sigma, tol)
     return Subspace(a.shape[0], u[:, :r], tol), float(sigma[0]) if sigma.size else 0.0
@@ -87,19 +89,19 @@ def null_space_and_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Subspace
     a = as_matrix(a)
     m, n = a.shape
     if n == 0:
-        return trivial_subspace(0, tol), 0.0
+        return trivial_subspace(0), 0.0
     if m == 0:
-        return full_subspace(n, tol), 0.0
+        return full_subspace(n), 0.0
     _, sigma, v = kernel.svd(a, full=True)
     r = kernel.numerical_rank(sigma, tol)
     return Subspace(n, v[:, r:], tol), float(sigma[0])
 
 
-def orthogonal_complement(s: Subspace) -> Subspace:
+def orthogonal_complement(s: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthogonal complement within the same ambient space."""
     if s.is_trivial:
-        return full_subspace(s.ambient_dim, s.tol_used)
-    return null_space(s.basis.conj().T, s.tol_used)
+        return full_subspace(s.ambient_dim)
+    return null_space(s.basis.conj().T, tol)
 
 
 class DirectSumResult(NamedTuple):
@@ -107,27 +109,28 @@ class DirectSumResult(NamedTuple):
     margin: float
 
 
-def direct_sum_check(t: Subspace, s: Subspace) -> DirectSumResult:
+def direct_sum_check(
+    t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL
+) -> DirectSumResult:
     """Whether T and S decompose the ambient space as a direct sum.
 
     Holds iff the dimensions add up to the ambient one and the concatenated
-    bases are jointly well conditioned; the margin is the smallest singular
-    value of [T.basis | S.basis].
+    bases are jointly well conditioned: the margin, the smallest singular
+    value of [T.basis | S.basis], exceeds ``rank_rel_tol``.
     """
     if t.ambient_dim != s.ambient_dim:
         raise InputError("ambient dimensions differ")
-    stacked = np.hstack([_common_dtype(t.basis, s.basis), _common_dtype(s.basis, t.basis)])
-    sig = kernel.singular_values(stacked)
+    sig = kernel.singular_values(np.hstack([t.basis, s.basis]))
     margin = float(sig[-1]) if sig.size else 0.0
-    tol = t.tol_used
     holds = (t.dim + s.dim == t.ambient_dim) and margin > tol.rank_rel_tol
     return DirectSumResult(holds, margin)
 
 
-def _common_dtype(a: np.ndarray, other: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(other) and not np.iscomplexobj(a):
-        return a.astype(np.complex128)
-    return a
+def _idempotency_defect(p: np.ndarray, pnorm: float, tol: ToleranceConfig) -> float | None:
+    """``||p p - p||`` if over ``residual_tol * max(1, ||p||)``, else None (Frobenius-first)."""
+    budget = tol.residual_tol * max(1.0, pnorm)
+    defect = kernel.residual_norm(p @ p - p, budget)
+    return defect if defect > budget else None
 
 
 @dataclass(frozen=True)
@@ -140,35 +143,35 @@ class ObliqueProjector:
 
     @classmethod
     def from_matrix(cls, p, tol: ToleranceConfig = DEFAULT_TOL) -> "ObliqueProjector":
-        """Wrap an explicit idempotent, deriving its range and null space."""
+        """Wrap an explicit idempotent, reading ||p||, R(p) and N(p) off one full SVD."""
         p = as_matrix(p)
-        if p.shape[0] != p.shape[1]:
+        n = p.shape[0]
+        if n != p.shape[1]:
             raise InputError("projector matrix must be square")
-        defect = kernel.spectral_norm(p @ p - p)
-        if defect > tol.residual_tol * max(1.0, kernel.spectral_norm(p)):
+        u, sigma, v = kernel.svd(p, full=True)
+        defect = _idempotency_defect(p, float(sigma[0]) if sigma.size else 0.0, tol)
+        if defect is not None:
             raise InputError(f"matrix is not idempotent (defect {defect:.3e})")
-        return cls(p, column_space(p, tol), null_space(p, tol))
+        r = kernel.numerical_rank(sigma, tol)
+        return cls(p, Subspace(n, u[:, :r], tol), Subspace(n, v[:, r:], tol))
 
 
 def oblique_projector(
-    t: Subspace, s: Subspace, tol: ToleranceConfig | None = None
+    t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ObliqueProjector:
     """Idempotent with range T and null space S, if T and S are complementary."""
-    tol = tol or t.tol_used
-    if t.ambient_dim != s.ambient_dim:
-        raise InputError("ambient dimensions differ")
-    check = direct_sum_check(t, s)
+    check = direct_sum_check(t, s, tol)
     if not check.holds:
         raise ExistenceError(
             "not complementary", clause="not complementary", margin=check.margin
         )
     n = t.ambient_dim
-    stacked = np.hstack([_common_dtype(t.basis, s.basis), _common_dtype(s.basis, t.basis)])
+    stacked = np.hstack([t.basis, s.basis])
     selector = np.zeros((n, n), dtype=stacked.dtype)
     selector[: t.dim, : t.dim] = np.eye(t.dim)
     p = stacked @ selector @ np.linalg.inv(stacked)
-    defect = kernel.spectral_norm(p @ p - p)
-    if defect > tol.residual_tol * max(1.0, kernel.spectral_norm(p)):
+    defect = _idempotency_defect(p, kernel.spectral_norm(p), tol)
+    if defect is not None:
         raise CertificateError(
             f"projector construction lost idempotency (defect {defect:.3e})",
             margin=defect,
@@ -182,21 +185,23 @@ class GapResult(NamedTuple):
     gap: float
 
 
-def _one_sided_deviation(m: Subspace, n: Subspace) -> float:
-    if m.is_trivial:
-        return 0.0
-    if n.is_trivial:
-        return 1.0
-    offside = m.basis - n.basis @ (n.basis.conj().T @ m.basis)
-    return min(1.0, kernel.spectral_norm(offside))
+def deviations(bases, n: np.ndarray) -> np.ndarray:
+    """Row k is (delta(M_k, N), delta(N, M_k)) for M_k = span(bases[k]) and N = span(n),
+    all orthonormal; one batched SVD per (shape, field) gives every spectral norm."""
+    offsides = [d for m in bases for d in (m - n @ (n.conj().T @ m), n - m @ (m.conj().T @ n))]
+    devs = np.minimum(1.0, kernel.spectral_norms(offsides)).reshape(-1, 2)
+    # delta(M, 0) = 1 for M != 0; delta(0, N) = 0 is already the empty offside's norm
+    dims = np.array([m.shape[1] for m in bases], dtype=int)
+    devs[(dims > 0) & (n.shape[1] == 0), 0] = 1.0
+    devs[(dims == 0) & (n.shape[1] > 0), 1] = 1.0
+    return devs
 
 
 def gap(m: Subspace, n: Subspace) -> GapResult:
     """One-sided deviations and their max, all in [0, 1]."""
     if m.ambient_dim != n.ambient_dim:
         raise InputError("ambient dimensions differ")
-    d_mn = _one_sided_deviation(m, n)
-    d_nm = _one_sided_deviation(n, m)
+    d_mn, d_nm = deviations([m.basis], n.basis)[0].tolist()
     return GapResult(d_mn, d_nm, max(d_mn, d_nm))
 
 

@@ -83,6 +83,52 @@ def _mp_gap_terms_oracle(b, bn, tol):
     )
 
 
+def verdicts_oracle(cols, tol, err_scale):
+    """The verdict rules written out by hand, one conjunction per characterization."""
+
+    def conv(key, scale=1.0):
+        return diagnostics.converged_by_final_index(cols[key], tol, scale)
+
+    def conv_pair(key):
+        first = diagnostics.converged_by_final_index([p[0] for p in cols[key]], tol)
+        second = diagnostics.converged_by_final_index([p[1] for p in cols[key]], tol)
+        return first and second
+
+    inverse = conv("inverse_error", err_scale)
+    left = conv("left_product_error", err_scale)
+    right = conv("right_product_error", err_scale)
+    range_g = conv("range_gap")
+    null_g = conv("nullspace_gap")
+    br = conv_pair("mp_range_terms")
+    ck = conv_pair("mp_null_terms")
+    bk = conv_pair("mp_cokernel_terms")
+    cr = conv_pair("mp_corange_terms")
+    proj_range = conv("range_projector_error")
+    proj_null = conv("null_projector_error")
+
+    return {
+        "gap_inverse": inverse,
+        "gap_both_products": left and right,
+        "gap_left_product_null_gap": left and null_g,
+        "gap_right_product_range_gap": right and range_g,
+        "gap_subspace_gaps": range_g and null_g,
+        "gap_inverse_subspace_gaps": conv("inverse_range_gap") and conv("inverse_nullspace_gap"),
+        "mp_inverse": inverse,
+        "mp_left_product_null_proj": left and ck,
+        "mp_right_product_range_proj": right and br,
+        "mp_range_null_proj": br and ck,
+        "mp_right_product_cokernel_proj": right and bk,
+        "mp_left_product_corange_proj": left and cr,
+        "mp_cokernel_corange_proj": bk and cr,
+        "mp_projector_products": proj_range and proj_null,
+        "oip_inverse": inverse,
+        "oip_both_products": left and right,
+        "oip_left_product_null_gap": left and null_g,
+        "oip_right_product_range_gap": right and range_g,
+        "oip_subspace_gaps": range_g and null_g,
+    }
+
+
 def _oracle_report(cols, failed, tol, err_scale, mp_only=False, mismatch=None):
     """SequenceDiagnostics from per-index columns, with the library's verdict rules."""
     verdicts = diagnostics._verdicts(cols, tol, err_scale)

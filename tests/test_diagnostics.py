@@ -5,7 +5,7 @@ import geninv as gi
 from geninv import diagnostics, families
 from geninv.errors import InputError
 
-from conftest import mp_continuity_oracle, sequence_report_oracle
+from conftest import mp_continuity_oracle, sequence_report_oracle, verdicts_oracle
 
 SEQ_TOL = gi.ToleranceConfig(residual_tol=1e-2)
 
@@ -287,3 +287,36 @@ def test_reports_on_empty_and_all_failing_sequences():
 def test_mp_continuity_report_rejects_rectangular_limit():
     with pytest.raises(InputError):
         diagnostics.mp_continuity_report(np.ones((2, 3)), [np.ones((2, 3))], SEQ_TOL)
+
+
+def test_characterization_table_matches_the_hand_written_rules_exhaustively():
+    # Every assignment of converging / not converging to the 13 records. A scaled
+    # error record converges at 5e-8 only through err_scale; an unscaled one fails
+    # at 5e-8, so a record scaled by mistake shows. A failing pair fails in one
+    # component only, alternating which, so "both components" is what is tested.
+    tol, err_scale = gi.DEFAULT_TOL, 1e3
+    scaled = {"inverse_error", "left_product_error", "right_product_error"}
+    names = diagnostics.RECORD_NAMES
+    assert len(names) == 13
+    for mask in range(2 ** len(names)):
+        records = {}
+        for bit, name in enumerate(names):
+            converges = bool(mask >> bit & 1)
+            if name.endswith("_terms"):
+                failing = (5e-8, 0.0) if mask >> (bit + 1) & 1 else (0.0, 5e-8)
+                records[name] = ((0.0, 0.0),) if converges else (failing,)
+            elif name in scaled:
+                records[name] = (5e-8,) if converges else (1.0,)
+            else:
+                records[name] = (0.0,) if converges else (5e-8,)
+        got = diagnostics._verdicts(records, tol, err_scale)
+        assert list(got.items()) == list(verdicts_oracle(records, tol, err_scale).items())
+
+
+def test_characterization_table_on_an_empty_sequence():
+    # zip(*()) is empty, so a pair record of length 0 must not pass as converged
+    records = {name: () for name in diagnostics.RECORD_NAMES}
+    got = diagnostics._verdicts(records, gi.DEFAULT_TOL, 1.0)
+    assert got == verdicts_oracle(records, gi.DEFAULT_TOL, 1.0)
+    assert not any(got.values())
+

@@ -120,3 +120,19 @@ def test_mp_continuity_report_per_index_cost_is_one_svd(linalg_calls, complex_):
         gi.mp_continuity_report(a, seq)
         calls[count] = len(linalg_calls)
     assert calls[40] - calls[10] <= 30
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_projector_from_matrix_takes_one_svd(linalg_calls, complex_):
+    # ||p||, R(p) and N(p) come off one full SVD; the idempotency defect of an
+    # exact projector is decided by its Frobenius norm
+    rng = np.random.default_rng(8)
+    t = families.random_subspace(rng, N, N // 2, complex_)
+    s = families.random_subspace(rng, N, N - N // 2, complex_)
+    linalg_calls.clear()
+    p = gi.oblique_projector(t, s)
+    assert _counts(linalg_calls) == {"svd": 2, "qr": 0, "inv": 1, "solve": 0, "lstsq": 0}
+    linalg_calls.clear()
+    wrapped = gi.ObliqueProjector.from_matrix(p.matrix)
+    assert _counts(linalg_calls) == {"svd": 1, "qr": 0, "inv": 0, "solve": 0, "lstsq": 0}
+    assert wrapped.range.dim == N // 2 and wrapped.nullspace.dim == N - N // 2

@@ -130,3 +130,16 @@ def test_batched_svd_and_norms_match_per_matrix_calls(rng):
     assert kernel.spectral_norms([]).shape == (0,)
     with pytest.raises(InputError):
         kernel.spectral_norms([np.array([[np.inf]])])
+
+
+def test_numerical_rank_of_a_stack_is_the_rank_of_each_row():
+    rng = np.random.default_rng(3)
+    rows = -np.sort(-rng.random((40, 6)) ** 8, axis=1)
+    rows[::7] = 0.0
+    rows[1::5, 3:] = 1e-13 * rows[1::5, :1]
+    for rel in (1e-10, 1e-3, 0.5):
+        tol = gi.ToleranceConfig(rank_rel_tol=rel)
+        ranks = gi.numerical_rank(rows, tol)
+        assert ranks.shape == (40,)
+        assert ranks.tolist() == [gi.numerical_rank(row, tol) for row in rows]
+    assert gi.numerical_rank(np.zeros((3, 0))).tolist() == [0, 0, 0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,56 @@ def test_direct_sum_dimension_mismatch_fails():
 def test_ambient_mismatch_rejected():
     with pytest.raises(InputError):
         gi.gap(line(1, 0), line(1, 0, 0))
+
+
+LOOSE_RANK = gi.ToleranceConfig(rank_rel_tol=0.5)
+# span(e1) and span((1, 0.1)) meet at an angle of atan(0.1): margin sqrt(2) sin(atan(0.1) / 2)
+NEAR_MARGIN = np.sqrt(2.0) * np.sin(np.arctan(0.1) / 2)
+
+
+def test_oblique_projector_decides_complementarity_with_the_tol_it_is_passed():
+    t, s = line(1, 0), line(1, 0.1)
+    assert np.allclose(gi.oblique_projector(t, s).matrix, [[1.0, -10.0], [0.0, 0.0]])
+    with pytest.raises(ExistenceError, match="not complementary") as info:
+        gi.oblique_projector(t, s, LOOSE_RANK)
+    assert info.value.clause == "not complementary"
+    assert info.value.margin == pytest.approx(0.0704, abs=5e-5)
+    assert info.value.margin == pytest.approx(NEAR_MARGIN, abs=1e-12)
+
+
+def test_direct_sum_check_decides_with_the_tol_it_is_passed():
+    t, s = line(1, 0), line(1, 0.1)
+    assert gi.direct_sum_check(t, s).holds
+    ok, margin = gi.direct_sum_check(t, s, LOOSE_RANK)
+    assert not ok and margin == pytest.approx(NEAR_MARGIN, abs=1e-12)
+    # the decision is the argument's even for subspaces built under another tolerance
+    loose_t = gi.column_space(np.array([[1.0], [0.0]]), LOOSE_RANK)
+    assert gi.direct_sum_check(loose_t, s).holds
+
+
+def test_orthogonal_complement_decides_rank_with_the_tol_it_is_passed():
+    # a basis orthonormal only to 8e-4, accepted under residual_tol 1e-3, whose second
+    # singular value 0.9996 falls under a rank cutoff of 0.9999
+    basis = np.array([[1.0, 0.0], [0.0, 0.9996], [0.0, 0.0]])
+    s = gi.Subspace(3, basis, gi.ToleranceConfig(residual_tol=1e-3))
+    assert gi.orthogonal_complement(s).dim == 1
+    cut = gi.ToleranceConfig(rank_rel_tol=0.9999)
+    assert gi.orthogonal_complement(s, cut).dim == 2
+
+
+def test_subspace_stores_no_tolerance():
+    s = gi.Subspace(2, np.eye(2)[:, :1], gi.ToleranceConfig(residual_tol=1e-3))
+    assert [f.name for f in dataclasses.fields(s)] == ["ambient_dim", "basis"]
+    assert set(vars(s)) == {"ambient_dim", "basis"}
+    with pytest.raises(InputError, match="orthonormal"):
+        gi.Subspace(2, np.array([[1.0], [0.01]]))  # the tolerance still checks the basis
+    gi.Subspace(2, np.array([[1.0], [0.01]]), gi.ToleranceConfig(residual_tol=1e-3))
+
+
+def test_gap_conventions_for_trivial_and_full_subspaces():
+    for n in (1, 3):
+        zero, full = gi.trivial_subspace(n), gi.full_subspace(n)
+        assert gi.gap(zero, full) == (0.0, 1.0, 1.0)
+        assert gi.gap(full, zero) == (1.0, 0.0, 1.0)
+        assert gi.gap(full, full) == (0.0, 0.0, 0.0)
+        assert gi.gap(zero, zero) == (0.0, 0.0, 0.0)
