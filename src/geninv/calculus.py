@@ -1,10 +1,13 @@
 """Derivatives of parameter-dependent generalized inverses.
 
-Each closed-form derivative below consumes the inverse at the base point plus
-derivatives of the operator curve and of two auxiliary projector-like product
-curves. A finite-difference harness drives the formulas against central
-differences of the inverse curve itself over a decreasing step sweep and fits
-the observed convergence order.
+Every inverse here is the outer inverse with prescribed range T and null
+space S, so one formula covers them all: with P_T and P_S the orthogonal
+projectors onto T and S, the derivative is
+``x (-P_S)' (I - a x) + (I - x a) (P_T)' x - x a' x``. The public
+``bc_derivative``, ``mp_derivative`` and ``oip_derivative`` take that formula's
+inputs in each construction's own terms. A finite-difference harness checks
+the formula against central differences of the inverse curve over a
+decreasing step sweep and fits the observed convergence order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ExistenceError, InputError
-from .inverses import bc_inverse, moore_penrose, outer_prescribed
+from .inverses import InverseCertificate, bc_inverse, moore_penrose, outer_prescribed
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
 from .subspace import ObliqueProjector, column_space
 
@@ -127,10 +130,6 @@ def difference_identity_residual(
     return spectral_norm((b_inv - a_inv) - rhs)
 
 
-def _central(curve, t0: float, h: float) -> np.ndarray:
-    return (curve(t0 + h) - curve(t0 - h)) / (2.0 * h)
-
-
 def _fit_order(steps: Sequence[float], errors: Sequence[float]) -> float:
     slopes = []
     for i in range(len(steps) - 1):
@@ -146,26 +145,35 @@ def _fit_order(steps: Sequence[float], errors: Sequence[float]) -> float:
     return float(np.mean(slopes))
 
 
+# kind -> (number of curves, construction from the curves' values at one t)
+_CONSTRUCTIONS = {
+    "bc": (3, lambda tol, a, b, c: bc_inverse(a, b, c, tol)),
+    "mp": (1, lambda tol, a: moore_penrose(a, tol)),
+    "oip": (
+        3,
+        lambda tol, a, p, q: outer_prescribed(a, column_space(p, tol), column_space(q, tol), tol),
+    ),
+}
+
+
 def finite_difference_check(
     curves: Sequence[MatrixCurve],
     t0: float,
     tol: ToleranceConfig = DEFAULT_TOL,
     kind: str = "bc",
-    g_curve: MatrixCurve | None = None,
-    h_curve: MatrixCurve | None = None,
 ) -> DerivativeReport:
-    """Compare a derivative formula against central differences of the inverse curve.
+    """Compare the derivative formula against central differences of the inverse curve.
 
-    kind selects the formula and the curve family: "bc" takes (a, b, c) curves,
-    "mp" a single operator curve, "oip" an operator curve plus two idempotent
-    curves whose ranges prescribe the inverse's range and null space. Curve
-    derivatives feeding the formula are central-differenced at the finest step
-    of the sweep; the inner-inverse curves for "bc" default to Moore-Penrose
-    and can be overridden with g_curve / h_curve.
+    kind selects the construction: "bc" takes (a, b, c) curves, "mp" a single
+    operator curve, "oip" an operator curve plus two curves whose column spans
+    prescribe the inverse's range and null space. The sweep builds one
+    certificate at t0 and at t0 +- each step, 1 + 2 len(steps) in all, and
+    nothing else: a', (P_T)' and (P_S)' are central-differenced at the finest
+    step from those certificates' operators and prescribed subspaces.
     """
-    if kind not in ("bc", "mp", "oip"):
+    if kind not in _CONSTRUCTIONS:
         raise InputError(f"unknown kind {kind!r}")
-    expected = {"bc": 3, "mp": 1, "oip": 3}[kind]
+    expected, construct = _CONSTRUCTIONS[kind]
     if len(curves) != expected:
         raise InputError(f"kind {kind!r} takes {expected} curve(s), got {len(curves)}")
     steps = tol.fd_step_sweep
@@ -175,56 +183,9 @@ def finite_difference_check(
         if not (lo < t0 - hmax and t0 + hmax < hi):
             raise InputError("curve domain does not cover the difference window")
 
-    if kind == "bc":
-        a_curve, b_curve, c_curve = curves
-        g = g_curve or MatrixCurve(
-            lambda t: moore_penrose(b_curve(t), tol).inverse, b_curve.domain, "b_pinv"
-        )
-        h = h_curve or MatrixCurve(
-            lambda t: moore_penrose(c_curve(t), tol).inverse, c_curve.domain, "c_pinv"
-        )
-
-        def inverse_at(t: float) -> np.ndarray:
-            return bc_inverse(a_curve(t), b_curve(t), c_curve(t), tol).inverse
-
-        def formula(x0, h_ref):
-            a0 = a_curve(t0)
-            aprime = _central(a_curve, t0, h_ref)
-            hc = MatrixCurve(lambda t: h(t) @ c_curve(t), c_curve.domain)
-            bg = MatrixCurve(lambda t: b_curve(t) @ g(t), b_curve.domain)
-            return bc_derivative(x0, a0, aprime, _central(hc, t0, h_ref), _central(bg, t0, h_ref))
-
-    elif kind == "mp":
-        (a_curve,) = curves
-
-        def inverse_at(t: float) -> np.ndarray:
-            return moore_penrose(a_curve(t), tol).inverse
-
-        def formula(x0, h_ref):
-            a0 = a_curve(t0)
-            aprime = _central(a_curve, t0, h_ref)
-            aad = MatrixCurve(lambda t: a_curve(t) @ inverse_at(t), a_curve.domain)
-            ada = MatrixCurve(lambda t: inverse_at(t) @ a_curve(t), a_curve.domain)
-            return mp_derivative(a0, x0, aprime, _central(aad, t0, h_ref), _central(ada, t0, h_ref))
-
-    else:
-        a_curve, p_curve, q_curve = curves
-
-        def inverse_at(t: float) -> np.ndarray:
-            t_space = column_space(p_curve(t), tol)
-            s_space = column_space(q_curve(t), tol)
-            return outer_prescribed(a_curve(t), t_space, s_space, tol).inverse
-
-        def formula(x0, h_ref):
-            a0 = a_curve(t0)
-            aprime = _central(a_curve, t0, h_ref)
-            return oip_derivative(
-                x0, a0, aprime, _central(p_curve, t0, h_ref), _central(q_curve, t0, h_ref)
-            )
-
-    def inverse_or_raise(t: float) -> np.ndarray:
+    def certificate(t: float) -> InverseCertificate:
         try:
-            return inverse_at(t)
+            return construct(tol, *(curve(t) for curve in curves))
         except ExistenceError as exc:
             raise ExistenceError(
                 f"curve leaves invertible set at t={t}: {exc}",
@@ -232,13 +193,25 @@ def finite_difference_check(
                 margin=exc.margin,
             ) from exc
 
-    x0 = inverse_or_raise(t0)
-    deriv = formula(x0, min(steps))
-    errors = []
-    for h_step in steps:
-        fd = (inverse_or_raise(t0 + h_step) - inverse_or_raise(t0 - h_step)) / (2.0 * h_step)
-        errors.append(spectral_norm(fd - deriv))
-    scale = max(1.0, spectral_norm(x0))
+    base = certificate(t0)
+    sweep = [(h, certificate(t0 + h), certificate(t0 - h)) for h in steps]
+    h_ref, plus, minus = sweep[-1]  # the sweep decreases strictly: its last step is the finest
+
+    def prime(read) -> np.ndarray:
+        return (read(plus) - read(minus)) / (2.0 * h_ref)
+
+    # every inverse here has L = -(P_S)' and R = (P_T)' in the shared sandwich
+    deriv = _sandwich(
+        base.inverse,
+        base.operator,
+        prime(lambda cert: cert.operator),
+        -prime(lambda cert: cert.prescribed_nullspace.projector()),
+        prime(lambda cert: cert.prescribed_range.projector()),
+    )
+    errors = [
+        spectral_norm((fwd.inverse - back.inverse) / (2.0 * h) - deriv) for h, fwd, back in sweep
+    ]
+    scale = max(1.0, spectral_norm(base.inverse))
     if max(errors) <= tol.residual_tol * scale:
         order: float | str = "exact"
     else:

@@ -125,24 +125,12 @@ def _derivcheck(args, tol, *mats) -> dict:
                 % (args.inputs[k], *mats[k].shape, args.inputs[k + 1], *mats[k + 1].shape)
             )
 
-    def affine(base, step):
-        return lambda t: base + t * step
-
-    def projector(base, step):
-        def evaluate(t):
-            q, _ = np.linalg.qr(base + t * step)
-            return q @ q.conj().T
-
-        return evaluate
-
     # for oip the trailing pairs are spanning curves of the range and the null space
-    shapes, labels = (affine,) * 3, "abc"
-    if args.kind == "oip":
-        shapes, labels = (affine, projector, projector), "apq"
+    labels = "ats" if args.kind == "oip" else "abc"
     domain = (args.t0 - 1.0, args.t0 + 1.0)
     curves = [
-        MatrixCurve(shape(base, step), domain, label)
-        for shape, base, step, label in zip(shapes, mats[::2], mats[1::2], labels)
+        MatrixCurve(lambda t, base=base, step=step: base + t * step, domain, label)
+        for base, step, label in zip(mats[::2], mats[1::2], labels)
     ]
     return {"kind": args.kind, **vars(finite_difference_check(curves, args.t0, tol, args.kind))}
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import MatrixCurve
-from .errors import ExistenceError, GenInvError
+from .errors import GenInvError
 from .inverses import bc_inverse, outer_prescribed
 from .kernel import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from .subspace import Subspace, orthogonal_complement, trivial_subspace
@@ -124,25 +124,20 @@ def additive_family(a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL
 def rotating_family(a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL):
     """(a, u_n b, c v_n) with the prescribed subspaces rotated by angle/n.
 
-    The rotation angle starts at 0.2 and is halved until the inverse exists at
-    every index.
+    The (u b, c v)-inverse of a is u z v for z the (b, c)-inverse of v a u, and
+    Cayley factors of norm-1 skew matrices move by at most their angle, so
+    ||v a u - a|| <= 2 angle ||a||. With x the (b, c)-inverse of a and
+    angle = min(0.2, 0.4 / (||a|| ||x||)), every index lies inside the ball
+    ||e|| < 1/||x|| where the inverse exists (the paper's openness theorem).
     """
     complex_ = any(np.iscomplexobj(x) for x in (a, b, c))
-    angle = 0.2
+    cert = bc_inverse(a, b, c, tol)
+    angle = 0.4 / max(2.0, spectral_norm(cert.operator) * spectral_norm(cert.inverse))
     k1 = random_skew(rng, a.shape[0], complex_)
     k2 = random_skew(rng, a.shape[0], complex_)
-    for _ in range(8):
-        family = [
-            (a, cayley(k1, angle / n) @ b, c @ cayley(k2, angle / n))
-            for n in range(1, count + 1)
-        ]
-        try:
-            for an, bn, cn in family[: min(4, count)]:
-                bc_inverse(an, bn, cn, tol)
-            return family
-        except ExistenceError:
-            angle /= 2.0
-    raise GenInvError("could not keep the rotating family solvable")
+    return [
+        (a, cayley(k1, angle / n) @ b, c @ cayley(k2, angle / n)) for n in range(1, count + 1)
+    ]
 
 
 def rankdrop_family(rng, n: int, r: int, count: int, complex_: bool = False):
@@ -217,20 +212,14 @@ def mp_curve(rng, m: int, n: int, r: int, complex_: bool = False):
 def oip_curves(
     rng, m: int, n: int, r: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL
 ):
-    """Operator curve plus rotating orthogonal-projector curves (range and null space)."""
+    """Operator curve plus rotating span curves of the prescribed range and null space."""
     a, t_space, s_space = random_outer_instance(rng, m, n, r, complex_)
     xnorm = spectral_norm(outer_prescribed(a, t_space, s_space, tol).inverse)
     a1 = random_matrix(rng, m, n, complex_) * (0.2 / xnorm)
     kt = random_skew(rng, n, complex_)
     ks = random_skew(rng, m, complex_)
 
-    def p_at(t: float) -> np.ndarray:
-        w = cayley(kt, t) @ t_space.basis
-        return w @ w.conj().T
-
-    def q_at(t: float) -> np.ndarray:
-        w = cayley(ks, t) @ s_space.basis
-        return w @ w.conj().T
-
     a_curve = MatrixCurve(lambda t: a + t * a1, _DOMAIN, "a")
-    return a_curve, MatrixCurve(p_at, _DOMAIN, "p"), MatrixCurve(q_at, _DOMAIN, "q")
+    t_curve = MatrixCurve(lambda t: cayley(kt, t) @ t_space.basis, _DOMAIN, "t")
+    s_curve = MatrixCurve(lambda t: cayley(ks, t) @ s_space.basis, _DOMAIN, "s")
+    return a_curve, t_curve, s_curve

@@ -56,6 +56,11 @@ class Subspace:
         object.__setattr__(self, "basis", basis)
 
 
+# the InitVar default would otherwise linger as a class attribute that reads as
+# DEFAULT_TOL whatever tolerance built the instance; __init__ keeps the default
+del Subspace.tol
+
+
 def trivial_subspace(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
 

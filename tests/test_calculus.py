@@ -136,34 +136,34 @@ def test_fd_check_domain_validation():
 
 
 def test_derivative_independent_of_inner_inverse_choice(rng):
-    # any differentiable inner-inverse curves give the same derivative value
+    # any differentiable inner-inverse curves g, h give the derivative of the
+    # projector inputs (h c)' = -(P_S)' and (b g)' = (P_T)'
     n = 5
     a_c, b_c, c_c = families.bc_curves(rng, n, 3)
-    u1 = families.random_matrix(rng, n, n)
-    u2 = families.random_matrix(rng, n, n)
-    u3 = families.random_matrix(rng, n, n)
-    u4 = families.random_matrix(rng, n, n)
+    u1, u2, u3, u4 = (families.random_matrix(rng, n, n) for _ in range(4))
+    h_ref = 1e-5
 
-    def exotic(curve, left, right):
-        def evaluate(t):
-            m = curve(t)
-            pinv = gi.moore_penrose(m).inverse
-            eye = np.eye(n)
-            return pinv + (eye - pinv @ m) @ left + right @ (eye - m @ pinv)
+    def central(f):
+        return (f(h_ref) - f(-h_ref)) / (2.0 * h_ref)
 
-        return MatrixCurve(evaluate, curve.domain, "exotic")
+    def exotic(m, left, right):
+        pinv = gi.moore_penrose(m).inverse
+        eye = np.eye(n)
+        return pinv + (eye - pinv @ m) @ left + right @ (eye - m @ pinv)
 
-    base = gi.finite_difference_check([a_c, b_c, c_c], 0.0, kind="bc")
-    alt = gi.finite_difference_check(
-        [a_c, b_c, c_c],
-        0.0,
-        kind="bc",
-        g_curve=exotic(b_c, u1, u2),
-        h_curve=exotic(c_c, u3, u4),
-    )
-    diff = gi.spectral_norm(base.formula_derivative - alt.formula_derivative)
-    assert diff <= 1e-9 * max(1.0, gi.spectral_norm(base.formula_derivative))
-    assert alt.observed_order == "exact" or alt.observed_order > 1.8
+    cert = gi.bc_inverse(a_c(0.0), b_c(0.0), c_c(0.0))
+    aprime = central(a_c)
+    hc_prime = central(lambda t: exotic(c_c(t), u3, u4) @ c_c(t))
+    bg_prime = central(lambda t: b_c(t) @ exotic(b_c(t), u1, u2))
+    ps_prime = central(lambda t: gi.null_space(c_c(t)).projector())
+    pt_prime = central(lambda t: gi.column_space(b_c(t)).projector())
+    # the inner inverses are exotic: their products move off the projectors
+    assert gi.spectral_norm(hc_prime + ps_prime) > 1e-3
+    assert gi.spectral_norm(bg_prime - pt_prime) > 1e-3
+    d_exotic = gi.bc_derivative(cert.inverse, cert.operator, aprime, hc_prime, bg_prime)
+    d_proj = gi.bc_derivative(cert.inverse, cert.operator, aprime, -ps_prime, pt_prime)
+    diff = gi.spectral_norm(d_exotic - d_proj)
+    assert diff <= 1e-9 * max(1.0, gi.spectral_norm(d_proj))
 
 
 def test_derivative_product_rule_for_projector_curves(rng):

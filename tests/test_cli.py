@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import geninv as gi
+from geninv.calculus import MatrixCurve
 from geninv.cli import main
 
 
@@ -188,6 +189,37 @@ def test_derivcheck_direction_of_another_shape_names_both_files(tmp_path, capsys
     assert code == 1
     assert report["clause"] == "input"
     assert t0_path in report["error"] and t1_path in report["error"]
+
+
+def test_derivcheck_oip_takes_rank_deficient_span_files(tmp_path, capsys):
+    # rank-3 projectors of a 6-space as span files: their column spaces have dimension 3
+    rng = np.random.default_rng(0)
+    n = 6
+    a0 = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+    a1 = 0.1 * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    t0, s0 = q[:, :3] @ q[:, :3].T, q[:, 3:] @ q[:, 3:].T
+    zero = np.zeros((n, n))
+    mats = {"a0": a0, "a1": a1, "t0": t0, "t1": zero, "s0": s0, "s1": zero}
+    paths = [write(tmp_path / f"{name}.mat", m) for name, m in mats.items()]
+    code, report = run_cli(capsys, "derivcheck", "--kind", "oip", *paths)
+    assert code == 0, report
+    domain = (-1.0, 1.0)
+    curves = [
+        MatrixCurve(lambda t, base=base, step=step: base + t * step, domain)
+        for base, step in ((a0, a1), (t0, zero), (s0, zero))
+    ]
+    expected = gi.finite_difference_check(curves, 0.0, kind="oip").formula_derivative
+    assert np.allclose(report["formula_derivative"], expected, rtol=1e-12, atol=1e-14)
+
+
+def test_seqcheck_rotating_zero_limit_is_an_input_error(tmp_path, capsys):
+    # the rotation angle is read off the limit inverse, which is zero here
+    a_path = write(tmp_path / "a.mat", np.diag([1.0, 2.0, 3.0]))
+    z_path = write(tmp_path / "z.mat", np.zeros((3, 3)))
+    code, report = run_cli(capsys, "seqcheck", a_path, z_path, z_path, "--family", "rotating")
+    assert code == 1
+    assert "limit inverse is zero" in report["error"]
 
 
 def test_seqcheck_report_keys(tmp_path, capsys):

@@ -7,13 +7,14 @@ The sequence reports are held to their per-index construction: 30 more
 indices may add no more calls than 30 more bc_inverse (6 SVD + 1 QR) or
 moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices.
 perturbed_bc_inverse takes the norm of the unperturbed inverse once.
+finite_difference_check builds one inverse per point of its sweep.
 """
 
 import numpy as np
 import pytest
 
 import geninv as gi
-from geninv import families
+from geninv import calculus, families
 
 from conftest import complement_rows, outer_instance_at_angles
 
@@ -136,3 +137,25 @@ def test_projector_from_matrix_takes_one_svd(linalg_calls, complex_):
     wrapped = gi.ObliqueProjector.from_matrix(p.matrix)
     assert _counts(linalg_calls) == {"svd": 1, "qr": 0, "inv": 0, "solve": 0, "lstsq": 0}
     assert wrapped.range.dim == N // 2 and wrapped.nullspace.dim == N - N // 2
+
+
+@pytest.mark.parametrize("kind", ["bc", "mp", "oip"])
+def test_finite_difference_check_builds_one_inverse_per_point(monkeypatch, kind):
+    # a', (P_T)' and (P_S)' come off the sweep's own certificates: one
+    # construction at t0 and one at t0 +- each step, nothing more
+    rng = np.random.default_rng(9)
+    curves = {
+        "bc": lambda: families.bc_curves(rng, 6, 3),
+        "mp": lambda: [families.mp_curve(rng, 6, 5, 3)],
+        "oip": lambda: families.oip_curves(rng, 6, 5, 3),
+    }[kind]()
+    calls = []
+    for name in ("bc_inverse", "moore_penrose", "outer_prescribed"):
+
+        def counted(*args, _name=name, _original=getattr(calculus, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, name, counted)
+    gi.finite_difference_check(curves, 0.0, kind=kind)
+    assert len(calls) == 1 + 2 * len(gi.DEFAULT_TOL.fd_step_sweep)

@@ -61,3 +61,28 @@ def test_rank_outside_range_is_rejected():
     for n, r in [(4, 0), (4, 5)]:
         with pytest.raises(GenInvError, match="rank must satisfy"):
             families.random_solvable_triple(rng, n, r)
+
+
+@FIELDS
+@pytest.mark.parametrize("seed", range(10))
+def test_rotating_family_exists_at_every_index(seed, complex_):
+    rng = np.random.default_rng(seed)
+    a, b, c = families.random_solvable_triple(rng, 6, 3, complex_)
+    for an, bn, cn in families.rotating_family(a, b, c, 60, rng):
+        gi.bc_inverse(an, bn, cn)
+
+
+def test_rotating_family_builds_one_inverse(monkeypatch):
+    # the angle comes from the limit's certificate, not from trial constructions
+    rng = np.random.default_rng(0)
+    a, b, c = families.random_solvable_triple(rng, 6, 3)
+    calls = []
+    original = families.bc_inverse
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(families, "bc_inverse", counted)
+    families.rotating_family(a, b, c, 60, rng)
+    assert len(calls) == 1

@@ -205,6 +205,14 @@ def test_subspace_stores_no_tolerance():
     gi.Subspace(2, np.array([[1.0], [0.01]]), gi.ToleranceConfig(residual_tol=1e-3))
 
 
+def test_subspace_has_no_tolerance_attribute():
+    # the tolerance only checks the basis; nothing reads back a default in its place
+    s = gi.Subspace(2, np.eye(2)[:, :1], gi.ToleranceConfig(residual_tol=0.5))
+    with pytest.raises(AttributeError):
+        s.tol
+    assert gi.Subspace(2, np.eye(2)[:, :1]).dim == 1
+
+
 def test_gap_conventions_for_trivial_and_full_subspaces():
     for n in (1, 3):
         zero, full = gi.trivial_subspace(n), gi.full_subspace(n)
