@@ -169,7 +169,9 @@ def finite_difference_check(
     prescribe the inverse's range and null space. The sweep builds one
     certificate at t0 and at t0 +- each step, 1 + 2 len(steps) in all, and
     nothing else: a', (P_T)' and (P_S)' are central-differenced at the finest
-    step from those certificates' operators and prescribed subspaces.
+    step from those certificates' operators and prescribed subspaces. A sweep
+    point whose prescribed subspaces differ in dimension from t0's raises
+    ExistenceError: the inverse jumps there.
     """
     if kind not in _CONSTRUCTIONS:
         raise InputError(f"unknown kind {kind!r}")
@@ -183,18 +185,28 @@ def finite_difference_check(
         if not (lo < t0 - hmax and t0 + hmax < hi):
             raise InputError("curve domain does not cover the difference window")
 
-    def certificate(t: float) -> InverseCertificate:
+    def certificate(t: float, base: InverseCertificate | None = None) -> InverseCertificate:
         try:
-            return construct(tol, *(curve(t) for curve in curves))
+            cert = construct(tol, *(curve(t) for curve in curves))
         except ExistenceError as exc:
             raise ExistenceError(
                 f"curve leaves invertible set at t={t}: {exc}",
                 clause="curve leaves invertible set",
                 margin=exc.margin,
             ) from exc
+        here, there = (
+            (c.prescribed_range.dim, c.prescribed_nullspace.dim) for c in (cert, base or cert)
+        )
+        if here != there:  # the inverse jumps at t0, which differences across t0 never see
+            raise ExistenceError(
+                f"curve leaves invertible set at t={t}: prescribed range and null space "
+                f"have dimensions {here} there against {there} at t0={t0}",
+                clause="curve leaves invertible set",
+            )
+        return cert
 
     base = certificate(t0)
-    sweep = [(h, certificate(t0 + h), certificate(t0 - h)) for h in steps]
+    sweep = [(h, certificate(t0 + h, base), certificate(t0 - h, base)) for h in steps]
     h_ref, plus, minus = sweep[-1]  # the sweep decreases strictly: its last step is the finest
 
     def prime(read) -> np.ndarray:

@@ -3,19 +3,27 @@
 Format: a header line ``rows cols field`` with field in {real, complex},
 followed by whitespace-separated entries in row-major order. Complex entries
 are written as ``re im`` token pairs. Serialization uses 17 significant
-digits, so parse(serialize(a)) reproduces a bit for bit.
+digits, so parse(serialize(a)) reproduces a bit for bit, signed zeros included.
+
+A token is anything Python's ``float()`` accepts, and rows may break at any
+``str.splitlines`` break. A bad or non-finite token is an error naming its
+line and its position in that line.
 """
 
 from __future__ import annotations
 
 import math
 import os.path
+import re
 from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
+
+# the header ends at the first break str.splitlines knows, not only at "\n"
+_FIRST_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 def _tokens_with_positions(lines, start):
@@ -55,26 +63,31 @@ def parse_matrix(source) -> np.ndarray:
             text = source
         else:
             raise InputError(f"no such matrix file: {source}")
-    lines = text.splitlines()
-    if not lines or not lines[0].split():
+    header_line = _FIRST_LINE.match(text)[0]
+    header = header_line.split()
+    if not header:
         raise InputError("missing header line 'rows cols field'")
-    header = lines[0].split()
     if len(header) != 3:
-        raise InputError(f"malformed header {lines[0]!r}, expected 'rows cols field'")
+        raise InputError(f"malformed header {header_line!r}, expected 'rows cols field'")
     try:
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
-        raise InputError(f"malformed header {lines[0]!r}, rows/cols must be integers") from None
+        raise InputError(f"malformed header {header_line!r}, rows/cols must be integers") from None
     field = header[2]
     if rows < 1 or cols < 1:
         raise InputError("rows and cols must be positive")
     if field not in ("real", "complex"):
         raise InputError(f"unknown field {field!r}, expected 'real' or 'complex'")
 
-    values = [
-        _parse_float(tok, line_no, col_no)
-        for tok, line_no, col_no in _tokens_with_positions(lines[1:], start=2)
-    ]
+    # the header's tokens lead text.split(): its line ends at a break, and breaks are whitespace;
+    # np.array calls float() on each body token, as the loop below, without a frame per token
+    try:
+        values = np.array(text.split()[len(header) :], dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():  # the loop names the first bad token
+        tokens = _tokens_with_positions(text.splitlines()[1:], start=2)
+        values = np.array([_parse_float(*token) for token in tokens], dtype=np.float64)
     per_entry = 2 if field == "complex" else 1
     if field == "complex" and len(values) % 2:
         raise InputError(
@@ -83,10 +96,9 @@ def parse_matrix(source) -> np.ndarray:
     found = len(values) // per_entry
     if found != rows * cols:
         raise InputError(f"expected {rows * cols} entries, found {found}")
-    if field == "complex":
-        data = np.array(values[0::2]) + 1j * np.array(values[1::2])
-        return data.reshape(rows, cols).astype(np.complex128)
-    return np.array(values, dtype=np.float64).reshape(rows, cols)
+    if field == "complex":  # (re, im) pairs are complex128's memory layout: exact, no copy
+        return values.view(np.complex128).reshape(rows, cols)
+    return values.reshape(rows, cols)
 
 
 def serialize_matrix(a) -> str:

@@ -18,7 +18,7 @@ from .errors import CertificateError, ExistenceError, InputError
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
 class Subspace:
     """A subspace of C^n (or R^n) carried as an orthonormal column basis.
 
@@ -138,7 +138,7 @@ def _idempotency_defect(p: np.ndarray, pnorm: float, tol: ToleranceConfig) -> fl
     return defect if defect > budget else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
 class ObliqueProjector:
     """Idempotent matrix with recorded range and null-space bases."""
 

@@ -251,3 +251,12 @@ def assert_same_subspace(s1, s2, tol=1e-9):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def rank_jump_instance():
+    """(a, b, c, g, g2): with constant a, b + 0.05 t g and c + 0.05 t g2 are rank 4
+    at t = 0 and invertible elsewhere, so x(0) is the rank-4 (b, c)-inverse and
+    x(t) = a^-1 for t != 0, while every curve stays smooth."""
+    rng = np.random.default_rng(0)
+    a, b, c = families.random_solvable_triple(rng, 8, 4)
+    return a, b, c, rng.standard_normal((8, 8)), rng.standard_normal((8, 8))

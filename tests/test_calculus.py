@@ -6,6 +6,8 @@ from geninv import families
 from geninv.calculus import MatrixCurve
 from geninv.errors import ExistenceError, InputError
 
+from conftest import rank_jump_instance
+
 
 def test_bc_derivative_scalar_reciprocal():
     # a(t) = t with b = c = 1: the inverse is 1/t, derivative -1 at t = 1
@@ -127,6 +129,19 @@ def test_fd_check_reports_curve_leaving_solvable_set():
     # the widest step reaches t = 0 where a(t) is singular
     with pytest.raises(ExistenceError, match="curve leaves invertible set"):
         gi.finite_difference_check(curves, 1e-2, kind="bc")
+
+
+def test_fd_check_reports_a_jump_in_rank_at_t0():
+    a, b, c, g, g2 = rank_jump_instance()
+    curves = [
+        MatrixCurve(lambda t: a, label="a"),
+        MatrixCurve(lambda t: b + 0.05 * t * g, label="b"),
+        MatrixCurve(lambda t: c + 0.05 * t * g2, label="c"),
+    ]
+    # central differences never look at t0, so without the dimension check this read "exact"
+    with pytest.raises(ExistenceError, match=r"\(8, 0\) there against \(4, 4\)") as info:
+        gi.finite_difference_check(curves, 0.0, kind="bc")
+    assert info.value.clause == "curve leaves invertible set"
 
 
 def test_fd_check_domain_validation():

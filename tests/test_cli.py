@@ -7,6 +7,8 @@ import geninv as gi
 from geninv.calculus import MatrixCurve
 from geninv.cli import main
 
+from conftest import rank_jump_instance
+
 
 def write(path, a):
     gi.save_matrix(a, path)
@@ -211,6 +213,15 @@ def test_derivcheck_oip_takes_rank_deficient_span_files(tmp_path, capsys):
     ]
     expected = gi.finite_difference_check(curves, 0.0, kind="oip").formula_derivative
     assert np.allclose(report["formula_derivative"], expected, rtol=1e-12, atol=1e-14)
+
+
+def test_derivcheck_rank_jump_at_t0_exits_two(tmp_path, capsys):
+    a, b, c, g, g2 = rank_jump_instance()
+    mats = {"a0": a, "a1": np.zeros_like(a), "b0": b, "b1": 0.05 * g, "c0": c, "c1": 0.05 * g2}
+    paths = [write(tmp_path / f"{name}.mat", m) for name, m in mats.items()]
+    code, report = run_cli(capsys, "derivcheck", "--kind", "bc", *paths)
+    assert code == 2
+    assert report["clause"] == "curve leaves invertible set"
 
 
 def test_seqcheck_rotating_zero_limit_is_an_input_error(tmp_path, capsys):

@@ -1,10 +1,14 @@
 import io
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import geninv as gi
+from geninv import matio
 from geninv.errors import InputError
 from geninv.matio import matrix_to_json, parse_matrix, serialize_matrix
 
@@ -66,6 +70,25 @@ def test_roundtrip_complex_exact(rng):
         assert np.array_equal(a, again)
 
 
+def _bits(a):
+    a = np.ascontiguousarray(a)
+    return (a.view(np.float64) if np.iscomplexobj(a) else a).view(np.uint64)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_roundtrip_keeps_every_bit(complex_):
+    # np.array_equal cannot see the sign of a zero; the bit patterns can
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0]
+    a = np.array(special).reshape(2, 5)
+    if complex_:
+        a = a + 0j
+        a.imag = np.array(special[::-1]).reshape(2, 5)
+        a = np.vstack([a, [[complex(-0.0, 1.0), complex(2.0, -0.0)] * 2 + [0j]]])
+    again = parse_matrix(io.StringIO(serialize_matrix(a)))
+    assert again.dtype == a.dtype
+    assert np.array_equal(_bits(again), _bits(a))
+
+
 def test_roundtrip_through_file(tmp_path):
     a = np.array([[1.0 / 3.0, -2.0 ** -52], [1e300, -0.0]])
     path = tmp_path / "m.mat"
@@ -125,3 +148,109 @@ def test_matrix_to_json_equals_entrywise_floats(complex_):
     assert got == entrywise
     flat = np.ravel(got).tolist()
     assert all(type(v) is float for v in flat)
+
+
+# -- the vectorized parse against a per-token float() reference --------------
+
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SHORT_FORMS = ["5.", "+.5", "-.5", "1_0", "-0", "0e0", "1E5", "1e-400"]
+SHORT_FORMS += ["\u0661\u0662", "\uff11\uff12"]  # Arabic-Indic and fullwidth digits
+BAD_TOKENS = ["x", "1.5.2", "nan", "inf", "-inf", "1e400", "0x1p3", "1__0"]
+
+
+def reference_parse(text):
+    """The body parsed one token at a time with float(), as the format defines it."""
+    lines = text.splitlines()
+    rows, cols, field = lines[0].split()
+    rows, cols = int(rows), int(cols)
+    values = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        for col_no, token in enumerate(line.split(), start=1):
+            try:
+                value = float(token)
+            except ValueError:
+                raise InputError(
+                    f"unparsable entry {token!r} at line {line_no}, token {col_no}"
+                ) from None
+            if not math.isfinite(value):
+                raise InputError(f"non-finite entry {token!r} at line {line_no}, token {col_no}")
+            values.append(value)
+    if field == "complex":
+        if len(values) % 2:
+            raise InputError(f"complex body must hold 're im' pairs, found {len(values)} tokens")
+        if len(values) // 2 != rows * cols:
+            raise InputError(f"expected {rows * cols} entries, found {len(values) // 2}")
+        out = np.empty(rows * cols, dtype=np.complex128)
+        out.real, out.imag = values[0::2], values[1::2]
+        return out.reshape(rows, cols)
+    if len(values) != rows * cols:
+        raise InputError(f"expected {rows * cols} entries, found {len(values)}")
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+
+def _outcome(parse, text):
+    try:
+        return _bits(parse(text)).tolist(), None
+    except InputError as exc:
+        return None, str(exc)
+
+
+_finite_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(SHORT_FORMS),
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    field = draw(st.sampled_from(["real", "complex"]))
+    per_row = cols * (2 if field == "complex" else 1)
+    rows_of_tokens = [draw(st.lists(_finite_tokens, min_size=per_row, max_size=per_row))
+                      for _ in range(rows)]
+    flat = [(r, c) for r in range(rows) for c in range(per_row)]
+    for _ in range(draw(st.integers(0, 2))):  # bad tokens anywhere; the first one is named
+        r, c = draw(st.sampled_from(flat))
+        rows_of_tokens[r][c] = draw(st.sampled_from(BAD_TOKENS))
+    change = draw(st.sampled_from(["none", "none", "drop", "add"]))
+    if change == "drop":  # an odd complex body, or one entry short
+        rows_of_tokens[-1].pop()
+    elif change == "add":
+        rows_of_tokens[-1].append("1")
+    if draw(st.booleans()):  # one break everywhere: \r-only and \r\n files among them
+        breaks = [draw(st.sampled_from(LINE_BREAKS))] * (rows + 1)
+    else:
+        breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=rows + 1, max_size=rows + 1))
+    spaces = st.sampled_from([" ", "  ", "\t", " \t ", "\x1f", "\xa0", "\u3000"])
+    text = f"{rows} {cols} {field}" + breaks[0]
+    for tokens, brk in zip(rows_of_tokens, breaks[1:]):
+        text += "".join(draw(spaces) + token for token in tokens) + brk
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_texts())
+@example("2 1 complex\r-0 1\r2 -0\r")  # \r-only, signed zeros in both parts
+@example("1 2 real\r\n1e400 x\r\n")
+@example("1 1 complex\u2028 -0.0 1_0\u2029")
+def test_parse_matches_per_token_float_reference(text):
+    got = _outcome(lambda t: parse_matrix(io.StringIO(t)), text)
+    assert got == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(50, 50), (3000, 8)])
+def test_valid_files_never_enter_the_token_loop(monkeypatch, tmp_path, field, shape):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    if field == "complex":
+        a = a + 1j * rng.standard_normal(shape)
+    path = tmp_path / "m.mat"
+    gi.save_matrix(a, path)
+
+    def fail(*token):
+        raise AssertionError(f"token loop entered on a valid file at {token}")
+
+    monkeypatch.setattr(matio, "_parse_float", fail)
+    assert np.array_equal(_bits(parse_matrix(path)), _bits(a))

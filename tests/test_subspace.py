@@ -213,6 +213,15 @@ def test_subspace_has_no_tolerance_attribute():
     assert gi.Subspace(2, np.eye(2)[:, :1]).dim == 1
 
 
+def test_subspace_and_projector_compare_by_identity_and_hash():
+    s, t = gi.Subspace(2, np.eye(2)), gi.Subspace(2, np.eye(2))
+    assert s == s and s != t
+    assert len({s, t, s}) == 2
+    p = gi.oblique_projector(line(1, 0), line(0, 1))
+    assert p == p and p != gi.oblique_projector(line(1, 0), line(0, 1))
+    assert {p: 1}[p] == 1
+
+
 def test_gap_conventions_for_trivial_and_full_subspaces():
     for n in (1, 3):
         zero, full = gi.trivial_subspace(n), gi.full_subspace(n)
