@@ -38,7 +38,7 @@ class MatrixCurve:
         return as_matrix(self.evaluator(t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
 class DerivativeReport:
     t0: float
     formula_derivative: np.ndarray
@@ -223,8 +223,7 @@ def finite_difference_check(
     errors = [
         spectral_norm((fwd.inverse - back.inverse) / (2.0 * h) - deriv) for h, fwd, back in sweep
     ]
-    scale = max(1.0, spectral_norm(base.inverse))
-    if max(errors) <= tol.residual_tol * scale:
+    if max(errors) <= tol.residual_tol * max(1.0, base.inverse_norm):
         order: float | str = "exact"
     else:
         order = _fit_order(steps, errors)

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernel
 from .errors import ExistenceError, InputError
 from .inverses import InverseCertificate, bc_inverse, moore_penrose
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
+from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
 from .subspace import column_space, deviations
 
 
@@ -145,20 +145,17 @@ def _projector_terms(p, pn) -> tuple[np.ndarray, ...]:
     return p_perp @ pn, pn_perp @ p, p @ pn_perp, pn @ p_perp
 
 
-def zero_limit_check(
-    certificates, tol: ToleranceConfig | None = None
-) -> tuple[bool, int | None]:
+def zero_limit_check(certificates) -> tuple[bool, int | None]:
     """Classify a sequence whose limit inverse is zero.
 
     Such a sequence converges iff the inverses are exactly zero from some
-    index on; returns that first 1-based index, or (False, None).
+    index on; returns that first 1-based index, or (False, None). An inverse is
+    exactly zero iff its prescribed range is {0}, that is, its inverse_norm is 0.
     """
     certs = list(certificates)
     if not certs:
         raise InputError("empty certificate sequence")
-    tol = tol or certs[0].tol_used
-    norms = [spectral_norm(c.inverse) for c in certs]
-    nonzero = [i for i, v in enumerate(norms) if v > tol.residual_tol]
+    nonzero = [i for i, c in enumerate(certs) if c.inverse_norm != 0.0]
     if not nonzero:
         return True, 1
     if nonzero[-1] == len(certs) - 1:
@@ -176,7 +173,7 @@ def sequence_report(
     not exist are recorded and excluded from the verdicts.
     """
     limit = bc_inverse(*limit_problem, tol)
-    if spectral_norm(limit.inverse) == 0.0:
+    if limit.inverse_norm == 0.0:
         raise InputError("limit inverse is zero; use zero_limit_check")
     certs: list[InverseCertificate | None] = []
     for an, bn, cn in sequence:
@@ -199,10 +196,11 @@ def mp_continuity_report(
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError("mp_continuity_report needs a square limit element")
-    if spectral_norm(a) == 0.0:
+    limit = moore_penrose(a, tol)
+    if limit.operator_norm == 0.0:
         raise InputError("limit element must be nonzero")
     certs = [moore_penrose(an, tol) for an in sequence]
-    return _diagnose(moore_penrose(a, tol), certs, tol, mp_report=True)
+    return _diagnose(limit, certs, tol, mp_report=True)
 
 
 def _diagnose(
@@ -263,7 +261,7 @@ def _diagnose(
             null_projector_error=norms([qn - q for _, qn in projectors]),
         )
     records = {name: _record(values[name], live, len(certs)) for name in RECORD_NAMES}
-    err_scale = max(1.0, spectral_norm(x) * max(1.0, spectral_norm(a)))
+    err_scale = max(1.0, limit.inverse_norm * max(1.0, limit.operator_norm))
     verdicts = _verdicts(records, tol, err_scale)
     if mp_report:
         verdicts = {k: v for k, v in verdicts.items() if k.startswith("mp_")}

@@ -113,8 +113,7 @@ def additive_family(a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL
     """(a + e/n, b, c) with a fixed direction e small enough to keep existence
     and the quantitative error bound applicable at every index."""
     cert = bc_inverse(a, b, c, tol)
-    xnorm = spectral_norm(cert.inverse)
-    kappa = spectral_norm(cert.operator) * xnorm
+    xnorm, kappa = cert.inverse_norm, cert.operator_norm * cert.inverse_norm
     z_cap = 2.0 * kappa / ((1.0 + kappa) * (4.0 + kappa))
     amplitude = min(0.4 / xnorm, 0.5 * z_cap / xnorm)
     direction = random_matrix(rng, a.shape[0], a.shape[1], np.iscomplexobj(a))
@@ -132,7 +131,7 @@ def rotating_family(a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL
     """
     complex_ = any(np.iscomplexobj(x) for x in (a, b, c))
     cert = bc_inverse(a, b, c, tol)
-    angle = 0.4 / max(2.0, spectral_norm(cert.operator) * spectral_norm(cert.inverse))
+    angle = 0.4 / max(2.0, cert.operator_norm * cert.inverse_norm)
     k1 = random_skew(rng, a.shape[0], complex_)
     k2 = random_skew(rng, a.shape[0], complex_)
     return [
@@ -191,7 +190,7 @@ def mp_convergent_sequence(rng, n: int, r: int, count: int, complex_: bool = Fal
 def bc_curves(rng, n: int, r: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL):
     """Smooth (a, b, c) curves staying inside the solvable set near t = 0."""
     a, b, c = random_solvable_triple(rng, n, r, complex_)
-    xnorm = spectral_norm(bc_inverse(a, b, c, tol).inverse)
+    xnorm = bc_inverse(a, b, c, tol).inverse_norm
     a1 = random_matrix(rng, n, n, complex_) * (0.2 / xnorm)
     a2 = random_matrix(rng, n, n, complex_) * (0.2 / xnorm)
     k = [random_skew(rng, n, complex_) for _ in range(4)]
@@ -214,7 +213,7 @@ def oip_curves(
 ):
     """Operator curve plus rotating span curves of the prescribed range and null space."""
     a, t_space, s_space = random_outer_instance(rng, m, n, r, complex_)
-    xnorm = spectral_norm(outer_prescribed(a, t_space, s_space, tol).inverse)
+    xnorm = outer_prescribed(a, t_space, s_space, tol).inverse_norm
     a1 = random_matrix(rng, m, n, complex_) * (0.2 / xnorm)
     kt = random_skew(rng, n, complex_)
     ks = random_skew(rng, m, complex_)

@@ -39,7 +39,7 @@ from .subspace import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
 class InverseCertificate:
     """An inverse candidate bundled with the evidence that it is one.
 
@@ -50,7 +50,8 @@ class InverseCertificate:
     range_gap / nullspace_gap are containment upper bounds on the gaps between
     the computed inverse's subspaces and the prescribed ones;
     complement_margin is the smallest singular value of the direct-sum test
-    [a(T) | S] that granted existence.
+    [a(T) | S] that granted existence. operator_norm and inverse_norm are ||a|| and
+    ||inverse||, read off the construction's own factorizations.
     """
 
     inverse: np.ndarray
@@ -63,18 +64,23 @@ class InverseCertificate:
     operator: np.ndarray
     prescribed_range: Subspace
     prescribed_nullspace: Subspace
+    operator_norm: float
+    inverse_norm: float
     tol_used: ToleranceConfig = DEFAULT_TOL
 
 
-def _certify(defects: dict[str, np.ndarray], budgets: dict[str, float], kind: str):
-    """Norms of the defect matrices, each accepted against its budget."""
+def _certify(defects: dict[str, tuple[np.ndarray, float]], tol: ToleranceConfig, kind: str):
+    """Norms of the (defect, scale) pairs, each accepted within ``residual_tol * scale``. A
+    scale is the product of the norms of the equation's factors (||a|| ||b|| ||a|| for aba - a):
+    a normwise backward error (Higham 2002, ch. 7), so no decision depends on the unit of a."""
     residuals = {}
-    for name, defect in defects.items():
-        value = kernel.residual_norm(defect, budgets[name])
-        if value > budgets[name]:
+    for name, (defect, scale) in defects.items():
+        budget = tol.residual_tol * scale
+        value = kernel.residual_norm(defect, budget)
+        if value > budget:
             raise CertificateError(
                 f"{kind} certificate rejected: residual {name}={value:.3e} "
-                f"exceeds budget {budgets[name]:.3e}",
+                f"exceeds budget {budget:.3e}",
                 margin=value,
             )
         residuals[name] = value
@@ -112,7 +118,7 @@ def _containment_gaps(x, f, s_basis, core_sigma, tol: ToleranceConfig) -> tuple[
 def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
     """Moore-Penrose inverse from one full SVD, inverting singular values above the cutoff.
 
-    That SVD also gives T = range(a*), S = null(a*) and ||a|| ||b|| = sigma_1 / sigma_r.
+    That SVD also gives T = range(a*), S = null(a*), ||a|| = sigma_1 and ||b|| = 1 / sigma_r.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -120,16 +126,16 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
     r = kernel.numerical_rank(sigma, tol)
     f, s_basis = v[:, :r], u[:, r:]
     b = (f / sigma[:r]) @ u[:, :r].conj().T
+    anorm, bnorm = (float(sigma[0]), float(1.0 / sigma[r - 1])) if r else (0.0, 0.0)
     ab, ba = a @ b, b @ a
     defects = {
-        "aba": ab @ a - a,
-        "bab": ba @ b - b,
-        "ab_hermitian": ab.conj().T - ab,
-        "ba_hermitian": ba.conj().T - ba,
+        "aba": (ab @ a - a, anorm * bnorm * anorm),
+        "bab": (ba @ b - b, bnorm * anorm * bnorm),
+        "ab_hermitian": (ab.conj().T - ab, anorm * bnorm),
+        "ba_hermitian": (ba.conj().T - ba, anorm * bnorm),
     }
     condition = float(sigma[0] / sigma[r - 1]) if r else 1.0
-    budget = tol.residual_tol * max(1.0, condition)
-    residuals = _certify(defects, dict.fromkeys(defects, budget), "moore_penrose")
+    residuals = _certify(defects, tol, "moore_penrose")
     range_gap, nullspace_gap = _containment_gaps(b, f, s_basis, sigma[:r], tol)
     return InverseCertificate(
         inverse=b,
@@ -142,6 +148,8 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
         operator=a,
         prescribed_range=Subspace(n, f, tol),
         prescribed_nullspace=Subspace(m, s_basis, tol),
+        operator_norm=anorm,
+        inverse_norm=bnorm,
         tol_used=tol,
     )
 
@@ -156,7 +164,7 @@ def outer_prescribed(
     injective and a(T) (+) S to fill the codomain; each failure is reported
     with the violated clause and the deciding margin.
     """
-    return _outer(a, t, s, tol, "outer_prescribed")[0]
+    return _outer(a, t, s, tol, "outer_prescribed")
 
 
 def _complement_failure(margin: float) -> ExistenceError:
@@ -165,7 +173,7 @@ def _complement_failure(margin: float) -> ExistenceError:
 
 
 def _outer(a, t: Subspace, s: Subspace, tol: ToleranceConfig, kind: str):
-    """outer_prescribed's certificate and base budget ``residual_tol * max(1, ||a|| ||x||)``."""
+    """outer_prescribed's certificate, recorded as ``kind``; ||x|| = 1 / sigma_min(core)."""
     a = as_matrix(a)
     m, n = a.shape
     if t.ambient_dim != n:
@@ -180,7 +188,7 @@ def _outer(a, t: Subspace, s: Subspace, tol: ToleranceConfig, kind: str):
             raise _complement_failure(check.margin)
         x, core_sigma = np.zeros((n, m), dtype=a.dtype), np.zeros(0)
         margin, condition = check.margin, 1.0
-        base, residuals = tol.residual_tol, {"xax_x": 0.0}
+        xnorm, residuals = 0.0, {"xax_x": 0.0}
     else:
         restricted = a @ t.basis
         image, sig, _ = kernel.svd(restricted)
@@ -201,11 +209,11 @@ def _outer(a, t: Subspace, s: Subspace, tol: ToleranceConfig, kind: str):
             raise _complement_failure(margin)
         cu, core_sigma, cv = kernel.svd(h @ restricted)
         x = (t.basis @ (cv / core_sigma)) @ (cu.conj().T @ h)
-        base = tol.residual_tol * max(1.0, anorm / core_sigma[-1])
-        residuals = _certify({"xax_x": x @ a @ x - x}, {"xax_x": base}, kind)
+        xnorm = float(1.0 / core_sigma[-1])
+        residuals = _certify({"xax_x": (x @ a @ x - x, xnorm * anorm * xnorm)}, tol, kind)
         condition = float(sig[0] / smin)
     range_gap, nullspace_gap = _containment_gaps(x, t.basis, s.basis, core_sigma, tol)
-    cert = InverseCertificate(
+    return InverseCertificate(
         inverse=x,
         kind=kind,
         residuals=residuals,
@@ -216,9 +224,10 @@ def _outer(a, t: Subspace, s: Subspace, tol: ToleranceConfig, kind: str):
         operator=a,
         prescribed_range=t,
         prescribed_nullspace=s,
+        operator_norm=anorm,
+        inverse_norm=xnorm,
         tol_used=tol,
     )
-    return cert, base
 
 
 def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
@@ -231,30 +240,31 @@ def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
 
 
 def _bc(a, b, c, tol: ToleranceConfig):
-    """bc_inverse's certificate, its base budget (see ``_outer``), ||b|| and ||c||."""
+    """bc_inverse's certificate, ||b|| and ||c||."""
     a, b, c = (as_matrix(m) for m in (a, b, c))
     if a.shape[0] != a.shape[1] or a.shape != b.shape or a.shape != c.shape:
         raise InputError("bc_inverse needs square a, b, c of equal size")
     t, bnorm = column_space_and_norm(b, tol)
     s, cnorm = null_space_and_norm(c, tol)
     with _existence_prefixed("(B,C)-inverse does not exist"):
-        cert, base = _outer(a, t, s, tol, "bc")
-    x = cert.inverse
-    defects = {"xab_b": x @ a @ b - b, "cax_c": c @ a @ x - c}
-    budgets = {"xab_b": base * max(1.0, bnorm), "cax_c": base * max(1.0, cnorm)}
-    extra = _certify(defects, budgets, "bc")
-    return replace(cert, residuals={**cert.residuals, **extra}), base, bnorm, cnorm
+        cert = _outer(a, t, s, tol, "bc")
+    x, anorm, xnorm = cert.inverse, cert.operator_norm, cert.inverse_norm
+    defects = {
+        "xab_b": (x @ a @ b - b, xnorm * anorm * bnorm),
+        "cax_c": (c @ a @ x - c, cnorm * anorm * xnorm),
+    }
+    extra = _certify(defects, tol, "bc")
+    return replace(cert, residuals={**cert.residuals, **extra}), bnorm, cnorm
 
 
 def bott_duffin(
     a, p: ObliqueProjector, q: ObliqueProjector, tol: ToleranceConfig = DEFAULT_TOL
 ) -> InverseCertificate:
     """The (p, q)-inverse for idempotents p, q: range R(p), null space N(q)."""
-    cert, base, pnorm, qnorm = _bc(a, p.matrix, q.matrix, tol)
-    x, pm, qm = cert.inverse, p.matrix, q.matrix
-    defects = {"py_y": pm @ x - x, "yq_y": x @ qm - x}
-    budgets = {"py_y": base * max(1.0, pnorm), "yq_y": base * max(1.0, qnorm)}
-    extra = _certify(defects, budgets, "bott_duffin")
+    cert, pnorm, qnorm = _bc(a, p.matrix, q.matrix, tol)
+    x, xnorm, pm, qm = cert.inverse, cert.inverse_norm, p.matrix, q.matrix
+    defects = {"py_y": (pm @ x - x, pnorm * xnorm), "yq_y": (x @ qm - x, xnorm * qnorm)}
+    extra = _certify(defects, tol, "bott_duffin")
     # y a p - p and q a y - q are the (p, q) absorption defects, certified by _bc
     extra.update(yap_p=cert.residuals["xab_b"], qay_q=cert.residuals["cax_c"])
     return replace(cert, kind="bott_duffin", residuals={**cert.residuals, **extra})

@@ -42,8 +42,8 @@ class ToleranceConfig:
     """Numerical policy shared by all constructions.
 
     rank_rel_tol: singular values below ``rank_rel_tol * sigma_max`` count as zero.
-    residual_tol: acceptance threshold for certificate residuals, scaled by the
-        problem size (see the individual constructions).
+    residual_tol: relative acceptance threshold for certificate residuals: each
+        is accepted within residual_tol times the norms of its equation's factors.
     fd_step_sweep: strictly decreasing finite-difference steps.
     """
 
@@ -146,9 +146,9 @@ def residual_norm(a, budget: float) -> float:
     """Frobenius norm of ``a`` if within ``budget`` (it bounds the spectral norm), else the
     exact spectral norm; the result exceeds ``budget`` exactly when the spectral norm does."""
     fro = _frobenius(a)
-    if fro == np.inf:  # the squared entries overflowed: rescale by the largest one
-        scale = float(np.max(np.abs(a)))
-        if scale < np.inf:
+    if not 1e-150 < fro < np.inf:  # the squares overflowed or may underflow: rescale
+        scale = float(np.max(np.abs(a), initial=0.0))
+        if 0.0 < scale < np.inf:
             fro = scale * _frobenius(a / scale)
     return fro if fro <= budget else spectral_norm(a)
 

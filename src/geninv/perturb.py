@@ -21,7 +21,7 @@ from .inverses import InverseCertificate, outer_prescribed
 from .kernel import ToleranceConfig, as_matrix, spectral_norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
 class PerturbationReport:
     radius: float
     formula_inverse: np.ndarray
@@ -35,13 +35,9 @@ class PerturbationReport:
 
 def openness_radius(cert: InverseCertificate) -> float:
     """Radius of the ball around the operator inside which the inverse persists."""
-    return _radius(spectral_norm(cert.inverse))
-
-
-def _radius(inv_norm: float) -> float:
-    if inv_norm == 0.0:
+    if cert.inverse_norm == 0.0:
         raise InputError("radius undefined for zero inverse")
-    return 1.0 / inv_norm
+    return 1.0 / cert.inverse_norm
 
 
 def perturbation_bound(
@@ -76,13 +72,11 @@ def perturbed_bc_inverse(
     factor may remain invertible) but the report is flagged.
     """
     tol = tol or cert.tol_used
-    a = cert.operator
-    x = cert.inverse
+    a, x, xnorm = cert.operator, cert.inverse, cert.inverse_norm
     e = as_matrix(e)
     if e.shape != a.shape:
         raise InputError("perturbation shape does not match the operator")
-    xnorm = spectral_norm(x)  # the one SVD of x: radius, kappa, z and the bound's scale
-    radius = _radius(xnorm)
+    radius = openness_radius(cert)
     enorm = spectral_norm(e)
     outside = enorm >= radius
 
@@ -109,7 +103,7 @@ def perturbed_bc_inverse(
     discrepancy = None if direct is None else spectral_norm(left - direct)
     actual = None if direct is None else spectral_norm(direct - x)
 
-    kappa = spectral_norm(a) * xnorm
+    kappa = cert.operator_norm * xnorm
     bound = perturbation_bound(kappa, 0.0, 0.0, xnorm * enorm, xnorm)
     return PerturbationReport(
         radius=radius,

@@ -132,8 +132,8 @@ def direct_sum_check(
 
 
 def _idempotency_defect(p: np.ndarray, pnorm: float, tol: ToleranceConfig) -> float | None:
-    """``||p p - p||`` if over ``residual_tol * max(1, ||p||)``, else None (Frobenius-first)."""
-    budget = tol.residual_tol * max(1.0, pnorm)
+    """``||p p - p||`` if over ``residual_tol * ||p|| ||p||``, else None (Frobenius-first)."""
+    budget = tol.residual_tol * (pnorm * pnorm)
     defect = kernel.residual_norm(p @ p - p, budget)
     return defect if defect > budget else None
 

@@ -139,6 +139,18 @@ def test_zero_limit_check_examples():
     assert diagnostics.zero_limit_check(mixed) == (True, 5)
 
 
+def test_zero_limit_check_tells_tiny_inverses_from_zero():
+    # with a scaled by 1e12 every inverse has norm near 1e-12, small but not zero:
+    # the sequence never turns exactly zero, whatever the residual tolerance
+    rng = np.random.default_rng(13)
+    certs = []
+    for _ in range(6):
+        a, b, c = families.random_solvable_triple(rng, 4, 2)
+        certs.append(gi.bc_inverse(1e12 * a, b, c))
+    assert all(0.0 < gi.spectral_norm(c.inverse) < 1e-10 for c in certs)
+    assert diagnostics.zero_limit_check(certs) == (False, None)
+
+
 def test_mp_continuity_constant_sequence():
     a = np.diag([2.0, 0.0])
     report = diagnostics.mp_continuity_report(a, [a] * 6, SEQ_TOL)

@@ -6,7 +6,8 @@ hold each count to the value of the full-rank construction as an upper bound.
 The sequence reports are held to their per-index construction: 30 more
 indices may add no more calls than 30 more bc_inverse (6 SVD + 1 QR) or
 moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices.
-perturbed_bc_inverse takes the norm of the unperturbed inverse once.
+perturbed_bc_inverse and zero_limit_check read ||a|| and ||x|| off the
+certificate and factor neither again.
 finite_difference_check builds one inverse per point of its sweep.
 """
 
@@ -76,8 +77,8 @@ def test_bc_inverse_counts(linalg_calls, complex_):
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_perturbed_bc_inverse_counts(linalg_calls, complex_):
-    # ||x|| is one SVD shared by the radius, kappa, z and the bound's scale;
-    # the rest is ||a||, ||e||, three discrepancy norms and the recomputation
+    # ||x|| and ||a|| come off the certificate; the SVDs are ||e||, three
+    # discrepancy norms and the recomputation's four
     rng = np.random.default_rng(7)
     a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
     b = t.basis @ families.random_matrix(rng, N // 2, N, complex_)
@@ -88,8 +89,18 @@ def test_perturbed_bc_inverse_counts(linalg_calls, complex_):
     report = gi.perturbed_bc_inverse(cert, e)
     assert not report.outside_ball and report.direct_inverse is not None
     counts = _counts(linalg_calls)
-    assert counts["svd"] <= 10 and counts["qr"] <= 1
+    assert counts["svd"] <= 8 and counts["qr"] <= 1
     assert counts["inv"] <= 1 and counts["solve"] <= 1 and counts["lstsq"] == 0
+
+
+def test_zero_limit_check_factors_nothing(linalg_calls):
+    # 12 certificates, zero from index 5 on: "exactly zero" is inverse_norm == 0
+    rng = np.random.default_rng(10)
+    a, b, c = families.random_solvable_triple(rng, 6, 3)
+    certs = [gi.bc_inverse(a, b * (k < 4), c * (k < 4)) for k in range(12)]
+    linalg_calls.clear()
+    assert gi.zero_limit_check(certs) == (True, 5)
+    assert linalg_calls == []
 
 
 @pytest.mark.parametrize("complex_", [False, True])

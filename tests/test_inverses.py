@@ -292,6 +292,17 @@ def test_certificate_rejection_on_absurd_tolerance():
         gi.moore_penrose(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), tol)
 
 
+def test_certificates_and_reports_compare_by_identity_and_hash():
+    eye = np.eye(2)
+    certs = [gi.moore_penrose(eye), gi.moore_penrose(eye)]
+    reports = [gi.perturbed_bc_inverse(gi.bc_inverse(eye, eye, eye), 0.1 * eye) for _ in "ab"]
+    curve = [gi.MatrixCurve(lambda t: eye + t * np.diag([1.0, 0.0]))]
+    derivatives = [gi.finite_difference_check(curve, 0.0, kind="mp") for _ in "ab"]
+    for first, second in (certs, reports, derivatives):
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+
 def test_bc_inverse_requires_square():
     with pytest.raises(InputError):
         gi.bc_inverse(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)))

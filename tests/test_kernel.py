@@ -109,6 +109,17 @@ def test_residual_norm_does_not_overflow_on_huge_entries():
         assert kernel.residual_norm(1j * a, 1.0) == pytest.approx(3e160, rel=1e-12)
 
 
+def test_residual_norm_does_not_underflow_on_tiny_entries():
+    # the squared entries underflow to zero: ||a|| would read 0 and pass any budget
+    a = np.full((3, 3), 1e-170)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel.residual_norm(a, 1e-300) == pytest.approx(3e-170, rel=1e-12, abs=0.0)
+        assert kernel.residual_norm(1j * a, 1.0) == pytest.approx(3e-170, rel=1e-12, abs=0.0)
+        assert kernel.residual_norm(np.zeros((3, 3)), 0.0) == 0.0
+        assert kernel.residual_norm(np.zeros((0, 3)), 0.0) == 0.0
+
+
 def test_residual_norm_within_budget_is_numpy_frobenius_norm(rng):
     for shape in ((1, 1), (7, 4), (30, 30)):
         a = rng.standard_normal(shape)
