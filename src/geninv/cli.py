@@ -7,7 +7,8 @@ reports always carry "error", "clause" and "margin" keys. Every report, error
 reports included, goes where ``--out`` points, or to stdout if that file
 cannot be written (then as an input error). Usage errors found by argparse
 (a wrong number of files, an unknown option or choice) exit 1 with no JSON.
-``seqcheck --indices`` must be at least 1.
+``seqcheck --indices`` must be at least 1. Only gap and seqcheck take ``--seed``
+(else $GENINV_SEED, else 0), and only derivcheck takes ``--steps``.
 
 Each subcommand is one subparser carrying its handler; a handler takes the
 parsed arguments, the tolerances and the parsed matrices and returns its own
@@ -162,7 +163,7 @@ def _seqcheck(args, tol, a, b, c) -> dict:
 
 def _tolerances(args) -> ToleranceConfig:
     steps = DEFAULT_TOL.fd_step_sweep
-    if args.steps:
+    if "steps" in args and args.steps:
         try:
             steps = tuple(float(tok) for tok in args.steps.split(",") if tok)
         except ValueError:
@@ -183,7 +184,7 @@ def _render(args, body: dict) -> str:
 def _respond(args) -> tuple[str, int]:
     """The rendered report and exit code of one parsed request."""
     try:
-        if args.seed is None:
+        if "seed" in args and args.seed is None:
             args.seed = int(os.environ.get("GENINV_SEED", "0"))
         tol = _tolerances(args)
         return _render(args, args.handler(args, tol, *map(parse_matrix, args.inputs))), 0
@@ -207,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel_tol,
                        help="relative rank cutoff")
         p.add_argument("--tol-res", type=float, default=tol_res, help="residual tolerance")
-        p.add_argument("--seed", type=int, help="RNG seed (default: $GENINV_SEED or 0)")
-        p.add_argument("--steps", help="comma list of FD steps")
         p.add_argument("--out", help="write the JSON report here")
         return p
 
@@ -219,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("bottduffin", _bottduffin, "(P,Q)-inverse of A for idempotents P, Q", "A P Q")
     p = command("gap", _gap, "gap between span(M) and span(N)", "M N")
     p.add_argument("--trials", type=int, default=0, help="sampling-oracle trials")
+    p.add_argument("--seed", type=int, help="RNG seed (default: $GENINV_SEED or 0)")
     command("perturb", _perturb, "closed-form perturbed inverse of A+E", "A B C E")
     p = command(
         "derivcheck",
@@ -229,12 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kind", choices=("bc", "mp", "oip"), default="mp")
     p.add_argument("--t0", type=float, default=0.0)
+    p.add_argument("--steps", help="comma list of FD steps")
     p = command(
         "seqcheck", _seqcheck, "sequence convergence diagnostics", "A B C",
         tol_res=_SEQCHECK_DEFAULT_RES_TOL,
     )
     p.add_argument("--family", choices=("additive", "rotating", "rankdrop"), default="additive")
     p.add_argument("--indices", type=int, default=50, help="sequence length, at least 1")
+    p.add_argument("--seed", type=int, help="RNG seed (default: $GENINV_SEED or 0)")
     return parser
 
 

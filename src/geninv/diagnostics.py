@@ -28,7 +28,7 @@ from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
 from .subspace import column_space, deviations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, hashable: verdicts is a dict
 class SequenceDiagnostics:
     """Per-index convergence measurements plus verdicts.
 

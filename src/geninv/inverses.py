@@ -30,11 +30,8 @@ from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
 from .subspace import (
     ObliqueProjector,
     Subspace,
-    column_space,
-    column_space_and_norm,
     direct_sum_check,
-    null_space,
-    null_space_and_norm,
+    range_and_null_space,
     trivial_subspace,
 )
 
@@ -66,7 +63,6 @@ class InverseCertificate:
     prescribed_nullspace: Subspace
     operator_norm: float
     inverse_norm: float
-    tol_used: ToleranceConfig = DEFAULT_TOL
 
 
 def _certify(defects: dict[str, tuple[np.ndarray, float]], tol: ToleranceConfig, kind: str):
@@ -122,8 +118,7 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
     """
     a = as_matrix(a)
     m, n = a.shape
-    u, sigma, v = kernel.svd(a, full=True)
-    r = kernel.numerical_rank(sigma, tol)
+    u, sigma, v, r = kernel.svd_at_rank(a, tol, full=True)
     f, s_basis = v[:, :r], u[:, r:]
     b = (f / sigma[:r]) @ u[:, :r].conj().T
     anorm, bnorm = (float(sigma[0]), float(1.0 / sigma[r - 1])) if r else (0.0, 0.0)
@@ -150,7 +145,6 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
         prescribed_nullspace=Subspace(m, s_basis, tol),
         operator_norm=anorm,
         inverse_norm=bnorm,
-        tol_used=tol,
     )
 
 
@@ -226,7 +220,6 @@ def _outer(a, t: Subspace, s: Subspace, tol: ToleranceConfig, kind: str):
         prescribed_nullspace=s,
         operator_norm=anorm,
         inverse_norm=xnorm,
-        tol_used=tol,
     )
 
 
@@ -235,17 +228,19 @@ def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
 
     Requires square operands of equal size. The certificate additionally
     records the residuals of the absorption equations b = x a b and c = c a x.
+    R(b) and ||b|| come off one SVD of b, N(c) and ||c|| off one of c.
     """
-    return _bc(a, b, c, tol)[0]
+    u, bsigma, _, br = kernel.svd_at_rank(b, tol)
+    _, csigma, v, cr = kernel.svd_at_rank(c, tol, full=True)
+    t, s = Subspace(u.shape[0], u[:, :br], tol), Subspace(v.shape[0], v[:, cr:], tol)
+    return _bc(a, b, c, t, s, kernel.sigma_max(bsigma), kernel.sigma_max(csigma), tol)
 
 
-def _bc(a, b, c, tol: ToleranceConfig):
-    """bc_inverse's certificate, ||b|| and ||c||."""
+def _bc(a, b, c, t: Subspace, s: Subspace, bnorm: float, cnorm: float, tol: ToleranceConfig):
+    """bc_inverse's certificate, given T = R(b), S = N(c), ||b|| and ||c|| read by its caller."""
     a, b, c = (as_matrix(m) for m in (a, b, c))
     if a.shape[0] != a.shape[1] or a.shape != b.shape or a.shape != c.shape:
         raise InputError("bc_inverse needs square a, b, c of equal size")
-    t, bnorm = column_space_and_norm(b, tol)
-    s, cnorm = null_space_and_norm(c, tol)
     with _existence_prefixed("(B,C)-inverse does not exist"):
         cert = _outer(a, t, s, tol, "bc")
     x, anorm, xnorm = cert.inverse, cert.operator_norm, cert.inverse_norm
@@ -254,16 +249,17 @@ def _bc(a, b, c, tol: ToleranceConfig):
         "cax_c": (c @ a @ x - c, cnorm * anorm * xnorm),
     }
     extra = _certify(defects, tol, "bc")
-    return replace(cert, residuals={**cert.residuals, **extra}), bnorm, cnorm
+    return replace(cert, residuals={**cert.residuals, **extra})
 
 
 def bott_duffin(
     a, p: ObliqueProjector, q: ObliqueProjector, tol: ToleranceConfig = DEFAULT_TOL
 ) -> InverseCertificate:
-    """The (p, q)-inverse for idempotents p, q: range R(p), null space N(q)."""
-    cert, pnorm, qnorm = _bc(a, p.matrix, q.matrix, tol)
+    """The (p, q)-inverse for idempotents p, q: range R(p), null space N(q), as p and q
+    record them; x a p = p, p x = x and q a x = q tie those to the matrices."""
+    cert = _bc(a, p.matrix, q.matrix, p.range, q.nullspace, p.norm, q.norm, tol)
     x, xnorm, pm, qm = cert.inverse, cert.inverse_norm, p.matrix, q.matrix
-    defects = {"py_y": (pm @ x - x, pnorm * xnorm), "yq_y": (x @ qm - x, xnorm * qnorm)}
+    defects = {"py_y": (pm @ x - x, p.norm * xnorm), "yq_y": (x @ qm - x, xnorm * q.norm)}
     extra = _certify(defects, tol, "bott_duffin")
     # y a p - p and q a y - q are the (p, q) absorption defects, certified by _bc
     extra.update(yap_p=cert.residuals["xab_b"], qay_q=cert.residuals["cax_c"])
@@ -271,13 +267,14 @@ def bott_duffin(
 
 
 def inverse_along(a, d, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
-    """Inverse of ``a`` along ``d``: the (d, d)-inverse.
+    """Inverse of ``a`` along ``d``: the (d, d)-inverse, from one full SVD of d.
 
     Its defining equations x a d = d = d a x are the (d, d) absorption
     residuals, which ``_bc`` certifies.
     """
+    t, s, dnorm = range_and_null_space(d, tol)
     with _existence_prefixed("not invertible along D"):
-        cert = _bc(a, d, d, tol)[0]
+        cert = _bc(a, d, d, t, s, dnorm, dnorm, tol)
     along = {"xad_d": cert.residuals["xab_b"], "dax_d": cert.residuals["cax_c"]}
     return replace(cert, kind="along", residuals={**cert.residuals, **along})
 
@@ -292,7 +289,7 @@ def reflexive_inverse(
     vanishes on M.
     """
     f = as_matrix(f)
-    kern = null_space(f, tol)
+    ran, kern, _ = range_and_null_space(f, tol)
     dom = direct_sum_check(kern, n_complement, tol)
     if not dom.holds:
         raise ExistenceError(
@@ -300,7 +297,6 @@ def reflexive_inverse(
             clause="N(F) (+) N != X",
             margin=dom.margin,
         )
-    ran = column_space(f, tol)
     cod = direct_sum_check(ran, m_complement, tol)
     if not cod.holds:
         raise ExistenceError(

@@ -95,6 +95,16 @@ def svd(a, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, vh.conj().T
 
 
+def svd_at_rank(
+    a, tol: ToleranceConfig, full: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``svd(a, full)`` and the numerical rank r of ``a``: (u, sigma, v, r). The first r
+    columns of u span R(a), the columns of a full v past r span N(a), and
+    ``sigma_max(sigma)`` is ||a||."""
+    u, sigma, v = svd(a, full)
+    return u, sigma, v, numerical_rank(sigma, tol)
+
+
 def svd_stack(matrices, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``svd`` of equal-shape matrices from one batched LAPACK call, stacked along axis 0.
 
@@ -123,10 +133,14 @@ def numerical_rank(sigma, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarra
     return np.count_nonzero(above, axis=-1) if stacked else int(np.count_nonzero(above))
 
 
+def sigma_max(sigma) -> float:
+    """First entry of a nonincreasing singular-value row; 0 for an empty one."""
+    return float(sigma[0]) if sigma.size else 0.0
+
+
 def spectral_norm(a) -> float:
     """Largest singular value; 0 exactly for empty or zero matrices."""
-    s = singular_values(a)
-    return float(s[0]) if s.size else 0.0
+    return sigma_max(singular_values(a))
 
 
 def spectral_norms(matrices) -> np.ndarray:

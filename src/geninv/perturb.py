@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ExistenceError, InputError
 from .inverses import InverseCertificate, outer_prescribed
-from .kernel import ToleranceConfig, as_matrix, spectral_norm
+from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
@@ -64,14 +64,13 @@ def perturbation_bound(
 
 
 def perturbed_bc_inverse(
-    cert: InverseCertificate, e, tol: ToleranceConfig | None = None
+    cert: InverseCertificate, e, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PerturbationReport:
     """Closed-form inverse of ``a + e`` with the certificate's prescribed subspaces.
 
     Outside the openness ball the formula is still evaluated (the resolvent
     factor may remain invertible) but the report is flagged.
     """
-    tol = tol or cert.tol_used
     a, x, xnorm = cert.operator, cert.inverse, cert.inverse_norm
     e = as_matrix(e)
     if e.shape != a.shape:

@@ -70,36 +70,22 @@ def full_subspace(ambient_dim: int) -> Subspace:
 
 
 def column_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the span of the columns of ``a`` at numerical rank."""
-    return column_space_and_norm(a, tol)[0]
-
-
-def column_space_and_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Subspace, float]:
-    """``column_space(a)`` and the spectral norm of ``a``, from one SVD."""
-    a = as_matrix(a)
-    if a.shape[1] == 0:
-        return trivial_subspace(a.shape[0]), 0.0
-    u, sigma, _ = kernel.svd(a)
-    r = kernel.numerical_rank(sigma, tol)
-    return Subspace(a.shape[0], u[:, :r], tol), float(sigma[0]) if sigma.size else 0.0
+    """Orthonormal basis of the span of the columns of ``a`` at numerical rank (thin SVD)."""
+    u, _, _, r = kernel.svd_at_rank(a, tol)
+    return Subspace(u.shape[0], u[:, :r], tol)
 
 
 def null_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of {x : a x = 0}; dimension is cols - rank."""
-    return null_space_and_norm(a, tol)[0]
+    _, _, v, r = kernel.svd_at_rank(a, tol, full=True)
+    return Subspace(v.shape[0], v[:, r:], tol)
 
 
-def null_space_and_norm(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Subspace, float]:
-    """``null_space(a)`` and the spectral norm of ``a``, from one SVD."""
-    a = as_matrix(a)
-    m, n = a.shape
-    if n == 0:
-        return trivial_subspace(0), 0.0
-    if m == 0:
-        return full_subspace(n), 0.0
-    _, sigma, v = kernel.svd(a, full=True)
-    r = kernel.numerical_rank(sigma, tol)
-    return Subspace(n, v[:, r:], tol), float(sigma[0])
+def range_and_null_space(a, tol: ToleranceConfig) -> tuple[Subspace, Subspace, float]:
+    """R(a), N(a) and ||a||, read off one full SVD."""
+    u, sigma, v, r = kernel.svd_at_rank(a, tol, full=True)
+    norm = kernel.sigma_max(sigma)
+    return Subspace(u.shape[0], u[:, :r], tol), Subspace(v.shape[0], v[:, r:], tol), norm
 
 
 def orthogonal_complement(s: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -140,25 +126,24 @@ def _idempotency_defect(p: np.ndarray, pnorm: float, tol: ToleranceConfig) -> fl
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
 class ObliqueProjector:
-    """Idempotent matrix with recorded range and null-space bases."""
+    """Idempotent matrix with recorded range and null-space bases and spectral norm."""
 
     matrix: np.ndarray
     range: Subspace
     nullspace: Subspace
+    norm: float
 
     @classmethod
     def from_matrix(cls, p, tol: ToleranceConfig = DEFAULT_TOL) -> "ObliqueProjector":
         """Wrap an explicit idempotent, reading ||p||, R(p) and N(p) off one full SVD."""
         p = as_matrix(p)
-        n = p.shape[0]
-        if n != p.shape[1]:
+        if p.shape[0] != p.shape[1]:
             raise InputError("projector matrix must be square")
-        u, sigma, v = kernel.svd(p, full=True)
-        defect = _idempotency_defect(p, float(sigma[0]) if sigma.size else 0.0, tol)
+        range_, nullspace, norm = range_and_null_space(p, tol)
+        defect = _idempotency_defect(p, norm, tol)
         if defect is not None:
             raise InputError(f"matrix is not idempotent (defect {defect:.3e})")
-        r = kernel.numerical_rank(sigma, tol)
-        return cls(p, Subspace(n, u[:, :r], tol), Subspace(n, v[:, r:], tol))
+        return cls(p, range_, nullspace, norm)
 
 
 def oblique_projector(
@@ -175,13 +160,14 @@ def oblique_projector(
     selector = np.zeros((n, n), dtype=stacked.dtype)
     selector[: t.dim, : t.dim] = np.eye(t.dim)
     p = stacked @ selector @ np.linalg.inv(stacked)
-    defect = _idempotency_defect(p, kernel.spectral_norm(p), tol)
+    norm = kernel.spectral_norm(p)
+    defect = _idempotency_defect(p, norm, tol)
     if defect is not None:
         raise CertificateError(
             f"projector construction lost idempotency (defect {defect:.3e})",
             margin=defect,
         )
-    return ObliqueProjector(p, t, s)
+    return ObliqueProjector(p, t, s, norm)
 
 
 class GapResult(NamedTuple):

@@ -335,7 +335,8 @@ def test_report_keys_and_exit_code_of_every_subcommand(files, capsys, argv, code
 
 def test_config_error_report_goes_to_out(files, tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["pinv", files["a"], "--steps", "abc", "--out", str(out)])
+    code = main(["derivcheck", "--kind", "mp", files["a"], files["da"], "--steps", "abc",
+                 "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text())
@@ -366,3 +367,25 @@ def test_missing_input_files_are_usage_errors(files, capsys, argv):
     # argparse usage errors exit 1 and write no JSON report
     assert main([files.get(token, token) for token in argv]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pinv", "a", "--steps", "1e-3,1e-2"],
+        ["bcinv", "a", "b", "b", "--seed", "1"],
+        ["gap", "t", "e1", "--steps", "1e-2"],
+        ["derivcheck", "--kind", "mp", "a", "da", "--seed", "1"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_usage_errors(files, capsys, argv):
+    # --seed belongs to gap and seqcheck, --steps to derivcheck
+    assert main([files.get(token, token) for token in argv]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_pinv_ignores_the_seed_environment_variable(files, capsys, monkeypatch):
+    monkeypatch.setenv("GENINV_SEED", "abc")
+    code, report = run_cli(capsys, "pinv", files["a"])
+    assert code == 0
+    assert np.allclose(report["inverse"], np.diag([1.0, 1.0 / 2.0, 1.0 / 3.0]))

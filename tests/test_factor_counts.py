@@ -6,6 +6,9 @@ hold each count to the value of the full-rank construction as an upper bound.
 The sequence reports are held to their per-index construction: 30 more
 indices may add no more calls than 30 more bc_inverse (6 SVD + 1 QR) or
 moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices.
+inverse_along, bott_duffin and reflexive_inverse take one SVD per operand (none
+for a projector, which carries its own subspaces and norm) before the
+construction's own factorizations.
 perturbed_bc_inverse and zero_limit_check read ||a|| and ||x|| off the
 certificate and factor neither again.
 finite_difference_check builds one inverse per point of its sweep.
@@ -73,6 +76,47 @@ def test_bc_inverse_counts(linalg_calls, complex_):
     assert counts["solve"] == 0 and counts["lstsq"] == 0
     square = [shape for name, shape in linalg_calls if name in ("svd", "qr") and shape == (N, N)]
     assert len(square) <= 3
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_inverse_along_counts(linalg_calls, complex_):
+    # R(d), N(d) and ||d|| come off one full SVD of d; the rest is the outer construction
+    rng = np.random.default_rng(11)
+    a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
+    d = t.basis @ families.random_conditioned(rng, N // 2, complex_) @ complement_rows(s)
+    linalg_calls.clear()
+    gi.inverse_along(a, d)
+    counts = _counts(linalg_calls)
+    assert counts["svd"] <= 5 and counts["qr"] <= 1 and counts["inv"] <= 1
+    assert counts["solve"] == 0 and counts["lstsq"] == 0
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_bott_duffin_counts(linalg_calls, complex_):
+    # R(p), N(q), ||p|| and ||q|| are the projectors' own: only the outer construction factors
+    rng = np.random.default_rng(12)
+    a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
+    h = complement_rows(s)
+    p = gi.ObliqueProjector.from_matrix(t.basis @ t.basis.conj().T)
+    q = gi.ObliqueProjector.from_matrix(h.conj().T @ h)
+    linalg_calls.clear()
+    gi.bott_duffin(a, p, q)
+    counts = _counts(linalg_calls)
+    assert counts["svd"] <= 4 and counts["qr"] <= 1 and counts["inv"] <= 1
+    assert counts["solve"] == 0 and counts["lstsq"] == 0
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_reflexive_inverse_counts(linalg_calls, complex_):
+    # R(f) and N(f) come off one full SVD of f, then two direct-sum tests and the construction
+    f = families.random_rank_matrix(np.random.default_rng(13), N, N, N // 2, complex_)
+    n_complement = gi.column_space(f.conj().T)
+    m_complement = gi.orthogonal_complement(gi.column_space(f))
+    linalg_calls.clear()
+    gi.reflexive_inverse(f, n_complement, m_complement)
+    counts = _counts(linalg_calls)
+    assert counts["svd"] <= 7 and counts["qr"] <= 1 and counts["inv"] <= 1
+    assert counts["solve"] == 0 and counts["lstsq"] == 0
 
 
 @pytest.mark.parametrize("complex_", [False, True])

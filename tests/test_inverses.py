@@ -173,6 +173,22 @@ def test_bott_duffin_oblique_case(rng):
     assert gi.spectral_norm(cert.inverse - expected) <= 1e-9
     for key in ("py_y", "yq_y", "yap_p", "qay_q"):
         assert cert.residuals[key] <= 1e-9
+    # the projectors' prescribed subspaces are used as given
+    assert cert.prescribed_range is t and cert.prescribed_nullspace is s2
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_bott_duffin_of_wrapped_projectors_is_the_bc_inverse(rng, complex_):
+    # from_matrix reads R(p) and N(q) off the same factorizations bc_inverse takes
+    n = 6
+    a = families.random_conditioned(rng, n, complex_)
+    p, q = (
+        gi.oblique_projector(*(families.random_subspace(rng, n, 3, complex_) for _ in "ts"))
+        for _ in "pq"
+    )
+    wrapped = (gi.ObliqueProjector.from_matrix(x.matrix) for x in (p, q))
+    cert = gi.bott_duffin(a, *wrapped)
+    assert np.array_equal(cert.inverse, gi.bc_inverse(a, p.matrix, q.matrix).inverse)
 
 
 def test_inverse_along_identity():
@@ -298,7 +314,9 @@ def test_certificates_and_reports_compare_by_identity_and_hash():
     reports = [gi.perturbed_bc_inverse(gi.bc_inverse(eye, eye, eye), 0.1 * eye) for _ in "ab"]
     curve = [gi.MatrixCurve(lambda t: eye + t * np.diag([1.0, 0.0]))]
     derivatives = [gi.finite_difference_check(curve, 0.0, kind="mp") for _ in "ab"]
-    for first, second in (certs, reports, derivatives):
+    singular = np.diag([2.0, 0.0])
+    sequences = [gi.mp_continuity_report(singular, [singular] * 3) for _ in "ab"]
+    for first, second in (certs, reports, derivatives, sequences):
         assert first == first and first != second
         assert len({first, second, first}) == 2
 

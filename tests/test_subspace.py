@@ -229,3 +229,13 @@ def test_gap_conventions_for_trivial_and_full_subspaces():
         assert gi.gap(full, zero) == (1.0, 0.0, 1.0)
         assert gi.gap(full, full) == (0.0, 0.0, 0.0)
         assert gi.gap(zero, zero) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("m, n", [(3, 0), (0, 3), (0, 0)])
+def test_subspaces_of_empty_matrices(m, n):
+    # numpy's SVD of an empty operand already gives R = {0} and N = the whole domain
+    a = np.zeros((m, n))
+    col, null = gi.column_space(a), gi.null_space(a)
+    assert (col.ambient_dim, col.dim) == (m, 0)
+    assert (null.ambient_dim, null.dim) == (n, n)
+    assert np.array_equal(null.projector(), np.eye(n))
