@@ -185,7 +185,11 @@ def _respond(args) -> tuple[str, int]:
     """The rendered report and exit code of one parsed request."""
     try:
         if "seed" in args and args.seed is None:
-            args.seed = int(os.environ.get("GENINV_SEED", "0"))
+            seed = os.environ.get("GENINV_SEED", "0")
+            try:
+                args.seed = int(seed)
+            except ValueError:
+                raise InputError(f"$GENINV_SEED must be an integer, got {seed!r}") from None
         tol = _tolerances(args)
         return _render(args, args.handler(args, tol, *map(parse_matrix, args.inputs))), 0
     except ExistenceError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernel
 from .errors import ExistenceError, InputError
-from .inverses import InverseCertificate, bc_inverse, moore_penrose
+from .inverses import InverseCertificate, bc_inverse_stack, moore_penrose_stack
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
 from .subspace import column_space, deviations
 
@@ -172,15 +172,13 @@ def sequence_report(
     dichotomy, see zero_limit_check). Indices where the per-index inverse does
     not exist are recorded and excluded from the verdicts.
     """
-    limit = bc_inverse(*limit_problem, tol)
+    problems = [tuple(limit_problem), *map(tuple, sequence)]
+    _check_shapes([p[0] for p in problems])
+    limit, *certs = bc_inverse_stack(problems, tol)
+    if isinstance(limit, ExistenceError):
+        raise limit
     if limit.inverse_norm == 0.0:
         raise InputError("limit inverse is zero; use zero_limit_check")
-    certs: list[InverseCertificate | None] = []
-    for an, bn, cn in sequence:
-        try:
-            certs.append(bc_inverse(an, bn, cn, tol))
-        except ExistenceError:
-            certs.append(None)
     return _diagnose(limit, certs, tol, mp_report=False)
 
 
@@ -196,26 +194,37 @@ def mp_continuity_report(
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError("mp_continuity_report needs a square limit element")
-    limit = moore_penrose(a, tol)
+    matrices = [a, *sequence]
+    _check_shapes(matrices)
+    limit, *certs = moore_penrose_stack(matrices, tol)
+    for cert in (limit, *certs):
+        if isinstance(cert, ExistenceError):
+            raise cert
     if limit.operator_norm == 0.0:
         raise InputError("limit element must be nonzero")
-    certs = [moore_penrose(an, tol) for an in sequence]
     return _diagnose(limit, certs, tol, mp_report=True)
+
+
+def _check_shapes(operators) -> None:
+    """An InputError naming the first index (1-based) whose operator is not the limit's shape."""
+    shapes = [np.shape(a) for a in operators]
+    for k in (k for k, shape in enumerate(shapes) if shape != shapes[0]):
+        raise InputError(f"index {k} has shape {shapes[k]}, the limit {shapes[0]}")
 
 
 def _diagnose(
     limit: InverseCertificate,
-    certs: list[InverseCertificate | None],
+    certs: list[InverseCertificate | ExistenceError],
     tol: ToleranceConfig,
     mp_report: bool,
 ) -> SequenceDiagnostics:
-    """A report from the limit's certificate and one per index (None where it does not exist).
+    """A report from the limit's certificate and each index's (or the error refusing it).
 
     Each quantity is measured for all indices at once: its spectral norms come
     from one batched SVD, the subspaces of the x_n from one batched full SVD,
     and the projectors b b^+ and c^+ c from the certificates' own bases.
     """
-    live = [k for k, cert in enumerate(certs) if cert is not None]
+    live = [k for k, cert in enumerate(certs) if isinstance(cert, InverseCertificate)]
     certs_ok = [certs[k] for k in live]
     x, a = limit.inverse, limit.operator
     xa, ax = x @ a, a @ x
@@ -267,7 +276,7 @@ def _diagnose(
         verdicts = {k: v for k, v in verdicts.items() if k.startswith("mp_")}
     return SequenceDiagnostics(
         **records,
-        failed_indices=tuple(k + 1 for k, cert in enumerate(certs) if cert is None),
+        failed_indices=tuple(k + 1 for k in sorted(set(range(len(certs))) - set(live))),
         verdicts=verdicts,
         alarm=_alarm(verdicts),
         remark_gap_identity_mismatch=mismatch,

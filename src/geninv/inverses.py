@@ -19,18 +19,20 @@ whose residuals exceed tolerance is rejected rather than returned.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernel
 from .errors import CertificateError, ExistenceError, InputError
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
+# spectral_norm is not called here, but tracers that rebind it in this namespace expect it
+from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm  # noqa: F401
 from .subspace import (
     ObliqueProjector,
     Subspace,
     direct_sum_check,
+    orthonormal_span,
     range_and_null_space,
     trivial_subspace,
 )
@@ -83,32 +85,38 @@ def _certify(defects: dict[str, tuple[np.ndarray, float]], tol: ToleranceConfig,
     return residuals
 
 
-@contextmanager
-def _existence_prefixed(prefix: str):
-    """Re-raise an ExistenceError (not a CertificateError) with ``prefix`` on its message."""
+def _one(results: list):
+    """The result of a stack of one: its certificate, or its ExistenceError raised."""
+    if isinstance(results[0], ExistenceError):
+        raise results[0]
+    return results[0]
+
+
+def _prefixed(prefix: str, results: list) -> list:
+    """``results`` with ``prefix`` on each ExistenceError's message (not a CertificateError's)."""
+    return [ExistenceError(f"{prefix}: {r}", clause=r.clause, margin=r.margin)
+            if type(r) is ExistenceError else r for r in results]
+
+
+def _certificate(defects: dict, tol, core_sigma, x, kind, condition, margin, a, t, s, *norms):
+    """x's certificate (the fields in InverseCertificate's order, its residuals and gaps
+    aside), or the CertificateError of the first defect over its budget.
+
+    For ``x = F core^-1 H`` the gaps bound gap(R(x), T) and gap(N(x), S): x has smallest nonzero
+    singular value 1/||core||, so ||core|| times ||(I - FF*) x|| or ||x S||, each plus 2 dim eps
+    ||x||_F for the rounding of its two products, bounds how far R(x) leaves T or S leaves N(x).
+    Past the rank cutoff the gap is 1."""
     try:
-        yield
-    except ExistenceError as exc:
-        if isinstance(exc, CertificateError):
-            raise
-        raise ExistenceError(f"{prefix}: {exc}", clause=exc.clause, margin=exc.margin) from exc
-
-
-def _containment_gaps(x, f, s_basis, core_sigma, tol: ToleranceConfig) -> tuple[float, float]:
-    """Upper bounds on gap(R(x), T) and gap(N(x), S) for ``x = F core^-1 H``.
-
-    x has smallest nonzero singular value 1/||core||, so ||core|| times ||(I - FF*) x||
-    or ||x S||, each plus 2 dim eps ||x||_F for the rounding of its two products, bounds
-    how far R(x) leaves T or S leaves N(x). Past the rank cutoff the gap is 1.
-    """
-    if core_sigma.size == 0:
-        return 0.0, 0.0
-    if kernel.numerical_rank(core_sigma, tol) < core_sigma.size:
-        return 1.0, 1.0
-    rounding = 2 * max(x.shape) * np.finfo(float).eps * np.linalg.norm(x)
-    off_range = (np.linalg.norm(x - f @ (f.conj().T @ x)) + rounding) * core_sigma[0]
-    off_null = (np.linalg.norm(x @ s_basis) + rounding) * core_sigma[0]
-    return min(1.0, float(off_range)), min(1.0, float(off_null))
+        residuals = _certify(defects, tol, kind)
+    except CertificateError as exc:
+        return exc
+    gaps = (0.0, 0.0) if core_sigma.size == 0 else (1.0, 1.0)
+    if core_sigma.size and kernel.numerical_rank(core_sigma, tol) == core_sigma.size:
+        rounding = 2 * max(x.shape) * np.finfo(float).eps * np.linalg.norm(x)
+        off_range = np.linalg.norm(x - t.basis @ (t.basis.conj().T @ x)) + rounding
+        off_null = np.linalg.norm(x @ s.basis) + rounding
+        gaps = min(1.0, float(off_range * core_sigma[0])), min(1.0, float(off_null * core_sigma[0]))
+    return InverseCertificate(x, kind, residuals, condition, *gaps, margin, a, t, s, *norms)
 
 
 def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
@@ -116,36 +124,37 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
 
     That SVD also gives T = range(a*), S = null(a*), ||a|| = sigma_1 and ||b|| = 1 / sigma_r.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    u, sigma, v, r = kernel.svd_at_rank(a, tol, full=True)
-    f, s_basis = v[:, :r], u[:, r:]
-    b = (f / sigma[:r]) @ u[:, :r].conj().T
-    anorm, bnorm = (float(sigma[0]), float(1.0 / sigma[r - 1])) if r else (0.0, 0.0)
-    ab, ba = a @ b, b @ a
-    defects = {
-        "aba": (ab @ a - a, anorm * bnorm * anorm),
-        "bab": (ba @ b - b, bnorm * anorm * bnorm),
-        "ab_hermitian": (ab.conj().T - ab, anorm * bnorm),
-        "ba_hermitian": (ba.conj().T - ba, anorm * bnorm),
-    }
-    condition = float(sigma[0] / sigma[r - 1]) if r else 1.0
-    residuals = _certify(defects, tol, "moore_penrose")
-    range_gap, nullspace_gap = _containment_gaps(b, f, s_basis, sigma[:r], tol)
-    return InverseCertificate(
-        inverse=b,
-        kind="moore_penrose",
-        residuals=residuals,
-        restricted_condition=condition,
-        range_gap=range_gap,
-        nullspace_gap=nullspace_gap,
-        complement_margin=1.0,
-        operator=a,
-        prescribed_range=Subspace(n, f, tol),
-        prescribed_nullspace=Subspace(m, s_basis, tol),
-        operator_norm=anorm,
-        inverse_norm=bnorm,
-    )
+    return _one(moore_penrose_stack([a], tol))
+
+
+def moore_penrose_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """moore_penrose of each matrix: one SVD per ``kernel.layout``, one product per rank.
+    Entry i is matrix i's certificate or the CertificateError that refuses it."""
+    ops = [as_matrix(a) for a in matrices]
+    results: list = [None] * len(ops)
+    for group in kernel.groups(map(kernel.layout, ops)):
+        stack = kernel.stack([ops[i] for i in group])
+        u, sigma, v = kernel.svd_stack(stack, full=True)
+        ranks = kernel.numerical_rank(sigma, tol).tolist()
+        for sub in kernel.groups(ranks):
+            r, live = ranks[sub[0]], [group[j] for j in sub]
+            a, u_r, sig, v_r = (kernel.stack([m[j] for j in sub]) for m in (stack, u, sigma, v))
+            f, s_basis = v_r[:, :, :r], u_r[:, :, r:]
+            b = (f / sig[:, None, :r]) @ u_r[:, :, :r].conj().swapaxes(-1, -2)
+            ab, ba = a @ b, b @ a
+            aba, bab = ab @ a - a, ba @ b - b
+            for k, (i, s) in enumerate(zip(live, sig.tolist())):
+                anorm, bnorm = (s[0], 1.0 / s[r - 1]) if r else (0.0, 0.0)
+                defects = {
+                    "aba": (aba[k], anorm * bnorm * anorm),
+                    "bab": (bab[k], bnorm * anorm * bnorm),
+                    "ab_hermitian": (ab[k].conj().T - ab[k], anorm * bnorm),
+                    "ba_hermitian": (ba[k].conj().T - ba[k], anorm * bnorm),
+                }
+                results[i] = _certificate(
+                    defects, tol, sig[k, :r], b[k], "moore_penrose", s[0] / s[r - 1] if r else 1.0,
+                    1.0, ops[i], orthonormal_span(f[k]), orthonormal_span(s_basis[k]), anorm, bnorm)
+    return results
 
 
 def outer_prescribed(
@@ -158,7 +167,7 @@ def outer_prescribed(
     injective and a(T) (+) S to fill the codomain; each failure is reported
     with the violated clause and the deciding margin.
     """
-    return _outer(a, t, s, tol, "outer_prescribed")
+    return _one(_outer([as_matrix(a)], [t], [s], tol, "outer_prescribed"))
 
 
 def _complement_failure(margin: float) -> ExistenceError:
@@ -166,61 +175,64 @@ def _complement_failure(margin: float) -> ExistenceError:
     return ExistenceError(f"complement fails: {clause}", clause=clause, margin=margin)
 
 
-def _outer(a, t: Subspace, s: Subspace, tol: ToleranceConfig, kind: str):
-    """outer_prescribed's certificate, recorded as ``kind``; ||x|| = 1 / sigma_min(core)."""
-    a = as_matrix(a)
-    m, n = a.shape
-    if t.ambient_dim != n:
+def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()) -> list:
+    """outer_prescribed of each ops[i] (of one ``kernel.layout``) with range ts[i] and null space
+    ss[i] (of one dim each) as ``kind``, each factorization one LAPACK call over the stack. Entry
+    i is slice i's certificate or the ExistenceError refusing it; ||x|| = 1 / sigma_min(core).
+    bc[i] = (b, c, ||b||, ||c||) adds (b, c)-absorption residuals to x a x = x."""
+    (m, n), k, dt, ds = ops[0].shape, len(ops), ts[0].dim, ss[0].dim
+    if any(t.ambient_dim != n for t in ts):
         raise InputError("prescribed range does not live in the domain of a")
-    if s.ambient_dim != m:
+    if any(s.ambient_dim != m for s in ss):
         raise InputError("prescribed null space does not live in the codomain of a")
-    anorm = spectral_norm(a)
-
-    if t.is_trivial:
-        check = direct_sum_check(trivial_subspace(m), s, tol)
-        if not check.holds:
-            raise _complement_failure(check.margin)
-        x, core_sigma = np.zeros((n, m), dtype=a.dtype), np.zeros(0)
-        margin, condition = check.margin, 1.0
-        xnorm, residuals = 0.0, {"xax_x": 0.0}
+    a = kernel.stack(ops)
+    anorm = kernel.stack_norms(a).tolist()
+    if dt == 0:
+        checks = [direct_sum_check(trivial_subspace(m), s, tol) for s in ss]
+        refused = {i: _complement_failure(c.margin) for i, c in enumerate(checks) if not c.holds}
+        margin, sig0, smin, xnorm = [c.margin for c in checks], [1.0] * k, [1.0] * k, [0.0] * k
+        x, core_sigma = np.zeros((k, n, m), dtype=a.dtype), np.zeros((k, 0))
     else:
-        restricted = a @ t.basis
-        image, sig, _ = kernel.svd(restricted)
-        smin = float(sig[t.dim - 1]) if sig.size >= t.dim else 0.0
-        if t.dim > m or smin <= tol.rank_rel_tol * anorm:
-            clause = "restriction not injective"
-            raise ExistenceError(clause, clause=clause, margin=smin)
-        if t.dim + s.dim != m:
-            raise _complement_failure(direct_sum_check(Subspace(m, image, tol), s, tol).margin)
-        q, _ = np.linalg.qr(s.basis, mode="complete")
-        h = q[:, s.dim :].conj().T
+        f, sb = kernel.stack([t.basis for t in ts]), kernel.stack([s.basis for s in ss])
+        restricted = a @ f
+        image, sig, _ = kernel.svd_stack(restricted)
+        sig0, smin = sig[:, 0].tolist(), sig[:, dt - 1].tolist() if dt <= m else [0.0] * k
+        clause = "restriction not injective"
+        refused = {i: ExistenceError(clause, clause=clause, margin=smin[i]) for i in range(k)
+                   if dt > m or smin[i] <= tol.rank_rel_tol * anorm[i]}
+        if dt + ds != m or len(refused) == k:  # every slice refused: no more factorizations
+            for i in set(range(k)) - set(refused):
+                check = direct_sum_check(orthonormal_span(image[i]), ss[i], tol)
+                refused[i] = _complement_failure(check.margin)
+            return [refused[i] for i in range(k)]
+        h = np.linalg.qr(sb, mode="complete")[0][:, :, ds:].conj().swapaxes(-1, -2)
         # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
         # and S; cos is measured along that angle, as sqrt(1 - sin^2) cancels near sin = 1
-        _, sines, w = kernel.svd(h @ image)
-        cosine = np.linalg.norm(s.basis.conj().T @ (image @ w[:, -1]))
-        margin = float(sines[-1] / np.sqrt(1.0 + cosine))
-        if margin <= tol.rank_rel_tol:
-            raise _complement_failure(margin)
-        cu, core_sigma, cv = kernel.svd(h @ restricted)
-        x = (t.basis @ (cv / core_sigma)) @ (cu.conj().T @ h)
-        xnorm = float(1.0 / core_sigma[-1])
-        residuals = _certify({"xax_x": (x @ a @ x - x, xnorm * anorm * xnorm)}, tol, kind)
-        condition = float(sig[0] / smin)
-    range_gap, nullspace_gap = _containment_gaps(x, t.basis, s.basis, core_sigma, tol)
-    return InverseCertificate(
-        inverse=x,
-        kind=kind,
-        residuals=residuals,
-        restricted_condition=condition,
-        range_gap=range_gap,
-        nullspace_gap=nullspace_gap,
-        complement_margin=margin,
-        operator=a,
-        prescribed_range=t,
-        prescribed_nullspace=s,
-        operator_norm=anorm,
-        inverse_norm=xnorm,
-    )
+        _, sines, w = kernel.svd_stack(h @ image)
+        cosines = map(np.linalg.norm, sb.conj().swapaxes(-1, -2) @ (image @ w[:, :, -1:]))
+        margin = [sin / math.sqrt(1.0 + cos) for sin, cos in zip(sines[:, -1].tolist(), cosines)]
+        bad = [i for i, low in enumerate(margin) if low <= tol.rank_rel_tol and i not in refused]
+        refused.update({i: _complement_failure(margin[i]) for i in bad})
+        if len(refused) == k:
+            return [refused[i] for i in range(k)]
+        cu, core_sigma, cv = kernel.svd_stack(h @ restricted)
+        if refused:  # a refused slice's inverse is never read: keep it finite
+            core_sigma[list(refused)] = 1.0
+        x = (f @ (cv / core_sigma[:, None, :])) @ (cu.conj().swapaxes(-1, -2) @ h)
+        xnorm = (1.0 / core_sigma[:, -1]).tolist()
+    xa = x @ a
+    defects = {"xax_x": xa @ x - x}
+    if bc:
+        b, c = (kernel.stack([p[j] for p in bc]) for j in (0, 1))
+        defects.update(xab_b=xa @ b - b, cax_c=c @ a @ x - c)
+    results: list = [refused.get(i) for i in range(k)]
+    for i in sorted(set(range(k)) - set(refused)):
+        xn, an = xnorm[i], anorm[i]
+        scales = [xn * an * xn] + ([xn * an * bc[i][2], bc[i][3] * an * xn] if bc else [])
+        checked = {name: (d[i], scale) for (name, d), scale in zip(defects.items(), scales)}
+        results[i] = _certificate(checked, tol, core_sigma[i], x[i], kind, sig0[i] / smin[i],
+                                  margin[i], ops[i], ts[i], ss[i], an, xn)
+    return results
 
 
 def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
@@ -230,26 +242,43 @@ def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
     records the residuals of the absorption equations b = x a b and c = c a x.
     R(b) and ||b|| come off one SVD of b, N(c) and ||c|| off one of c.
     """
-    u, bsigma, _, br = kernel.svd_at_rank(b, tol)
-    _, csigma, v, cr = kernel.svd_at_rank(c, tol, full=True)
-    t, s = Subspace(u.shape[0], u[:, :br], tol), Subspace(v.shape[0], v[:, cr:], tol)
-    return _bc(a, b, c, t, s, kernel.sigma_max(bsigma), kernel.sigma_max(csigma), tol)
+    return _one(bc_inverse_stack([(a, b, c)], tol))
 
 
-def _bc(a, b, c, t: Subspace, s: Subspace, bnorm: float, cnorm: float, tol: ToleranceConfig):
-    """bc_inverse's certificate, given T = R(b), S = N(c), ||b|| and ||c|| read by its caller."""
-    a, b, c = (as_matrix(m) for m in (a, b, c))
+def bc_inverse_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """bc_inverse of each (a, b, c): one SVD of the b and one of the c per ``kernel.layout``,
+    one construction per (rank b, rank c) in it. Entry i is problem i's certificate or the
+    ExistenceError that refuses it."""
+    probs = [_bc_operands(*p) for p in problems]
+    results: list = [None] * len(probs)
+    for group in kernel.groups(tuple(map(kernel.layout, p)) for p in probs):
+        u, bsigma, _ = kernel.svd_stack(kernel.stack([probs[i][1] for i in group]))
+        _, csigma, v = kernel.svd_stack(kernel.stack([probs[i][2] for i in group]), full=True)
+        ranks = list(zip(*(kernel.numerical_rank(s, tol).tolist() for s in (bsigma, csigma))))
+        for sub in kernel.groups(ranks):
+            (br, cr), live = ranks[sub[0]], [group[j] for j in sub]
+            t = [orthonormal_span(u[j][:, :br]) for j in sub]
+            s = [orthonormal_span(v[j][:, cr:]) for j in sub]
+            norms = [(kernel.sigma_max(bsigma[j]), kernel.sigma_max(csigma[j])) for j in sub]
+            certs = _bc([(*probs[i], *norm) for i, norm in zip(live, norms)], t, s, tol)
+            for i, cert in zip(live, certs):
+                results[i] = cert
+    return results
+
+
+def _bc_operands(a, b, c) -> tuple:
+    """(a, b, c) through ``as_matrix``; an InputError unless square and of one size."""
+    b, c, a = (as_matrix(m) for m in (b, c, a))
     if a.shape[0] != a.shape[1] or a.shape != b.shape or a.shape != c.shape:
         raise InputError("bc_inverse needs square a, b, c of equal size")
-    with _existence_prefixed("(B,C)-inverse does not exist"):
-        cert = _outer(a, t, s, tol, "bc")
-    x, anorm, xnorm = cert.inverse, cert.operator_norm, cert.inverse_norm
-    defects = {
-        "xab_b": (x @ a @ b - b, xnorm * anorm * bnorm),
-        "cax_c": (c @ a @ x - c, cnorm * anorm * xnorm),
-    }
-    extra = _certify(defects, tol, "bc")
-    return replace(cert, residuals={**cert.residuals, **extra})
+    return a, b, c
+
+
+def _bc(problems: list, ts: list, ss: list, tol: ToleranceConfig) -> list:
+    """bc_inverse's results for checked (a, b, c, ||b||, ||c||) of one layout, given
+    T = R(b) and S = N(c) (of one dim each)."""
+    results = _outer([p[0] for p in problems], ts, ss, tol, "bc", [p[1:] for p in problems])
+    return _prefixed("(B,C)-inverse does not exist", results)
 
 
 def bott_duffin(
@@ -257,7 +286,8 @@ def bott_duffin(
 ) -> InverseCertificate:
     """The (p, q)-inverse for idempotents p, q: range R(p), null space N(q), as p and q
     record them; x a p = p, p x = x and q a x = q tie those to the matrices."""
-    cert = _bc(a, p.matrix, q.matrix, p.range, q.nullspace, p.norm, q.norm, tol)
+    problem = (*_bc_operands(a, p.matrix, q.matrix), p.norm, q.norm)
+    cert = _one(_bc([problem], [p.range], [q.nullspace], tol))
     x, xnorm, pm, qm = cert.inverse, cert.inverse_norm, p.matrix, q.matrix
     defects = {"py_y": (pm @ x - x, p.norm * xnorm), "yq_y": (x @ qm - x, xnorm * q.norm)}
     extra = _certify(defects, tol, "bott_duffin")
@@ -273,8 +303,8 @@ def inverse_along(a, d, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
     residuals, which ``_bc`` certifies.
     """
     t, s, dnorm = range_and_null_space(d, tol)
-    with _existence_prefixed("not invertible along D"):
-        cert = _bc(a, d, d, t, s, dnorm, dnorm, tol)
+    results = _bc([(*_bc_operands(a, d, d), dnorm, dnorm)], [t], [s], tol)
+    cert = _one(_prefixed("not invertible along D", results))
     along = {"xad_d": cert.residuals["xab_b"], "dax_d": cert.residuals["cax_c"]}
     return replace(cert, kind="along", residuals={**cert.residuals, **along})
 

@@ -77,12 +77,34 @@ def _lapack_svd(a: np.ndarray, **kwargs):
         ) from exc
 
 
+def layout(a: np.ndarray) -> tuple:
+    """Shape, field and memory order of a matrix (or row): what a BLAS product of it reads."""
+    return a.shape, a.dtype.char, a.strides[0] < a.strides[-1]
+
+
+def stack(matrices) -> np.ndarray:
+    """Matrices of one ``layout`` on a new axis 0, each slice in its memory order (one: a view)."""
+    if len(matrices) == 1:
+        return matrices[0][None]
+    if layout(matrices[0])[2]:
+        return np.stack([m.T for m in matrices]).swapaxes(-1, -2)
+    return np.stack(matrices)
+
+
+def groups(keys) -> list[list[int]]:
+    """Indices of equal keys, each group in order, groups in order of first appearance."""
+    found: dict = {}
+    for i, key in enumerate(keys):
+        found.setdefault(key, []).append(i)
+    return list(found.values())
+
+
 def _as_stack(matrices) -> np.ndarray:
-    """``as_matrix`` for equal-shape matrices, stacked along a leading axis."""
-    stack = np.stack([np.asarray(m) for m in matrices])
-    if stack.ndim != 3:
-        raise InputError(f"expected 2-d matrices, got ndim={stack.ndim - 1}")
-    return _finite_float(stack)
+    """``as_matrix`` for equal-shape matrices (or a 3-d stack), stacked along a leading axis."""
+    arr = matrices if isinstance(matrices, np.ndarray) else np.stack([*map(np.asarray, matrices)])
+    if arr.ndim != 3:
+        raise InputError(f"expected 2-d matrices, got ndim={arr.ndim - 1}")
+    return _finite_float(arr)
 
 
 def svd(a, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,7 +128,7 @@ def svd_at_rank(
 
 
 def svd_stack(matrices, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``svd`` of equal-shape matrices from one batched LAPACK call, stacked along axis 0.
+    """``svd`` of equal-shape matrices (or a 3-d stack) from one batched LAPACK call.
 
     Each slice is bit-identical to ``svd`` of that matrix alone.
     """
@@ -127,10 +149,10 @@ def numerical_rank(sigma, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarra
     ``sigma`` is one nonincreasing row (an int is returned) or a stack of rows (one each).
     """
     s = np.asarray(sigma, dtype=float)
-    stacked = s.ndim > 1  # a single row keeps the fast scalar cutoff and axis-free count
-    largest = s[..., :1] if stacked else (s[0] if s.size else 0.0)
-    above = s > tol.rank_rel_tol * largest
-    return np.count_nonzero(above, axis=-1) if stacked else int(np.count_nonzero(above))
+    if s.ndim > 1:
+        return (s > tol.rank_rel_tol * s[:, :1]).sum(axis=-1)
+    above = s > tol.rank_rel_tol * (s[0] if s.size else 0.0)
+    return int(np.count_nonzero(above))
 
 
 def sigma_max(sigma) -> float:
@@ -146,14 +168,15 @@ def spectral_norm(a) -> float:
 def spectral_norms(matrices) -> np.ndarray:
     """``spectral_norm`` of each matrix, from one batched SVD per (shape, field) group."""
     mats = [np.asarray(m) for m in matrices]
-    groups: dict[tuple, list[int]] = {}
-    for i, m in enumerate(mats):
-        if m.size:
-            groups.setdefault((m.shape, np.iscomplexobj(m)), []).append(i)
     norms = np.zeros(len(mats))
-    for members in groups.values():
-        norms[members] = _lapack_svd(_as_stack(mats[i] for i in members), compute_uv=False)[:, 0]
+    for members in groups((m.shape, m.dtype.kind == "c") for m in mats):
+        norms[members] = stack_norms(_as_stack([mats[i] for i in members]))
     return norms
+
+
+def stack_norms(stack: np.ndarray) -> np.ndarray:
+    """``spectral_norm`` of each slice of a 3-d stack, from one LAPACK call."""
+    return _lapack_svd(stack, compute_uv=False)[:, 0] if stack.size else np.zeros(len(stack))
 
 
 def residual_norm(a, budget: float) -> float:

@@ -61,6 +61,15 @@ class Subspace:
 del Subspace.tol
 
 
+def orthonormal_span(basis: np.ndarray) -> Subspace:
+    """The Subspace of a float basis whose columns are orthonormal by construction (singular
+    vectors), without checking them again."""
+    span = object.__new__(Subspace)
+    object.__setattr__(span, "ambient_dim", basis.shape[0])
+    object.__setattr__(span, "basis", basis)
+    return span
+
+
 def trivial_subspace(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
 
@@ -72,20 +81,19 @@ def full_subspace(ambient_dim: int) -> Subspace:
 def column_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the span of the columns of ``a`` at numerical rank (thin SVD)."""
     u, _, _, r = kernel.svd_at_rank(a, tol)
-    return Subspace(u.shape[0], u[:, :r], tol)
+    return orthonormal_span(u[:, :r])
 
 
 def null_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of {x : a x = 0}; dimension is cols - rank."""
     _, _, v, r = kernel.svd_at_rank(a, tol, full=True)
-    return Subspace(v.shape[0], v[:, r:], tol)
+    return orthonormal_span(v[:, r:])
 
 
 def range_and_null_space(a, tol: ToleranceConfig) -> tuple[Subspace, Subspace, float]:
     """R(a), N(a) and ||a||, read off one full SVD."""
     u, sigma, v, r = kernel.svd_at_rank(a, tol, full=True)
-    norm = kernel.sigma_max(sigma)
-    return Subspace(u.shape[0], u[:, :r], tol), Subspace(v.shape[0], v[:, r:], tol), norm
+    return orthonormal_span(u[:, :r]), orthonormal_span(v[:, r:]), kernel.sigma_max(sigma)
 
 
 def orthogonal_complement(s: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -178,9 +186,13 @@ class GapResult(NamedTuple):
 
 def deviations(bases, n: np.ndarray) -> np.ndarray:
     """Row k is (delta(M_k, N), delta(N, M_k)) for M_k = span(bases[k]) and N = span(n),
-    all orthonormal; one batched SVD per (shape, field) gives every spectral norm."""
-    offsides = [d for m in bases for d in (m - n @ (n.conj().T @ m), n - m @ (m.conj().T @ n))]
-    devs = np.minimum(1.0, kernel.spectral_norms(offsides)).reshape(-1, 2)
+    all orthonormal; each side is one batched product and SVD per ``kernel.layout``."""
+    devs = np.zeros((len(bases), 2))
+    for group in kernel.groups(map(kernel.layout, bases)):
+        m = kernel.stack([bases[i] for i in group])
+        devs[group, 0] = kernel.stack_norms(m - n @ (n.conj().T @ m))
+        devs[group, 1] = kernel.stack_norms(n - m @ (m.conj().swapaxes(-1, -2) @ n))
+    devs = np.minimum(1.0, devs)
     # delta(M, 0) = 1 for M != 0; delta(0, N) = 0 is already the empty offside's norm
     dims = np.array([m.shape[1] for m in bases], dtype=int)
     devs[(dims > 0) & (n.shape[1] == 0), 0] = 1.0

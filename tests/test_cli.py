@@ -389,3 +389,14 @@ def test_pinv_ignores_the_seed_environment_variable(files, capsys, monkeypatch):
     code, report = run_cli(capsys, "pinv", files["a"])
     assert code == 0
     assert np.allclose(report["inverse"], np.diag([1.0, 1.0 / 2.0, 1.0 / 3.0]))
+
+
+@pytest.mark.parametrize("subcommand", ["gap", "seqcheck"])
+def test_unparsable_seed_environment_variable_is_an_input_error(files, capsys, monkeypatch,
+                                                                 subcommand):
+    monkeypatch.setenv("GENINV_SEED", "abc")
+    inputs = [files["t"], files["e1"]] if subcommand == "gap" else [files["a"], files["b"], files["b"]]
+    code, report = run_cli(capsys, subcommand, *inputs)
+    assert code == 1
+    assert report["clause"] == "input"
+    assert "$GENINV_SEED must be an integer" in report["error"] and "'abc'" in report["error"]

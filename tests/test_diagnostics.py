@@ -301,6 +301,21 @@ def test_mp_continuity_report_rejects_rectangular_limit():
         diagnostics.mp_continuity_report(np.ones((2, 3)), [np.ones((2, 3))], SEQ_TOL)
 
 
+def test_sequence_report_names_an_index_of_another_shape():
+    # a 5x5 index among 6x6 ones is refused up front, by its 1-based index
+    rng = np.random.default_rng(14)
+    limit = families.random_solvable_triple(rng, 6, 3)
+    odd = families.random_solvable_triple(rng, 5, 3)
+    with pytest.raises(InputError, match=r"index 3 has shape \(5, 5\), the limit \(6, 6\)"):
+        diagnostics.sequence_report(limit, [limit, limit, odd, limit], SEQ_TOL)
+
+
+def test_mp_continuity_report_names_an_index_of_another_shape():
+    a = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    with pytest.raises(InputError, match=r"index 2 has shape \(5, 5\), the limit \(6, 6\)"):
+        diagnostics.mp_continuity_report(a, [a, a[:5, :5], a], SEQ_TOL)
+
+
 def test_characterization_table_matches_the_hand_written_rules_exhaustively():
     # Every assignment of converging / not converging to the 13 records. A scaled
     # error record converges at 5e-8 only through err_scale; an unscaled one fails

@@ -179,6 +179,37 @@ def test_mp_continuity_report_per_index_cost_is_one_svd(linalg_calls, complex_):
 
 
 @pytest.mark.parametrize("complex_", [False, True])
+def test_sequence_report_calls_do_not_grow_with_the_indices(linalg_calls, complex_):
+    # every index shares the limit's (shape, field, rank b, rank c) group: the
+    # inverses are one stacked construction, so no numpy.linalg call is per index
+    n = 20
+    rng = np.random.default_rng(4)
+    a, t, s = outer_instance_at_angles(rng, n, n, n // 2, complex_)
+    b = t.basis @ families.random_matrix(rng, n // 2, n, complex_)
+    c = families.random_matrix(rng, n, n // 2, complex_) @ complement_rows(s)
+    tol = gi.ToleranceConfig(residual_tol=1e-2)
+    calls = {}
+    for count in (10, 40):
+        seq = families.additive_family(a, b, c, count, np.random.default_rng(5), tol)
+        linalg_calls.clear()
+        report = gi.sequence_report((a, b, c), seq, tol)
+        calls[count] = len(linalg_calls)
+        assert not report.failed_indices
+    assert calls[40] == calls[10]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_mp_continuity_report_calls_do_not_grow_with_the_indices(linalg_calls, complex_):
+    calls = {}
+    for count in (10, 40):
+        a, seq = families.mp_convergent_sequence(np.random.default_rng(6), 20, 10, count, complex_)
+        linalg_calls.clear()
+        gi.mp_continuity_report(a, seq)
+        calls[count] = len(linalg_calls)
+    assert calls[40] == calls[10]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
 def test_projector_from_matrix_takes_one_svd(linalg_calls, complex_):
     # ||p||, R(p) and N(p) come off one full SVD; the idempotency defect of an
     # exact projector is decided by its Frobenius norm
