@@ -9,11 +9,9 @@ continuity and differentiation laws.
 from .calculus import (
     DerivativeReport,
     MatrixCurve,
-    bc_derivative,
     difference_identity_residual,
     finite_difference_check,
-    mp_derivative,
-    oip_derivative,
+    outer_derivative,
 )
 from .diagnostics import (
     SequenceDiagnostics,

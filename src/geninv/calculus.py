@@ -1,11 +1,10 @@
 """Derivatives of parameter-dependent generalized inverses.
 
 Every inverse here is the outer inverse with prescribed range T and null
-space S, so one formula covers them all: with P_T and P_S the orthogonal
-projectors onto T and S, the derivative is
-``x (-P_S)' (I - a x) + (I - x a) (P_T)' x - x a' x``. The public
-``bc_derivative``, ``mp_derivative`` and ``oip_derivative`` take that formula's
-inputs in each construction's own terms. A finite-difference harness checks
+space S, so one formula covers them all: with P_T and P_S any idempotents with
+ranges T and S (the orthogonal projectors, say), the derivative is
+``x (-P_S)' (I - a x) + (I - x a) (P_T)' x - x a' x``, which
+``outer_derivative`` evaluates. A finite-difference harness checks
 the formula against central differences of the inverse curve over a
 decreasing step sweep and fits the observed convergence order.
 """
@@ -46,56 +45,35 @@ class DerivativeReport:
     observed_order: float | str  # "exact" when every error sits at rounding level
 
 
-def bc_derivative(ainv0, a0, aprime, hc_prime, bg_prime) -> np.ndarray:
-    """Derivative of a (b, c)-inverse curve at the base point.
+def outer_derivative(x, a, a_prime, range_prime, null_prime) -> np.ndarray:
+    """Derivative of an outer-inverse curve with range T(t) and null space S(t) at the base point.
 
-    hc_prime and bg_prime are the derivatives of the inner-inverse product
-    curves h*c and b*g, where g and h are inner inverses of b and c. The
-    hc term acts on the cokernel side, the bg term on the kernel side, and
-    the operator term is the usual resolvent-style sandwich.
+    x is the inverse (n x m) of ``a`` (m x n) there and a_prime the derivative of a;
+    range_prime and null_prime are the derivatives of any idempotent curves whose ranges are
+    T(t) and S(t). For (b, c)-inverses these are (b g)' and (I - h c)' = -(h c)' for inner
+    inverses g, h of b, c; for Moore-Penrose (a^+ a)' and (I - a a^+)' = -(a a^+)'.
     """
-    x = as_matrix(ainv0)
-    a0 = as_matrix(a0)
-    aprime, hc_prime, bg_prime = map(as_matrix, (aprime, hc_prime, bg_prime))
-    if a0.shape[0] != a0.shape[1] or x.shape != a0.shape:
-        raise InputError("bc_derivative needs square matrices of equal size")
-    return _sandwich(x, a0, aprime, hc_prime, bg_prime)
+    x, a, a_prime, range_prime, null_prime = map(
+        as_matrix, (x, a, a_prime, range_prime, null_prime)
+    )
+    # m and n are the sizes most operands agree on, so a single misfit is the one named
+    m, n = (max(sizes, key=sizes.count) for sizes in (
+        [x.shape[1], a.shape[0], a_prime.shape[0], *null_prime.shape],
+        [x.shape[0], a.shape[1], a_prime.shape[1], *range_prime.shape]))
+    shapes = {"x": (x, (n, m)), "a": (a, (m, n)), "a_prime": (a_prime, (m, n)),
+              "range_prime": (range_prime, (n, n)), "null_prime": (null_prime, (m, m))}
+    for name, (operand, shape) in shapes.items():
+        if operand.shape != shape:
+            raise InputError(f"{name} has shape {operand.shape}, expected {shape}")
+    return _sandwich(x, a, x, a, -null_prime, range_prime, a_prime)
 
 
-def mp_derivative(a0, adag0, aprime, aadag_prime, adaga_prime) -> np.ndarray:
-    """Derivative of a Moore-Penrose inverse curve at the base point.
-
-    aadag_prime and adaga_prime are the derivatives of the projector curves
-    a*adag and adag*a.
-    """
-    a0 = as_matrix(a0)
-    x = as_matrix(adag0)
-    aprime, aadag_prime, adaga_prime = map(as_matrix, (aprime, aadag_prime, adaga_prime))
-    m, n = a0.shape
-    if x.shape != (n, m):
-        raise InputError("adag0 shape does not match a0")
-    return _sandwich(x, a0, aprime, aadag_prime, adaga_prime)
-
-
-def oip_derivative(ainv0, a0, aprime, pprime, qprime) -> np.ndarray:
-    """Derivative of a prescribed-subspace outer inverse curve at the base point.
-
-    pprime and qprime are the derivatives of the idempotent curves whose
-    ranges prescribe the range and the null space of the inverse.
-    """
-    a0 = as_matrix(a0)
-    x = as_matrix(ainv0)
-    aprime, pprime, qprime = map(as_matrix, (aprime, pprime, qprime))
-    m, n = a0.shape
-    if x.shape != (n, m):
-        raise InputError("ainv0 shape does not match a0")
-    return _sandwich(x, a0, aprime, -qprime, pprime)
-
-
-def _sandwich(x, a0, aprime, left, right) -> np.ndarray:
-    """``x L (I - a x) + (I - x a) R x - x a' x``, the form all three derivatives share."""
-    m, n = a0.shape
-    return x @ left @ (np.eye(m) - a0 @ x) + (np.eye(n) - x @ a0) @ right @ x - x @ aprime @ x
+def _sandwich(xl, al, xr, ar, left, right, delta) -> np.ndarray:
+    """``xl L (I - ar xr) + (I - xl al) R xr - xl delta xr``: the derivative of x at xl = xr = x,
+    al = ar = a, delta = a', and exactly y - x for outer inverses y of b and x of a at xl = y,
+    al = b, xr = x, ar = a, delta = b - a."""
+    m, n = ar.shape
+    return xl @ left @ (np.eye(m) - ar @ xr) + (np.eye(n) - xl @ al) @ right @ xr - xl @ delta @ xr
 
 
 def difference_identity_residual(
@@ -122,11 +100,7 @@ def difference_identity_residual(
     m, n = a.shape
     if b.shape != (m, n) or a_inv.shape != (n, m) or b_inv.shape != (n, m):
         raise InputError("operand shapes are inconsistent")
-    rhs = (
-        b_inv @ (ps.matrix - pu.matrix) @ (np.eye(m) - a @ a_inv)
-        + (np.eye(n) - b_inv @ b) @ (pv.matrix - pt.matrix) @ a_inv
-        - b_inv @ (b - a) @ a_inv
-    )
+    rhs = _sandwich(b_inv, b, a_inv, a, ps.matrix - pu.matrix, pv.matrix - pt.matrix, b - a)
     return spectral_norm((b_inv - a_inv) - rhs)
 
 
@@ -213,13 +187,10 @@ def finite_difference_check(
         return (read(plus) - read(minus)) / (2.0 * h_ref)
 
     # every inverse here has L = -(P_S)' and R = (P_T)' in the shared sandwich
-    deriv = _sandwich(
-        base.inverse,
-        base.operator,
-        prime(lambda cert: cert.operator),
-        -prime(lambda cert: cert.prescribed_nullspace.projector()),
-        prime(lambda cert: cert.prescribed_range.projector()),
-    )
+    x, a = base.inverse, base.operator
+    deriv = _sandwich(x, a, x, a, -prime(lambda cert: cert.prescribed_nullspace.projector()),
+                      prime(lambda cert: cert.prescribed_range.projector()),
+                      prime(lambda cert: cert.operator))
     errors = [
         spectral_norm((fwd.inverse - back.inverse) / (2.0 * h) - deriv) for h, fwd, back in sweep
     ]

@@ -189,7 +189,8 @@ def mp_continuity_report(
 
     Specializes the sequence diagnostics to b = c = a^+ per index, evaluates
     the eight projector characterizations, and cross-checks the algebraic gap
-    identities against geometric gaps (the largest mismatch is recorded).
+    identities against geometric gaps (the largest mismatch is recorded). An
+    index whose certificate is refused is recorded as failed; a refused limit raises.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -197,9 +198,8 @@ def mp_continuity_report(
     matrices = [a, *sequence]
     _check_shapes(matrices)
     limit, *certs = moore_penrose_stack(matrices, tol)
-    for cert in (limit, *certs):
-        if isinstance(cert, ExistenceError):
-            raise cert
+    if isinstance(limit, ExistenceError):
+        raise limit
     if limit.operator_norm == 0.0:
         raise InputError("limit element must be nonzero")
     return _diagnose(limit, certs, tol, mp_report=True)

@@ -316,25 +316,22 @@ def reflexive_inverse(
 
     N must complement the kernel of ``f`` in the domain and M must complement
     its range in the codomain; the result inverts ``f`` between N and R(f) and
-    vanishes on M.
+    vanishes on M. That is the outer inverse with T = N and S = M once dim N = rank f:
+    then f is injective on N iff N(F) (+) N = X, and f(N) = R(f).
     """
     f = as_matrix(f)
-    ran, kern, _ = range_and_null_space(f, tol)
-    dom = direct_sum_check(kern, n_complement, tol)
-    if not dom.holds:
-        raise ExistenceError(
-            "complement fails: N(F) (+) N != X",
-            clause="N(F) (+) N != X",
-            margin=dom.margin,
-        )
-    cod = direct_sum_check(ran, m_complement, tol)
-    if not cod.holds:
-        raise ExistenceError(
-            "complement fails: R(F) (+) M != Y",
-            clause="R(F) (+) M != Y",
-            margin=cod.margin,
-        )
-    return outer_prescribed(f, n_complement, m_complement, tol).inverse
+    domain, rank = "N(F) (+) N != X", kernel.numerical_rank(kernel.singular_values(f), tol)
+    # an N outside the domain is left to outer_prescribed's InputError
+    if n_complement.ambient_dim == f.shape[1] and n_complement.dim != rank:
+        raise ExistenceError(f"complement fails: {domain}", clause=domain, margin=0.0)
+    try:
+        return outer_prescribed(f, n_complement, m_complement, tol).inverse
+    except CertificateError:
+        raise
+    except ExistenceError as exc:
+        clause = domain if exc.clause == "restriction not injective" else "R(F) (+) M != Y"
+        message = f"complement fails: {clause}"
+        raise ExistenceError(message, clause=clause, margin=exc.margin) from exc
 
 
 def left_regular(a, k: int) -> np.ndarray:

@@ -1,24 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geninv as gi
 from geninv import families
 from geninv.calculus import MatrixCurve
 from geninv.errors import ExistenceError, InputError
 
-from conftest import rank_jump_instance
+from conftest import outer_fullrank_oracle, rank_jump_instance
 
 
 def test_bc_derivative_scalar_reciprocal():
     # a(t) = t with b = c = 1: the inverse is 1/t, derivative -1 at t = 1
-    d = gi.bc_derivative([[1.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]])
+    d = gi.outer_derivative([[1.0]], [[1.0]], [[1.0]], [[0.0]], [[0.0]])
     assert d[0, 0] == pytest.approx(-1.0)
 
 
 def test_bc_derivative_constant_curve_is_zero():
     z = np.zeros((3, 3))
     x = np.diag([1.0, 0.5, 0.0])
-    assert np.allclose(gi.bc_derivative(x, np.diag([1.0, 2.0, 3.0]), z, z, z), z)
+    assert np.allclose(gi.outer_derivative(x, np.diag([1.0, 2.0, 3.0]), z, z, z), z)
 
 
 def test_bc_derivative_invertible_diagonal():
@@ -27,20 +29,20 @@ def test_bc_derivative_invertible_diagonal():
     x0 = np.diag([0.5, 1.0])
     aprime = np.diag([1.0, 0.0])
     z = np.zeros((2, 2))
-    d = gi.bc_derivative(x0, a0, aprime, z, z)
+    d = gi.outer_derivative(x0, a0, aprime, z, z)
     assert np.allclose(d, np.diag([-0.25, 0.0]))
 
 
 def test_mp_derivative_examples():
     # a(t) = t I at t0 = 1
     n = 3
-    d = gi.mp_derivative(np.eye(n), np.eye(n), np.eye(n), np.zeros((n, n)), np.zeros((n, n)))
+    d = gi.outer_derivative(np.eye(n), np.eye(n), np.eye(n), np.zeros((n, n)), np.zeros((n, n)))
     assert np.allclose(d, -np.eye(n))
     z = np.zeros((2, 2))
-    assert np.allclose(gi.mp_derivative(np.diag([2.0, 0.0]), np.diag([0.5, 0.0]), z, z, z), z)
+    assert np.allclose(gi.outer_derivative(np.diag([0.5, 0.0]), np.diag([2.0, 0.0]), z, z, z), z)
     # a(t) = diag(t, 0) at t0 = 2: derivative of diag(1/t, 0)
-    d = gi.mp_derivative(
-        np.diag([2.0, 0.0]), np.diag([0.5, 0.0]), np.diag([1.0, 0.0]), z, z
+    d = gi.outer_derivative(
+        np.diag([0.5, 0.0]), np.diag([2.0, 0.0]), np.diag([1.0, 0.0]), z, z
     )
     assert np.allclose(d, np.diag([-0.25, 0.0]))
 
@@ -48,7 +50,7 @@ def test_mp_derivative_examples():
 def test_oip_derivative_zero_primes():
     x = np.diag([1.0, 0.0])
     z = np.zeros((2, 2))
-    assert np.allclose(gi.oip_derivative(x, np.eye(2), z, z, z), z)
+    assert np.allclose(gi.outer_derivative(x, np.eye(2), z, z, z), z)
 
 
 def test_oip_derivative_rotating_range():
@@ -60,10 +62,74 @@ def test_oip_derivative_rotating_range():
 
     pprime = np.array([[0.0, 1.0], [1.0, 0.0]])  # d/dt proj at t = 0
     x0 = np.diag([1.0, 0.0])
-    d = gi.oip_derivative(x0, np.eye(2), np.zeros((2, 2)), pprime, -pprime)
+    d = gi.outer_derivative(x0, np.eye(2), np.zeros((2, 2)), pprime, -pprime)
     assert np.allclose(d, pprime)
     fd = (proj(1e-6) - proj(-1e-6)) / 2e-6
     assert np.allclose(d, fd, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "operand, index", [("x", 0), ("a", 1), ("a_prime", 2), ("range_prime", 3), ("null_prime", 4)]
+)
+def test_outer_derivative_names_a_misfit_operand(operand, index):
+    # a 2x3 problem: x is 3x2, a and a' 2x3, range' 3x3, null' 2x2; one operand is 4x4
+    operands = [np.ones((3, 2)), np.ones((2, 3)), np.ones((2, 3)), np.eye(3), np.eye(2)]
+    operands[index] = np.ones((4, 4))
+    with pytest.raises(InputError, match=rf"^{operand} has shape \(4, 4\)"):
+        gi.outer_derivative(*operands)
+
+
+def _subspaces_at(kind, curves, t, r):
+    """T(t) and S(t) from plain numpy SVDs of the curves' values (no library construction)."""
+    values = [curve(t) for curve in curves]
+    if kind == "bc":
+        b, c = values[1], values[2]
+        t_basis, s_basis = np.linalg.svd(b)[0][:, :r], np.linalg.svd(c)[2][r:].conj().T
+    elif kind == "mp":
+        u, _, vh = np.linalg.svd(values[0])
+        t_basis, s_basis = vh[:r].conj().T, u[:, r:]
+    else:
+        t_basis, s_basis = values[1], values[2]
+    return values[0], gi.Subspace(len(t_basis), t_basis), gi.Subspace(len(s_basis), s_basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["bc", "mp", "oip"]),
+    m=st.integers(2, 6),
+    n=st.integers(2, 6),
+    rank=st.integers(1, 6),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_outer_derivative_matches_the_oracle_curve(kind, m, n, rank, complex_, seed):
+    # (b, c) curves are square; the rank is cut to fit the shape
+    rng = np.random.default_rng(seed)
+    m = n if kind == "bc" else m
+    r = min(rank, m, n)
+    curves = {
+        "bc": lambda: families.bc_curves(rng, n, r, complex_),
+        "mp": lambda: [families.mp_curve(rng, m, n, r, complex_)],
+        "oip": lambda: families.oip_curves(rng, m, n, r, complex_),
+    }[kind]()
+    h = 1e-5
+
+    def at(t):
+        a, t_space, s_space = _subspaces_at(kind, curves, t, r)
+        x = outer_fullrank_oracle(a, t_space, s_space)
+        return a, x, t_space.projector(), s_space.projector()
+
+    (a0, x0, _, _), plus, minus = at(0.0), at(h), at(-h)
+    a_prime, x_prime, pt_prime, ps_prime = ((p - q) / (2 * h) for p, q in zip(plus, minus))
+    d = gi.outer_derivative(x0, a0, a_prime, pt_prime, ps_prime)
+    norm = gi.spectral_norm
+    xn = norm(x0)
+    scale = (
+        xn * norm(a_prime) * xn
+        + xn * norm(ps_prime) * norm(np.eye(m) - a0 @ x0)
+        + norm(np.eye(n) - x0 @ a0) * norm(pt_prime) * xn
+    )
+    assert norm(d - x_prime) <= 1e-6 * scale
 
 
 def test_fd_check_constant_curves_exact():
@@ -175,8 +241,8 @@ def test_derivative_independent_of_inner_inverse_choice(rng):
     # the inner inverses are exotic: their products move off the projectors
     assert gi.spectral_norm(hc_prime + ps_prime) > 1e-3
     assert gi.spectral_norm(bg_prime - pt_prime) > 1e-3
-    d_exotic = gi.bc_derivative(cert.inverse, cert.operator, aprime, hc_prime, bg_prime)
-    d_proj = gi.bc_derivative(cert.inverse, cert.operator, aprime, -ps_prime, pt_prime)
+    d_exotic = gi.outer_derivative(cert.inverse, cert.operator, aprime, bg_prime, -hc_prime)
+    d_proj = gi.outer_derivative(cert.inverse, cert.operator, aprime, pt_prime, ps_prime)
     diff = gi.spectral_norm(d_exotic - d_proj)
     assert diff <= 1e-9 * max(1.0, gi.spectral_norm(d_proj))
 
@@ -199,8 +265,8 @@ def test_derivative_product_rule_for_projector_curves(rng):
     hc_prime_product = central(cdag, 0.0) @ c_c(0.0) + cdag(0.0) @ central(c_c, 0.0)
     bg_prime_direct = central(lambda t: b_c(t) @ bdag(t), 0.0)
     bg_prime_product = central(b_c, 0.0) @ bdag(0.0) + b_c(0.0) @ central(bdag, 0.0)
-    d1 = gi.bc_derivative(x0, a0, aprime, hc_prime_direct, bg_prime_direct)
-    d2 = gi.bc_derivative(x0, a0, aprime, hc_prime_product, bg_prime_product)
+    d1 = gi.outer_derivative(x0, a0, aprime, bg_prime_direct, -hc_prime_direct)
+    d2 = gi.outer_derivative(x0, a0, aprime, bg_prime_product, -hc_prime_product)
     assert gi.spectral_norm(d1 - d2) <= 1e-9 * max(1.0, gi.spectral_norm(d1))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import geninv as gi
 from geninv import diagnostics, families
-from geninv.errors import InputError
+from geninv.errors import CertificateError, InputError
 
 from conftest import mp_continuity_oracle, sequence_report_oracle, verdicts_oracle
 
@@ -156,6 +156,24 @@ def test_mp_continuity_constant_sequence():
     report = diagnostics.mp_continuity_report(a, [a] * 6, SEQ_TOL)
     assert set(report.verdicts.values()) == {True}
     assert report.remark_gap_identity_mismatch <= 1e-12
+
+
+def test_mp_continuity_records_a_refused_index_as_failed():
+    # index 1's certificate is refused at this budget (aba over it); the report goes on
+    a, seq = families.mp_convergent_sequence(np.random.default_rng(6), 8, 4, 10)
+    tol = gi.ToleranceConfig(residual_tol=10**-15.3)
+    with pytest.raises(CertificateError, match="residual aba"):
+        gi.moore_penrose(seq[0], tol)
+    report = diagnostics.mp_continuity_report(a, seq, tol)
+    assert report.failed_indices == (1,)
+    assert np.isnan(report.inverse_error[0]) and not np.isnan(report.inverse_error[1])
+
+
+def test_mp_continuity_raises_a_refused_limit():
+    a, seq = families.mp_convergent_sequence(np.random.default_rng(6), 8, 4, 10)
+    tol = gi.ToleranceConfig(residual_tol=10**-15.3)
+    with pytest.raises(CertificateError):
+        diagnostics.mp_continuity_report(seq[0], [a, *seq[1:]], tol)
 
 
 def test_mp_continuity_rank_drop_discontinuity():

@@ -253,6 +253,25 @@ def test_reflexive_inverse_names_failing_decomposition():
     assert err.value.clause == "R(F) (+) M != Y"
 
 
+def test_reflexive_inverse_needs_dim_n_equal_to_the_rank():
+    # no outer inverse of I has range and null space span(e1); with null space span(e2) one
+    # exists (diag(1, 0)), but it is not reflexive: N(I) (+) span(e1) != X in both cases
+    for m_complement in (line(1, 0), line(0, 1)):
+        with pytest.raises(ExistenceError) as err:
+            gi.reflexive_inverse(np.eye(2), line(1, 0), m_complement)
+        assert err.value.clause == "N(F) (+) N != X"
+    assert np.allclose(gi.outer_prescribed(np.eye(2), line(1, 0), line(0, 1)).inverse,
+                       np.diag([1.0, 0.0]))
+
+
+def test_reflexive_inverse_passes_a_refused_certificate_through(rng):
+    f = families.random_rank_matrix(rng, 5, 5, 3)
+    n_comp = gi.column_space(f.conj().T)
+    m_comp = gi.orthogonal_complement(gi.column_space(f))
+    with pytest.raises(CertificateError):
+        gi.reflexive_inverse(f, n_comp, m_comp, gi.ToleranceConfig(residual_tol=0.0))
+
+
 def test_range_factorization_criterion(rng):
     # two regular elements share a column space iff each factors through the other
     for _ in range(8):
