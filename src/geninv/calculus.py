@@ -16,10 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ExistenceError, InputError
-from .inverses import InverseCertificate, bc_inverse, moore_penrose, outer_prescribed
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
-from .subspace import ObliqueProjector, column_space
+from .errors import CertificateError, ExistenceError, InputError
+from .inverses import bc_inverse_stack, moore_penrose_stack, outer_prescribed_stack
+from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm, stack_norms
+from .subspace import ObliqueProjector, column_spaces
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,19 @@ def _fit_order(steps: Sequence[float], errors: Sequence[float]) -> float:
     return float(np.mean(slopes))
 
 
-# kind -> (number of curves, construction from the curves' values at one t)
+def _oip_stack(points: list, tol: ToleranceConfig) -> list:
+    """outer_prescribed at each (a, p, q), T = R(p) and S = R(q) from one SVD of the p's, one of
+    the q's."""
+    ops, ps, qs = zip(*points)
+    return outer_prescribed_stack([*zip(ops, column_spaces(ps, tol), column_spaces(qs, tol))], tol)
+
+
+# kind -> (number of curves, stacked construction from the curves' values at each point);
+# each looks its stack up at call time, so a rebound name is the one called
 _CONSTRUCTIONS = {
-    "bc": (3, lambda tol, a, b, c: bc_inverse(a, b, c, tol)),
-    "mp": (1, lambda tol, a: moore_penrose(a, tol)),
-    "oip": (
-        3,
-        lambda tol, a, p, q: outer_prescribed(a, column_space(p, tol), column_space(q, tol), tol),
-    ),
+    "bc": (3, lambda points, tol: bc_inverse_stack(points, tol)),
+    "mp": (1, lambda points, tol: moore_penrose_stack([a for (a,) in points], tol)),
+    "oip": (3, _oip_stack),
 }
 
 
@@ -140,12 +145,18 @@ def finite_difference_check(
 
     kind selects the construction: "bc" takes (a, b, c) curves, "mp" a single
     operator curve, "oip" an operator curve plus two curves whose column spans
-    prescribe the inverse's range and null space. The sweep builds one
-    certificate at t0 and at t0 +- each step, 1 + 2 len(steps) in all, and
-    nothing else: a', (P_T)' and (P_S)' are central-differenced at the finest
-    step from those certificates' operators and prescribed subspaces. A sweep
-    point whose prescribed subspaces differ in dimension from t0's raises
-    ExistenceError: the inverse jumps there.
+    prescribe the inverse's range and null space. The curves are evaluated at
+    t0 and at t0 +- each step, and the 1 + 2 len(steps) certificates are one
+    stacked construction (``bc_inverse_stack``, ``moore_penrose_stack`` or
+    ``outer_prescribed_stack``), each slice bit-identical to its single call;
+    nothing else is constructed: a', (P_T)' and (P_S)' are central-differenced
+    at the finest step from those certificates' operators and prescribed
+    subspaces, and the errors of all steps are one batched norm. So the
+    factorizations do not grow with the number of steps. The points are
+    checked in sweep order (t0, t0 + h, t0 - h for each step in turn): the
+    first one whose inverse does not exist, or whose prescribed subspaces
+    differ in dimension from t0's (the inverse jumps there), raises
+    ExistenceError; a refused certificate raises its CertificateError as it is.
     """
     if kind not in _CONSTRUCTIONS:
         raise InputError(f"unknown kind {kind!r}")
@@ -158,18 +169,19 @@ def finite_difference_check(
         lo, hi = curve.domain
         if not (lo < t0 - hmax and t0 + hmax < hi):
             raise InputError("curve domain does not cover the difference window")
-
-    def certificate(t: float, base: InverseCertificate | None = None) -> InverseCertificate:
-        try:
-            cert = construct(tol, *(curve(t) for curve in curves))
-        except ExistenceError as exc:
+    points = [t0, *(t for h in steps for t in (t0 + h, t0 - h))]
+    certs = construct([tuple(curve(t) for curve in curves) for t in points], tol)
+    for t, cert in zip(points, certs):
+        if isinstance(cert, CertificateError):
+            raise cert
+        if isinstance(cert, ExistenceError):
             raise ExistenceError(
-                f"curve leaves invertible set at t={t}: {exc}",
+                f"curve leaves invertible set at t={t}: {cert}",
                 clause="curve leaves invertible set",
-                margin=exc.margin,
-            ) from exc
+                margin=cert.margin,
+            ) from cert
         here, there = (
-            (c.prescribed_range.dim, c.prescribed_nullspace.dim) for c in (cert, base or cert)
+            (c.prescribed_range.dim, c.prescribed_nullspace.dim) for c in (cert, certs[0])
         )
         if here != there:  # the inverse jumps at t0, which differences across t0 never see
             raise ExistenceError(
@@ -177,10 +189,7 @@ def finite_difference_check(
                 f"have dimensions {here} there against {there} at t0={t0}",
                 clause="curve leaves invertible set",
             )
-        return cert
-
-    base = certificate(t0)
-    sweep = [(h, certificate(t0 + h, base), certificate(t0 - h, base)) for h in steps]
+    base, sweep = certs[0], list(zip(steps, certs[1::2], certs[2::2]))
     h_ref, plus, minus = sweep[-1]  # the sweep decreases strictly: its last step is the finest
 
     def prime(read) -> np.ndarray:
@@ -191,9 +200,8 @@ def finite_difference_check(
     deriv = _sandwich(x, a, x, a, -prime(lambda cert: cert.prescribed_nullspace.projector()),
                       prime(lambda cert: cert.prescribed_range.projector()),
                       prime(lambda cert: cert.operator))
-    errors = [
-        spectral_norm((fwd.inverse - back.inverse) / (2.0 * h) - deriv) for h, fwd, back in sweep
-    ]
+    misfits = [(fwd.inverse - back.inverse) / (2.0 * h) - deriv for h, fwd, back in sweep]
+    errors = stack_norms(np.stack(misfits)).tolist()
     if max(errors) <= tol.residual_tol * max(1.0, base.inverse_norm):
         order: float | str = "exact"
     else:
@@ -201,6 +209,6 @@ def finite_difference_check(
     return DerivativeReport(
         t0=t0,
         formula_derivative=deriv,
-        fd_errors=tuple(zip([float(s) for s in steps], [float(e) for e in errors])),
+        fd_errors=tuple(zip([float(s) for s in steps], errors)),
         observed_order=order,
     )

@@ -167,7 +167,21 @@ def outer_prescribed(
     injective and a(T) (+) S to fill the codomain; each failure is reported
     with the violated clause and the deciding margin.
     """
-    return _one(_outer([as_matrix(a)], [t], [s], tol, "outer_prescribed"))
+    return _one(outer_prescribed_stack([(a, t, s)], tol))
+
+
+def outer_prescribed_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """outer_prescribed of each (a, t, s): one construction per ``kernel.layout`` of a, of T's
+    basis and of S's basis, so per shape, field, dim T and dim S. Entry i is problem i's
+    certificate or the ExistenceError that refuses it."""
+    probs = [(as_matrix(a), t, s) for a, t, s in problems]
+    results: list = [None] * len(probs)
+    for group in kernel.groups(tuple(map(kernel.layout, (a, t.basis, s.basis)))
+                               for a, t, s in probs):
+        ops, ts, ss = ([probs[i][j] for i in group] for j in range(3))
+        for i, result in zip(group, _outer(ops, ts, ss, tol, "outer_prescribed")):
+            results[i] = result
+    return results
 
 
 def _complement_failure(margin: float) -> ExistenceError:

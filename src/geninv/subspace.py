@@ -80,8 +80,18 @@ def full_subspace(ambient_dim: int) -> Subspace:
 
 def column_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of the span of the columns of ``a`` at numerical rank (thin SVD)."""
-    u, _, _, r = kernel.svd_at_rank(a, tol)
-    return orthonormal_span(u[:, :r])
+    return column_spaces([a], tol)[0]
+
+
+def column_spaces(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list[Subspace]:
+    """``column_space`` of each matrix, from one batched thin SVD per (shape, field) group."""
+    mats = [as_matrix(m) for m in matrices]
+    spaces: list = [None] * len(mats)
+    for members in kernel.groups((m.shape, m.dtype.char) for m in mats):
+        u, sigma, _ = kernel.svd_stack(kernel.stack([mats[i] for i in members]))
+        for i, basis, r in zip(members, u, kernel.numerical_rank(sigma, tol).tolist()):
+            spaces[i] = orthonormal_span(basis[:, :r])
+    return spaces
 
 
 def null_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:

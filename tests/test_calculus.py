@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import geninv as gi
 from geninv import families
 from geninv.calculus import MatrixCurve
-from geninv.errors import ExistenceError, InputError
+from geninv.errors import CertificateError, ExistenceError, InputError
 
 from conftest import outer_fullrank_oracle, rank_jump_instance
 
@@ -208,6 +208,16 @@ def test_fd_check_reports_a_jump_in_rank_at_t0():
     with pytest.raises(ExistenceError, match=r"\(8, 0\) there against \(4, 4\)") as info:
         gi.finite_difference_check(curves, 0.0, kind="bc")
     assert info.value.clause == "curve leaves invertible set"
+
+
+def test_fd_check_passes_a_refused_certificate_through():
+    # a certificate over its residual budget is not the curve leaving the invertible set
+    curves = families.bc_curves(np.random.default_rng(5), 12, 6, False)
+    with pytest.raises(CertificateError) as info:
+        gi.finite_difference_check(curves, 0.0, gi.ToleranceConfig(residual_tol=1e-17), "bc")
+    assert type(info.value) is CertificateError
+    assert info.value.clause == "residual exceeds tolerance"
+    assert str(info.value).startswith("bc certificate rejected: residual xax_x=")
 
 
 def test_fd_check_domain_validation():

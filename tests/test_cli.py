@@ -224,6 +224,16 @@ def test_derivcheck_rank_jump_at_t0_exits_two(tmp_path, capsys):
     assert report["clause"] == "curve leaves invertible set"
 
 
+def test_derivcheck_refused_certificate_exits_two_with_its_clause(tmp_path, capsys):
+    a, b, c = gi.families.random_solvable_triple(np.random.default_rng(5), 12, 6)
+    mats = {"a0": a, "a1": np.zeros_like(a), "b0": b, "b1": 0 * b, "c0": c, "c1": 0 * c}
+    paths = [write(tmp_path / f"{name}.mat", m) for name, m in mats.items()]
+    code, report = run_cli(capsys, "derivcheck", "--kind", "bc", *paths, "--tol-res", "1e-17")
+    assert code == 2
+    assert report["clause"] == "residual exceeds tolerance"
+    assert report["error"].startswith("bc certificate rejected: residual ")
+
+
 def test_seqcheck_rotating_zero_limit_is_an_input_error(tmp_path, capsys):
     # the rotation angle is read off the limit inverse, which is zero here
     a_path = write(tmp_path / "a.mat", np.diag([1.0, 2.0, 3.0]))

@@ -12,7 +12,8 @@ reflexive_inverse's f, whose rank is all it reads) before the construction's own
 factorizations.
 perturbed_bc_inverse and zero_limit_check read ||a|| and ||x|| off the
 certificate and factor neither again.
-finite_difference_check builds one inverse per point of its sweep.
+finite_difference_check builds one inverse per point of its sweep, all of them one
+stacked construction, so its factorizations do not grow with the steps.
 """
 
 import numpy as np
@@ -229,20 +230,62 @@ def test_projector_from_matrix_takes_one_svd(linalg_calls, complex_):
 @pytest.mark.parametrize("kind", ["bc", "mp", "oip"])
 def test_finite_difference_check_builds_one_inverse_per_point(monkeypatch, kind):
     # a', (P_T)' and (P_S)' come off the sweep's own certificates: one
-    # construction at t0 and one at t0 +- each step, nothing more
+    # construction at t0 and one at t0 +- each step, nothing more, counted as
+    # the slices of the stacked constructions
     rng = np.random.default_rng(9)
     curves = {
         "bc": lambda: families.bc_curves(rng, 6, 3),
         "mp": lambda: [families.mp_curve(rng, 6, 5, 3)],
         "oip": lambda: families.oip_curves(rng, 6, 5, 3),
     }[kind]()
-    calls = []
-    for name in ("bc_inverse", "moore_penrose", "outer_prescribed"):
+    slices = []
+    for name in ("bc_inverse_stack", "moore_penrose_stack", "outer_prescribed_stack"):
 
-        def counted(*args, _name=name, _original=getattr(calculus, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def counted(problems, *args, _original=getattr(calculus, name), **kwargs):
+            slices.append(len(problems))
+            return _original(problems, *args, **kwargs)
 
         monkeypatch.setattr(calculus, name, counted)
     gi.finite_difference_check(curves, 0.0, kind=kind)
-    assert len(calls) == 1 + 2 * len(gi.DEFAULT_TOL.fd_step_sweep)
+    assert sum(slices) == 1 + 2 * len(gi.DEFAULT_TOL.fd_step_sweep)
+
+
+def _affine_curves(kind: str, complex_: bool):
+    """Curves x0 + t x1 whose ranks hold near t = 0, so evaluating them calls no numpy.linalg:
+    each rank-deficient x0 moves as (I + t L) x0 or x0 (I + t L)."""
+    n, r = 8, 4
+    rng = np.random.default_rng(14)
+
+    def move():
+        return 0.1 * families.random_matrix(rng, n, n, complex_)
+
+    if kind == "bc":
+        a, b, c = families.random_solvable_triple(rng, n, r, complex_)
+        pairs = [(a, move()), (b, move() @ b), (c, c @ move())]
+    elif kind == "mp":
+        a = families.random_rank_matrix(rng, n, n, r, complex_)
+        pairs = [(a, move() @ a)]
+    else:
+        a, t, s = outer_instance_at_angles(rng, n, n, r, complex_)
+        p = t.basis @ families.random_conditioned(rng, r, complex_)
+        q = s.basis @ families.random_conditioned(rng, n - r, complex_)
+        pairs = [(a, move()), (p, move() @ p), (q, move() @ q)]
+    return [gi.MatrixCurve(lambda t, x0=x0, x1=x1: x0 + t * x1) for x0, x1 in pairs]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("kind, svd, qr", [("bc", 7, 1), ("mp", 2, 0), ("oip", 7, 1)])
+def test_finite_difference_check_calls_do_not_grow_with_the_steps(linalg_calls, kind, svd, qr,
+                                                                  complex_):
+    # the sweep's certificates are one stacked construction and its errors one
+    # batched norm, so a longer sweep adds no numpy.linalg call
+    curves = _affine_curves(kind, complex_)
+    counts = {}
+    for steps in (4, 8):
+        tol = gi.ToleranceConfig(fd_step_sweep=tuple(10.0 ** -(2 + k / 2) for k in range(steps)))
+        linalg_calls.clear()
+        gi.finite_difference_check(curves, 0.0, tol, kind)
+        counts[steps] = _counts(linalg_calls)
+    assert counts[4] == counts[8]
+    assert counts[4]["svd"] <= svd and counts[4]["qr"] <= qr
+    assert sum(counts[4].values()) == counts[4]["svd"] + counts[4]["qr"]
