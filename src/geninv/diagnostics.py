@@ -3,9 +3,12 @@
 A sequence report evaluates, per index, every quantity appearing in the
 equivalent characterizations of inverse convergence: inverse and product
 errors, geometric gaps between prescribed subspaces, and the Moore-Penrose
-projector terms that express those gaps algebraically. Each characterization
-gets a boolean verdict under a finite-sequence convergence proxy; because the
-characterizations are equivalent, a split verdict set is flagged as an alarm.
+projector terms that express those gaps algebraically. Every gap and projector
+term is a one-sided deviation from ``subspace.deviations``: the projector terms
+are those of the prescribed range T = R(b) and null space S = N(c), so no
+projector is formed. Each characterization gets a boolean verdict under a
+finite-sequence convergence proxy; because the characterizations are
+equivalent, a split verdict set is flagged as an alarm.
 
 Verdict keys are grouped by prefix:
 
@@ -25,7 +28,7 @@ from . import kernel
 from .errors import ExistenceError, InputError
 from .inverses import InverseCertificate, bc_inverse_stack, moore_penrose_stack
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
-from .subspace import column_space, deviations
+from .subspace import column_spaces, deviations, gap
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: verdicts is a dict
@@ -34,7 +37,9 @@ class SequenceDiagnostics:
 
     All error entries are nonnegative, all gap entries lie in [0, 1]; failed
     indices (where the per-index inverse does not exist) hold NaN and are
-    excluded from the verdicts.
+    excluded from the verdicts. The mp_*_terms pairs and the projector errors
+    are the one-sided deviations of T_n from T and of S_n from S, in the
+    orders the projector products give them (see _diagnose).
     """
 
     inverse_error: tuple[float, ...]
@@ -127,22 +132,16 @@ def mp_gap_terms(b, bn, tol: ToleranceConfig = DEFAULT_TOL):
     between the column spaces; cokernel_terms are the complementary products
     ``(||b b^+ (1 - bn bn^+)||, ||bn bn^+ (1 - b b^+)||)`` and measure the gap
     between the row-annihilator spaces. b b^+ is the orthogonal projector onto
-    the column space of b.
+    the column space of b, so the range terms are the one-sided deviations
+    ``(delta(R(bn), R(b)), delta(R(b), R(bn)))`` and the cokernel terms, their
+    adjoints, are the same pair swapped; both are read off one ``gap``.
     """
     b = as_matrix(b)
     bn = as_matrix(bn)
     if b.shape != bn.shape or b.shape[0] != b.shape[1]:
         raise InputError("mp_gap_terms needs square matrices of equal size")
-    p, pn = column_space(b, tol).projector(), column_space(bn, tol).projector()
-    terms = kernel.spectral_norms(_projector_terms(p, pn))
-    return (float(terms[0]), float(terms[1])), (float(terms[2]), float(terms[3]))
-
-
-def _projector_terms(p, pn) -> tuple[np.ndarray, ...]:
-    """The products of mp_gap_terms for orthogonal projectors p = b b^+ and pn = bn bn^+."""
-    eye = np.eye(p.shape[0])
-    p_perp, pn_perp = eye - p, eye - pn
-    return p_perp @ pn, pn_perp @ p, p @ pn_perp, pn @ p_perp
+    d_nb, d_bn, _ = gap(*column_spaces([bn, b], tol))
+    return (d_nb, d_bn), (d_bn, d_nb)
 
 
 def zero_limit_check(certificates) -> tuple[bool, int | None]:
@@ -188,9 +187,11 @@ def mp_continuity_report(
     """Convergence diagnostics for a Moore-Penrose inverse sequence.
 
     Specializes the sequence diagnostics to b = c = a^+ per index, evaluates
-    the eight projector characterizations, and cross-checks the algebraic gap
-    identities against geometric gaps (the largest mismatch is recorded). An
-    index whose certificate is refused is recorded as failed; a refused limit raises.
+    the eight projector characterizations, and cross-checks the gaps of R(x_n)
+    and N(x_n), read off the SVD of each x_n = a_n^+, against those of T_n and
+    S_n, read off the SVD of each a_n inside its certificate (the largest
+    mismatch is recorded). An index whose certificate is refused is recorded as
+    failed; a refused limit raises.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -222,7 +223,8 @@ def _diagnose(
 
     Each quantity is measured for all indices at once: its spectral norms come
     from one batched SVD, the subspaces of the x_n from one batched full SVD,
-    and the projectors b b^+ and c^+ c from the certificates' own bases.
+    and every projector record from two readings of ``deviations``: the
+    prescribed ranges T_n against T and the prescribed null spaces S_n against S.
     """
     live = [k for k, cert in enumerate(certs) if isinstance(cert, InverseCertificate)]
     certs_ok = [certs[k] for k in live]
@@ -231,24 +233,28 @@ def _diagnose(
     norms = kernel.spectral_norms
     left = norms([c.inverse @ c.operator - xa for c in certs_ok])
     right = norms([c.operator @ c.inverse - ax for c in certs_ok])
-    p, q = _mp_projectors(limit)
-    projectors = [_mp_projectors(c) for c in certs_ok]
-    b_terms = norms([t for pn, _ in projectors for t in _projector_terms(p, pn)]).reshape(-1, 4)
-    c_terms = norms([t for _, qn in projectors for t in _projector_terms(q, qn)]).reshape(-1, 4)
-    br, bk, cr, ck = b_terms[:, :2], b_terms[:, 2:], c_terms[:, :2], c_terms[:, 2:]
-    # R(x), N(x), R(x*), N(x*), each over the limit (first) and every live index
-    spaces = list(zip(*_inverse_subspaces([x] + [c.inverse for c in certs_ok], tol)))
-    x_range, x_null = (_gaps(s[1:], s[0]) for s in spaces[:2])
+    # Orthogonal projectors P onto M and P_n onto M_n satisfy ||(I - P) P_n|| =
+    # delta(M_n, M); taking adjoints swaps the pair; and ||P_n - P|| is the larger
+    # of the two (Kato 1966, I §6.8). With b b^+ = P_T and c^+ c = I - P_S, every
+    # projector record is read off the rows (delta(T_n, T), delta(T, T_n)) and
+    # (delta(S_n, S), delta(S, S_n)).
+    t, s = limit.prescribed_range.basis, limit.prescribed_nullspace.basis
+    t_devs = deviations([c.prescribed_range.basis for c in certs_ok], t)
+    s_devs = deviations([c.prescribed_nullspace.basis for c in certs_ok], s)
+    t_gap, s_gap = t_devs.max(axis=1), s_devs.max(axis=1)
+    # R(x) and N(x) over the limit (first) and every live index
+    spaces = zip(*_inverse_subspaces([x] + [c.inverse for c in certs_ok], tol))
+    x_range, x_null = (deviations(bases[1:], bases[0]).max(axis=1) for bases in spaces)
     values = {
         "inverse_error": norms([c.inverse - x for c in certs_ok]),
         "left_product_error": left,
         "right_product_error": right,
         "inverse_range_gap": x_range,
         "inverse_nullspace_gap": x_null,
-        "mp_range_terms": br,
-        "mp_null_terms": ck,
-        "mp_cokernel_terms": bk,
-        "mp_corange_terms": cr,
+        "mp_range_terms": t_devs,
+        "mp_null_terms": s_devs,
+        "mp_cokernel_terms": t_devs[:, ::-1],
+        "mp_corange_terms": s_devs[:, ::-1],
     }
     mismatch = None
     if mp_report:
@@ -258,16 +264,13 @@ def _diagnose(
             range_projector_error=left,
             null_projector_error=right,
         )
-        x_corange, x_cokernel = (_gaps(s[1:], s[0]) for s in spaces[2:])
-        identities = ((x_range, br), (x_null, ck), (x_cokernel, bk), (x_corange, cr))
-        mismatch = float(np.max([abs(g - t.max(axis=1)) for g, t in identities], initial=0.0))
+        mismatch = float(np.max([abs(x_range - t_gap), abs(x_null - s_gap)], initial=0.0))
     else:
-        t, s = limit.prescribed_range.basis, limit.prescribed_nullspace.basis
         values.update(
-            range_gap=_gaps([c.prescribed_range.basis for c in certs_ok], t),
-            nullspace_gap=_gaps([c.prescribed_nullspace.basis for c in certs_ok], s),
-            range_projector_error=norms([pn - p for pn, _ in projectors]),
-            null_projector_error=norms([qn - q for _, qn in projectors]),
+            range_gap=t_gap,
+            nullspace_gap=s_gap,
+            range_projector_error=t_gap,
+            null_projector_error=s_gap,
         )
     records = {name: _record(values[name], live, len(certs)) for name in RECORD_NAMES}
     err_scale = max(1.0, limit.inverse_norm * max(1.0, limit.operator_norm))
@@ -283,29 +286,14 @@ def _diagnose(
     )
 
 
-def _mp_projectors(cert: InverseCertificate) -> tuple[np.ndarray, np.ndarray]:
-    """b b^+ = P_T and c^+ c = I - P_S from a certificate's orthonormal bases of T and S.
-
-    For a (b, c)-inverse T = R(b) and S = N(c); for Moore-Penrose (b = c = a^+)
-    these are a^+ a and a a^+.
-    """
-    s = cert.prescribed_nullspace
-    return cert.prescribed_range.projector(), np.eye(s.ambient_dim) - s.projector()
-
-
 def _inverse_subspaces(xs, tol: ToleranceConfig):
-    """Bases of R(x), N(x), R(x*) and N(x*) for each x, from one batched full SVD.
+    """Bases of R(x) and N(x) for each x, from one batched full SVD.
 
     The rank of each x is decided as in column_space / null_space.
     """
     u, sigma, v = kernel.svd_stack(xs, full=True)
     ranks = kernel.numerical_rank(sigma, tol)
-    return [(u[k, :, :r], v[k, :, r:], v[k, :, :r], u[k, :, r:]) for k, r in enumerate(ranks)]
-
-
-def _gaps(bases, n: np.ndarray) -> np.ndarray:
-    """subspace.gap between span(n) and the span of each basis, all orthonormal."""
-    return deviations(bases, n).max(axis=1)
+    return [(u[k, :, :r], v[k, :, r:]) for k, r in enumerate(ranks)]
 
 
 def _record(values: np.ndarray, live: list[int], count: int) -> tuple:

@@ -14,7 +14,7 @@ from geninv import diagnostics, families
 from geninv.cli import main as cli_main
 from geninv.errors import ExistenceError
 
-from conftest import outer_fullrank_oracle
+from conftest import _mp_gap_terms_oracle, outer_fullrank_oracle
 
 SEQ_TOL = gi.ToleranceConfig(residual_tol=1e-2)
 
@@ -194,7 +194,8 @@ def test_verdict_sets_are_unanimous_across_families():
 
 def test_gap_identities_and_adjoint_symmetry():
     # 200 random pairs: algebraic projector terms match geometric gaps within
-    # 1e-9; adjoint symmetry equates the mirrored norms within 1e-10
+    # 1e-9 and the projector products of certified pseudoinverses within 1e-10;
+    # adjoint symmetry equates the mirrored norms within 1e-10
     rng = np.random.default_rng(808)
     for i in range(200):
         n = int(rng.integers(2, 9))
@@ -207,6 +208,10 @@ def test_gap_identities_and_adjoint_symmetry():
         range_terms, cokernel_terms = diagnostics.mp_gap_terms(b, bn)
         geometric = gi.gap(gi.column_space(bn), gi.column_space(b)).gap
         assert abs(max(range_terms) - geometric) <= 1e-9, f"instance {i}"
+        # both of the above read subspace.deviations; the projector products are independent
+        oracle_range, oracle_cokernel = _mp_gap_terms_oracle(b, bn, gi.DEFAULT_TOL)
+        assert np.allclose(range_terms, oracle_range, rtol=0, atol=1e-10), f"instance {i}"
+        assert np.allclose(cokernel_terms, oracle_cokernel, rtol=0, atol=1e-10), f"instance {i}"
         if complex_:
             assert abs(range_terms[0] - cokernel_terms[1]) <= 1e-10
             assert abs(range_terms[1] - cokernel_terms[0]) <= 1e-10

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geninv as gi
 from geninv import diagnostics, families
 from geninv.errors import CertificateError, InputError
 
-from conftest import mp_continuity_oracle, sequence_report_oracle, verdicts_oracle
+from conftest import (
+    _mp_gap_terms_oracle,
+    mp_continuity_oracle,
+    sequence_report_oracle,
+    verdicts_oracle,
+)
 
 SEQ_TOL = gi.ToleranceConfig(residual_tol=1e-2)
 
@@ -118,6 +125,24 @@ def test_mp_gap_terms_match_geometry_and_adjoint_symmetry(rng):
         assert range_terms[0] == pytest.approx(cokernel_terms[1], abs=1e-10)
         assert range_terms[1] == pytest.approx(cokernel_terms[0], abs=1e-10)
         assert range_terms[0] == pytest.approx(range_terms[1], abs=1e-10)
+        # the projector products themselves, from certified Moore-Penrose inverses
+        oracle_range, oracle_cokernel = _mp_gap_terms_oracle(b, bn, gi.DEFAULT_TOL)
+        assert range_terms == pytest.approx(oracle_range, abs=1e-10)
+        assert cokernel_terms == pytest.approx(oracle_cokernel, abs=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_mp_gap_terms_are_the_projector_products(data, n, complex_, seed):
+    # independent ranks, so unequal and trivial spaces too: delta(M, 0) = 1, delta(0, N) = 0
+    r, rn = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+    b = families.random_rank_matrix(rng, n, n, r, complex_)
+    bn = families.random_rank_matrix(rng, n, n, rn, complex_)
+    range_terms, cokernel_terms = diagnostics.mp_gap_terms(b, bn)
+    oracle_range, oracle_cokernel = _mp_gap_terms_oracle(b, bn, gi.DEFAULT_TOL)
+    assert range_terms == pytest.approx(oracle_range, abs=1e-10)
+    assert cokernel_terms == pytest.approx(oracle_cokernel, abs=1e-10)
 
 
 def test_zero_limit_check_examples():

@@ -5,7 +5,10 @@ tests count the calls made inside one construction at n = 64 (r = n / 2) and
 hold each count to the value of the full-rank construction as an upper bound.
 The sequence reports are held to their per-index construction: 30 more
 indices may add no more calls than 30 more bc_inverse (6 SVD + 1 QR) or
-moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices.
+moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices,
+and a 20x20, 10-index report takes at most 18 SVD + 1 QR (sequence_report) or
+13 SVD (mp_continuity_report): its projector records are read off the
+deviations of the prescribed subspaces, with no projector formed.
 inverse_along, bott_duffin and reflexive_inverse take one SVD per operand (none
 for a projector, which carries its own subspaces and norm; values only for
 reflexive_inverse's f, whose rank is all it reads) before the construction's own
@@ -149,21 +152,26 @@ def test_zero_limit_check_factors_nothing(linalg_calls):
     assert linalg_calls == []
 
 
-@pytest.mark.parametrize("complex_", [False, True])
-def test_sequence_report_per_index_cost_is_the_bc_inverse(linalg_calls, complex_):
-    # per index only bc_inverse's own factorizations (<= 6 SVD + 1 QR); every
-    # diagnostic norm and subspace is one batched call per quantity
+def _additive_sequence(complex_, count):
+    """A 20x20 (b, c) limit with rank-10 b and c, its additive family and the tolerance."""
     n = 20
     rng = np.random.default_rng(4)
     a, t, s = outer_instance_at_angles(rng, n, n, n // 2, complex_)
     b = t.basis @ families.random_matrix(rng, n // 2, n, complex_)
     c = families.random_matrix(rng, n, n // 2, complex_) @ complement_rows(s)
     tol = gi.ToleranceConfig(residual_tol=1e-2)
+    return (a, b, c), families.additive_family(a, b, c, count, np.random.default_rng(5), tol), tol
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_sequence_report_per_index_cost_is_the_bc_inverse(linalg_calls, complex_):
+    # per index only bc_inverse's own factorizations (<= 6 SVD + 1 QR); every
+    # diagnostic norm and subspace is one batched call per quantity
     calls = {}
     for count in (10, 40):
-        seq = families.additive_family(a, b, c, count, np.random.default_rng(5), tol)
+        limit, seq, tol = _additive_sequence(complex_, count)
         linalg_calls.clear()
-        report = gi.sequence_report((a, b, c), seq, tol)
+        report = gi.sequence_report(limit, seq, tol)
         calls[count] = len(linalg_calls)
         assert not report.failed_indices
     assert calls[40] - calls[10] <= 30 * (6 + 1)
@@ -184,17 +192,11 @@ def test_mp_continuity_report_per_index_cost_is_one_svd(linalg_calls, complex_):
 def test_sequence_report_calls_do_not_grow_with_the_indices(linalg_calls, complex_):
     # every index shares the limit's (shape, field, rank b, rank c) group: the
     # inverses are one stacked construction, so no numpy.linalg call is per index
-    n = 20
-    rng = np.random.default_rng(4)
-    a, t, s = outer_instance_at_angles(rng, n, n, n // 2, complex_)
-    b = t.basis @ families.random_matrix(rng, n // 2, n, complex_)
-    c = families.random_matrix(rng, n, n // 2, complex_) @ complement_rows(s)
-    tol = gi.ToleranceConfig(residual_tol=1e-2)
     calls = {}
     for count in (10, 40):
-        seq = families.additive_family(a, b, c, count, np.random.default_rng(5), tol)
+        limit, seq, tol = _additive_sequence(complex_, count)
         linalg_calls.clear()
-        report = gi.sequence_report((a, b, c), seq, tol)
+        report = gi.sequence_report(limit, seq, tol)
         calls[count] = len(linalg_calls)
         assert not report.failed_indices
     assert calls[40] == calls[10]
@@ -209,6 +211,30 @@ def test_mp_continuity_report_calls_do_not_grow_with_the_indices(linalg_calls, c
         gi.mp_continuity_report(a, seq)
         calls[count] = len(linalg_calls)
     assert calls[40] == calls[10]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_sequence_report_counts(linalg_calls, complex_):
+    # the stacked construction (6 SVD + 1 QR), the inverse and two product
+    # errors (one SVD each), R(x_n) and N(x_n) (one full SVD), and four
+    # deviations readings (R(x_n), N(x_n), T_n and S_n; two SVDs each)
+    limit, seq, tol = _additive_sequence(complex_, 10)
+    linalg_calls.clear()
+    assert not gi.sequence_report(limit, seq, tol).failed_indices
+    counts = _counts(linalg_calls)
+    assert counts["svd"] <= 18 and counts["qr"] <= 1
+    assert counts["inv"] == counts["solve"] == counts["lstsq"] == 0
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_mp_continuity_report_counts(linalg_calls, complex_):
+    # as test_sequence_report_counts with the one-SVD Moore-Penrose construction
+    a, seq = families.mp_convergent_sequence(np.random.default_rng(6), 20, 10, 10, complex_)
+    linalg_calls.clear()
+    assert not gi.mp_continuity_report(a, seq).failed_indices
+    counts = _counts(linalg_calls)
+    assert counts["svd"] <= 13
+    assert counts["qr"] == counts["inv"] == counts["solve"] == counts["lstsq"] == 0
 
 
 @pytest.mark.parametrize("complex_", [False, True])
