@@ -3,10 +3,11 @@
 Every subcommand reads matrices from files in the package's matrix file
 format, runs one library operation and emits a deterministic JSON report
 (schema 1). Exit codes: 0 success, 1 input error, 2 existence failure; error
-reports always carry "error", "clause" and "margin" keys. Every report, error
-reports included, goes where ``--out`` points, or to stdout if that file
-cannot be written (then as an input error). Usage errors found by argparse
-(a wrong number of files, an unknown option or choice) exit 1 with no JSON.
+reports always carry "error", "clause" and "margin" keys. A NaN or infinite
+number is written as null. Every report, error reports included, goes where
+``--out`` points, or to stdout if that file cannot be written (then as an
+input error). Usage errors found by argparse (a wrong number of files, an
+unknown option or choice) exit 1 with no JSON.
 ``seqcheck --indices`` must be at least 1. Only gap and seqcheck take ``--seed``
 (else $GENINV_SEED, else 0), and only derivcheck takes ``--steps``.
 
@@ -56,7 +57,7 @@ def _json_safe(value):
         return _json_safe(entries) if np.isnan(value).any() else entries
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        return None if math.isnan(v) else v
+        return v if math.isfinite(v) else None
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.bool_):

@@ -61,23 +61,6 @@ class SequenceDiagnostics:
     remark_gap_identity_mismatch: float | None = None
 
 
-# The per-index records of SequenceDiagnostics; the *_terms records hold pairs.
-RECORD_NAMES = (
-    "inverse_error",
-    "left_product_error",
-    "right_product_error",
-    "range_gap",
-    "nullspace_gap",
-    "inverse_range_gap",
-    "inverse_nullspace_gap",
-    "mp_range_terms",
-    "mp_null_terms",
-    "mp_cokernel_terms",
-    "mp_corange_terms",
-    "range_projector_error",
-    "null_projector_error",
-)
-
 # verdict -> the records whose convergence it asserts; one prefix's verdicts are equivalent
 CHARACTERIZATIONS = {
     "gap_inverse": ("inverse_error",),
@@ -100,6 +83,10 @@ CHARACTERIZATIONS = {
     "oip_right_product_range_gap": ("right_product_error", "range_gap"),
     "oip_subspace_gaps": ("range_gap", "nullspace_gap"),
 }
+
+# The per-index records of SequenceDiagnostics, in order of first assertion; the *_terms
+# records hold pairs. Every other field of SequenceDiagnostics is a summary of them.
+RECORD_NAMES = tuple(dict.fromkeys(name for names in CHARACTERIZATIONS.values() for name in names))
 
 # judged at err_scale = max(1, ||x|| max(1, ||a||)); the other records are dimensionless
 _SCALED = frozenset({"inverse_error", "left_product_error", "right_product_error"})
@@ -229,10 +216,12 @@ def _diagnose(
     live = [k for k, cert in enumerate(certs) if isinstance(cert, InverseCertificate)]
     certs_ok = [certs[k] for k in live]
     x, a = limit.inverse, limit.operator
-    xa, ax = x @ a, a @ x
-    norms = kernel.spectral_norms
-    left = norms([c.inverse @ c.operator - xa for c in certs_ok])
-    right = norms([c.operator @ c.inverse - ax for c in certs_ok])
+    # the limit (slice 0) and every live index: one stack of the inverses, one of the operators
+    with_limit = (limit, *certs_ok)
+    xs, ops = np.stack([c.inverse for c in with_limit]), np.stack([c.operator for c in with_limit])
+    xn, an = xs[1:], ops[1:]
+    left = kernel.stack_norms(xn @ an - x @ a)
+    right = kernel.stack_norms(an @ xn - a @ x)
     # Orthogonal projectors P onto M and P_n onto M_n satisfy ||(I - P) P_n|| =
     # delta(M_n, M); taking adjoints swaps the pair; and ||P_n - P|| is the larger
     # of the two (Kato 1966, I §6.8). With b b^+ = P_T and c^+ c = I - P_S, every
@@ -242,11 +231,10 @@ def _diagnose(
     t_devs = deviations([c.prescribed_range.basis for c in certs_ok], t)
     s_devs = deviations([c.prescribed_nullspace.basis for c in certs_ok], s)
     t_gap, s_gap = t_devs.max(axis=1), s_devs.max(axis=1)
-    # R(x) and N(x) over the limit (first) and every live index
-    spaces = zip(*_inverse_subspaces([x] + [c.inverse for c in certs_ok], tol))
+    spaces = zip(*_inverse_subspaces(xs, tol))
     x_range, x_null = (deviations(bases[1:], bases[0]).max(axis=1) for bases in spaces)
     values = {
-        "inverse_error": norms([c.inverse - x for c in certs_ok]),
+        "inverse_error": kernel.stack_norms(xn - x),
         "left_product_error": left,
         "right_product_error": right,
         "inverse_range_gap": x_range,
@@ -286,8 +274,8 @@ def _diagnose(
     )
 
 
-def _inverse_subspaces(xs, tol: ToleranceConfig):
-    """Bases of R(x) and N(x) for each x, from one batched full SVD.
+def _inverse_subspaces(xs: np.ndarray, tol: ToleranceConfig):
+    """Bases of R(x) and N(x) for each slice x of a stack, from one batched full SVD.
 
     The rank of each x is decided as in column_space / null_space.
     """

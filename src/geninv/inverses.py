@@ -70,15 +70,16 @@ class InverseCertificate:
 def _certify(defects: dict[str, tuple[np.ndarray, float]], tol: ToleranceConfig, kind: str):
     """Norms of the (defect, scale) pairs, each accepted within ``residual_tol * scale``. A
     scale is the product of the norms of the equation's factors (||a|| ||b|| ||a|| for aba - a):
-    a normwise backward error (Higham 2002, ch. 7), so no decision depends on the unit of a."""
+    a normwise backward error (Higham 2002, ch. 7), so no decision depends on the unit of a.
+    A defect that overflowed (an inf or NaN entry) is refused whatever its budget."""
     residuals = {}
     for name, (defect, scale) in defects.items():
         budget = tol.residual_tol * scale
         value = kernel.residual_norm(defect, budget)
-        if value > budget:
+        if value > budget or value == math.inf:
+            excess = "is not finite" if value == math.inf else f"exceeds budget {budget:.3e}"
             raise CertificateError(
-                f"{kind} certificate rejected: residual {name}={value:.3e} "
-                f"exceeds budget {budget:.3e}",
+                f"{kind} certificate rejected: residual {name}={value:.3e} {excess}",
                 margin=value,
             )
         residuals[name] = value

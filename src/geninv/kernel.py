@@ -21,12 +21,16 @@ _COMPLEX = np.complex128
 def as_matrix(a) -> np.ndarray:
     """Validate and promote input to a 2-d float64/complex128 array.
 
-    Rejects non-finite entries; every public operation goes through here.
+    Rejects non-finite entries and anything numpy cannot convert to numbers (ragged rows,
+    non-numeric objects or strings); every public operation goes through here.
     """
-    arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise InputError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    return _finite_float(arr)
+    try:
+        arr = np.asarray(a)
+        if arr.ndim != 2:
+            raise InputError(f"expected a 2-d matrix, got ndim={arr.ndim}")
+        return _finite_float(arr)
+    except (TypeError, ValueError) as exc:  # numpy's conversion errors; not an InputError
+        raise InputError(f"not a numeric matrix: {exc}") from None
 
 
 def _finite_float(arr: np.ndarray) -> np.ndarray:
@@ -44,7 +48,7 @@ class ToleranceConfig:
     rank_rel_tol: singular values below ``rank_rel_tol * sigma_max`` count as zero.
     residual_tol: relative acceptance threshold for certificate residuals: each
         is accepted within residual_tol times the norms of its equation's factors.
-    fd_step_sweep: strictly decreasing finite-difference steps.
+    fd_step_sweep: strictly decreasing finite-difference steps, each in (0, inf).
     """
 
     rank_rel_tol: float = 1e-10
@@ -57,8 +61,8 @@ class ToleranceConfig:
         if not 0.0 <= self.residual_tol < 1.0:
             raise InputError("residual_tol must lie in [0, 1)")
         steps = tuple(float(s) for s in self.fd_step_sweep)
-        if not steps or any(s <= 0.0 for s in steps):
-            raise InputError("fd_step_sweep entries must be positive")
+        if not steps or not all(0.0 < s < math.inf for s in steps):
+            raise InputError("fd_step_sweep entries must be positive and finite")
         if any(b >= a for a, b in zip(steps, steps[1:])):
             raise InputError("fd_step_sweep must be strictly decreasing")
         object.__setattr__(self, "fd_step_sweep", steps)
@@ -99,48 +103,26 @@ def groups(keys) -> list[list[int]]:
     return list(found.values())
 
 
-def _as_stack(matrices) -> np.ndarray:
-    """``as_matrix`` for equal-shape matrices (or a 3-d stack), stacked along a leading axis."""
-    arr = matrices if isinstance(matrices, np.ndarray) else np.stack([*map(np.asarray, matrices)])
-    if arr.ndim != 3:
-        raise InputError(f"expected 2-d matrices, got ndim={arr.ndim - 1}")
-    return _finite_float(arr)
-
-
 def svd(a, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD ``a = u @ diag(sigma) @ v.conj().T`` with orthonormal columns, thin unless ``full``.
 
-    Returns (u, sigma, v), sigma nonincreasing and nonnegative.
+    Returns (u, sigma, v), sigma nonincreasing and nonnegative: ``svd_stack`` of a stack of one.
     """
-    a = as_matrix(a)
-    u, sigma, vh = _lapack_svd(a, full_matrices=full)
-    return u, sigma, vh.conj().T
+    u, sigma, v = svd_stack(as_matrix(a)[None], full)
+    return u[0], sigma[0], v[0]
 
 
-def svd_at_rank(
-    a, tol: ToleranceConfig, full: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``svd(a, full)`` and the numerical rank r of ``a``: (u, sigma, v, r). The first r
-    columns of u span R(a), the columns of a full v past r span N(a), and
-    ``sigma_max(sigma)`` is ||a||."""
-    u, sigma, v = svd(a, full)
-    return u, sigma, v, numerical_rank(sigma, tol)
+def svd_stack(stack: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``svd`` of each slice of a 3-d stack, from one batched LAPACK call.
 
-
-def svd_stack(matrices, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``svd`` of equal-shape matrices (or a 3-d stack) from one batched LAPACK call.
-
-    Each slice is bit-identical to ``svd`` of that matrix alone.
+    Rejects non-finite entries: LAPACK would return NaN singular values without an error.
     """
-    u, sigma, vh = _lapack_svd(_as_stack(matrices), full_matrices=full)
+    u, sigma, vh = _lapack_svd(_finite_float(stack), full_matrices=full)
     return u, sigma, vh.conj().swapaxes(-1, -2)
 
 
 def singular_values(a) -> np.ndarray:
-    a = as_matrix(a)
-    if 0 in a.shape:
-        return np.zeros(0)
-    return _lapack_svd(a, compute_uv=False)
+    return _lapack_svd(as_matrix(a), compute_uv=False)
 
 
 def numerical_rank(sigma, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarray:
@@ -165,15 +147,6 @@ def spectral_norm(a) -> float:
     return sigma_max(singular_values(a))
 
 
-def spectral_norms(matrices) -> np.ndarray:
-    """``spectral_norm`` of each matrix, from one batched SVD per (shape, field) group."""
-    mats = [np.asarray(m) for m in matrices]
-    norms = np.zeros(len(mats))
-    for members in groups((m.shape, m.dtype.kind == "c") for m in mats):
-        norms[members] = stack_norms(_as_stack([mats[i] for i in members]))
-    return norms
-
-
 def stack_norms(stack: np.ndarray) -> np.ndarray:
     """``spectral_norm`` of each slice of a 3-d stack, from one LAPACK call."""
     return _lapack_svd(stack, compute_uv=False)[:, 0] if stack.size else np.zeros(len(stack))
@@ -181,11 +154,14 @@ def stack_norms(stack: np.ndarray) -> np.ndarray:
 
 def residual_norm(a, budget: float) -> float:
     """Frobenius norm of ``a`` if within ``budget`` (it bounds the spectral norm), else the
-    exact spectral norm; the result exceeds ``budget`` exactly when the spectral norm does."""
+    exact spectral norm; the result exceeds ``budget`` exactly when the spectral norm does.
+    An inf or NaN entry (an overflowed product) gives inf."""
     fro = _frobenius(a)
     if not 1e-150 < fro < np.inf:  # the squares overflowed or may underflow: rescale
         scale = float(np.max(np.abs(a), initial=0.0))
-        if 0.0 < scale < np.inf:
+        if not scale < np.inf:
+            return math.inf
+        if scale > 0.0:
             fro = scale * _frobenius(a / scale)
     return fro if fro <= budget else spectral_norm(a)
 

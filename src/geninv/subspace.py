@@ -96,13 +96,14 @@ def column_spaces(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list[Subspace
 
 def null_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of {x : a x = 0}; dimension is cols - rank."""
-    _, _, v, r = kernel.svd_at_rank(a, tol, full=True)
-    return orthonormal_span(v[:, r:])
+    _, sigma, v = kernel.svd(a, full=True)
+    return orthonormal_span(v[:, kernel.numerical_rank(sigma, tol):])
 
 
 def range_and_null_space(a, tol: ToleranceConfig) -> tuple[Subspace, Subspace, float]:
     """R(a), N(a) and ||a||, read off one full SVD."""
-    u, sigma, v, r = kernel.svd_at_rank(a, tol, full=True)
+    u, sigma, v = kernel.svd(a, full=True)
+    r = kernel.numerical_rank(sigma, tol)
     return orthonormal_span(u[:, :r]), orthonormal_span(v[:, r:]), kernel.sigma_max(sigma)
 
 

@@ -94,6 +94,37 @@ def test_perturb_subcommand(tmp_path, capsys):
     assert not report["outside_ball"]
 
 
+def test_perturb_outside_the_bound_premises_reports_inapplicable(tmp_path, capsys):
+    # inside the openness ball (||e|| = 0.9 < 1 = 1/||x||), but z = 0.9 is past the premise
+    a_path = write(tmp_path / "a.mat", np.diag([1.0, 2.0, 3.0]))
+    b_path = write(tmp_path / "b.mat", np.diag([1.0, 1.0, 0.0]))
+    e_path = write(tmp_path / "e.mat", 0.9 * np.eye(3))
+    code, report = run_cli(capsys, "perturb", a_path, b_path, b_path, e_path)
+    assert code == 0
+    assert report["bound_value"] == "inapplicable"
+    assert not report["outside_ball"]
+
+
+def test_non_finite_fd_step_is_an_input_error_naming_the_sweep(tmp_path, capsys):
+    base = write(tmp_path / "a0.mat", np.diag([2.0, 1.0]))
+    step = write(tmp_path / "a1.mat", np.diag([1.0, 0.0]))
+    for steps in ("0.01,nan", "inf,0.001", "nan"):
+        code, report = run_cli(capsys, "derivcheck", "--steps", steps, base, step)
+        assert code == 1
+        assert report["clause"] == "input"
+        assert "fd_step_sweep" in report["error"]
+
+
+def test_overflowing_inverse_is_refused_with_exit_two(tmp_path, capsys):
+    # a is finite but ||a^+|| overflows: a refused certificate, its infinite margin as null
+    a_path = write(tmp_path / "a.mat", 1e-309 * np.diag([1.0, 2.0, 3.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, report = run_cli(capsys, "pinv", a_path)
+    assert code == 2
+    assert report["clause"] == "residual exceeds tolerance"
+    assert report["margin"] is None
+
+
 def test_derivcheck_mp_kind(tmp_path, capsys):
     base = write(tmp_path / "a0.mat", np.diag([2.0, 1.0]))
     step = write(tmp_path / "a1.mat", np.diag([1.0, 0.0]))

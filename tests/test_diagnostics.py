@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import geninv as gi
 from geninv import diagnostics, families
-from geninv.errors import CertificateError, InputError
+from geninv.errors import CertificateError, ExistenceError, InputError
 
 from conftest import (
     _mp_gap_terms_oracle,
@@ -65,6 +67,19 @@ def test_sequence_report_rejects_zero_limit():
     z = np.zeros((2, 2))
     with pytest.raises(InputError, match="zero_limit_check"):
         diagnostics.sequence_report((np.eye(2), z, z), [(np.eye(2), z, z)], SEQ_TOL)
+
+
+def test_sequence_report_raises_the_limits_existence_error():
+    # a = diag(0, 1) vanishes on R(b) = span(e1)
+    a, b = np.diag([0.0, 1.0]), np.diag([1.0, 0.0])
+    with pytest.raises(ExistenceError, match="restriction not injective") as info:
+        diagnostics.sequence_report((a, b, b), [(np.eye(2), b, b)] * 3, SEQ_TOL)
+    assert info.value.clause == "restriction not injective"
+
+
+def test_mp_continuity_report_rejects_a_zero_limit():
+    with pytest.raises(InputError, match="limit element must be nonzero"):
+        diagnostics.mp_continuity_report(np.zeros((3, 3)), [np.eye(3)] * 2, SEQ_TOL)
 
 
 def test_sequence_report_excludes_failing_indices():
@@ -368,6 +383,7 @@ def test_characterization_table_matches_the_hand_written_rules_exhaustively():
     scaled = {"inverse_error", "left_product_error", "right_product_error"}
     names = diagnostics.RECORD_NAMES
     assert len(names) == 13
+    alarms = 0
     for mask in range(2 ** len(names)):
         records = {}
         for bit, name in enumerate(names):
@@ -381,6 +397,19 @@ def test_characterization_table_matches_the_hand_written_rules_exhaustively():
                 records[name] = (0.0,) if converges else (5e-8,)
         got = diagnostics._verdicts(records, tol, err_scale)
         assert list(got.items()) == list(verdicts_oracle(records, tol, err_scale).items())
+        split = any(len(set(group.values())) == 2 for group in verdict_groups(got).values())
+        alarms += split
+        assert diagnostics._alarm(got) == split
+    assert 0 < alarms < 2 ** len(names)
+
+
+def test_record_names_are_the_records_the_characterizations_assert():
+    names = diagnostics.RECORD_NAMES
+    assert len(names) == 13
+    asserted = diagnostics.CHARACTERIZATIONS.values()
+    assert set(names) == {name for pair in asserted for name in pair}
+    summaries = {f.name for f in dataclasses.fields(diagnostics.SequenceDiagnostics)} - set(names)
+    assert summaries == {"failed_indices", "verdicts", "alarm", "remark_gap_identity_mismatch"}
 
 
 def test_characterization_table_on_an_empty_sequence():

@@ -99,6 +99,12 @@ def test_tolerance_config_validation():
         gi.ToleranceConfig(fd_step_sweep=())
 
 
+@pytest.mark.parametrize("steps", [(np.nan,), (0.01, np.nan), (np.inf, 1e-3), (1e-2, 0.0)])
+def test_tolerance_config_rejects_steps_outside_zero_to_inf(steps):
+    with pytest.raises(InputError, match="fd_step_sweep"):
+        gi.ToleranceConfig(fd_step_sweep=steps)
+
+
 def test_residual_norm_does_not_overflow_on_huge_entries():
     # the squared entries overflow; the spectral norm of the all-1e160 3x3 is 3e160
     a = np.full((3, 3), 1e160)
@@ -128,19 +134,43 @@ def test_residual_norm_within_budget_is_numpy_frobenius_norm(rng):
 
 
 def test_batched_svd_and_norms_match_per_matrix_calls(rng):
-    mats = [rng.standard_normal((5, 3)) for _ in range(4)]
-    mats += [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(3)]
-    mats += [rng.standard_normal((4, 4)), np.zeros((4, 0)), np.zeros((4, 4))]
-    norms = kernel.spectral_norms(mats)
-    assert norms.tolist() == [gi.spectral_norm(m) for m in mats]
-    for full in (False, True):
-        u, sigma, v = kernel.svd_stack(mats[:4], full=full)
-        for k, m in enumerate(mats[:4]):
-            single = gi.svd(m, full=full)
-            assert all(np.array_equal(x[k], y) for x, y in zip((u, sigma, v), single))
-    assert kernel.spectral_norms([]).shape == (0,)
-    with pytest.raises(InputError):
-        kernel.spectral_norms([np.array([[np.inf]])])
+    stacks = [rng.standard_normal((4, 5, 3)), rng.standard_normal((3, 4, 4)),
+              rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)),
+              np.zeros((2, 4, 0)), np.zeros((2, 4, 4)), np.zeros((0, 4, 4))]
+    for stack in stacks:
+        norms = kernel.stack_norms(stack)
+        assert norms.shape == (len(stack),)
+        assert norms.tolist() == [gi.spectral_norm(m) for m in stack]
+        for full in (False, True):
+            u, sigma, v = kernel.svd_stack(stack, full=full)
+            for k, m in enumerate(stack):
+                single = gi.svd(m, full=full)
+                assert all(np.array_equal(x[k], y) for x, y in zip((u, sigma, v), single))
+    for bad in (np.inf, np.nan):
+        stack = np.zeros((2, 3, 3))
+        stack[1, 2, 0] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            kernel.svd_stack(stack)
+
+
+def test_as_matrix_turns_unconvertible_input_into_input_error():
+    for bad in ([[1.0, 2.0], [3.0]], [[{}]], [[1 + 2j, "x"]]):
+        with pytest.raises(InputError, match="not a numeric matrix"):
+            gi.spectral_norm(bad)
+        with pytest.raises(InputError, match="not a numeric matrix"):
+            gi.as_matrix(bad)
+    # numeric strings convert as numpy converts them
+    assert gi.as_matrix([["1", "2.5"]]).tolist() == [[1.0, 2.5]]
+
+
+def test_residual_norm_of_an_overflowed_defect_is_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.inf, -np.inf, np.nan):
+            a = np.ones((3, 3))
+            a[1, 2] = bad
+            assert kernel.residual_norm(a, 1.0) == np.inf
+            assert kernel.residual_norm(a.astype(complex), np.inf) == np.inf
 
 
 def test_numerical_rank_of_a_stack_is_the_rank_of_each_row():

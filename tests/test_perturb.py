@@ -3,7 +3,7 @@ import pytest
 
 import geninv as gi
 from geninv import families
-from geninv.errors import InputError
+from geninv.errors import ExistenceError, InputError
 
 
 def test_openness_radius_scalar():
@@ -115,3 +115,13 @@ def test_shape_mismatch_rejected():
     cert = gi.bc_inverse(np.eye(2), np.eye(2), np.eye(2))
     with pytest.raises(InputError):
         gi.perturbed_bc_inverse(cert, np.zeros((3, 3)))
+
+
+def test_singular_resolvent_factor_is_an_existence_error():
+    # x = diag(1, 0) and e = -I make 1 + x e = diag(0, 1) singular, at ||e|| ||x|| = 1
+    b = np.diag([1.0, 0.0])
+    cert = gi.bc_inverse(np.eye(2), b, b)
+    with pytest.raises(ExistenceError, match="singular") as info:
+        gi.perturbed_bc_inverse(cert, -np.eye(2))
+    assert info.value.clause == "1 + x e not invertible"
+    assert info.value.margin == 1.0

@@ -4,16 +4,19 @@ Every inverse here is homogeneous: x(s a) = x(a) / s with b, c, d, p, q and
 the prescribed subspaces held fixed. So an instance accepted at s = 1 must be
 accepted at s = 10^k for every |k| <= 150, with the unit-scale inverse over
 10^k as its inverse. A 50-digit mpmath pseudoinverse is the independent
-reference for Moore-Penrose at extreme scales.
+reference for Moore-Penrose at extreme scales. Past the range of floats, an
+inverse whose norm overflows is refused by its certificate.
 """
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geninv as gi
-from geninv import families
+from geninv import diagnostics, families
+from geninv.errors import CertificateError
 
 KINDS = ("mp", "outer", "bc", "along", "bott_duffin")
 
@@ -93,3 +96,28 @@ def test_moore_penrose_matches_a_50_digit_reference_at_extreme_scales():
             error = np.linalg.norm(cert.inverse - reference, 2)
             assert error <= 1e-10 * kappa * np.linalg.norm(reference, 2), (complex_, k)
             assert cert.prescribed_range.dim == 3
+
+
+@pytest.mark.parametrize("k", (-308, -309, -320))
+def test_an_overflowing_inverse_is_refused_by_its_certificate_not_as_input(k):
+    # a is finite, but ||x|| = 1 / sigma_min(H a F) overflows: the certificate's
+    # defect holds inf or NaN, which must refuse x rather than read as bad input
+    a, t, s = families.random_outer_instance(np.random.default_rng(0), 6, 6, 3)
+    b, c = t.projector(), np.eye(6) - s.projector()  # R(b) = T, N(c) = S
+    tiny = a * 10.0**k
+    refused = [
+        lambda: gi.outer_prescribed(tiny, t, s),
+        lambda: gi.bc_inverse(tiny, b, c),
+        lambda: diagnostics.sequence_report((tiny, b, c), [(tiny, b, c)] * 3),
+    ]
+    mp = [lambda: gi.moore_penrose(tiny), lambda: diagnostics.mp_continuity_report(tiny, [tiny])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k == -308:  # ||a^+|| ~ 1.6e308 is finite; its infinite budget alone refuses nothing
+            cert = mp[0]()
+            assert np.isfinite(cert.inverse).all() and cert.inverse_norm < np.inf
+            assert not mp[1]().failed_indices
+        else:
+            refused += mp
+        for construct in refused:
+            with pytest.raises(CertificateError, match="is not finite"):
+                construct()
