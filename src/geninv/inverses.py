@@ -20,14 +20,13 @@ whose residuals exceed tolerance is rejected rather than returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernel
 from .errors import CertificateError, ExistenceError, InputError
-# spectral_norm is not called here, but tracers that rebind it in this namespace expect it
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm  # noqa: F401
+from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
 from .subspace import (
     ObliqueProjector,
     Subspace,
@@ -49,8 +48,9 @@ class InverseCertificate:
     range_gap / nullspace_gap are containment upper bounds on the gaps between
     the computed inverse's subspaces and the prescribed ones;
     complement_margin is the smallest singular value of the direct-sum test
-    [a(T) | S] that granted existence. operator_norm and inverse_norm are ||a|| and
-    ||inverse||, read off the construction's own factorizations.
+    [a(T) | S] that granted existence. inverse_norm is ||inverse||. operator_norm is
+    ||a||: moore_penrose's sigma_1, else one values-only SVD of a, taken once, by the
+    construction where no bound on ||a|| decided a check, or else on first read.
     """
 
     inverse: np.ndarray
@@ -63,19 +63,27 @@ class InverseCertificate:
     operator: np.ndarray
     prescribed_range: Subspace
     prescribed_nullspace: Subspace
-    operator_norm: float
     inverse_norm: float
+    _operator_norm: list = field(repr=False)  # [||a||] once taken
+    operator_norm = property(lambda self: _norm(self._operator_norm, self.operator))
 
 
-def _certify(defects: dict[str, tuple[np.ndarray, float]], tol: ToleranceConfig, kind: str):
+def _norm(memo: list, a) -> float:  # ||a||, kept in memo from one values-only SVD
+    memo[:] = memo or [spectral_norm(a)]
+    return memo[0]
+
+
+def _certify(defects: dict, tol: ToleranceConfig, kind: str, exact=None):
     """Norms of the (defect, scale) pairs, each accepted within ``residual_tol * scale``. A
     scale is the product of the norms of the equation's factors (||a|| ||b|| ||a|| for aba - a):
     a normwise backward error (Higham 2002, ch. 7), so no decision depends on the unit of a.
+    With ``exact``, scales are at a lower bound on ||a||; one over budget is judged at exact().
     A defect that overflowed (an inf or NaN entry) is refused whatever its budget."""
     residuals = {}
     for name, (defect, scale) in defects.items():
-        budget = tol.residual_tol * scale
-        value = kernel.residual_norm(defect, budget)
+        value, budget = kernel.residual_norm(defect), tol.residual_tol * scale
+        budget = tol.residual_tol * exact()[name][1] if exact and not value <= budget else budget
+        value = value if value <= budget else kernel.residual_norm(defect, budget)
         if value > budget or value == math.inf:
             excess = "is not finite" if value == math.inf else f"exceeds budget {budget:.3e}"
             raise CertificateError(
@@ -99,16 +107,16 @@ def _prefixed(prefix: str, results: list) -> list:
             if type(r) is ExistenceError else r for r in results]
 
 
-def _certificate(defects: dict, tol, core_sigma, x, kind, condition, margin, a, t, s, *norms):
+def _certificate(defects, tol, core_sigma, x, kind, condition, margin, a, t, s, *norms, exact=None):
     """x's certificate (the fields in InverseCertificate's order, its residuals and gaps
-    aside), or the CertificateError of the first defect over its budget.
+    aside), or the CertificateError of the first defect ``_certify`` refuses given ``exact``.
 
     For ``x = F core^-1 H`` the gaps bound gap(R(x), T) and gap(N(x), S): x has smallest nonzero
     singular value 1/||core||, so ||core|| times ||(I - FF*) x|| or ||x S||, each plus 2 dim eps
     ||x||_F for the rounding of its two products, bounds how far R(x) leaves T or S leaves N(x).
     Past the rank cutoff the gap is 1."""
     try:
-        residuals = _certify(defects, tol, kind)
+        residuals = _certify(defects, tol, kind, exact)
     except CertificateError as exc:
         return exc
     gaps = (0.0, 0.0) if core_sigma.size == 0 else (1.0, 1.0)
@@ -128,6 +136,7 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
     return _one(moore_penrose_stack([a], tol))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def moore_penrose_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """moore_penrose of each matrix: one SVD per ``kernel.layout``, one product per rank.
     Entry i is matrix i's certificate or the CertificateError that refuses it."""
@@ -154,7 +163,8 @@ def moore_penrose_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list:
                 }
                 results[i] = _certificate(
                     defects, tol, sig[k, :r], b[k], "moore_penrose", s[0] / s[r - 1] if r else 1.0,
-                    1.0, ops[i], orthonormal_span(f[k]), orthonormal_span(s_basis[k]), anorm, bnorm)
+                    1.0, ops[i], orthonormal_span(f[k]), orthonormal_span(s_basis[k]), bnorm,
+                    [anorm])
     return results
 
 
@@ -190,18 +200,20 @@ def _complement_failure(margin: float) -> ExistenceError:
     return ExistenceError(f"complement fails: {clause}", clause=clause, margin=margin)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()) -> list:
     """outer_prescribed of each ops[i] (of one ``kernel.layout``) with range ts[i] and null space
     ss[i] (of one dim each) as ``kind``, each factorization one LAPACK call over the stack. Entry
     i is slice i's certificate or the ExistenceError refusing it; ||x|| = 1 / sigma_min(core).
-    bc[i] = (b, c, ||b||, ||c||) adds (b, c)-absorption residuals to x a x = x."""
+    bc[i] = (b, c, ||b||, ||c||) adds (b, c)-absorption residuals to x a x = x. ||a_i||-scaled
+    checks use sigma_max(a_i F) / 2 <= ||a_i|| <= 2 ||a_i||_F first; a_i is factored as needed."""
     (m, n), k, dt, ds = ops[0].shape, len(ops), ts[0].dim, ss[0].dim
     if any(t.ambient_dim != n for t in ts):
         raise InputError("prescribed range does not live in the domain of a")
     if any(s.ambient_dim != m for s in ss):
         raise InputError("prescribed null space does not live in the codomain of a")
     a = kernel.stack(ops)
-    anorm = kernel.stack_norms(a).tolist()
+    memos: list = [[] for _ in ops]  # ||a_i||, taken where no bound decides or on first read
     if dt == 0:
         checks = [direct_sum_check(trivial_subspace(m), s, tol) for s in ss]
         refused = {i: _complement_failure(c.margin) for i, c in enumerate(checks) if not c.holds}
@@ -212,9 +224,14 @@ def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()
         restricted = a @ f
         image, sig, _ = kernel.svd_stack(restricted)
         sig0, smin = sig[:, 0].tolist(), sig[:, dt - 1].tolist() if dt <= m else [0.0] * k
+
+        def deficient(i: int) -> bool:  # smin_i <= rank_rel_tol ||a_i||, a_i factored last
+            rel, low, high = tol.rank_rel_tol, 0.5 * sig0[i], 2.0 * kernel.residual_norm(ops[i])
+            return (smin[i] <= rel * low or not smin[i] > rel * high
+                    and smin[i] <= rel * _norm(memos[i], ops[i]))
         clause = "restriction not injective"
         refused = {i: ExistenceError(clause, clause=clause, margin=smin[i]) for i in range(k)
-                   if dt > m or smin[i] <= tol.rank_rel_tol * anorm[i]}
+                   if dt > m or deficient(i)}
         if dt + ds != m or len(refused) == k:  # every slice refused: no more factorizations
             for i in set(range(k)) - set(refused):
                 check = direct_sum_check(orthonormal_span(image[i]), ss[i], tol)
@@ -240,13 +257,16 @@ def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()
     if bc:
         b, c = (kernel.stack([p[j] for p in bc]) for j in (0, 1))
         defects.update(xab_b=xa @ b - b, cax_c=c @ a @ x - c)
+
+    def judged(i: int, an: float) -> dict:  # each defect, scale at ||a_i|| = an (0 if T = {0})
+        xn, (bn, cn) = xnorm[i], bc[i][2:] if bc else (0.0, 0.0)
+        scales = [xn * an * xn, xn * an * bn, cn * an * xn]
+        return {name: (d[i], scale) for (name, d), scale in zip(defects.items(), scales)}
     results: list = [refused.get(i) for i in range(k)]
-    for i in sorted(set(range(k)) - set(refused)):
-        xn, an = xnorm[i], anorm[i]
-        scales = [xn * an * xn] + ([xn * an * bc[i][2], bc[i][3] * an * xn] if bc else [])
-        checked = {name: (d[i], scale) for (name, d), scale in zip(defects.items(), scales)}
-        results[i] = _certificate(checked, tol, core_sigma[i], x[i], kind, sig0[i] / smin[i],
-                                  margin[i], ops[i], ts[i], ss[i], an, xn)
+    for i in sorted(set(range(k)) - set(refused)):  # sigma_max(a F) / 2 <= ||a||
+        results[i] = _certificate(judged(i, 0.5 * sig0[i]), tol, core_sigma[i], x[i], kind,
+                                  sig0[i] / smin[i], margin[i], ops[i], ts[i], ss[i], xnorm[i],
+                                  memos[i], exact=lambda i=i: judged(i, _norm(memos[i], ops[i])))
     return results
 
 

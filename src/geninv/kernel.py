@@ -152,9 +152,9 @@ def stack_norms(stack: np.ndarray) -> np.ndarray:
     return _lapack_svd(stack, compute_uv=False)[:, 0] if stack.size else np.zeros(len(stack))
 
 
-def residual_norm(a, budget: float) -> float:
-    """Frobenius norm of ``a`` if within ``budget`` (it bounds the spectral norm), else the
-    exact spectral norm; the result exceeds ``budget`` exactly when the spectral norm does.
+def residual_norm(a, budget: float = math.inf) -> float:
+    """Frobenius norm of ``a`` if within ``budget`` (none by default), else the exact
+    spectral norm; the result exceeds ``budget`` exactly when the spectral norm does.
     An inf or NaN entry (an overflowed product) gives inf."""
     fro = _frobenius(a)
     if not 1e-150 < fro < np.inf:  # the squares overflowed or may underflow: rescale

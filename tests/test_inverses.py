@@ -1,14 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geninv as gi
-from geninv import families
+from geninv import families, inverses
 from geninv.errors import CertificateError, ExistenceError, InputError
 
 from conftest import (
     assert_same_subspace,
+    complement_rows,
     outer_fullrank_oracle,
     outer_instance_at_angles,
     outer_projector_oracle,
@@ -325,6 +328,113 @@ def test_certificate_rejection_on_absurd_tolerance():
     tol = gi.ToleranceConfig(residual_tol=1e-300)
     with pytest.raises(CertificateError):
         gi.moore_penrose(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), tol)
+
+
+def _boundary_problem(complex_: bool, spread: float):
+    """An 8x8 a, T and S (dim 4 each) with sigma_min(a F) / ||a|| about 1e-3 / spread, and the
+    four constructions of its outer inverse, each ``construct(a, tol)``. ``spread`` scales a
+    on the orthogonal complement of T: sigma_max(a F), the lower bound on ||a||, stays about
+    1 while ||a|| grows, so at spread 1e3 the bounds are loose by that factor."""
+    rng = np.random.default_rng(16)
+    n, r = 8, 4
+    a, t, s = outer_instance_at_angles(rng, n, n, r, complex_)
+    f, h = t.basis, complement_rows(s)
+    a = a - 0.999 * (a @ f[:, :1]) @ f[:, :1].conj().T  # a(T) keeps its span
+    a = a + spread * families.random_matrix(rng, n, n, complex_) @ (np.eye(n) - f @ f.conj().T)
+    b = f @ families.random_matrix(rng, r, n, complex_)
+    c = families.random_matrix(rng, n, r, complex_) @ h
+    d = f @ families.random_conditioned(rng, r, complex_) @ h
+    p = gi.ObliqueProjector.from_matrix(f @ f.conj().T)
+    q = gi.ObliqueProjector.from_matrix(h.conj().T @ h)
+    constructions = {
+        "outer": (lambda a, tol: gi.outer_prescribed(a, t, s, tol), ""),
+        "bc": (lambda a, tol: gi.bc_inverse(a, b, c, tol), "(B,C)-inverse does not exist: "),
+        "along": (lambda a, tol: gi.inverse_along(a, d, tol),
+                  "not invertible along D: (B,C)-inverse does not exist: "),
+        "bott_duffin": (lambda a, tol: gi.bott_duffin(a, p, q, tol),
+                        "(B,C)-inverse does not exist: "),
+    }
+    norms = {"b": gi.svd(b)[1][0], "c": gi.svd(c, full=True)[1][0],
+             "d": gi.svd(d, full=True)[1][0], "p": p.norm, "q": q.norm}
+    return a, f, constructions, norms
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("spread", [1.0, 1e3])
+@pytest.mark.parametrize("kind", ["outer", "bc", "along", "bott_duffin"])
+def test_injectivity_is_decided_at_the_exact_norm(monkeypatch, kind, spread, complex_):
+    # rank_rel_tol a relative 1e-6 either side of sigma_min(a F) / ||a||: no bound on ||a||
+    # decides there, so the construction must factor a and refuse above, accept below
+    a, f, constructions, _ = _boundary_problem(complex_, spread)
+    construct, prefix = constructions[kind]
+    anorm = gi.spectral_norm(a)
+    smin = np.linalg.svd(a @ f, compute_uv=False)[-1]
+    factored = []
+    monkeypatch.setattr(inverses, "spectral_norm",
+                        lambda m: factored.append(m.shape) or gi.spectral_norm(m))
+    with pytest.raises(ExistenceError) as refused:
+        construct(a, gi.ToleranceConfig(rank_rel_tol=smin / anorm * (1 + 1e-6)))
+    assert str(refused.value) == prefix + "restriction not injective"
+    assert refused.value.clause == "restriction not injective"
+    assert refused.value.margin == pytest.approx(smin, rel=1e-10)
+    assert factored == [a.shape]
+    factored.clear()
+    cert = construct(a, gi.ToleranceConfig(rank_rel_tol=smin / anorm * (1 - 1e-6)))
+    assert factored == [a.shape]
+    assert _bits(cert.operator_norm) == _bits(anorm) and factored == [a.shape]
+    if spread > 1.0:  # sigma_max(a F) << ||a||: refusing even 100x past the threshold needs ||a||
+        factored.clear()
+        with pytest.raises(ExistenceError, match="restriction not injective"):
+            construct(a, gi.ToleranceConfig(rank_rel_tol=smin / anorm * 100))
+        assert factored == [a.shape]
+
+
+def _residual_scales(kind: str, xnorm: float, anorm: float, norms: dict) -> dict:
+    """Each residual's scale, in the construction's own order of products."""
+    b, c = ("p", "q") if kind == "bott_duffin" else ("d", "d") if kind == "along" else ("b", "c")
+    return {
+        "xax_x": xnorm * anorm * xnorm,
+        "xab_b": xnorm * anorm * norms[b],
+        "cax_c": norms[c] * anorm * xnorm,
+        "py_y": norms["p"] * xnorm,
+        "yq_y": xnorm * norms["q"],
+    }
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("spread", [1.0, 1e3])
+@pytest.mark.parametrize("kind", ["outer", "bc", "along", "bott_duffin"])
+def test_residuals_are_decided_at_the_exact_norm(kind, spread, complex_):
+    # residual_tol a relative 1e-6 either side of the deciding residual's spectral norm over
+    # its scale (found by raising residual_tol to each refused residual's own threshold)
+    a, _, constructions, norms = _boundary_problem(complex_, spread)
+    construct, _ = constructions[kind]
+    anorm = gi.spectral_norm(a)
+    cert = construct(a, gi.DEFAULT_TOL)
+    scales = _residual_scales(kind, cert.inverse_norm, anorm, norms)
+    residual_tol, deciding = 1e-300, None
+    for _ in range(10):
+        try:
+            cert = construct(a, gi.ToleranceConfig(residual_tol=residual_tol))
+            break
+        except CertificateError as exc:
+            name = re.search(r"residual (\w+)=", str(exc)).group(1)
+            deciding = name, exc.margin, exc.margin / scales[name]
+            residual_tol = deciding[2] * (1 + 1e-6)
+    name, value, ratio = deciding
+    assert _bits(cert.residuals[name]) == _bits(value)  # its spectral norm, as before
+    assert _bits(cert.operator_norm) == _bits(anorm)
+    below = gi.ToleranceConfig(residual_tol=ratio * (1 - 1e-6))
+    with pytest.raises(CertificateError) as refused:
+        construct(a, below)
+    budget = below.residual_tol * scales[name]
+    assert str(refused.value).endswith(
+        f"certificate rejected: residual {name}={value:.3e} exceeds budget {budget:.3e}")
+    assert _bits(refused.value.margin) == _bits(value)
 
 
 def test_certificates_and_reports_compare_by_identity_and_hash():
