@@ -41,36 +41,39 @@ from .subspace import (
 class InverseCertificate:
     """An inverse candidate bundled with the evidence that it is one.
 
-    residuals maps each defining equation to the norm of its defect: the
-    Frobenius norm (an upper bound on the spectral norm), or the exact
-    spectral norm where that bound exceeded the budget. restricted_condition
-    is the condition number of ``a`` restricted to the prescribed range;
-    range_gap / nullspace_gap are containment upper bounds on the gaps between
-    the computed inverse's subspaces and the prescribed ones;
-    complement_margin is the smallest singular value of the direct-sum test
-    [a(T) | S] that granted existence. inverse_norm is ||inverse||. operator_norm is
-    ||a||: moore_penrose's sigma_1, else one values-only SVD of a, taken once, by the
-    construction where no bound on ||a|| decided a check, or else on first read.
+    residuals maps each defining equation to the norm of its defect: the Frobenius norm (an
+    upper bound on the spectral norm), or the exact spectral norm where that bound exceeded
+    the budget. range_gap / nullspace_gap are containment upper bounds on the gaps between the
+    computed inverse's subspaces and the prescribed ones. inverse_norm is ||inverse||. _memo
+    keeps, from the construction or from their first read, restricted_condition (the condition
+    number of ``a`` on the prescribed range) and complement_margin (the smallest singular value
+    of the direct-sum test [a(T) | S]), both from two SVDs and one QR, and operator_norm, ||a||.
     """
 
     inverse: np.ndarray
     kind: str
     residuals: dict[str, float]
-    restricted_condition: float
     range_gap: float
     nullspace_gap: float
-    complement_margin: float
     operator: np.ndarray
     prescribed_range: Subspace
     prescribed_nullspace: Subspace
     inverse_norm: float
-    _operator_norm: list = field(repr=False)  # [||a||] once taken
-    operator_norm = property(lambda self: _norm(self._operator_norm, self.operator))
+    _memo: dict = field(repr=False)  # the numbers below, by name, once taken
+    operator_norm, restricted_condition, complement_margin = (property(
+        lambda self, name=name: _lazy(self._memo, name, self.operator, self.prescribed_range,
+                                      self.prescribed_nullspace))
+        for name in ("operator_norm", "restricted_condition", "complement_margin"))
 
 
-def _norm(memo: list, a) -> float:  # ||a||, kept in memo from one values-only SVD
-    memo[:] = memo or [spectral_norm(a)]
-    return memo[0]
+def _lazy(memo: dict, name: str, a, t=None, s=None) -> float:
+    """memo[name], taken on first read: ||a|| by one values-only SVD, the clause values by
+    ``_clauses`` on (a, T, S) at rank_rel_tol 0, where a certificate's clauses hold."""
+    if name not in memo and name == "operator_norm":
+        memo[name] = spectral_norm(a)
+    elif name not in memo:
+        _clauses([a], [t], [s], [memo], ToleranceConfig(rank_rel_tol=0.0))
+    return memo[name]
 
 
 def _certify(defects: dict, tol: ToleranceConfig, kind: str, exact=None):
@@ -107,7 +110,7 @@ def _prefixed(prefix: str, results: list) -> list:
             if type(r) is ExistenceError else r for r in results]
 
 
-def _certificate(defects, tol, core_sigma, x, kind, condition, margin, a, t, s, *norms, exact=None):
+def _certificate(defects, tol, core_sigma, x, kind, a, t, s, xnorm, memo, exact=None):
     """x's certificate (the fields in InverseCertificate's order, its residuals and gaps
     aside), or the CertificateError of the first defect ``_certify`` refuses given ``exact``.
 
@@ -125,7 +128,7 @@ def _certificate(defects, tol, core_sigma, x, kind, condition, margin, a, t, s, 
         off_range = np.linalg.norm(x - t.basis @ (t.basis.conj().T @ x)) + rounding
         off_null = np.linalg.norm(x @ s.basis) + rounding
         gaps = min(1.0, float(off_range * core_sigma[0])), min(1.0, float(off_null * core_sigma[0]))
-    return InverseCertificate(x, kind, residuals, condition, *gaps, margin, a, t, s, *norms)
+    return InverseCertificate(x, kind, residuals, *gaps, a, t, s, xnorm, memo)
 
 
 def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
@@ -161,10 +164,11 @@ def moore_penrose_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list:
                     "ab_hermitian": (ab[k].conj().T - ab[k], anorm * bnorm),
                     "ba_hermitian": (ba[k].conj().T - ba[k], anorm * bnorm),
                 }
+                memo = {"operator_norm": anorm, "complement_margin": 1.0,
+                        "restricted_condition": s[0] / s[r - 1] if r else 1.0}
                 results[i] = _certificate(
-                    defects, tol, sig[k, :r], b[k], "moore_penrose", s[0] / s[r - 1] if r else 1.0,
-                    1.0, ops[i], orthonormal_span(f[k]), orthonormal_span(s_basis[k]), bnorm,
-                    [anorm])
+                    defects, tol, sig[k, :r], b[k], "moore_penrose", ops[i],
+                    orthonormal_span(f[k]), orthonormal_span(s_basis[k]), bnorm, memo)
     return results
 
 
@@ -200,56 +204,81 @@ def _complement_failure(margin: float) -> ExistenceError:
     return ExistenceError(f"complement fails: {clause}", clause=clause, margin=margin)
 
 
+def _complement_rows(sb: np.ndarray) -> np.ndarray:
+    """H: orthonormal rows spanning the orthogonal complement of each S (one complete QR)."""
+    return np.linalg.qr(sb, mode="complete")[0][:, :, sb.shape[-1]:].conj().swapaxes(-1, -2)
+
+
+def _clauses(ops: list, ts: list, ss: list, memos: list, tol: ToleranceConfig) -> dict:
+    """Both existence clauses of each (a, T, S) of one layout and dims, decided exactly: the
+    refused indices' ExistenceErrors; memos[i] gets restricted_condition and complement_margin.
+    Injectivity, sigma_min(A F) > rank_rel_tol ||a||, is judged at sigma_max(A F) / 2 first."""
+    (m, _), k, dt, ds = ops[0].shape, len(ops), ts[0].dim, ss[0].dim
+    image, sig, _ = kernel.svd_stack(kernel.stack(ops) @ kernel.stack([t.basis for t in ts]))
+    sig0, smin = sig[:, 0].tolist(), sig[:, dt - 1].tolist() if dt <= m else [0.0] * k
+
+    def deficient(i: int) -> bool:  # smin_i <= rank_rel_tol ||a_i||, a_i factored last
+        rel, low, high = tol.rank_rel_tol, 0.5 * sig0[i], 2.0 * kernel.residual_norm(ops[i])
+        return (smin[i] <= rel * low or not smin[i] > rel * high
+                and smin[i] <= rel * _lazy(memos[i], "operator_norm", ops[i]))
+    clause = "restriction not injective"
+    refused = {i: ExistenceError(clause, clause=clause, margin=smin[i]) for i in range(k)
+               if dt > m or deficient(i)}
+    live = [i for i in range(k) if i not in refused]
+    if dt + ds != m:
+        for i in live:
+            check = direct_sum_check(orthonormal_span(image[i]), ss[i], tol)
+            refused[i] = _complement_failure(check.margin)
+    elif live:  # none live: no more factorizations
+        # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
+        # and S; cos is measured along that angle, as sqrt(1 - sin^2) cancels near sin = 1
+        sb = kernel.stack([s.basis for s in ss])
+        _, sines, w = kernel.svd_stack(_complement_rows(sb) @ image)
+        cosines = map(np.linalg.norm, sb.conj().swapaxes(-1, -2) @ (image @ w[:, :, -1:]))
+        margin = [sin / math.sqrt(1.0 + cos) for sin, cos in zip(sines[:, -1].tolist(), cosines)]
+        for i in live:
+            memos[i].update(restricted_condition=sig0[i] / smin[i], complement_margin=margin[i])
+            if margin[i] <= tol.rank_rel_tol:
+                refused[i] = _complement_failure(margin[i])
+    return refused
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()) -> list:
     """outer_prescribed of each ops[i] (of one ``kernel.layout``) with range ts[i] and null space
     ss[i] (of one dim each) as ``kind``, each factorization one LAPACK call over the stack. Entry
     i is slice i's certificate or the ExistenceError refusing it; ||x|| = 1 / sigma_min(core).
-    bc[i] = (b, c, ||b||, ||c||) adds (b, c)-absorption residuals to x a x = x. ||a_i||-scaled
-    checks use sigma_max(a_i F) / 2 <= ||a_i|| <= 2 ||a_i||_F first; a_i is factored as needed."""
+    bc[i] = (b, c, ||b||, ||c||) adds (b, c)-absorption residuals to x a x = x. The core H A F is
+    factored first: sigma_min(H A F) <= sigma_min(A F), and <= sin ||A F|| at the direct-sum
+    test's sine (its margin >= sin / sqrt 2), so sigma_min(H A F) > (2 rank_rel_tol + 8 (m + n)
+    eps) ||a||_F, the allowance for both SVDs' rounding, grants both clauses; ``_clauses``
+    decides the rest exactly. Residual budgets use sigma_max(H A F) / 2 <= ||a|| first."""
     (m, n), k, dt, ds = ops[0].shape, len(ops), ts[0].dim, ss[0].dim
     if any(t.ambient_dim != n for t in ts):
         raise InputError("prescribed range does not live in the domain of a")
     if any(s.ambient_dim != m for s in ss):
         raise InputError("prescribed null space does not live in the codomain of a")
-    a = kernel.stack(ops)
-    memos: list = [[] for _ in ops]  # ||a_i||, taken where no bound decides or on first read
+    a, memos = kernel.stack(ops), [{} for _ in ops]  # the lazily read numbers taken here
     if dt == 0:
         checks = [direct_sum_check(trivial_subspace(m), s, tol) for s in ss]
         refused = {i: _complement_failure(c.margin) for i, c in enumerate(checks) if not c.holds}
-        margin, sig0, smin, xnorm = [c.margin for c in checks], [1.0] * k, [1.0] * k, [0.0] * k
-        x, core_sigma = np.zeros((k, n, m), dtype=a.dtype), np.zeros((k, 0))
+        memos = [{"restricted_condition": 1.0, "complement_margin": c.margin} for c in checks]
+        x, core_sigma, xnorm = np.zeros((k, n, m), dtype=a.dtype), np.zeros((k, 0)), [0.0] * k
     else:
-        f, sb = kernel.stack([t.basis for t in ts]), kernel.stack([s.basis for s in ss])
-        restricted = a @ f
-        image, sig, _ = kernel.svd_stack(restricted)
-        sig0, smin = sig[:, 0].tolist(), sig[:, dt - 1].tolist() if dt <= m else [0.0] * k
-
-        def deficient(i: int) -> bool:  # smin_i <= rank_rel_tol ||a_i||, a_i factored last
-            rel, low, high = tol.rank_rel_tol, 0.5 * sig0[i], 2.0 * kernel.residual_norm(ops[i])
-            return (smin[i] <= rel * low or not smin[i] > rel * high
-                    and smin[i] <= rel * _norm(memos[i], ops[i]))
-        clause = "restriction not injective"
-        refused = {i: ExistenceError(clause, clause=clause, margin=smin[i]) for i in range(k)
-                   if dt > m or deficient(i)}
-        if dt + ds != m or len(refused) == k:  # every slice refused: no more factorizations
-            for i in set(range(k)) - set(refused):
-                check = direct_sum_check(orthonormal_span(image[i]), ss[i], tol)
-                refused[i] = _complement_failure(check.margin)
-            return [refused[i] for i in range(k)]
-        h = np.linalg.qr(sb, mode="complete")[0][:, :, ds:].conj().swapaxes(-1, -2)
-        # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
-        # and S; cos is measured along that angle, as sqrt(1 - sin^2) cancels near sin = 1
-        _, sines, w = kernel.svd_stack(h @ image)
-        cosines = map(np.linalg.norm, sb.conj().swapaxes(-1, -2) @ (image @ w[:, :, -1:]))
-        margin = [sin / math.sqrt(1.0 + cos) for sin, cos in zip(sines[:, -1].tolist(), cosines)]
-        bad = [i for i, low in enumerate(margin) if low <= tol.rank_rel_tol and i not in refused]
-        refused.update({i: _complement_failure(margin[i]) for i in bad})
+        undecided = list(range(k))  # all, where dim T + dim S != m: _clauses refuses them
+        if dt + ds == m:
+            h = _complement_rows(kernel.stack([s.basis for s in ss]))
+            f = kernel.stack([t.basis for t in ts])
+            cu, core_sigma, cv = kernel.svd_stack(h @ (a @ f))
+            floor = 2.0 * tol.rank_rel_tol + 8 * (m + n) * np.finfo(float).eps
+            undecided = [i for i in range(k)
+                         if not core_sigma[i, -1] > floor * kernel.residual_norm(ops[i])]
+        picked = [[p[i] for i in undecided] for p in (ops, ts, ss, memos)]
+        found = _clauses(*picked, tol) if undecided else {}
+        refused = {undecided[j]: e for j, e in found.items()}
         if len(refused) == k:
             return [refused[i] for i in range(k)]
-        cu, core_sigma, cv = kernel.svd_stack(h @ restricted)
-        if refused:  # a refused slice's inverse is never read: keep it finite
-            core_sigma[list(refused)] = 1.0
+        core_sigma[list(refused)] = 1.0  # a refused slice's inverse is never read: keep it finite
         x = (f @ (cv / core_sigma[:, None, :])) @ (cu.conj().swapaxes(-1, -2) @ h)
         xnorm = (1.0 / core_sigma[:, -1]).tolist()
     xa = x @ a
@@ -263,10 +292,11 @@ def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()
         scales = [xn * an * xn, xn * an * bn, cn * an * xn]
         return {name: (d[i], scale) for (name, d), scale in zip(defects.items(), scales)}
     results: list = [refused.get(i) for i in range(k)]
-    for i in sorted(set(range(k)) - set(refused)):  # sigma_max(a F) / 2 <= ||a||
-        results[i] = _certificate(judged(i, 0.5 * sig0[i]), tol, core_sigma[i], x[i], kind,
-                                  sig0[i] / smin[i], margin[i], ops[i], ts[i], ss[i], xnorm[i],
-                                  memos[i], exact=lambda i=i: judged(i, _norm(memos[i], ops[i])))
+    for i in sorted(set(range(k)) - set(refused)):  # sigma_max(H A F) / 2 <= ||a||
+        results[i] = _certificate(
+            judged(i, 0.5 * kernel.sigma_max(core_sigma[i])), tol, core_sigma[i], x[i], kind,
+            ops[i], ts[i], ss[i], xnorm[i], memos[i],
+            exact=lambda i=i: judged(i, _lazy(memos[i], "operator_norm", ops[i])))
     return results
 
 

@@ -162,14 +162,14 @@ def residual_norm(a, budget: float = math.inf) -> float:
         if not scale < np.inf:
             return math.inf
         if scale > 0.0:
-            fro = scale * _frobenius(a / scale)
+            fro = scale * _frobenius(a, scale)
     return fro if fro <= budget else spectral_norm(a)
 
 
-def _frobenius(a) -> float:
-    """``np.linalg.norm(a)``, summed the same way and so bit-identical, but through vdot,
-    which checks no floating-point flags: an overflow gives inf without a warning."""
+def _frobenius(a, scale: float = 1.0) -> float:
+    """``np.linalg.norm(a / scale)``, summed the same way but through vdot, which checks no
+    floating-point flags. A complex a is scaled by parts: numpy divides a complex array by
+    multiplying by 1 / scale, which overflows for a subnormal scale."""
     x = np.asarray(a).ravel(order="K")
-    if np.iscomplexobj(x):
-        return math.sqrt(np.vdot(x.real, x.real) + np.vdot(x.imag, x.imag))
-    return math.sqrt(np.vdot(x, x))
+    parts = [x.real, x.imag] if np.iscomplexobj(x) else [x]
+    return math.sqrt(sum(np.vdot(p, p) for p in (q / scale if scale != 1.0 else q for q in parts)))

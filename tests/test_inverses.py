@@ -341,6 +341,14 @@ def _boundary_problem(complex_: bool, spread: float):
     f, h = t.basis, complement_rows(s)
     a = a - 0.999 * (a @ f[:, :1]) @ f[:, :1].conj().T  # a(T) keeps its span
     a = a + spread * families.random_matrix(rng, n, n, complex_) @ (np.eye(n) - f @ f.conj().T)
+    constructions, norms = _constructions(rng, t, s, complex_)
+    return a, f, constructions, norms
+
+
+def _constructions(rng, t, s, complex_: bool):
+    """outer, bc, along and Bott-Duffin with range T and null space S, each ``construct(a, tol)``
+    beside its refusal's message prefix, and the norms of their b, c, d, p and q."""
+    (n, r), f, h = t.basis.shape, t.basis, complement_rows(s)
     b = f @ families.random_matrix(rng, r, n, complex_)
     c = families.random_matrix(rng, n, r, complex_) @ h
     d = f @ families.random_conditioned(rng, r, complex_) @ h
@@ -356,7 +364,7 @@ def _boundary_problem(complex_: bool, spread: float):
     }
     norms = {"b": gi.svd(b)[1][0], "c": gi.svd(c, full=True)[1][0],
              "d": gi.svd(d, full=True)[1][0], "p": p.norm, "q": q.norm}
-    return a, f, constructions, norms
+    return constructions, norms
 
 
 def _bits(value: float) -> bytes:
@@ -435,6 +443,135 @@ def test_residuals_are_decided_at_the_exact_norm(kind, spread, complex_):
     assert str(refused.value).endswith(
         f"certificate rejected: residual {name}={value:.3e} exceeds budget {budget:.3e}")
     assert _bits(refused.value.margin) == _bits(value)
+
+
+def _clause_problem(complex_: bool, shape: str):
+    """An 8x8 a and the four constructions of an outer inverse of it (see ``_constructions``),
+    with the core H A F's bounds on the existence clauses at one of four shapes:
+
+      loose   ``_boundary_problem`` at spread 1e3: ||a||_F is about 1e3 ||A F||;
+      tight   dim T = 1, a 20 times smaller off T, S at angle 0.05 to a(T): sigma_min(H A F) is
+              sin ||A F|| and ||a||_F about ||A F||, so the bound on the complement clause
+              nearly holds with equality;
+      meets   dim T = 4, S at angle 1e-4 to a(T) along A F's least-stretched direction, of
+              sigma 1e-3: sigma_min(H A F) ~ 1e-7 << margin ||A F||, so near the complement
+              clause no bound decides and the exact path runs;
+      narrow  as meets with that sigma 1e-6, below margin ||a||: near the injectivity clause.
+    """
+    if shape == "loose":
+        a, _, constructions, _ = _boundary_problem(complex_, 1e3)
+        return a, constructions
+    rng = np.random.default_rng(18)
+    (r, angle, least), n = {"tight": (1, 0.05, None), "meets": (4, 1e-4, 1e-3),
+                            "narrow": (4, 1e-4, 1e-6)}[shape], 8
+    f = families.random_subspace(rng, n, r, complex_).basis
+    a = families.random_matrix(rng, n, n, complex_)
+    u, sigma, v = gi.svd(a @ f)
+    if shape == "tight":
+        a = a @ (f @ f.conj().T) + 0.05 * a @ (np.eye(n) - f @ f.conj().T)
+    else:
+        a = a + (least - sigma[-1]) * u[:, -1:] @ (f @ v[:, -1:]).conj().T
+        u = u[:, ::-1]  # the least-stretched direction first
+    q, _ = np.linalg.qr(np.hstack([u, families.random_matrix(rng, n, n - r, complex_)]))
+    turned = np.cos(angle) * u[:, :1] + np.sin(angle) * q[:, r:r + 1]
+    s = gi.Subspace(n, np.hstack([turned, q[:, r + 1:]]))
+    constructions, _ = _constructions(rng, gi.Subspace(n, f), s, complex_)
+    return a, constructions
+
+
+CLAUSE_KINDS = ["outer", "bc", "along", "bott_duffin"]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("shape", ["loose", "narrow"])
+@pytest.mark.parametrize("kind", CLAUSE_KINDS)
+def test_injectivity_near_its_threshold_is_decided_exactly(kind, shape, complex_):
+    # rank_rel_tol a relative 1e-6 either side of sigma_min(A F) / ||a||: the core's bound
+    # cannot grant injectivity there, so the call refuses above with the exact clause's
+    # message and margin, and accepts below with the clause values a first read gives
+    a, constructions = _clause_problem(complex_, shape)
+    construct, prefix = constructions[kind]
+    lazy = construct(a, gi.DEFAULT_TOL)
+    f = lazy.prescribed_range.basis
+    sigma = np.linalg.svd(a[None] @ f[None], full_matrices=False)[1][0]  # as a stack of one
+    ratio = sigma[-1] / gi.spectral_norm(a)
+    with pytest.raises(ExistenceError) as refused:
+        construct(a, gi.ToleranceConfig(rank_rel_tol=ratio * (1 + 1e-6)))
+    assert str(refused.value) == prefix + "restriction not injective"
+    assert refused.value.clause == "restriction not injective"
+    assert _bits(refused.value.margin) == _bits(sigma[-1])
+    cert = construct(a, gi.ToleranceConfig(rank_rel_tol=ratio * (1 - 1e-6)))
+    assert _bits(cert.restricted_condition) == _bits(sigma[0] / sigma[-1])
+    assert _bits(lazy.restricted_condition) == _bits(cert.restricted_condition)
+    assert _bits(lazy.complement_margin) == _bits(cert.complement_margin)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("shape", ["tight", "meets"])
+@pytest.mark.parametrize("kind", CLAUSE_KINDS)
+def test_complement_near_its_threshold_is_decided_exactly(kind, shape, complex_):
+    # rank_rel_tol a relative 1e-6 either side of the direct-sum margin sin / sqrt(1 + cos)
+    # at S's angle to a(T): the core's bound (margin >= sin / sqrt 2) cannot decide there
+    a, constructions = _clause_problem(complex_, shape)
+    construct, prefix = constructions[kind]
+    angle = 0.05 if shape == "tight" else 1e-4
+    lazy = construct(a, gi.DEFAULT_TOL)
+    margin = lazy.complement_margin
+    assert margin == pytest.approx(np.sin(angle) / np.sqrt(1 + np.cos(angle)), rel=1e-5)
+    with pytest.raises(ExistenceError) as refused:
+        construct(a, gi.ToleranceConfig(rank_rel_tol=margin * (1 + 1e-6)))
+    assert str(refused.value) == prefix + "complement fails: R(A*T) (+) S != Y"
+    assert refused.value.clause == "R(A*T) (+) S != Y"
+    assert _bits(refused.value.margin) == _bits(margin)
+    cert = construct(a, gi.ToleranceConfig(rank_rel_tol=margin * (1 - 1e-6)))
+    assert _bits(cert.complement_margin) == _bits(margin)
+    assert _bits(cert.restricted_condition) == _bits(lazy.restricted_condition)
+
+
+def _count_exact_clauses(monkeypatch) -> list:
+    """A list that grows by one at each call of the exact clause checks, ``inverses._clauses``."""
+    calls, clauses = [], inverses._clauses
+    monkeypatch.setattr(inverses, "_clauses", lambda *args: calls.append(1) or clauses(*args))
+    return calls
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("kind", ["outer", "bott_duffin"])  # T and S not read at the tolerance
+def test_zero_rank_rel_tol_grants_a_clear_core_as_the_exact_clauses_would(
+        monkeypatch, kind, complex_):
+    # at rank_rel_tol 0 a core clear of rounding grants both clauses, and the certificate is
+    # bitwise the one the exact clauses give (forced at 0.99 times the complement margin)
+    a, constructions = _clause_problem(complex_, "tight")
+    construct, _ = constructions[kind]
+    exact = _count_exact_clauses(monkeypatch)
+    granted = construct(a, gi.ToleranceConfig(rank_rel_tol=0.0))
+    assert exact == []
+    tol = gi.ToleranceConfig(rank_rel_tol=granted.complement_margin * 0.99)  # a first read
+    exact.clear()
+    judged = construct(a, tol)
+    assert exact == [1]
+    assert granted.inverse.tobytes() == judged.inverse.tobytes()
+    for name in ("restricted_condition", "complement_margin", "inverse_norm"):
+        assert _bits(getattr(granted, name)) == _bits(getattr(judged, name)), name
+    assert {k: _bits(v) for k, v in granted.residuals.items()} == {
+        k: _bits(v) for k, v in judged.residuals.items()}
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("kind", CLAUSE_KINDS)
+def test_zero_rank_rel_tol_sends_a_core_singular_to_rounding_to_the_exact_clauses(
+        monkeypatch, kind, complex_):
+    # a kills T up to rounding: the core's sigma_min is within rounding of 0, which the
+    # bound's allowance leaves to the exact clauses even at rank_rel_tol 0
+    a, constructions = _clause_problem(complex_, "tight")
+    construct, _ = constructions[kind]
+    f = construct(a, gi.DEFAULT_TOL).prescribed_range.basis
+    exact = _count_exact_clauses(monkeypatch)
+    try:
+        construct(a - (a @ f) @ f.conj().T, gi.ToleranceConfig(rank_rel_tol=0.0))
+    except ExistenceError:  # CertificateError included: the outcome is not at issue here
+        pass
+    assert exact == [1]
 
 
 def test_certificates_and_reports_compare_by_identity_and_hash():

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,26 @@ def test_residual_norm_does_not_underflow_on_tiny_entries():
         assert kernel.residual_norm(1j * a, 1.0) == pytest.approx(3e-170, rel=1e-12, abs=0.0)
         assert kernel.residual_norm(np.zeros((3, 3)), 0.0) == 0.0
         assert kernel.residual_norm(np.zeros((0, 3)), 0.0) == 0.0
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("magnitude", [5e-324, 1e-310, 1e-200, 1e200, 1e300])
+def test_residual_norm_rescales_subnormal_tiny_and_huge_defects(rng, magnitude, complex_):
+    # the rescaled Frobenius norm against a 50-digit one, with no floating-point warning: a
+    # complex defect is rescaled by parts, never divided by a (subnormal) complex scale
+    defects = [np.full((2, 2), magnitude), magnitude * rng.standard_normal((3, 4))]
+    if complex_:
+        defects = [d + 1j * d[::-1] for d in defects]
+        defects.append(1j * np.full((2, 2), magnitude))
+    with warnings.catch_warnings(), mpmath.workdps(50):
+        warnings.simplefilter("error")
+        for d in defects:
+            parts = (d.real, d.imag) if complex_ else (d,)
+            squares = (mpmath.mpf(float(v)) ** 2 for p in parts for v in p.ravel())
+            want = float(mpmath.sqrt(mpmath.fsum(squares)))
+            got = kernel.residual_norm(d)
+            assert 0.0 < want < np.inf
+            assert abs(got - want) <= 1e-15 * want + 5e-324, (got, want)
 
 
 def test_residual_norm_within_budget_is_numpy_frobenius_norm(rng):

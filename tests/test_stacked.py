@@ -8,7 +8,9 @@ same holds for finite_difference_check, whose sweep is one such stack: its repor
 be bitwise the sweep of single calls.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from geninv import families
 from geninv.calculus import MatrixCurve, _fit_order, _sandwich
 from geninv.inverses import bc_inverse_stack, moore_penrose_stack, outer_prescribed_stack
 
-from conftest import outer_instance_at_angles
+from conftest import complement_rows, outer_instance_at_angles
 
 BC_KINDS = ("exists", "not_injective", "not_complementary", "zero")
 
@@ -53,11 +55,30 @@ def assert_same_outcome(stacked, single):
         assert _bits(stacked.margin) == _bits(single.margin)
         return
     assert isinstance(stacked, gi.InverseCertificate)
-    # _operator_norm is operator_norm's memo: compare the norm it gives
-    names = [f.name for f in dataclasses.fields(gi.InverseCertificate)]
-    for name in [n for n in names if n != "_operator_norm"] + ["operator_norm"]:
+    # _memo holds the lazily read numbers: compare the numbers it gives
+    names = [f.name for f in dataclasses.fields(gi.InverseCertificate) if f.name != "_memo"]
+    for name in names + ["operator_norm", "restricted_condition", "complement_margin"]:
         got, want = getattr(stacked, name), getattr(single, name)
         assert _bits(got) == _bits(want), name
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_certificates_pickle_and_copy_before_and_after_the_first_read(complex_):
+    # the lazily read numbers live in a plain dict: a pickled or copied certificate reads them
+    # bitwise as the original does, whether taken before or after the round trip
+    a, t, s = outer_instance_at_angles(np.random.default_rng(17), 6, 6, 3, complex_)
+    h = complement_rows(s)
+    p = gi.ObliqueProjector.from_matrix(t.basis @ t.basis.conj().T)
+    q = gi.ObliqueProjector.from_matrix(h.conj().T @ h)
+    builds = [lambda: gi.outer_prescribed(a, t, s), lambda: gi.inverse_along(a, a),
+              lambda: gi.bott_duffin(a, p, q), lambda: gi.moore_penrose(a)]
+    for build in builds:
+        read = build()
+        assert_same_outcome(read, read)  # reads all three
+        for cert in (build(), read):
+            for twin in (pickle.loads(pickle.dumps(cert)), copy.copy(cert), copy.deepcopy(cert)):
+                assert_same_outcome(twin, read)
+                assert_same_outcome(cert, twin)
 
 
 def bc_problem(rng, n: int, kind: str, complex_: bool, r: int):
