@@ -135,6 +135,7 @@ _CONSTRUCTIONS = {
 }
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def finite_difference_check(
     curves: Sequence[MatrixCurve],
     t0: float,
@@ -156,7 +157,8 @@ def finite_difference_check(
     checked in sweep order (t0, t0 + h, t0 - h for each step in turn): the
     first one whose inverse does not exist, or whose prescribed subspaces
     differ in dimension from t0's (the inverse jumps there), raises
-    ExistenceError; a refused certificate raises its CertificateError as it is.
+    ExistenceError; a refused certificate raises its CertificateError as it is,
+    and so does a formula derivative that overflows.
     """
     if kind not in _CONSTRUCTIONS:
         raise InputError(f"unknown kind {kind!r}")
@@ -200,6 +202,8 @@ def finite_difference_check(
     deriv = _sandwich(x, a, x, a, -prime(lambda cert: cert.prescribed_nullspace.projector()),
                       prime(lambda cert: cert.prescribed_range.projector()),
                       prime(lambda cert: cert.operator))
+    if not np.isfinite(deriv).all():
+        raise CertificateError("formula derivative is not finite", margin=np.inf)
     misfits = [(fwd.inverse - back.inverse) / (2.0 * h) - deriv for h, fwd, back in sweep]
     errors = stack_norms(np.stack(misfits)).tolist()
     if max(errors) <= tol.residual_tol * max(1.0, base.inverse_norm):

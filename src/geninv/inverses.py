@@ -12,7 +12,8 @@ Every other inverse here is that construction with specific subspaces:
   inverse_along   T = range(d),   S = null(d)
 
 All are built as ``X = F (H A F)^{-1} H`` (Wei 1998; Sheng & Chen 2007), F an
-orthonormal basis of T and H orthonormal rows spanning S's orthogonal complement;
+orthonormal basis of T and H orthonormal rows spanning S's orthogonal complement, the
+complement the SVD that found S carries (a complete QR of S where it carries none);
 existence clauses and certificates reuse its factorizations. A construction
 whose residuals exceed tolerance is rejected rather than returned.
 """
@@ -117,7 +118,7 @@ def _certificate(defects, tol, core_sigma, x, kind, a, t, s, xnorm, memo, exact=
     For ``x = F core^-1 H`` the gaps bound gap(R(x), T) and gap(N(x), S): x has smallest nonzero
     singular value 1/||core||, so ||core|| times ||(I - FF*) x|| or ||x S||, each plus 2 dim eps
     ||x||_F for the rounding of its two products, bounds how far R(x) leaves T or S leaves N(x).
-    Past the rank cutoff the gap is 1."""
+    Past the rank cutoff the gap is 1; where T is the domain or S = {0}, that side's is 0."""
     try:
         residuals = _certify(defects, tol, kind, exact)
     except CertificateError as exc:
@@ -125,8 +126,9 @@ def _certificate(defects, tol, core_sigma, x, kind, a, t, s, xnorm, memo, exact=
     gaps = (0.0, 0.0) if core_sigma.size == 0 else (1.0, 1.0)
     if core_sigma.size and kernel.numerical_rank(core_sigma, tol) == core_sigma.size:
         rounding = 2 * max(x.shape) * np.finfo(float).eps * np.linalg.norm(x)
-        off_range = np.linalg.norm(x - t.basis @ (t.basis.conj().T @ x)) + rounding
-        off_null = np.linalg.norm(x @ s.basis) + rounding
+        off_range = 0.0 if t.dim == x.shape[0] else np.linalg.norm(
+            x - t.basis @ (t.basis.conj().T @ x)) + rounding
+        off_null = 0.0 if s.is_trivial else np.linalg.norm(x @ s.basis) + rounding
         gaps = min(1.0, float(off_range * core_sigma[0])), min(1.0, float(off_null * core_sigma[0]))
     return InverseCertificate(x, kind, residuals, *gaps, a, t, s, xnorm, memo)
 
@@ -166,9 +168,10 @@ def moore_penrose_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list:
                 }
                 memo = {"operator_norm": anorm, "complement_margin": 1.0,
                         "restricted_condition": s[0] / s[r - 1] if r else 1.0}
+                spans = (orthonormal_span(f[k], v_r[k, :, r:]),
+                         orthonormal_span(s_basis[k], u_r[k, :, :r]))
                 results[i] = _certificate(
-                    defects, tol, sig[k, :r], b[k], "moore_penrose", ops[i],
-                    orthonormal_span(f[k]), orthonormal_span(s_basis[k]), bnorm, memo)
+                    defects, tol, sig[k, :r], b[k], "moore_penrose", ops[i], *spans, bnorm, memo)
     return results
 
 
@@ -187,12 +190,12 @@ def outer_prescribed(
 
 def outer_prescribed_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """outer_prescribed of each (a, t, s): one construction per ``kernel.layout`` of a, of T's
-    basis and of S's basis, so per shape, field, dim T and dim S. Entry i is problem i's
-    certificate or the ExistenceError that refuses it."""
+    basis and of S's basis and carried complement, so per shape, field, dim T and dim S. Entry
+    i is problem i's certificate or the ExistenceError that refuses it."""
     probs = [(as_matrix(a), t, s) for a, t, s in problems]
     results: list = [None] * len(probs)
-    for group in kernel.groups(tuple(map(kernel.layout, (a, t.basis, s.basis)))
-                               for a, t, s in probs):
+    for group in kernel.groups(tuple(kernel.layout(m) for m in (a, t.basis, s.basis, s._complement)
+                                     if m is not None) for a, t, s in probs):
         ops, ts, ss = ([probs[i][j] for i in group] for j in range(3))
         for i, result in zip(group, _outer(ops, ts, ss, tol, "outer_prescribed")):
             results[i] = result
@@ -204,8 +207,12 @@ def _complement_failure(margin: float) -> ExistenceError:
     return ExistenceError(f"complement fails: {clause}", clause=clause, margin=margin)
 
 
-def _complement_rows(sb: np.ndarray) -> np.ndarray:
-    """H: orthonormal rows spanning the orthogonal complement of each S (one complete QR)."""
+def _complement_rows(ss: list) -> np.ndarray:
+    """H: orthonormal rows spanning each S's orthogonal complement, the bases the S's carry
+    (all of them carry one, or none does), else one complete QR of the S's."""
+    if ss[0]._complement is not None:
+        return kernel.stack([s._complement for s in ss]).conj().swapaxes(-1, -2)
+    sb = kernel.stack([s.basis for s in ss])
     return np.linalg.qr(sb, mode="complete")[0][:, :, sb.shape[-1]:].conj().swapaxes(-1, -2)
 
 
@@ -233,7 +240,7 @@ def _clauses(ops: list, ts: list, ss: list, memos: list, tol: ToleranceConfig) -
         # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
         # and S; cos is measured along that angle, as sqrt(1 - sin^2) cancels near sin = 1
         sb = kernel.stack([s.basis for s in ss])
-        _, sines, w = kernel.svd_stack(_complement_rows(sb) @ image)
+        _, sines, w = kernel.svd_stack(_complement_rows(ss) @ image)
         cosines = map(np.linalg.norm, sb.conj().swapaxes(-1, -2) @ (image @ w[:, :, -1:]))
         margin = [sin / math.sqrt(1.0 + cos) for sin, cos in zip(sines[:, -1].tolist(), cosines)]
         for i in live:
@@ -267,7 +274,7 @@ def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()
     else:
         undecided = list(range(k))  # all, where dim T + dim S != m: _clauses refuses them
         if dt + ds == m:
-            h = _complement_rows(kernel.stack([s.basis for s in ss]))
+            h = _complement_rows(ss)
             f = kernel.stack([t.basis for t in ts])
             cu, core_sigma, cv = kernel.svd_stack(h @ (a @ f))
             floor = 2.0 * tol.rank_rel_tol + 8 * (m + n) * np.finfo(float).eps
@@ -323,7 +330,7 @@ def bc_inverse_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
         for sub in kernel.groups(ranks):
             (br, cr), live = ranks[sub[0]], [group[j] for j in sub]
             t = [orthonormal_span(u[j][:, :br]) for j in sub]
-            s = [orthonormal_span(v[j][:, cr:]) for j in sub]
+            s = [orthonormal_span(v[j][:, cr:], v[j][:, :cr]) for j in sub]
             norms = [(kernel.sigma_max(bsigma[j]), kernel.sigma_max(csigma[j])) for j in sub]
             certs = _bc([(*probs[i], *norm) for i, norm in zip(live, norms)], t, s, tol)
             for i, cert in zip(live, certs):

@@ -148,8 +148,12 @@ def spectral_norm(a) -> float:
 
 
 def stack_norms(stack: np.ndarray) -> np.ndarray:
-    """``spectral_norm`` of each slice of a 3-d stack, from one LAPACK call."""
-    return _lapack_svd(stack, compute_uv=False)[:, 0] if stack.size else np.zeros(len(stack))
+    """``spectral_norm`` of each slice of a 3-d stack, from one LAPACK call; inf for a slice
+    with an inf or NaN entry (an overflowed product), as ``residual_norm`` gives."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    safe = stack if finite.all() else np.where(finite[:, None, None], stack, 0.0)
+    norms = _lapack_svd(safe, compute_uv=False)[:, 0] if stack.size else np.zeros(len(stack))
+    return np.where(finite, norms, math.inf)
 
 
 def residual_norm(a, budget: float = math.inf) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExistenceError, InputError
+from .errors import CertificateError, ExistenceError, InputError
 from .inverses import InverseCertificate, outer_prescribed
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
 
@@ -63,13 +63,15 @@ def perturbation_bound(
     return ((1.0 + kappa) * (v + u) + (1.0 + u) * z) / den * inv_norm
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def perturbed_bc_inverse(
     cert: InverseCertificate, e, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PerturbationReport:
     """Closed-form inverse of ``a + e`` with the certificate's prescribed subspaces.
 
     Outside the openness ball the formula is still evaluated (the resolvent
-    factor may remain invertible) but the report is flagged.
+    factor may remain invertible) but the report is flagged. A formula inverse
+    that overflows is refused with a CertificateError.
     """
     a, x, xnorm = cert.operator, cert.inverse, cert.inverse_norm
     e = as_matrix(e)
@@ -89,6 +91,8 @@ def perturbed_bc_inverse(
             clause="1 + x e not invertible",
             margin=enorm * xnorm,
         ) from exc
+    if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        raise CertificateError("perturbation formula inverse is not finite", margin=np.inf)
     factor_disc = spectral_norm(left - right)
 
     direct = None

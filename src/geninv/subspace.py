@@ -28,6 +28,7 @@ class Subspace:
     ambient_dim: int
     basis: np.ndarray  # ambient_dim x dim, orthonormal columns (dim may be 0)
     tol: InitVar[ToleranceConfig] = DEFAULT_TOL
+    _complement = None  # orthonormal complement: the rest of the full SVD that gave basis, if any
 
     @property
     def dim(self) -> int:
@@ -61,12 +62,13 @@ class Subspace:
 del Subspace.tol
 
 
-def orthonormal_span(basis: np.ndarray) -> Subspace:
+def orthonormal_span(basis: np.ndarray, complement: np.ndarray | None = None) -> Subspace:
     """The Subspace of a float basis whose columns are orthonormal by construction (singular
-    vectors), without checking them again."""
+    vectors), without checking them again; ``complement`` is the rest of those vectors."""
     span = object.__new__(Subspace)
     object.__setattr__(span, "ambient_dim", basis.shape[0])
     object.__setattr__(span, "basis", basis)
+    object.__setattr__(span, "_complement", complement)
     return span
 
 
@@ -96,15 +98,15 @@ def column_spaces(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list[Subspace
 
 def null_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
     """Orthonormal basis of {x : a x = 0}; dimension is cols - rank."""
-    _, sigma, v = kernel.svd(a, full=True)
-    return orthonormal_span(v[:, kernel.numerical_rank(sigma, tol):])
+    return range_and_null_space(a, tol)[1]
 
 
 def range_and_null_space(a, tol: ToleranceConfig) -> tuple[Subspace, Subspace, float]:
     """R(a), N(a) and ||a||, read off one full SVD."""
     u, sigma, v = kernel.svd(a, full=True)
     r = kernel.numerical_rank(sigma, tol)
-    return orthonormal_span(u[:, :r]), orthonormal_span(v[:, r:]), kernel.sigma_max(sigma)
+    spans = orthonormal_span(u[:, :r], u[:, r:]), orthonormal_span(v[:, r:], v[:, :r])
+    return *spans, kernel.sigma_max(sigma)
 
 
 def orthogonal_complement(s: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:

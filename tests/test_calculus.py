@@ -324,3 +324,12 @@ def test_difference_identity_reduces_to_resolvent(rng):
     lhs = np.linalg.inv(b) - np.linalg.inv(a)
     rhs = -np.linalg.inv(b) @ (b - a) @ np.linalg.inv(a)
     assert gi.spectral_norm(lhs - rhs) <= 1e-12
+
+
+def test_fd_check_refuses_an_overflowing_derivative():
+    # x(0) = 1e200 I and a' = 1e150 I give x a' x = 1e550 I: the derivative overflows though
+    # every certificate of the sweep is finite (warnings are errors here)
+    curve = MatrixCurve(lambda t: (1e-200 + 1e150 * t) * np.eye(2), label="a")
+    with pytest.raises(CertificateError, match="formula derivative is not finite") as info:
+        gi.finite_difference_check([curve], 0.0, kind="mp")
+    assert info.value.clause == "residual exceeds tolerance"

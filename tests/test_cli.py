@@ -440,3 +440,19 @@ def test_unparsable_seed_environment_variable_is_an_input_error(files, capsys, m
     assert code == 1
     assert report["clause"] == "input"
     assert "$GENINV_SEED must be an integer" in report["error"] and "'abc'" in report["error"]
+
+
+def test_overflowing_perturbation_and_derivative_are_refused_with_exit_two(tmp_path, capsys):
+    # each formula overflows on finite input: exit 2 naming it, not an input error
+    eye = write(tmp_path / "i.mat", np.eye(2))
+    a = write(tmp_path / "a.mat", 1e-300 * np.eye(2))
+    e = write(tmp_path / "e.mat", -9.99999999999e-301 * np.eye(2))
+    a0 = write(tmp_path / "a0.mat", 1e-200 * np.eye(2))
+    a1 = write(tmp_path / "a1.mat", 1e150 * np.eye(2))
+    for argv, name in ((("perturb", a, eye, eye, e), "formula inverse"),
+                       (("derivcheck", "--kind", "mp", a0, a1), "formula derivative")):
+        code, report = run_cli(capsys, *argv)
+        assert code == 2
+        assert report["clause"] == "residual exceeds tolerance"
+        assert report["error"].endswith(f"{name} is not finite")
+        assert report["margin"] is None

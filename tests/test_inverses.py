@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geninv as gi
-from geninv import families, inverses
+from geninv import families, inverses, subspace
 from geninv.errors import CertificateError, ExistenceError, InputError
 
 from conftest import (
@@ -225,6 +225,35 @@ def test_inverse_along_chain_is_bitwise(rng):
     assert np.array_equal(via_bc, via_outer)
     assert gi.spectral_norm(via_along @ a @ d - d) <= 1e-10
     assert gi.spectral_norm(d @ a @ via_along - d) <= 1e-10
+
+
+def test_bott_duffin_chain_is_bitwise(rng):
+    # the (p, q)-inverse is the outer inverse with range R(p) and null space N(q), as p and q
+    # record them: the same construction, whether N(q) carries its complement or not
+    a, t, s = families.random_outer_instance(rng, 5, 5, 3)
+    built = gi.oblique_projector(t, gi.orthogonal_complement(t)), gi.oblique_projector(
+        gi.column_space(a @ t.basis), s)
+    for p, q in (built, [gi.ObliqueProjector.from_matrix(x.matrix) for x in built]):
+        via_bott_duffin = gi.bott_duffin(a, p, q).inverse
+        via_outer = gi.outer_prescribed(a, p.range, q.nullspace).inverse
+        assert np.array_equal(via_bott_duffin, via_outer)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("m, n", [(6, 6), (6, 4), (4, 6)])
+def test_full_rank_moore_penrose_reads_exact_zero_gaps(m, n, complex_):
+    # rank n makes T = R(a*) the whole domain, rank m makes S = N(a*) = {0}: there the gap
+    # is 0 exactly, with no rounding term; a rank-deficient a measures both sides
+    rng = np.random.default_rng(21)
+    cert = gi.moore_penrose(families.random_rank_matrix(rng, m, n, min(m, n), complex_))
+    assert (cert.range_gap == 0.0) == (n <= m)
+    assert (cert.nullspace_gap == 0.0) == (m <= n)
+    assert 0.0 < max(cert.range_gap, cert.nullspace_gap) < 1e-12 or m == n
+    deficient = gi.moore_penrose(families.random_rank_matrix(rng, m, n, min(m, n) - 1, complex_))
+    assert 0.0 < deficient.range_gap < 1e-12 and 0.0 < deficient.nullspace_gap < 1e-12
+    square = families.random_conditioned(rng, n, complex_)
+    outer = gi.outer_prescribed(square, gi.full_subspace(n), gi.trivial_subspace(n))
+    assert (outer.range_gap, outer.nullspace_gap) == (0.0, 0.0)
 
 
 def test_moore_penrose_is_bc_inverse_of_its_own_pair(rng):
@@ -630,3 +659,49 @@ def test_moore_penrose_property_gap_bounds(problem):
     assert t.dim == rank and s.dim == m - rank
     assert cert.range_gap >= gi.gap(gi.column_space(b), t).gap - 1e-14
     assert cert.nullspace_gap >= gi.gap(gi.null_space(b), s).gap - 1e-14
+
+
+def _carried_spans(kind: str, m: int, n: int, r: int, complex_: bool, seed: int) -> list:
+    """The subspaces one constructor reads off a full SVD, for a rank-r instance."""
+    rng = np.random.default_rng(seed)
+    a = families.random_rank_matrix(rng, m, n, r, complex_)
+    if kind == "null_space":
+        return [gi.null_space(a)]
+    if kind == "range_and_null_space":
+        return list(subspace.range_and_null_space(a, gi.DEFAULT_TOL)[:2])
+    if kind == "moore_penrose_stack":
+        cert, = inverses.moore_penrose_stack([a])
+        return [cert.prescribed_range, cert.prescribed_nullspace]
+    t = families.random_subspace(rng, n, r, complex_)
+    if kind == "from_matrix":  # R(p) = T and N(p) = T's orthogonal complement
+        p = gi.ObliqueProjector.from_matrix(t.projector())
+        return [p.range, p.nullspace]
+    # bc_inverse_stack: R(b) = T and N(c) = T's orthogonal complement, a = I
+    cert, = inverses.bc_inverse_stack([(np.eye(n), t.projector(), t.projector())])
+    return [cert.prescribed_nullspace]
+
+
+@st.composite
+def carried_problems(draw):
+    """(constructor, m, n, rank, complex, seed): shapes up to 8, every rank 0..min(m, n)."""
+    kind = draw(st.sampled_from(["null_space", "range_and_null_space", "moore_penrose_stack",
+                                 "from_matrix", "bc_inverse_stack"]))
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8)) if kind in ("null_space", "range_and_null_space",
+                                           "moore_penrose_stack") else n
+    r = draw(st.one_of(st.just(0), st.just(min(m, n)), st.integers(0, min(m, n))))
+    return kind, m, n, r, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(carried_problems())
+def test_carried_complement_completes_an_orthonormal_basis(problem):
+    # a subspace read off a full SVD carries the rest of its singular vectors: with them its
+    # basis is a unitary [S | H*], so H is orthonormal rows spanning S's orthogonal complement
+    kind, m, n, r, complex_, seed = problem
+    for space in _carried_spans(kind, m, n, r, complex_, seed):
+        basis, rest = space.basis, space._complement
+        assert rest is not None and space.dim + rest.shape[1] == space.ambient_dim
+        q = np.hstack([basis, rest])
+        defect = q.conj().T @ q - np.eye(space.ambient_dim)
+        assert np.linalg.norm(defect, 2) <= 10 * space.ambient_dim * np.finfo(float).eps

@@ -205,3 +205,19 @@ def test_numerical_rank_of_a_stack_is_the_rank_of_each_row():
         assert ranks.shape == (40,)
         assert ranks.tolist() == [gi.numerical_rank(row, tol) for row in rows]
     assert gi.numerical_rank(np.zeros((3, 0))).tolist() == [0, 0, 0]
+
+
+def test_stack_norms_of_an_overflowed_slice_is_inf(rng):
+    # as residual_norm: an inf or NaN entry gives inf, and the finite slices keep their norms
+    stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    want = kernel.stack_norms(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.inf, -np.inf, np.nan, complex(np.inf, np.nan)):
+            broken = stack.copy()
+            broken[1, 2, 0] = bad
+            broken[3, 0, 1] = bad
+            norms = kernel.stack_norms(broken)
+            assert norms[[1, 3]].tolist() == [np.inf, np.inf]
+            assert norms[[0, 2]].tolist() == want[[0, 2]].tolist()
+            assert kernel.stack_norms(broken.real).tolist()[1] == np.inf

@@ -3,7 +3,7 @@ import pytest
 
 import geninv as gi
 from geninv import families
-from geninv.errors import ExistenceError, InputError
+from geninv.errors import CertificateError, ExistenceError, InputError
 
 
 def test_openness_radius_scalar():
@@ -125,3 +125,13 @@ def test_singular_resolvent_factor_is_an_existence_error():
         gi.perturbed_bc_inverse(cert, -np.eye(2))
     assert info.value.clause == "1 + x e not invertible"
     assert info.value.margin == 1.0
+
+
+def test_an_overflowing_formula_inverse_is_refused_by_its_certificate():
+    # x = 1e300 I and 1 + x e = 1e-11 I: the formula inverse overflows though a and e are
+    # finite, which is a refused certificate, not bad input (warnings are errors here)
+    cert = gi.bc_inverse(1e-300 * np.eye(2), np.eye(2), np.eye(2))
+    with pytest.raises(CertificateError, match="formula inverse is not finite") as info:
+        gi.perturbed_bc_inverse(cert, -9.99999999999e-301 * np.eye(2))
+    assert info.value.clause == "residual exceeds tolerance"
+    assert info.value.margin == np.inf

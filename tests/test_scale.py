@@ -4,7 +4,8 @@ Every inverse here is homogeneous: x(s a) = x(a) / s with b, c, d, p, q and
 the prescribed subspaces held fixed. So an instance accepted at s = 1 must be
 accepted at s = 10^k for every |k| <= 150, with the unit-scale inverse over
 10^k as its inverse. A 50-digit mpmath pseudoinverse is the independent
-reference for Moore-Penrose at extreme scales. Past the range of floats, an
+reference for Moore-Penrose at extreme scales, and 50-digit b (c a b)^+ c the
+one for the (b, c), along and Bott-Duffin inverses. Past the range of floats, an
 inverse whose norm overflows is refused by its certificate.
 """
 
@@ -22,26 +23,27 @@ KINDS = ("mp", "outer", "bc", "along", "bott_duffin")
 
 
 def _instance(kind, m, n, r, complex_, seed):
-    """(construction of a, a) for one seeded instance; the (b, c) kinds are n x n."""
+    """(construction of a, a, (b, c)) for one seeded instance; the (b, c) kinds are n x n, and
+    their inverse has range R(b) and null space N(c) for the b and c given (None otherwise)."""
     rng = np.random.default_rng(seed)
     if kind == "mp":
-        return gi.moore_penrose, families.random_rank_matrix(rng, m, n, r, complex_)
+        return gi.moore_penrose, families.random_rank_matrix(rng, m, n, r, complex_), None
     if kind == "outer":
         a, t, s = families.random_outer_instance(rng, m, n, r, complex_)
-        return (lambda a: gi.outer_prescribed(a, t, s)), a
+        return (lambda a: gi.outer_prescribed(a, t, s)), a, None
     a, b, c = families.random_solvable_triple(rng, n, r, complex_)
     t, s = gi.column_space(b), gi.null_space(c)
     if kind == "bc":
-        return (lambda a: gi.bc_inverse(a, b, c)), a
+        return (lambda a: gi.bc_inverse(a, b, c)), a, (b, c)
     if kind == "along":
         # R(d) = T and N(d) = S, so the inverse along d is the (b, c)-inverse
         core = families.random_conditioned(rng, r, complex_)
         d = t.basis @ core @ gi.orthogonal_complement(s).basis.conj().T
-        return (lambda a: gi.inverse_along(a, d)), a
+        return (lambda a: gi.inverse_along(a, d)), a, (d, d)
     # p orthogonal onto T; q oblique onto a(T) along S, so ||q|| > 1
     p = gi.oblique_projector(t, gi.orthogonal_complement(t))
     q = gi.oblique_projector(gi.column_space(a @ t.basis), s)
-    return (lambda a: gi.bott_duffin(a, p, q)), a
+    return (lambda a: gi.bott_duffin(a, p, q)), a, (p.matrix, q.matrix)
 
 
 @st.composite
@@ -60,7 +62,7 @@ def scaled_problems(draw):
 @given(scaled_problems())
 def test_acceptance_and_inverse_are_scale_free(problem):
     kind, m, n, r, complex_, seed, k = problem
-    construct, a = _instance(kind, m, n, r, complex_, seed)
+    construct, a, _ = _instance(kind, m, n, r, complex_, seed)
     unit = construct(a)
     s = 10.0**k
     scaled = construct(s * a)  # a CertificateError here is the defect under test
@@ -96,6 +98,37 @@ def test_moore_penrose_matches_a_50_digit_reference_at_extreme_scales():
             error = np.linalg.norm(cert.inverse - reference, 2)
             assert error <= 1e-10 * kappa * np.linalg.norm(reference, 2), (complex_, k)
             assert cert.prescribed_range.dim == 3
+
+
+def _mpmath_bc_inverse(a, b, c, r):
+    """b (c a b)^+ c from a 50-digit SVD of c a b cut at its r largest singular values: the
+    (b, c)-inverse of ``a`` once b and c have rank r (Drazin 2012), with R(b) and N(c) read
+    at that rank. It shares no formula with the library's F (H A F)^-1 H."""
+    complex_ = any(map(np.iscomplexobj, (a, b, c)))
+    with mpmath.workdps(50):
+        a, b, c = (mpmath.matrix(m.tolist()) for m in (a, b, c))
+        u, sigma, v = (mpmath.svd_c if complex_ else mpmath.svd_r)(c * a * b)
+        core = mpmath.zeros(b.cols, c.rows)
+        for i in range(r):
+            core += v[i, :].H * u[:, i].H / sigma[i]
+        y = b * core * c
+        entries = [[complex(y[i, j]) for j in range(y.cols)] for i in range(y.rows)]
+    return np.array(entries) if complex_ else np.array(entries).real
+
+
+@pytest.mark.parametrize("kind", ("bc", "along", "bott_duffin"))
+def test_bc_kinds_match_a_50_digit_reference(kind):
+    # relative forward error within C kappa eps of the reference, C = 100 fixed and
+    # kappa = ||a|| ||x||: whichever orthonormal rows span S's orthogonal complement as H
+    n, eps = 6, np.finfo(float).eps
+    for complex_ in (False, True):
+        for r in range(1, n):
+            construct, a, (b, c) = _instance(kind, n, n, r, complex_, 100 * r + complex_)
+            cert = construct(a)
+            reference = _mpmath_bc_inverse(a, b, c, r)
+            kappa = cert.operator_norm * cert.inverse_norm
+            error = np.linalg.norm(cert.inverse - reference, 2) / np.linalg.norm(reference, 2)
+            assert error <= 100 * kappa * eps, (complex_, r, error / (kappa * eps))
 
 
 @pytest.mark.parametrize("k", (-308, -309, -320))
