@@ -35,6 +35,7 @@ from .inverses import (
     inverse_along,
     left_regular,
     moore_penrose,
+    oblique_projector,
     outer_prescribed,
     reflexive_inverse,
     right_regular,
@@ -65,7 +66,6 @@ from .subspace import (
     gap,
     gap_sampling_oracle,
     null_space,
-    oblique_projector,
     orthogonal_complement,
     trivial_subspace,
 )

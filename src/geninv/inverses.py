@@ -4,12 +4,13 @@ The central construction is the outer inverse of ``a`` that has a prescribed
 range T (in the domain of ``a``) and a prescribed null space S (in its
 codomain): it exists iff ``a`` restricted to T is injective and a(T) and S
 decompose the codomain, in which case it inverts ``a`` on a(T) and kills S.
-Every other inverse here is that construction with specific subspaces:
+Every other inverse here is that construction with a specific a, T or S:
 
   moore_penrose   T = range(a*),  S = null(a*)
   bc_inverse      T = range(b),   S = null(c)
   bott_duffin     T = range(p),   S = null(q)   for idempotents p, q
   inverse_along   T = range(d),   S = null(d)
+  oblique_projector   a = I:      P_{T,S} = I^(2)_{T,S}
 
 All are built as ``X = F (H A F)^{-1} H`` (Wei 1998; Sheng & Chen 2007), F an
 orthonormal basis of T and H orthonormal rows spanning S's orthogonal complement, the
@@ -28,14 +29,7 @@ import numpy as np
 from . import kernel
 from .errors import CertificateError, ExistenceError, InputError
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
-from .subspace import (
-    ObliqueProjector,
-    Subspace,
-    direct_sum_check,
-    orthonormal_span,
-    range_and_null_space,
-    trivial_subspace,
-)
+from .subspace import ObliqueProjector, Subspace, orthonormal_span, range_and_null_space
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
@@ -202,6 +196,22 @@ def outer_prescribed_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list
     return results
 
 
+def oblique_projector(
+    t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL
+) -> ObliqueProjector:
+    """Idempotent with range T and null space S, if T and S are complementary: the outer
+    inverse of I with that range and null space. Its x I x - x residual is the idempotency
+    test, within ``residual_tol * ||P||^2``, and its inverse_norm is ||P||."""
+    try:
+        cert = outer_prescribed(np.eye(t.ambient_dim), t, s, tol)
+    except CertificateError:
+        raise
+    except ExistenceError as exc:
+        clause = "not complementary"
+        raise ExistenceError(clause, clause=clause, margin=exc.margin) from exc
+    return ObliqueProjector(cert.inverse, t, s, cert.inverse_norm)
+
+
 def _complement_failure(margin: float) -> ExistenceError:
     clause = "R(A*T) (+) S != Y"
     return ExistenceError(f"complement fails: {clause}", clause=clause, margin=margin)
@@ -232,10 +242,8 @@ def _clauses(ops: list, ts: list, ss: list, memos: list, tol: ToleranceConfig) -
     refused = {i: ExistenceError(clause, clause=clause, margin=smin[i]) for i in range(k)
                if dt > m or deficient(i)}
     live = [i for i in range(k) if i not in refused]
-    if dt + ds != m:
-        for i in live:
-            check = direct_sum_check(orthonormal_span(image[i]), ss[i], tol)
-            refused[i] = _complement_failure(check.margin)
+    if dt + ds != m:  # dim a(T) = dim T on the live slices: the count decides
+        refused.update((i, _complement_failure(0.0)) for i in live)
     elif live:  # none live: no more factorizations
         # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
         # and S; cos is measured along that angle, as sqrt(1 - sin^2) cancels near sin = 1
@@ -266,10 +274,9 @@ def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()
     if any(s.ambient_dim != m for s in ss):
         raise InputError("prescribed null space does not live in the codomain of a")
     a, memos = kernel.stack(ops), [{} for _ in ops]  # the lazily read numbers taken here
-    if dt == 0:
-        checks = [direct_sum_check(trivial_subspace(m), s, tol) for s in ss]
-        refused = {i: _complement_failure(c.margin) for i, c in enumerate(checks) if not c.holds}
-        memos = [{"restricted_condition": 1.0, "complement_margin": c.margin} for c in checks]
+    if dt == 0:  # a(T) = {0}: the sum fills Y iff S = Y, a count
+        refused = {} if ds == m else {i: _complement_failure(0.0) for i in range(k)}
+        memos = [{"restricted_condition": 1.0, "complement_margin": 1.0} for _ in ops]
         x, core_sigma, xnorm = np.zeros((k, n, m), dtype=a.dtype), np.zeros((k, 0)), [0.0] * k
     else:
         undecided = list(range(k))  # all, where dim T + dim S != m: _clauses refuses them

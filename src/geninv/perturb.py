@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CertificateError, ExistenceError, InputError
 from .inverses import InverseCertificate, outer_prescribed
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
+from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm, stack_norms
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
@@ -93,7 +93,6 @@ def perturbed_bc_inverse(
         ) from exc
     if not (np.isfinite(left).all() and np.isfinite(right).all()):
         raise CertificateError("perturbation formula inverse is not finite", margin=np.inf)
-    factor_disc = spectral_norm(left - right)
 
     direct = None
     try:
@@ -103,8 +102,9 @@ def perturbed_bc_inverse(
     except ExistenceError:
         if not outside:
             raise
-    discrepancy = None if direct is None else spectral_norm(left - direct)
-    actual = None if direct is None else spectral_norm(direct - x)
+    diffs = [left - right] + ([] if direct is None else [left - direct, direct - x])
+    norms = stack_norms(np.stack(diffs)).tolist()
+    factor_disc, discrepancy, actual = norms if direct is not None else (norms[0], None, None)
 
     kappa = cert.operator_norm * xnorm
     bound = perturbation_bound(kappa, 0.0, 0.0, xnorm * enorm, xnorm)

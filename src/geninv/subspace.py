@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .errors import CertificateError, ExistenceError, InputError
+from .errors import InputError
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
 
 
@@ -126,23 +126,17 @@ def direct_sum_check(
 ) -> DirectSumResult:
     """Whether T and S decompose the ambient space as a direct sum.
 
-    Holds iff the dimensions add up to the ambient one and the concatenated
-    bases are jointly well conditioned: the margin, the smallest singular
-    value of [T.basis | S.basis], exceeds ``rank_rel_tol``.
+    Dimensions that do not add up to the ambient one fail at margin 0, counted with no SVD.
+    Otherwise the margin is the smallest singular value of the square [T.basis | S.basis],
+    and the sum holds iff it exceeds ``rank_rel_tol``.
     """
     if t.ambient_dim != s.ambient_dim:
         raise InputError("ambient dimensions differ")
+    if t.dim + s.dim != t.ambient_dim:
+        return DirectSumResult(False, 0.0)
     sig = kernel.singular_values(np.hstack([t.basis, s.basis]))
     margin = float(sig[-1]) if sig.size else 0.0
-    holds = (t.dim + s.dim == t.ambient_dim) and margin > tol.rank_rel_tol
-    return DirectSumResult(holds, margin)
-
-
-def _idempotency_defect(p: np.ndarray, pnorm: float, tol: ToleranceConfig) -> float | None:
-    """``||p p - p||`` if over ``residual_tol * ||p|| ||p||``, else None (Frobenius-first)."""
-    budget = tol.residual_tol * (pnorm * pnorm)
-    defect = kernel.residual_norm(p @ p - p, budget)
-    return defect if defect > budget else None
+    return DirectSumResult(margin > tol.rank_rel_tol, margin)
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
@@ -156,39 +150,17 @@ class ObliqueProjector:
 
     @classmethod
     def from_matrix(cls, p, tol: ToleranceConfig = DEFAULT_TOL) -> "ObliqueProjector":
-        """Wrap an explicit idempotent, reading ||p||, R(p) and N(p) off one full SVD."""
+        """Wrap an explicit idempotent, reading ||p||, R(p) and N(p) off one full SVD; the
+        defect ||p p - p|| (Frobenius first) is accepted within ``residual_tol * ||p||^2``."""
         p = as_matrix(p)
         if p.shape[0] != p.shape[1]:
             raise InputError("projector matrix must be square")
         range_, nullspace, norm = range_and_null_space(p, tol)
-        defect = _idempotency_defect(p, norm, tol)
-        if defect is not None:
+        budget = tol.residual_tol * (norm * norm)
+        defect = kernel.residual_norm(p @ p - p, budget)
+        if defect > budget:
             raise InputError(f"matrix is not idempotent (defect {defect:.3e})")
         return cls(p, range_, nullspace, norm)
-
-
-def oblique_projector(
-    t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL
-) -> ObliqueProjector:
-    """Idempotent with range T and null space S, if T and S are complementary."""
-    check = direct_sum_check(t, s, tol)
-    if not check.holds:
-        raise ExistenceError(
-            "not complementary", clause="not complementary", margin=check.margin
-        )
-    n = t.ambient_dim
-    stacked = np.hstack([t.basis, s.basis])
-    selector = np.zeros((n, n), dtype=stacked.dtype)
-    selector[: t.dim, : t.dim] = np.eye(t.dim)
-    p = stacked @ selector @ np.linalg.inv(stacked)
-    norm = kernel.spectral_norm(p)
-    defect = _idempotency_defect(p, norm, tol)
-    if defect is not None:
-        raise CertificateError(
-            f"projector construction lost idempotency (defect {defect:.3e})",
-            margin=defect,
-        )
-    return ObliqueProjector(p, t, s, norm)
 
 
 class GapResult(NamedTuple):

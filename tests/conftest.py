@@ -41,6 +41,19 @@ def outer_projector_oracle(a, t_space, s_space):
     return tb @ w
 
 
+def oblique_projector_oracle(t_space, s_space):
+    """Idempotent onto T along S from the inverse of the stacked bases [T | S].
+
+    With B = [T | S] and the selector E keeping T's columns, P = B E B^{-1}: plain numpy,
+    sharing no formula with the outer construction of I that the library uses.
+    """
+    stacked = np.hstack([t_space.basis, s_space.basis])
+    n, r = stacked.shape[0], t_space.dim
+    selector = np.zeros((n, n), dtype=stacked.dtype)
+    selector[:r, :r] = np.eye(r)
+    return stacked @ selector @ np.linalg.inv(stacked)
+
+
 def complement_rows(s_space):
     """Orthonormal rows spanning the orthogonal complement of S (via a full SVD)."""
     _, _, vh = np.linalg.svd(s_space.basis.conj().T, full_matrices=True)

@@ -13,6 +13,7 @@ from conftest import (
     assert_same_subspace,
     complement_rows,
     outer_fullrank_oracle,
+    oblique_projector_oracle,
     outer_instance_at_angles,
     outer_projector_oracle,
 )
@@ -48,7 +49,51 @@ def test_outer_prescribed_identity_gives_projector():
     t = line(1, 0)
     s = line(1, 1)
     cert = gi.outer_prescribed(np.eye(2), t, s)
-    assert np.allclose(cert.inverse, gi.oblique_projector(t, s).matrix, atol=1e-12)
+    assert np.allclose(cert.inverse, oblique_projector_oracle(t, s), atol=1e-12)
+
+
+def span(*cols):
+    return gi.column_space(np.array(cols, dtype=float).T)
+
+
+def _margin(call):
+    with pytest.raises(ExistenceError) as err:
+        call()
+    assert type(err.value) is ExistenceError
+    return err.value.clause, err.value.margin
+
+
+def test_a_sum_whose_dimensions_do_not_add_up_is_refused_at_margin_zero():
+    # span(e1, e2) and span(e2, e3) meet in span(e2); the columns of [T | S] are
+    # orthonormal but for one pair, so their smallest singular value read 1.0
+    e1, e2, e3 = np.eye(3)
+    clause = "R(A*T) (+) S != Y"
+    assert _margin(lambda: gi.outer_prescribed(np.eye(3), span(e1, e2), span(e2, e3))) == (
+        clause, 0.0)
+    assert _margin(lambda: gi.outer_prescribed(np.eye(3), span(e1), span(e2))) == (clause, 0.0)
+    # a T = {0} whose S is not the whole codomain
+    assert _margin(lambda: gi.outer_prescribed(
+        np.eye(3), gi.trivial_subspace(3), span(e1, e2))) == (clause, 0.0)
+    # rank b + dim N(c) = 1 + 1 != 3
+    b, c = np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])
+    assert _margin(lambda: gi.bc_inverse(np.eye(3), b, c)) == (clause, 0.0)
+    assert _margin(lambda: gi.oblique_projector(span(e1, e2), span(e2, e3))) == (
+        "not complementary", 0.0)
+
+
+def test_a_trivial_range_with_the_whole_codomain_has_complement_margin_one():
+    # {0} (+) S = Y iff S = Y, whatever basis S has: the margin is the count's, not an SVD's
+    whole = families.random_subspace(np.random.default_rng(1), 5, 5)
+    cert = gi.outer_prescribed(np.ones((5, 4)), gi.trivial_subspace(4), whole)
+    assert np.array_equal(cert.inverse, np.zeros((4, 5)))
+    assert cert.complement_margin == 1.0 and cert.restricted_condition == 1.0
+
+
+def test_reflexive_inverse_maps_a_dimension_refusal_to_the_codomain_clause():
+    # rank f = dim N = 1, dim M = 2 in C^2: refused by the count, under reflexive's own clause
+    f = np.diag([1.0, 0.0])
+    assert _margin(lambda: gi.reflexive_inverse(f, line(1, 0), gi.full_subspace(2))) == (
+        "R(F) (+) M != Y", 0.0)
 
 
 def test_outer_prescribed_diagonal():

@@ -52,6 +52,20 @@ def test_perturbed_diagonal_closed_form():
     assert not report.outside_ball
 
 
+def test_a_refused_recomputation_outside_the_ball_reports_only_the_formulas():
+    # (a + e) e1 = (-1e-12, 0) is not injective on T = span(e1) at rank_rel_tol 1e-10, while
+    # 1 + x e = [[-1e-12, 0.37], [0, 1]] is invertible and ||e|| > 1 / ||x|| = 1
+    a, b = np.array([[1.0, 0.3], [0.2, 1.0]]), np.diag([1.0, 0.0])
+    cert = gi.bc_inverse(a, b, b)
+    e = np.array([[-(1.0 + 1e-12), 0.37], [-0.2, 0.29]])
+    report = gi.perturbed_bc_inverse(cert, e)
+    assert report.outside_ball and report.direct_inverse is None
+    assert report.discrepancy is None and report.actual_error is None
+    right = cert.inverse @ np.linalg.inv(np.eye(2) + e @ cert.inverse)
+    assert report.factorization_discrepancy == gi.spectral_norm(report.formula_inverse - right)
+    assert 0.0 < report.factorization_discrepancy <= 1e-12 * gi.spectral_norm(right)
+
+
 def test_perturbation_bound_examples():
     assert gi.perturbation_bound(1.0, 0.0, 0.0, 0.0, 1.0) == pytest.approx(0.0)
     assert gi.perturbation_bound(1.0, 0.0, 0.0, 0.1, 1.0) == pytest.approx(1.0 / 9.0)

@@ -5,9 +5,9 @@ import pytest
 
 import geninv as gi
 from geninv import families
-from geninv.errors import ExistenceError, InputError
+from geninv.errors import CertificateError, ExistenceError, InputError
 
-from conftest import assert_same_subspace
+from conftest import assert_same_subspace, oblique_projector_oracle
 
 
 def line(*coords):
@@ -54,6 +54,20 @@ def test_oblique_projector_trivial_and_full():
         gi.oblique_projector(gi.full_subspace(n), gi.trivial_subspace(n)).matrix,
         np.eye(n),
     )
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_oblique_projector_matches_the_stacked_basis_oracle(complex_):
+    # every dim T from 0 to n: the outer inverse of I against B E B^{-1}, B = [T | S]
+    rng, eps = np.random.default_rng(31), np.finfo(float).eps
+    for n in range(1, 9):
+        for dim in range(n + 1):
+            t = families.random_subspace(rng, n, dim, complex_)
+            s = families.random_subspace(rng, n, n - dim, complex_)
+            p, want = gi.oblique_projector(t, s), oblique_projector_oracle(t, s)
+            assert gi.spectral_norm(p.matrix - want) <= 100 * n * p.norm * eps
+            assert abs(p.norm - gi.spectral_norm(want)) <= 100 * n * p.norm * eps
+            assert p.range is t and p.nullspace is s
 
 
 def test_oblique_projector_recovers_subspaces(rng):
@@ -156,6 +170,21 @@ def test_direct_sum_dimension_mismatch_fails():
     assert not ok
 
 
+def test_direct_sum_check_decides_a_dimension_mismatch_by_counting(monkeypatch):
+    # [T | S] of span(e1, e2) and span(e2, e3) is 3 x 4: numpy gives only 3 singular values,
+    # all 1, though the two meet in span(e2); the count refuses it at margin 0 with no SVD
+    def no_svd(*args, **kwargs):
+        raise AssertionError("direct_sum_check factored a matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    eye = np.eye(3)
+    t, s = gi.Subspace(3, eye[:, :2]), gi.Subspace(3, eye[:, 1:])
+    assert gi.direct_sum_check(t, s) == (False, 0.0)
+    assert gi.direct_sum_check(gi.Subspace(3, eye[:, :1]), gi.Subspace(3, eye[:, 1:2])) == (
+        False, 0.0)
+    assert gi.direct_sum_check(gi.trivial_subspace(3), gi.trivial_subspace(3)) == (False, 0.0)
+
+
 def test_ambient_mismatch_rejected():
     with pytest.raises(InputError):
         gi.gap(line(1, 0), line(1, 0, 0))
@@ -174,6 +203,16 @@ def test_oblique_projector_decides_complementarity_with_the_tol_it_is_passed():
     assert info.value.clause == "not complementary"
     assert info.value.margin == pytest.approx(0.0704, abs=5e-5)
     assert info.value.margin == pytest.approx(NEAR_MARGIN, abs=1e-12)
+
+
+def test_oblique_projector_passes_a_refused_certificate_through():
+    # the x I x - x residual is the idempotency test: a rounding-level defect over a zero
+    # budget is the certificate's refusal, not a failure of complementarity
+    rng = np.random.default_rng(5)
+    t, s = families.random_subspace(rng, 6, 3), families.random_subspace(rng, 6, 3)
+    with pytest.raises(CertificateError) as err:
+        gi.oblique_projector(t, s, gi.ToleranceConfig(residual_tol=0.0))
+    assert err.value.clause == "residual exceeds tolerance" and "xax_x" in str(err.value)
 
 
 def test_direct_sum_check_decides_with_the_tol_it_is_passed():
