@@ -158,7 +158,7 @@ def _seqcheck(args, tol, a, b, c) -> dict:
         "verdicts": report.verdicts,
         "alarm": report.alarm,
         "failed_indices": report.failed_indices,
-        "records": {name: getattr(report, name) for name in diagnostics.RECORD_NAMES},
+        "records": report.records,
     }
 
 

@@ -31,36 +31,6 @@ from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
 from .subspace import column_spaces, deviations, gap
 
 
-@dataclass(frozen=True, eq=False)  # identity ==, hashable: verdicts is a dict
-class SequenceDiagnostics:
-    """Per-index convergence measurements plus verdicts.
-
-    All error entries are nonnegative, all gap entries lie in [0, 1]; failed
-    indices (where the per-index inverse does not exist) hold NaN and are
-    excluded from the verdicts. The mp_*_terms pairs and the projector errors
-    are the one-sided deviations of T_n from T and of S_n from S, in the
-    orders the projector products give them (see _diagnose).
-    """
-
-    inverse_error: tuple[float, ...]
-    left_product_error: tuple[float, ...]
-    right_product_error: tuple[float, ...]
-    range_gap: tuple[float, ...]
-    nullspace_gap: tuple[float, ...]
-    inverse_range_gap: tuple[float, ...]
-    inverse_nullspace_gap: tuple[float, ...]
-    mp_range_terms: tuple[tuple[float, float], ...]
-    mp_null_terms: tuple[tuple[float, float], ...]
-    mp_cokernel_terms: tuple[tuple[float, float], ...]
-    mp_corange_terms: tuple[tuple[float, float], ...]
-    range_projector_error: tuple[float, ...]
-    null_projector_error: tuple[float, ...]
-    failed_indices: tuple[int, ...]
-    verdicts: dict[str, bool]
-    alarm: bool
-    remark_gap_identity_mismatch: float | None = None
-
-
 # verdict -> the records whose convergence it asserts; one prefix's verdicts are equivalent
 CHARACTERIZATIONS = {
     "gap_inverse": ("inverse_error",),
@@ -84,9 +54,32 @@ CHARACTERIZATIONS = {
     "oip_subspace_gaps": ("range_gap", "nullspace_gap"),
 }
 
-# The per-index records of SequenceDiagnostics, in order of first assertion; the *_terms
-# records hold pairs. Every other field of SequenceDiagnostics is a summary of them.
+# The keys of SequenceDiagnostics.records, in order of first assertion; the *_terms records
+# hold pairs. Every other field of SequenceDiagnostics is a summary of them.
 RECORD_NAMES = tuple(dict.fromkeys(name for names in CHARACTERIZATIONS.values() for name in names))
+
+
+@dataclass(frozen=True, eq=False)  # identity ==, hashable: records and verdicts are dicts
+class SequenceDiagnostics:
+    """Per-index convergence measurements plus verdicts.
+
+    All error entries are nonnegative, all gap entries lie in [0, 1]; failed
+    indices (where the per-index inverse does not exist) hold NaN and are
+    excluded from the verdicts. The mp_*_terms pairs and the projector errors
+    are the one-sided deviations of T_n from T and of S_n from S, in the
+    orders the projector products give them (see _diagnose).
+    """
+
+    records: dict[str, tuple]  # RECORD_NAMES, in order -> per-index values; also attributes
+    failed_indices: tuple[int, ...]
+    verdicts: dict[str, bool]
+    alarm: bool
+    remark_gap_identity_mismatch: float | None = None
+
+
+for _name in RECORD_NAMES:  # read-only attribute views of the records
+    setattr(SequenceDiagnostics, _name, property(lambda self, name=_name: self.records[name]))
+del _name
 
 # judged at err_scale = max(1, ||x|| max(1, ||a||)); the other records are dimensionless
 _SCALED = frozenset({"inverse_error", "left_product_error", "right_product_error"})
@@ -233,44 +226,37 @@ def _diagnose(
     t_gap, s_gap = t_devs.max(axis=1), s_devs.max(axis=1)
     spaces = zip(*_inverse_subspaces(xs, tol))
     x_range, x_null = (deviations(bases[1:], bases[0]).max(axis=1) for bases in spaces)
+    # the MP report (b = c = x) reads its gaps off R(x_n) and N(x_n), and its projector errors
+    # are the product errors; the (b, c) report reads both off T_n and S_n (Kato, as above)
+    range_gap, null_gap = (x_range, x_null) if mp_report else (t_gap, s_gap)
+    range_projector, null_projector = (left, right) if mp_report else (t_gap, s_gap)
     values = {
         "inverse_error": kernel.stack_norms(xn - x),
         "left_product_error": left,
         "right_product_error": right,
+        "range_gap": range_gap,
+        "nullspace_gap": null_gap,
         "inverse_range_gap": x_range,
         "inverse_nullspace_gap": x_null,
         "mp_range_terms": t_devs,
         "mp_null_terms": s_devs,
         "mp_cokernel_terms": t_devs[:, ::-1],
         "mp_corange_terms": s_devs[:, ::-1],
+        "range_projector_error": range_projector,
+        "null_projector_error": null_projector,
     }
-    mismatch = None
-    if mp_report:
-        values.update(
-            range_gap=x_range,
-            nullspace_gap=x_null,
-            range_projector_error=left,
-            null_projector_error=right,
-        )
-        mismatch = float(np.max([abs(x_range - t_gap), abs(x_null - s_gap)], initial=0.0))
-    else:
-        values.update(
-            range_gap=t_gap,
-            nullspace_gap=s_gap,
-            range_projector_error=t_gap,
-            null_projector_error=s_gap,
-        )
+    mismatch = float(np.max([abs(x_range - t_gap), abs(x_null - s_gap)], initial=0.0))
     records = {name: _record(values[name], live, len(certs)) for name in RECORD_NAMES}
     err_scale = max(1.0, limit.inverse_norm * max(1.0, limit.operator_norm))
     verdicts = _verdicts(records, tol, err_scale)
     if mp_report:
         verdicts = {k: v for k, v in verdicts.items() if k.startswith("mp_")}
     return SequenceDiagnostics(
-        **records,
+        records,
         failed_indices=tuple(k + 1 for k in sorted(set(range(len(certs))) - set(live))),
         verdicts=verdicts,
         alarm=_alarm(verdicts),
-        remark_gap_identity_mismatch=mismatch,
+        remark_gap_identity_mismatch=mismatch if mp_report else None,
     )
 
 
@@ -305,8 +291,8 @@ def _verdicts(records: dict, tol: ToleranceConfig, err_scale: float) -> dict[str
 
 
 def _alarm(verdicts: dict[str, bool]) -> bool:
-    for prefix in ("gap_", "mp_", "oip_"):
-        group = [v for k, v in verdicts.items() if k.startswith(prefix)]
-        if group and any(group) and not all(group):
-            return True
-    return False
+    """Whether one family of equivalent verdicts (the key's text before its first _) splits."""
+    families: dict[str, set] = {}
+    for key, holds in verdicts.items():
+        families.setdefault(key.partition("_")[0], set()).add(holds)
+    return any(len(outcomes) == 2 for outcomes in families.values())

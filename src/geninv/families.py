@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .calculus import MatrixCurve
-from .errors import GenInvError
+from .errors import InputError
 from .inverses import bc_inverse, outer_prescribed
 from .kernel import DEFAULT_TOL, ToleranceConfig, spectral_norm
 from .subspace import Subspace, orthogonal_complement, trivial_subspace
@@ -88,7 +88,7 @@ def random_outer_instance(rng, m: int, n: int, r: int, complex_: bool = False):
     a(t) (+) s has margin at least sqrt(1 - cos _MIN_ANGLE).
     """
     if not 1 <= r <= min(m, n):
-        raise GenInvError("rank must satisfy 1 <= r <= min(m, n)")
+        raise InputError("rank must satisfy 1 <= r <= min(m, n)")
     a = random_rank_matrix(rng, m, n, min(m, n), complex_)
     t_basis, _ = np.linalg.qr(a.conj().T @ _gaussian(rng, m, r, complex_))
     q, _ = np.linalg.qr(a @ t_basis, mode="complete")
@@ -147,7 +147,7 @@ def rankdrop_family(rng, n: int, r: int, count: int, complex_: bool = False):
     so the per-index inverses exist but diverge.
     """
     if not 1 <= r < n:
-        raise GenInvError("rank-drop families need 1 <= r < n")
+        raise InputError("rank-drop families need 1 <= r < n")
     q = random_conditioned(rng, n, complex_)
     d = np.zeros(n)
     d[:r] = 0.5 + rng.random(r)

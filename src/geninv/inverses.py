@@ -202,6 +202,8 @@ def oblique_projector(
     """Idempotent with range T and null space S, if T and S are complementary: the outer
     inverse of I with that range and null space. Its x I x - x residual is the idempotency
     test, within ``residual_tol * ||P||^2``, and its inverse_norm is ||P||."""
+    if t.ambient_dim != s.ambient_dim:
+        raise InputError("ambient dimensions differ")
     try:
         cert = outer_prescribed(np.eye(t.ambient_dim), t, s, tol)
     except CertificateError:

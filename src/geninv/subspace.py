@@ -127,15 +127,15 @@ def direct_sum_check(
     """Whether T and S decompose the ambient space as a direct sum.
 
     Dimensions that do not add up to the ambient one fail at margin 0, counted with no SVD.
-    Otherwise the margin is the smallest singular value of the square [T.basis | S.basis],
-    and the sum holds iff it exceeds ``rank_rel_tol``.
+    Otherwise the margin is the smallest singular value of the square [T.basis | S.basis]
+    (1 for the empty one: C^0 = {0} (+) {0}), and the sum holds iff it exceeds ``rank_rel_tol``.
     """
     if t.ambient_dim != s.ambient_dim:
         raise InputError("ambient dimensions differ")
     if t.dim + s.dim != t.ambient_dim:
         return DirectSumResult(False, 0.0)
     sig = kernel.singular_values(np.hstack([t.basis, s.basis]))
-    margin = float(sig[-1]) if sig.size else 0.0
+    margin = float(sig[-1]) if sig.size else 1.0
     return DirectSumResult(margin > tol.rank_rel_tol, margin)
 
 

@@ -148,7 +148,7 @@ def _oracle_report(cols, failed, tol, err_scale, mp_only=False, mismatch=None):
     if mp_only:
         verdicts = {k: v for k, v in verdicts.items() if k.startswith("mp_")}
     return gi.SequenceDiagnostics(
-        **{name: tuple(cols[name]) for name in diagnostics.RECORD_NAMES},
+        {name: tuple(cols[name]) for name in diagnostics.RECORD_NAMES},
         failed_indices=tuple(failed),
         verdicts=verdicts,
         alarm=diagnostics._alarm(verdicts),

@@ -409,7 +409,9 @@ def test_record_names_are_the_records_the_characterizations_assert():
     asserted = diagnostics.CHARACTERIZATIONS.values()
     assert set(names) == {name for pair in asserted for name in pair}
     summaries = {f.name for f in dataclasses.fields(diagnostics.SequenceDiagnostics)} - set(names)
-    assert summaries == {"failed_indices", "verdicts", "alarm", "remark_gap_identity_mismatch"}
+    assert summaries == {
+        "records", "failed_indices", "verdicts", "alarm", "remark_gap_identity_mismatch"
+    }
 
 
 def test_characterization_table_on_an_empty_sequence():
@@ -419,3 +421,32 @@ def test_characterization_table_on_an_empty_sequence():
     assert got == verdicts_oracle(records, gi.DEFAULT_TOL, 1.0)
     assert not any(got.values())
 
+
+
+def test_records_are_the_one_store_of_the_per_index_values():
+    fields = [f.name for f in dataclasses.fields(diagnostics.SequenceDiagnostics)]
+    assert fields == ["records", "failed_indices", "verdicts", "alarm",
+                      "remark_gap_identity_mismatch"]
+    rng = np.random.default_rng(21)
+    limit = families.random_solvable_triple(rng, 4, 2, True)
+    seq = families.additive_family(*limit, 6, rng, SEQ_TOL)
+    seq[2] = (limit[0], limit[1], np.zeros_like(limit[2]))  # a failed index
+    a, mp_seq = families.mp_rankdrop_sequence(rng, 4, 2, 6)
+    reports = [diagnostics.sequence_report(limit, seq, SEQ_TOL),
+               diagnostics.mp_continuity_report(a, mp_seq, SEQ_TOL)]
+    assert reports[0].failed_indices == (3,)
+    for report in reports:
+        assert list(report.records) == list(diagnostics.RECORD_NAMES)
+        for name in diagnostics.RECORD_NAMES:
+            assert getattr(report, name) is report.records[name]
+            assert len(report.records[name]) == 6
+            with pytest.raises(AttributeError):
+                setattr(report, name, ())
+
+
+def test_alarm_groups_verdicts_by_the_family_of_their_key():
+    assert not diagnostics._alarm({})
+    assert not diagnostics._alarm({"mp_inverse": False, "gap_inverse": True, "oip_inverse": True})
+    assert diagnostics._alarm({"mp_inverse": False, "mp_range_null_proj": True})
+    assert diagnostics._alarm({"oip_inverse": True, "oip_subspace_gaps": False,
+                               "gap_inverse": True})

@@ -1,0 +1,86 @@
+"""Every input refusal that no other test reaches: its exception type and its message."""
+
+import io
+import re
+
+import numpy as np
+import pytest
+
+import geninv as gi
+from geninv import families
+from geninv.errors import InputError
+
+EYE2, EYE3 = np.eye(2), np.eye(3)
+LINE2 = gi.Subspace(2, EYE2[:, :1])
+LINE3 = gi.Subspace(3, EYE3[:, :1])
+CURVE = gi.MatrixCurve(lambda t: t * EYE2, (-1.0, 1.0), "a")
+CASES = {
+    "curve outside its domain": (
+        lambda: CURVE(1.0), "curve a evaluated outside (-1.0, 1.0)"),
+    "unnamed curve outside its domain": (
+        lambda: gi.MatrixCurve(lambda t: EYE2)(-2.0), "curve <unnamed> evaluated outside"),
+    "difference identity shapes": (
+        lambda: gi.difference_identity_residual(EYE2, EYE3, EYE2, EYE2, *[None] * 4),
+        "operand shapes are inconsistent"),
+    "derivative check kind": (
+        lambda: gi.finite_difference_check([CURVE], 0.0, kind="drazin"),
+        "unknown kind 'drazin'"),
+    "derivative check curve count": (
+        lambda: gi.finite_difference_check([CURVE], 0.0, kind="bc"),
+        "kind 'bc' takes 3 curve(s), got 1"),
+    "mp_gap_terms non-square": (
+        lambda: gi.mp_gap_terms(np.ones((2, 3)), np.ones((2, 3))),
+        "mp_gap_terms needs square matrices of equal size"),
+    "mp_gap_terms unequal": (
+        lambda: gi.mp_gap_terms(EYE2, EYE3), "mp_gap_terms needs square matrices of equal size"),
+    "zero_limit_check empty": (
+        lambda: gi.zero_limit_check([]), "empty certificate sequence"),
+    "outer range outside the domain": (
+        lambda: gi.outer_prescribed(np.ones((2, 3)), LINE2, LINE2),
+        "prescribed range does not live in the domain of a"),
+    "outer null space outside the codomain": (
+        lambda: gi.outer_prescribed(np.ones((2, 3)), LINE3, LINE3),
+        "prescribed null space does not live in the codomain of a"),
+    "left_regular size": (
+        lambda: gi.left_regular(EYE2, 3), "expected a 3x3 matrix, got (2, 2)"),
+    "right_regular size": (
+        lambda: gi.right_regular(EYE3, 2), "expected a 2x2 matrix, got (3, 3)"),
+    "as_matrix 1-d": (
+        lambda: gi.as_matrix(np.ones(3)), "expected a 2-d matrix, got ndim=1"),
+    "parse empty text": (
+        lambda: gi.parse_matrix(io.StringIO("")), "missing header line 'rows cols field'"),
+    "parse non-integer header": (
+        lambda: gi.parse_matrix("2 x real\n1 2\n3 4\n"),
+        "malformed header '2 x real', rows/cols must be integers"),
+    "serialize empty": (
+        lambda: gi.serialize_matrix(np.zeros((0, 2))),
+        "only nonempty 2-d matrices can be serialized"),
+    "subspace rows": (
+        lambda: gi.Subspace(3, EYE2), "basis rows do not match ambient dimension"),
+    "subspace columns": (
+        lambda: gi.Subspace(2, np.zeros((2, 3))),
+        "basis has more columns than the ambient dimension"),
+    "direct sum across ambient spaces": (
+        lambda: gi.direct_sum_check(LINE2, LINE3), "ambient dimensions differ"),
+    "oracle across ambient spaces": (
+        lambda: gi.gap_sampling_oracle(LINE2, LINE3, 10, 0), "ambient dimensions differ"),
+    "oracle without trials": (
+        lambda: gi.gap_sampling_oracle(LINE2, LINE2, 0, 0), "trials must be >= 1"),
+    "projector from a non-square matrix": (
+        lambda: gi.ObliqueProjector.from_matrix(np.ones((2, 3))),
+        "projector matrix must be square"),
+    "rank-drop rank": (
+        lambda: families.rankdrop_family(np.random.default_rng(0), 3, 3, 4),
+        "rank-drop families need 1 <= r < n"),
+    "outer instance rank": (
+        lambda: families.random_outer_instance(np.random.default_rng(0), 3, 2, 3),
+        "rank must satisfy 1 <= r <= min(m, n)"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_refusal_type_and_message(case):
+    call, message = CASES[case]
+    with pytest.raises(InputError, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is InputError

@@ -278,3 +278,38 @@ def test_subspaces_of_empty_matrices(m, n):
     assert (col.ambient_dim, col.dim) == (m, 0)
     assert (null.ambient_dim, null.dim) == (n, n)
     assert np.array_equal(null.projector(), np.eye(n))
+
+
+def test_gap_sampling_oracle_with_complex_coefficients():
+    # complex bases draw complex coefficients; the sample stays a lower bound of delta(M, N),
+    # and on a complex line every unit vector attains it
+    rng = np.random.default_rng(3)
+    for trial in range(5):
+        m, n = (families.random_subspace(rng, 3, 2, True) for _ in range(2))
+        sampled = gi.gap_sampling_oracle(m, n, 200, trial)
+        assert 0.0 <= sampled <= gi.gap(m, n).delta_mn + 1e-12
+    m, n = families.random_subspace(rng, 4, 1, True), families.random_subspace(rng, 4, 2, True)
+    assert gi.gap_sampling_oracle(m, n, 3, 0) == pytest.approx(gi.gap(m, n).delta_mn, abs=1e-12)
+
+
+def test_gap_sampling_oracle_of_the_zero_subspace():
+    n = families.random_subspace(np.random.default_rng(4), 3, 2, True)
+    assert gi.gap_sampling_oracle(gi.trivial_subspace(3), n, 50, 0) == 0.0
+
+
+def test_oblique_projector_across_ambient_spaces_names_the_subspaces():
+    with pytest.raises(InputError, match="^ambient dimensions differ$"):
+        gi.oblique_projector(gi.trivial_subspace(2), gi.trivial_subspace(3))
+    with pytest.raises(InputError, match="^ambient dimensions differ$"):
+        gi.oblique_projector(line(1, 0, 0), line(0, 1))
+
+
+def test_the_empty_ambient_space_is_a_direct_sum():
+    # C^0 = {0} (+) {0}: the direct-sum test, the projector and the outer construction agree
+    zero = gi.trivial_subspace(0)
+    assert gi.direct_sum_check(zero, zero) == (True, 1.0)
+    assert gi.oblique_projector(zero, zero).matrix.shape == (0, 0)
+    assert gi.outer_prescribed(np.eye(0), zero, zero).complement_margin == 1.0
+    for n in (1, 2, 5):
+        assert gi.direct_sum_check(gi.trivial_subspace(n), gi.full_subspace(n)) == (True, 1.0)
+        assert gi.direct_sum_check(gi.full_subspace(n), gi.trivial_subspace(n)) == (True, 1.0)
