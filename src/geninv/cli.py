@@ -19,6 +19,7 @@ report keys, to which the dispatcher adds "schema" and "subcommand".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -44,6 +45,7 @@ from .subspace import ObliqueProjector, column_space, gap, gap_sampling_oracle
 
 SCHEMA_VERSION = 1
 _SEQCHECK_DEFAULT_RES_TOL = 1e-2  # finite-sequence convergence proxy
+_parser = functools.cache(lambda: build_parser())  # one per process: parse_args keeps no state
 
 
 def _json_safe(value):
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse usage errors exit 1, with no JSON report
         return 0 if exc.code in (0, None) else 1

@@ -29,7 +29,7 @@ import numpy as np
 from . import kernel
 from .errors import CertificateError, ExistenceError, InputError
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
-from .subspace import ObliqueProjector, Subspace, orthonormal_span, range_and_null_space
+from .subspace import ObliqueProjector, Subspace, orthonormal_span
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
@@ -321,30 +321,33 @@ def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
 
     Requires square operands of equal size. The certificate additionally
     records the residuals of the absorption equations b = x a b and c = c a x.
-    R(b) and ||b|| come off one SVD of b, N(c) and ||c|| off one of c.
+    R(b), N(c), ||b|| and ||c|| come off one batched full SVD of b and c (of b alone if c is b).
     """
     return _one(bc_inverse_stack([(a, b, c)], tol))
 
 
 def bc_inverse_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """bc_inverse of each (a, b, c): one SVD of the b and one of the c per ``kernel.layout``,
-    one construction per (rank b, rank c) in it. Entry i is problem i's certificate or the
-    ExistenceError that refuses it."""
+    """bc_inverse of each (a, b, c): each distinct b or c object (after ``as_matrix``; equal
+    copies are not merged) factored once, in one full SVD per ``kernel.layout``, its R(b) or N(c)
+    one Subspace for every problem using it; then one construction per layout and (rank b,
+    rank c). Entry i is problem i's certificate or the ExistenceError that refuses it."""
     probs = [_bc_operands(*p) for p in problems]
-    results: list = [None] * len(probs)
-    for group in kernel.groups(tuple(map(kernel.layout, p)) for p in probs):
-        u, bsigma, _ = kernel.svd_stack(kernel.stack([probs[i][1] for i in group]))
-        _, csigma, v = kernel.svd_stack(kernel.stack([probs[i][2] for i in group]), full=True)
-        ranks = list(zip(*(kernel.numerical_rank(s, tol).tolist() for s in (bsigma, csigma))))
-        for sub in kernel.groups(ranks):
-            (br, cr), live = ranks[sub[0]], [group[j] for j in sub]
-            t = [orthonormal_span(u[j][:, :br]) for j in sub]
-            s = [orthonormal_span(v[j][:, cr:], v[j][:, :cr]) for j in sub]
-            norms = [(kernel.sigma_max(bsigma[j]), kernel.sigma_max(csigma[j])) for j in sub]
-            certs = _bc([(*probs[i], *norm) for i, norm in zip(live, norms)], t, s, tol)
-            for i, cert in zip(live, certs):
-                results[i] = cert
-    return results
+    keys = [tuple(map(kernel.layout, p)) for p in probs]
+    operands = list({id(m): (m, k) for p, ks in zip(probs, keys)
+                     for m, k in ((p[1], ks[1]), (p[2], ks[2]))}.values())
+    as_b, as_c, spans = {id(p[1]) for p in probs}, {id(p[2]) for p in probs}, {}
+    for group in kernel.groups(k for _, k in operands):
+        u, sigma, v = kernel.svd_stack(kernel.stack([operands[i][0] for i in group]), full=True)
+        for j, (i, r) in enumerate(zip(group, kernel.numerical_rank(sigma, tol).tolist())):
+            m = id(operands[i][0])  # R(m) where m is a b, N(m) with its complement where a c
+            spans[m] = (orthonormal_span(u[j, :, :r]) if m in as_b else None,
+                        orthonormal_span(v[j, :, r:], v[j, :, :r]) if m in as_c else None,
+                        kernel.sigma_max(sigma[j]))
+    bs, cs, found = [spans[id(p[1])] for p in probs], [spans[id(p[2])] for p in probs], {}
+    for group in kernel.groups((k, b[0].dim, c[1].dim) for k, b, c in zip(keys, bs, cs)):
+        found.update(zip(group, _bc([(*probs[i], bs[i][2], cs[i][2]) for i in group],
+                                    [bs[i][0] for i in group], [cs[i][1] for i in group], tol)))
+    return [found[i] for i in range(len(probs))]
 
 
 def _bc_operands(a, b, c) -> tuple:
@@ -383,9 +386,8 @@ def inverse_along(a, d, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
     Its defining equations x a d = d = d a x are the (d, d) absorption
     residuals, which ``_bc`` certifies.
     """
-    t, s, dnorm = range_and_null_space(d, tol)
-    results = _bc([(*_bc_operands(a, d, d), dnorm, dnorm)], [t], [s], tol)
-    cert = _one(_prefixed("not invertible along D", results))
+    d = as_matrix(d)  # one object, so bc_inverse_stack factors it once
+    cert = _one(_prefixed("not invertible along D", bc_inverse_stack([(a, d, d)], tol)))
     along = {"xad_d": cert.residuals["xab_b"], "dax_d": cert.residuals["cax_c"]}
     return replace(cert, kind="along", residuals={**cert.residuals, **along})
 

@@ -50,6 +50,8 @@ def parse_matrix(source) -> np.ndarray:
     """Parse a matrix from a path, a string of file content, or a text stream."""
     if hasattr(source, "read"):
         text = source.read()
+    elif isinstance(source, str) and not source:  # Path("") is ".", which exists
+        text = source
     else:
         path = Path(source)
         if os.path.exists(path):  # False, not OSError, for content longer than a file name

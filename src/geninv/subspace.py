@@ -170,8 +170,12 @@ class GapResult(NamedTuple):
 
 
 def deviations(bases, n: np.ndarray) -> np.ndarray:
-    """Row k is (delta(M_k, N), delta(N, M_k)) for M_k = span(bases[k]) and N = span(n),
-    all orthonormal; each side is one batched product and SVD per ``kernel.layout``."""
+    """Row k is (delta(M_k, N), delta(N, M_k)) for M_k = span(bases[k]) and N = span(n), all
+    orthonormal; each side is one batched product and SVD per layout of the distinct bases."""
+    distinct = {id(m): m for m in bases}
+    if len(distinct) < len(bases):  # measure each distinct object once, then copy its row
+        rows = {key: row for row, key in enumerate(distinct)}
+        return deviations(list(distinct.values()), n)[[rows[id(m)] for m in bases]]
     devs = np.zeros((len(bases), 2))
     for group in kernel.groups(map(kernel.layout, bases)):
         m = kernel.stack([bases[i] for i in group])

@@ -1,0 +1,133 @@
+"""Record every outcome of the benchmark's op pools from one source tree, and diff two records.
+
+    python tests/replay.py record TREE OUT.jsonl [--seeds 0 1 2]
+    python tests/replay.py diff A.jsonl B.jsonl
+
+``record`` imports ``geninv`` from TREE/src and the pools from TREE/bench, runs each op of
+the certify, drivers and cli pools once per seed, and writes one JSON line per op: its
+case id, its outcome and the verdict of its own oracle check. An outcome is written field
+by field: certificates with their lazily read numbers, reports with their records and
+verdicts, errors with their type, message, clause and margin, and CLI requests as the exit
+code and the SHA-256 of the report bytes. Floats are written as ``float.hex`` and arrays as
+the SHA-256 of their shape, dtype and bytes, so two records agree only where every bit
+does. ``diff`` prints each case whose line moved, the fields that moved, and the count.
+Run ``record`` once per tree, each in its own process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+POOLS = ("certify", "drivers", "cli")
+
+
+def digest(value):
+    """A JSON form of ``value`` that tells every bit apart."""
+    import geninv as gi
+
+    if isinstance(value, np.ndarray):
+        h = hashlib.sha256(repr((value.shape, value.dtype.str)).encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+        return "array:" + h.hexdigest()
+    if isinstance(value, BaseException):
+        return {"error": type(value).__name__, "message": str(value),
+                "clause": getattr(value, "clause", None),
+                "margin": digest(getattr(value, "margin", None))}
+    if isinstance(value, gi.Subspace):
+        return {"ambient_dim": value.ambient_dim, "basis": digest(value.basis)}
+    if isinstance(value, gi.InverseCertificate):
+        names = [f.name for f in dataclasses.fields(value) if f.name != "_memo"]
+        names += ["operator_norm", "restricted_condition", "complement_margin"]
+        return {name: digest(getattr(value, name)) for name in names}
+    if dataclasses.is_dataclass(value):
+        return {f.name: digest(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): digest(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [digest(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return value
+
+
+def record(tree: Path, out: Path, seeds) -> int:
+    sys.path[:0] = [str(tree / "src"), str(tree)]
+    from bench.workloads import POOLS as BUILDERS
+
+    lines = 0
+    with open(out, "w") as handle, tempfile.TemporaryDirectory() as workdir:
+        for pool in POOLS:
+            for seed in seeds:
+                ops = BUILDERS[pool](seed, Path(workdir) / f"{pool}{seed}")
+                for k, op in enumerate(ops):
+                    try:
+                        outcome = op.call()
+                    except Exception as exc:  # the outcome is the error raised
+                        outcome = exc
+                    line = {"case": f"{pool}/{seed}/{k}/{op.label}", "outcome": digest(outcome),
+                            "check": op.check(outcome)}
+                    request = getattr(op.call, "__self__", None)  # a CLI request: its report
+                    if request is not None:
+                        line["report"] = hashlib.sha256(request.out.read_bytes()).hexdigest()
+                    handle.write(json.dumps(line, sort_keys=True) + "\n")
+                    lines += 1
+    print(f"{lines} cases recorded to {out}")
+    return 0
+
+
+def _moved(a, b, path=""):
+    """Paths of the leaves where a and b differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = list(dict.fromkeys([*a, *b]))
+        return [p for k in keys for p in _moved(a.get(k), b.get(k), f"{path}.{k}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for k, (x, y) in enumerate(zip(a, b)) for p in _moved(x, y, f"{path}[{k}]")]
+    return [] if a == b else [path or "."]
+
+
+def diff(first: Path, second: Path) -> int:
+    a, b = ([json.loads(line) for line in open(p)] for p in (first, second))
+    cases_a, cases_b = ({r["case"]: r for r in rs} for rs in (a, b))
+    if list(cases_a) != list(cases_b):
+        print("the two records hold different cases")
+        return 1
+    moved = 0
+    for case, line in cases_a.items():
+        paths = _moved(line, cases_b[case])
+        if paths:
+            moved += 1
+            print(f"{case}: {', '.join(paths[:8])}{' ...' if len(paths) > 8 else ''}")
+    print(f"{moved} of {len(cases_a)} cases moved")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record")
+    rec.add_argument("tree", type=Path)
+    rec.add_argument("out", type=Path)
+    rec.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    dif = sub.add_parser("diff")
+    dif.add_argument("first", type=Path)
+    dif.add_argument("second", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        return record(args.tree.resolve(), args.out, args.seeds)
+    return diff(args.first, args.second)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

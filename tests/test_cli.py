@@ -456,3 +456,40 @@ def test_overflowing_perturbation_and_derivative_are_refused_with_exit_two(tmp_p
         assert report["clause"] == "residual exceeds tolerance"
         assert report["error"].endswith(f"{name} is not finite")
         assert report["margin"] is None
+
+
+def test_consecutive_requests_share_one_parser_and_answer_as_a_fresh_one(files, capsys,
+                                                                         monkeypatch):
+    # main builds its parser once per process; each request, a usage error between them
+    # included, gets the report and exit code a freshly built parser gives
+    from geninv import cli
+
+    requests = [
+        (None, ["gap", "t", "e1", "--trials", "20"]),
+        ("7", ["gap", "t", "e1", "--trials", "20"]),
+        ("7", ["seqcheck", "a", "b", "b", "--indices", "4"]),
+        ("3", ["seqcheck", "a", "b", "b", "--indices", "4", "--family", "rotating"]),
+        ("3", ["seqcheck", "a", "b", "b", "--indices", "4", "--seed", "9"]),
+        (None, ["pinv", "a", "--tol-rank", "0.4"]),
+        (None, ["pinv", "a"]),
+        (None, ["outer", "a", "e1", "e1"]),
+        (None, ["derivcheck", "a", "da", "--steps", "1e-2,1e-3"]),
+        (None, ["pinv", "a", "--seed", "1"]),
+        ("abc", ["gap", "t", "e1", "--trials", "20"]),
+        ("abc", ["bcinv", "a", "b", "b", "--tol-res", "1e-3"]),
+    ]
+    assert cli._parser() is cli._parser()
+    for seed, argv in requests:
+        if seed is None:
+            monkeypatch.delenv("GENINV_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GENINV_SEED", seed)
+        argv = [files.get(token, token) for token in argv]
+        code = main(argv)
+        out = capsys.readouterr().out
+        try:
+            fresh = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            assert (code, out) == (1, "")
+            continue
+        assert (out, code) == cli._respond(fresh)

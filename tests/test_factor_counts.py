@@ -3,6 +3,8 @@
 Every O(n^3) factorization goes through a numpy.linalg entry point; these
 tests count the calls made inside one construction at n = 64 (r = n / 2) and
 hold each count to the value of the full-rank construction as an upper bound.
+Where a call factors a stack, its slices (the operand's leading dimension) are
+counted beside the calls: a stack factors each distinct operand object once.
 The outer construction (outer_prescribed: 1 SVD + 1 QR) factors only its core
 H A F: both existence clauses and the checks scaled by ||a|| are decided at
 bounds read off the core's singular values. H, orthonormal rows spanning the
@@ -14,15 +16,20 @@ complement_margin are the SVD of A F, H and one more SVD, taken together on the
 first read of either, and its operator_norm is one values-only SVD of a on first
 read (none of these for moore_penrose, whose SVD gives them).
 The sequence reports are held to their per-index construction: 30 more
-indices may add no more calls than 30 more bc_inverse (3 SVD) or
+indices may add no more calls than 30 more bc_inverse (2 SVD) or
 moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices,
-and a 20x20, 10-index report takes at most 16 SVD (sequence_report) or
+and a 20x20, 10-index report takes at most 15 SVD (sequence_report) or
 13 SVD (mp_continuity_report): its projector records are read off the
-deviations of the prescribed subspaces, with no projector formed.
-bc_inverse, inverse_along, bott_duffin and reflexive_inverse take one SVD per
-operand (none for a projector, which carries its own subspaces and norm; values
-only for reflexive_inverse's f, whose rank is all it reads) before the
-construction's own factorizations.
+deviations of the prescribed subspaces, with no projector formed. Its b and c
+are factored as one slice per distinct operand object: 2 slices for an
+additive family, whose indices share the limit's b and c, and 11 for a
+rank-drop family of (a_n, a_n, a_n), where one b and one c slice per problem
+made 22; deviations measure a basis object shared by every index once.
+bc_inverse factors b and c as one stack of two slices, and inverse_along d as
+one slice, read for R(d) and N(d) alike; bott_duffin and reflexive_inverse take
+one SVD per operand (none for a projector, which carries its own subspaces and
+norm; values only for reflexive_inverse's f, whose rank is all it reads) before
+the construction's own factorizations.
 perturbed_bc_inverse and zero_limit_check read ||a|| and ||x|| off the
 certificate; ||x|| costs nothing and ||a|| at most its first read.
 finite_difference_check builds one inverse per point of its sweep, all of them one
@@ -33,7 +40,7 @@ import numpy as np
 import pytest
 
 import geninv as gi
-from geninv import calculus, families, kernel
+from geninv import calculus, families, kernel, subspace
 
 from conftest import complement_rows, outer_instance_at_angles
 
@@ -87,24 +94,27 @@ def test_bc_inverse_counts(linalg_calls, complex_):
     linalg_calls.clear()
     gi.bc_inverse(a, b, c)
     counts = _counts(linalg_calls)
-    assert counts["svd"] <= 3 and counts["qr"] == 0 and counts["inv"] <= 1
+    assert counts["svd"] <= 2 and counts["qr"] == 0 and counts["inv"] <= 1
     assert counts["solve"] == 0 and counts["lstsq"] == 0
-    # b and c are the only N x N operands factored (each a stack of one); a is not
+    # b and c are the only N x N operands factored, one stack of two slices; a is not
     square = [shape for name, shape in linalg_calls if shape[-2:] == (N, N)]
-    assert len(square) <= 2
+    assert square == [(2, N, N)]
 
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_inverse_along_counts(linalg_calls, complex_):
-    # R(d), N(d) and ||d|| come off one full SVD of d; the rest is the outer construction
+    # R(d), N(d) and ||d|| come off one full SVD of d, one slice, whether d comes as an array
+    # or as nested lists; the rest is the outer construction
     rng = np.random.default_rng(11)
     a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
     d = t.basis @ families.random_conditioned(rng, N // 2, complex_) @ complement_rows(s)
-    linalg_calls.clear()
-    gi.inverse_along(a, d)
-    counts = _counts(linalg_calls)
-    assert counts["svd"] <= 2 and counts["qr"] == 0 and counts["inv"] <= 1
-    assert counts["solve"] == 0 and counts["lstsq"] == 0
+    for operand in (d, d.tolist()):
+        linalg_calls.clear()
+        gi.inverse_along(a, operand)
+        counts = _counts(linalg_calls)
+        assert counts["svd"] <= 2 and counts["qr"] == 0 and counts["inv"] <= 1
+        assert counts["solve"] == 0 and counts["lstsq"] == 0
+        assert [shape for name, shape in linalg_calls if shape[-2:] == (N, N)] == [(1, N, N)]
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -223,7 +233,7 @@ def _additive_sequence(complex_, count):
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_sequence_report_per_index_cost_is_the_bc_inverse(linalg_calls, complex_):
-    # per index only bc_inverse's own factorizations (<= 3 SVD); every
+    # per index only bc_inverse's own factorizations (<= 2 SVD); every
     # diagnostic norm and subspace is one batched call per quantity
     calls = {}
     for count in (10, 40):
@@ -232,7 +242,7 @@ def test_sequence_report_per_index_cost_is_the_bc_inverse(linalg_calls, complex_
         report = gi.sequence_report(limit, seq, tol)
         calls[count] = len(linalg_calls)
         assert not report.failed_indices
-    assert calls[40] - calls[10] <= 30 * 3
+    assert calls[40] - calls[10] <= 30 * 2
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -273,16 +283,67 @@ def test_mp_continuity_report_calls_do_not_grow_with_the_indices(linalg_calls, c
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_sequence_report_counts(linalg_calls, complex_):
-    # the stacked construction (3 SVD), the limit's ||a|| for the error
-    # scale, the inverse and two product errors (one SVD each), R(x_n) and
-    # N(x_n) (one full SVD), and four deviations readings (R(x_n), N(x_n), T_n
-    # and S_n; two SVDs each)
+    # the stacked construction (2 SVD: b and c as one stack, then the core), the limit's
+    # ||a|| for the error scale, the inverse and two product errors (one SVD each), R(x_n)
+    # and N(x_n) (one full SVD), and four deviations readings (R(x_n), N(x_n), T_n and S_n;
+    # two SVDs each)
     limit, seq, tol = _additive_sequence(complex_, 10)
     linalg_calls.clear()
     assert not gi.sequence_report(limit, seq, tol).failed_indices
     counts = _counts(linalg_calls)
-    assert counts["svd"] <= 16
+    assert counts["svd"] <= 15
     assert counts["qr"] == counts["inv"] == counts["solve"] == counts["lstsq"] == 0
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """Copies of the operands (stacks included) of every numpy.linalg.svd call that computes
+    singular vectors: the factorizations that give subspaces, not only norms."""
+    operands = []
+    original = np.linalg.svd
+
+    def counted(x, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            operands.append(np.array(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return operands
+
+
+def _slices_of(operands, matrices) -> int:
+    """The number of slices of the factored operands equal to one of ``matrices``."""
+    return sum(any(np.array_equal(m, x) for x in matrices)
+               for op in operands for m in op.reshape(-1, *op.shape[-2:]))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_sequence_report_factors_each_distinct_operand_once(factored, complex_):
+    # an additive family passes the limit's b and c objects to every index: they are factored
+    # as two slices, not one b and one c per problem (22 slices for 11 problems). A rank-drop
+    # family is (a_n, a_n, a_n): each index's one operand is one slice, shared by R(b) and N(c)
+    limit, seq, tol = _additive_sequence(complex_, 10)
+    factored.clear()
+    assert not gi.sequence_report(limit, seq, tol).failed_indices
+    assert _slices_of(factored, limit[1:]) == 2
+    limit, seq = families.rankdrop_family(np.random.default_rng(18), 20, 10, 10, complex_)
+    factored.clear()
+    report = gi.sequence_report(limit, seq, tol)
+    assert not report.failed_indices and report.verdicts["gap_inverse"] is False
+    assert _slices_of(factored, [limit[0]] + [p[0] for p in seq]) == 11
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_deviations_measure_a_shared_basis_once(linalg_calls, complex_):
+    # each side of the deviations is one norm of a one-slice stack, however often the basis
+    # repeats; each row is the single basis's
+    rng = np.random.default_rng(19)
+    m, n = (families.random_subspace(rng, 20, 10, complex_).basis for _ in range(2))
+    one = subspace.deviations([m], n)
+    linalg_calls.clear()
+    devs = subspace.deviations([m] * 10, n)
+    assert linalg_calls == [("svd", (1, 20, 10))] * 2
+    assert devs.tobytes() == np.repeat(one, 10, axis=0).tobytes()
 
 
 def test_stack_norms_of_empty_slices_factor_nothing(linalg_calls):
@@ -367,7 +428,7 @@ def _affine_curves(kind: str, complex_: bool):
 
 
 @pytest.mark.parametrize("complex_", [False, True])
-@pytest.mark.parametrize("kind, svd, qr", [("bc", 4, 0), ("mp", 2, 0), ("oip", 4, 1)])
+@pytest.mark.parametrize("kind, svd, qr", [("bc", 3, 0), ("mp", 2, 0), ("oip", 4, 1)])
 def test_finite_difference_check_calls_do_not_grow_with_the_steps(linalg_calls, kind, svd, qr,
                                                                   complex_):
     # the sweep's certificates are one stacked construction and its errors one

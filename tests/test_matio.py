@@ -128,6 +128,15 @@ def test_parse_directory_is_input_error(tmp_path):
             parse_matrix(source)
 
 
+def test_empty_text_is_missing_its_header(tmp_path, monkeypatch):
+    # the empty string is an empty text, as an empty stream is, and not the path "." that
+    # Path("") names: its error is the missing header, from any working directory
+    monkeypatch.chdir(tmp_path)
+    for source in ("", io.StringIO("")):
+        with pytest.raises(InputError, match="^missing header line 'rows cols field'$"):
+            parse_matrix(source)
+
+
 def test_parse_non_utf8_file_is_input_error(tmp_path):
     path = tmp_path / "binary.mat"
     path.write_bytes(b"\xff\xfe\x00\x81\x9f")

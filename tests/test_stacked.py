@@ -21,6 +21,7 @@ import geninv as gi
 from geninv import families
 from geninv.calculus import MatrixCurve, _fit_order, _sandwich
 from geninv.inverses import bc_inverse_stack, moore_penrose_stack, outer_prescribed_stack
+from geninv.subspace import deviations
 
 from conftest import complement_rows, outer_instance_at_angles
 
@@ -331,3 +332,66 @@ def test_outer_prescribed_stack_of_column_major_bases_matches_the_single_calls(c
     problems = [outer_problem(rng, 20, 20, "exists", complex_, 10, k % 2 == 1) for k in range(4)]
     for problem, result in zip(problems, outer_prescribed_stack(problems)):
         assert_same_outcome(result, gi.outer_prescribed(*problem))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_bc_inverse_stack_of_shared_operands_is_the_single_calls(complex_):
+    # each distinct b or c object is factored once: an additive family shares the limit's b
+    # and c objects, a rank-drop family is (a_n, a_n, a_n), and the mixed stack holds shared
+    # objects beside equal-content copies (factored on their own), b as another problem's c,
+    # and b as its own c. Every slice is bitwise its single call
+    rng = np.random.default_rng(23)
+    a, b, c = families.random_solvable_triple(rng, 6, 3, complex_)
+    additive = [(a, b, c), *families.additive_family(a, b, c, 6, rng)]
+    limit, seq = families.rankdrop_family(rng, 6, 3, 6, complex_)
+    a2, b2, c2 = families.random_solvable_triple(rng, 6, 3, complex_)
+    mixed = [(a, b, c), (a2, b2, c2), (a, b.copy(), c), (a2, b, c.copy()), (a, b2, c),
+             (a2, c2, b2), (a, b, b), (a2, b2, c2.copy()), (a, c, c)]
+    for problems in (additive, [limit, *seq], mixed):
+        stacked = bc_inverse_stack(problems)
+        for problem, result in zip(problems, stacked):
+            assert_same_outcome(result, _outcome(gi.bc_inverse, *problem))
+    certs = bc_inverse_stack(mixed)
+    # problems that share an operand object share its subspace; a copy has its own
+    assert certs[0].prescribed_range is certs[3].prescribed_range
+    assert certs[0].prescribed_range is not certs[2].prescribed_range
+    assert certs[0].prescribed_nullspace is certs[2].prescribed_nullspace
+    assert certs[0].prescribed_nullspace is not certs[3].prescribed_nullspace
+    certs = bc_inverse_stack(additive)
+    assert len({id(c.prescribed_range) for c in certs}) == 1
+    assert len({id(c.prescribed_nullspace) for c in certs}) == 1
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("kind", ["exists", "not_injective", "nilpotent", "zero"])
+def test_inverse_along_is_the_dd_inverse(kind, complex_):
+    # inverse_along(a, d) is bc_inverse(a, d, d) bit for bit, with kind "along", the residuals
+    # xad_d = xab_b and dax_d = cax_c, and each refusal's message prefixed
+    rng = np.random.default_rng(24)
+    if kind == "nilpotent":  # a = I and R(d) = N(d): the complement clause fails
+        a, d = np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]) * (1j if complex_ else 1)
+    else:
+        a, d, _ = bc_problem(rng, 6, kind, complex_, 3)
+    along, bc = _outcome(gi.inverse_along, a, d), _outcome(gi.bc_inverse, a, d, d)
+    assert (kind in ("exists", "zero")) == isinstance(bc, gi.InverseCertificate)
+    if isinstance(bc, gi.ExistenceError):
+        for refused in (along, _outcome(gi.inverse_along, a, d.tolist())):
+            assert type(refused) is type(bc)
+            assert str(refused) == f"not invertible along D: {bc}"
+            assert refused.clause == bc.clause and _bits(refused.margin) == _bits(bc.margin)
+        return
+    residuals = {**bc.residuals, "xad_d": bc.residuals["xab_b"], "dax_d": bc.residuals["cax_c"]}
+    assert along.kind == "along" and list(along.residuals) == list(residuals)
+    assert_same_outcome(along, dataclasses.replace(bc, kind="along", residuals=residuals))
+    assert_same_outcome(gi.inverse_along(a, d.tolist()), along)
+
+
+def test_deviations_of_repeated_bases_are_the_single_rows():
+    # each distinct basis object is measured once and its row copied to every index holding it
+    rng = np.random.default_rng(25)
+    n = families.random_subspace(rng, 6, 3).basis
+    bases = [families.random_subspace(rng, 6, dim).basis for dim in (3, 2, 0, 3)]
+    order = [0, 1, 0, 2, 3, 1, 1, 3, 2]
+    devs = deviations([bases[k] for k in order], n)
+    assert devs.tobytes() == np.vstack([deviations([bases[k]], n) for k in order]).tobytes()
+    assert deviations([], n).shape == (0, 2)
