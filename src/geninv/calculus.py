@@ -93,10 +93,7 @@ def difference_identity_residual(
     domain; S, U in the codomain). The identity is algebraic, so the residual
     must sit at rounding level.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    a_inv = as_matrix(a_inv)
-    b_inv = as_matrix(b_inv)
+    a, b, a_inv, b_inv = map(as_matrix, (a, b, a_inv, b_inv))
     m, n = a.shape
     if b.shape != (m, n) or a_inv.shape != (n, m) or b_inv.shape != (n, m):
         raise InputError("operand shapes are inconsistent")
@@ -120,10 +117,11 @@ def _fit_order(steps: Sequence[float], errors: Sequence[float]) -> float:
 
 
 def _oip_stack(points: list, tol: ToleranceConfig) -> list:
-    """outer_prescribed at each (a, p, q), T = R(p) and S = R(q) from one SVD of the p's, one of
-    the q's."""
+    """outer_prescribed at each (a, p, q), T = R(p) and S = R(q) from one ``column_spaces`` of
+    the p's and q's (one SVD where they share a shape and field)."""
     ops, ps, qs = zip(*points)
-    return outer_prescribed_stack([*zip(ops, column_spaces(ps, tol), column_spaces(qs, tol))], tol)
+    spans = column_spaces([*ps, *qs], tol)
+    return outer_prescribed_stack([*zip(ops, spans[:len(ps)], spans[len(ps):])], tol)
 
 
 # kind -> (number of curves, stacked construction from the curves' values at each point);

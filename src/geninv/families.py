@@ -59,11 +59,11 @@ def random_skew(rng, n: int, complex_: bool = False) -> np.ndarray:
     return k / nrm if nrm else k
 
 
-def cayley(k_mat: np.ndarray, t: float) -> np.ndarray:
-    """Unitary Cayley transform of a skew-Hermitian matrix, smooth in t."""
-    n = k_mat.shape[0]
-    eye = np.eye(n)
-    return np.linalg.solve(eye - (t / 2.0) * k_mat, eye + (t / 2.0) * k_mat)
+def cayley(k_mat: np.ndarray, t) -> np.ndarray:
+    """Unitary Cayley transform of a skew-Hermitian matrix, smooth in t; for an array of t, the
+    stack of transforms, from one batched solve."""
+    half, eye = np.asarray(t, dtype=float)[..., None, None] / 2.0, np.eye(k_mat.shape[0])
+    return np.linalg.solve(eye - half * k_mat, eye + half * k_mat)
 
 
 def random_rank_matrix(rng, m: int, n: int, r: int, complex_: bool = False) -> np.ndarray:
@@ -132,11 +132,9 @@ def rotating_family(a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL
     complex_ = any(np.iscomplexobj(x) for x in (a, b, c))
     cert = bc_inverse(a, b, c, tol)
     angle = 0.4 / max(2.0, cert.operator_norm * cert.inverse_norm)
-    k1 = random_skew(rng, a.shape[0], complex_)
-    k2 = random_skew(rng, a.shape[0], complex_)
-    return [
-        (a, cayley(k1, angle / n) @ b, c @ cayley(k2, angle / n)) for n in range(1, count + 1)
-    ]
+    k1, k2 = (random_skew(rng, a.shape[0], complex_) for _ in range(2))
+    angles = angle / np.arange(1, count + 1)
+    return [*zip([a] * count, cayley(k1, angles) @ b, c @ cayley(k2, angles))]
 
 
 def rankdrop_family(rng, n: int, r: int, count: int, complex_: bool = False):
@@ -153,38 +151,28 @@ def rankdrop_family(rng, n: int, r: int, count: int, complex_: bool = False):
     d[:r] = 0.5 + rng.random(r)
     qinv = np.linalg.inv(q)
     a = q @ np.diag(d) @ qinv
-    sequence = []
-    for idx in range(1, count + 1):
-        dn = d.copy()
-        dn[r:] = 1.0 / idx
-        an = q @ np.diag(dn) @ qinv
-        sequence.append((an, an, an))
-    return (a, a, a), sequence
+    dn = np.repeat(d[None], count, axis=0)  # each index's diagonal, all drawn at once
+    dn[:, r:] = 1.0 / np.arange(1, count + 1)[:, None]
+    return (a, a, a), [(an, an, an) for an in q @ (dn[:, None, :] * np.eye(n)) @ qinv]
 
 
 def mp_rankdrop_sequence(rng, n: int, r: int, count: int, complex_: bool = False):
     """Limit element of rank r with full-rank approximants (pseudoinverses diverge)."""
-    u = _haar(rng, n, complex_)
-    v = _haar(rng, n, complex_)
+    u, v = (_haar(rng, n, complex_) for _ in range(2))
     s = np.zeros(n)
     s[:r] = 0.5 + rng.random(r)
     a = (u * s) @ v.conj().T
-    seq = []
-    for idx in range(1, count + 1):
-        sn = s.copy()
-        sn[r:] = 1.0 / idx
-        seq.append((u * sn) @ v.conj().T)
-    return a, seq
+    sn = np.repeat(s[None], count, axis=0)  # each index's singular values, all drawn at once
+    sn[:, r:] = 1.0 / np.arange(1, count + 1)[:, None]
+    return a, list((u * sn[:, None, :]) @ v.conj().T)
 
 
 def mp_convergent_sequence(rng, n: int, r: int, count: int, complex_: bool = False):
     """Rank-preserving approximants a_n -> a with a_n^+ -> a^+."""
     a = random_rank_matrix(rng, n, n, r, complex_)
-    k1 = random_skew(rng, n, complex_)
-    k2 = random_skew(rng, n, complex_)
-    return a, [
-        cayley(k1, 0.2 / idx) @ a @ cayley(k2, 0.2 / idx) for idx in range(1, count + 1)
-    ]
+    k1, k2 = (random_skew(rng, n, complex_) for _ in range(2))
+    angles = 0.2 / np.arange(1, count + 1)
+    return a, list(cayley(k1, angles) @ a @ cayley(k2, angles))
 
 
 def bc_curves(rng, n: int, r: int, complex_: bool = False, tol: ToleranceConfig = DEFAULT_TOL):

@@ -71,23 +71,22 @@ def _lazy(memo: dict, name: str, a, t=None, s=None) -> float:
     return memo[name]
 
 
-def _certify(defects: dict, tol: ToleranceConfig, kind: str, exact=None):
-    """Norms of the (defect, scale) pairs, each accepted within ``residual_tol * scale``. A
-    scale is the product of the norms of the equation's factors (||a|| ||b|| ||a|| for aba - a):
-    a normwise backward error (Higham 2002, ch. 7), so no decision depends on the unit of a.
-    With ``exact``, scales are at a lower bound on ||a||; one over budget is judged at exact().
-    A defect that overflowed (an inf or NaN entry) is refused whatever its budget."""
+def _certify(defects: dict, tol: ToleranceConfig, kind: str, exact=None) -> dict:
+    """Norms of one slice's (defect, scale) pairs, each with its Frobenius norm where taken, each
+    accepted within ``residual_tol * scale``. A scale is the product of the norms of the
+    equation's factors (||a|| ||b|| ||a|| for aba - a): a normwise backward error (Higham 2002,
+    ch. 7), so no decision depends on the unit of a. With ``exact``, scales are at a lower bound
+    on ||a||; one over budget is judged at its scale in exact(). A defect that overflowed (an inf
+    or NaN entry) is refused whatever its budget."""
     residuals = {}
-    for name, (defect, scale) in defects.items():
-        value, budget = kernel.residual_norm(defect), tol.residual_tol * scale
-        budget = tol.residual_tol * exact()[name][1] if exact and not value <= budget else budget
-        value = value if value <= budget else kernel.residual_norm(defect, budget)
+    for j, (name, (defect, scale, *fro)) in enumerate(defects.items()):
+        value, budget = kernel.residual_norm(defect, math.inf, *fro), tol.residual_tol * scale
+        budget = tol.residual_tol * exact()[j] if exact and not value <= budget else budget
+        value = value if value <= budget else kernel.residual_norm(defect, budget, value)
         if value > budget or value == math.inf:
             excess = "is not finite" if value == math.inf else f"exceeds budget {budget:.3e}"
-            raise CertificateError(
-                f"{kind} certificate rejected: residual {name}={value:.3e} {excess}",
-                margin=value,
-            )
+            raise CertificateError(f"{kind} certificate rejected: residual {name}={value:.3e} "
+                                   f"{excess}", margin=value)
         residuals[name] = value
     return residuals
 
@@ -105,26 +104,36 @@ def _prefixed(prefix: str, results: list) -> list:
             if type(r) is ExistenceError else r for r in results]
 
 
-def _certificate(defects, tol, core_sigma, x, kind, a, t, s, xnorm, memo, exact=None):
-    """x's certificate (the fields in InverseCertificate's order, its residuals and gaps
-    aside), or the CertificateError of the first defect ``_certify`` refuses given ``exact``.
+def _certificates(kind, x, defects, scales, tol, core_sigma, f, sb, fields, exact=None,
+                  refused=None) -> list:
+    """Slice i's certificate as ``kind`` (fields[i]: its operator, T, S, ||x||, memo), the
+    CertificateError refusing it, or refused[i]. Norms are batched (``kernel.frobenius_norms``):
+    a slice whose defects' norms lie in (1e-150, inf) within budget at scales[i] (at a lower
+    bound on ||a|| if exact(i) gives the exact ones) is accepted at them, the others take
+    ``_certify``. For x = F core^-1 H (f, sb stack F, S), ||core|| times ||(I - FF*) x|| or
+    ||x S||, plus 2 dim eps ||x||_F for rounding, bounds gap(R(x), T) or gap(N(x), S); past the
+    rank cutoff the gap is 1, and 0 where T is the domain or S = {0}."""
+    (n, m), refused, gaps = x.shape[1:], refused or {}, [(0.0, 0.0)] * len(x)
+    if core_sigma.shape[1]:
+        allowance = 2 * max(n, m) * math.ulp(1.0)  # the two products' rounding per ||x||_F
+        sides = (kernel.frobenius_norms(x - f @ (f.conj().swapaxes(-1, -2) @ x)) if f.shape[-1] < n
+                 else None, kernel.frobenius_norms(x @ sb) if sb.shape[-1] else None)
+        top, low = core_sigma[:, 0].tolist(), core_sigma[:, -1].tolist()  # full rank: low clears
+        gaps = [tuple(0.0 if side is None else min(1.0, (side[i] + allowance * xf) * top[i])
+                      for side in sides) if low[i] > tol.rank_rel_tol * top[i] else (1.0, 1.0)
+                for i, xf in enumerate(kernel.frobenius_norms(x))]
 
-    For ``x = F core^-1 H`` the gaps bound gap(R(x), T) and gap(N(x), S): x has smallest nonzero
-    singular value 1/||core||, so ||core|| times ||(I - FF*) x|| or ||x S||, each plus 2 dim eps
-    ||x||_F for the rounding of its two products, bounds how far R(x) leaves T or S leaves N(x).
-    Past the rank cutoff the gap is 1; where T is the domain or S = {0}, that side's is 0."""
-    try:
-        residuals = _certify(defects, tol, kind, exact)
-    except CertificateError as exc:
-        return exc
-    gaps = (0.0, 0.0) if core_sigma.size == 0 else (1.0, 1.0)
-    if core_sigma.size and kernel.numerical_rank(core_sigma, tol) == core_sigma.size:
-        rounding = 2 * max(x.shape) * np.finfo(float).eps * np.linalg.norm(x)
-        off_range = 0.0 if t.dim == x.shape[0] else np.linalg.norm(
-            x - t.basis @ (t.basis.conj().T @ x)) + rounding
-        off_null = 0.0 if s.is_trivial else np.linalg.norm(x @ s.basis) + rounding
-        gaps = min(1.0, float(off_range * core_sigma[0])), min(1.0, float(off_null * core_sigma[0]))
-    return InverseCertificate(x, kind, residuals, *gaps, a, t, s, xnorm, memo)
+    def judged(i: int, norms: tuple, scale: tuple, field: tuple):
+        try:
+            residuals = dict(zip(defects, norms)) if all(
+                1e-150 < v < math.inf and v <= tol.residual_tol * s for v, s in zip(norms, scale)
+            ) else _certify({name: (defects[name][i], s, v) for name, s, v in zip(
+                defects, scale, norms)}, tol, kind, exact and (lambda: exact(i)))
+        except CertificateError as exc:
+            return exc
+        return InverseCertificate(x[i], kind, residuals, *gaps[i], *field)
+    rows = zip(zip(*map(kernel.frobenius_norms, defects.values())), scales, fields)
+    return [refused[i] if i in refused else judged(i, *row) for i, row in enumerate(rows)]
 
 
 def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
@@ -139,8 +148,7 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
 def moore_penrose_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """moore_penrose of each matrix: one SVD per ``kernel.layout``, one product per rank.
     Entry i is matrix i's certificate or the CertificateError that refuses it."""
-    ops = [as_matrix(a) for a in matrices]
-    results: list = [None] * len(ops)
+    ops, results = [as_matrix(a) for a in matrices], {}
     for group in kernel.groups(map(kernel.layout, ops)):
         stack = kernel.stack([ops[i] for i in group])
         u, sigma, v = kernel.svd_stack(stack, full=True)
@@ -151,22 +159,19 @@ def moore_penrose_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list:
             f, s_basis = v_r[:, :, :r], u_r[:, :, r:]
             b = (f / sig[:, None, :r]) @ u_r[:, :, :r].conj().swapaxes(-1, -2)
             ab, ba = a @ b, b @ a
-            aba, bab = ab @ a - a, ba @ b - b
-            for k, (i, s) in enumerate(zip(live, sig.tolist())):
-                anorm, bnorm = (s[0], 1.0 / s[r - 1]) if r else (0.0, 0.0)
-                defects = {
-                    "aba": (aba[k], anorm * bnorm * anorm),
-                    "bab": (bab[k], bnorm * anorm * bnorm),
-                    "ab_hermitian": (ab[k].conj().T - ab[k], anorm * bnorm),
-                    "ba_hermitian": (ba[k].conj().T - ba[k], anorm * bnorm),
-                }
-                memo = {"operator_norm": anorm, "complement_margin": 1.0,
-                        "restricted_condition": s[0] / s[r - 1] if r else 1.0}
-                spans = (orthonormal_span(f[k], v_r[k, :, r:]),
-                         orthonormal_span(s_basis[k], u_r[k, :, :r]))
-                results[i] = _certificate(
-                    defects, tol, sig[k, :r], b[k], "moore_penrose", ops[i], *spans, bnorm, memo)
-    return results
+            defects = {"aba": ab @ a - a, "bab": ba @ b - b,
+                       "ab_hermitian": ab.conj().swapaxes(-1, -2) - ab,
+                       "ba_hermitian": ba.conj().swapaxes(-1, -2) - ba}
+            norms = [(s[0], 1.0 / s[r - 1], s[0] / s[r - 1]) if r else (0.0, 0.0, 1.0)
+                     for s in sig.tolist()]  # ||a||, ||b|| and the condition number
+            fields = [(ops[i], orthonormal_span(f[j], v_r[j, :, r:]),
+                       orthonormal_span(s_basis[j], u_r[j, :, :r]), bn,
+                       {"operator_norm": an, "complement_margin": 1.0, "restricted_condition": kn})
+                      for j, (i, (an, bn, kn)) in enumerate(zip(live, norms))]
+            scales = [(an * bn * an, bn * an * bn, an * bn, an * bn) for an, bn, _ in norms]
+            results.update(zip(live, _certificates("moore_penrose", b, defects, scales, tol,
+                                                   sig[:, :r], f, s_basis, fields)))
+    return [results[i] for i in range(len(ops))]
 
 
 def outer_prescribed(
@@ -184,16 +189,14 @@ def outer_prescribed(
 
 def outer_prescribed_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """outer_prescribed of each (a, t, s): one construction per ``kernel.layout`` of a, of T's
-    basis and of S's basis and carried complement, so per shape, field, dim T and dim S. Entry
-    i is problem i's certificate or the ExistenceError that refuses it."""
-    probs = [(as_matrix(a), t, s) for a, t, s in problems]
-    results: list = [None] * len(probs)
+    basis and of S's basis and carried complement, so per shape, field, strides, dim T and dim S.
+    Entry i is problem i's certificate or the ExistenceError that refuses it."""
+    probs, found = [(as_matrix(a), t, s) for a, t, s in problems], {}
     for group in kernel.groups(tuple(kernel.layout(m) for m in (a, t.basis, s.basis, s._complement)
                                      if m is not None) for a, t, s in probs):
         ops, ts, ss = ([probs[i][j] for i in group] for j in range(3))
-        for i, result in zip(group, _outer(ops, ts, ss, tol, "outer_prescribed")):
-            results[i] = result
-    return results
+        found.update(zip(group, _outer(ops, ts, ss, tol, "outer_prescribed")))
+    return [found[i] for i in range(len(probs))]
 
 
 def oblique_projector(
@@ -279,14 +282,14 @@ def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()
     if dt == 0:  # a(T) = {0}: the sum fills Y iff S = Y, a count
         refused = {} if ds == m else {i: _complement_failure(0.0) for i in range(k)}
         memos = [{"restricted_condition": 1.0, "complement_margin": 1.0} for _ in ops]
-        x, core_sigma, xnorm = np.zeros((k, n, m), dtype=a.dtype), np.zeros((k, 0)), [0.0] * k
+        x, core_sigma, xnorm, f = np.zeros((k, n, m), a.dtype), np.zeros((k, 0)), [0.0] * k, None
     else:
         undecided = list(range(k))  # all, where dim T + dim S != m: _clauses refuses them
         if dt + ds == m:
             h = _complement_rows(ss)
             f = kernel.stack([t.basis for t in ts])
             cu, core_sigma, cv = kernel.svd_stack(h @ (a @ f))
-            floor = 2.0 * tol.rank_rel_tol + 8 * (m + n) * np.finfo(float).eps
+            floor = 2.0 * tol.rank_rel_tol + 8 * (m + n) * math.ulp(1.0)
             undecided = [i for i in range(k)
                          if not core_sigma[i, -1] > floor * kernel.residual_norm(ops[i])]
         picked = [[p[i] for i in undecided] for p in (ops, ts, ss, memos)]
@@ -303,17 +306,13 @@ def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()
         b, c = (kernel.stack([p[j] for p in bc]) for j in (0, 1))
         defects.update(xab_b=xa @ b - b, cax_c=c @ a @ x - c)
 
-    def judged(i: int, an: float) -> dict:  # each defect, scale at ||a_i|| = an (0 if T = {0})
+    def scales(i: int, an: float) -> tuple:  # slice i's budget scales at ||a_i|| = an
         xn, (bn, cn) = xnorm[i], bc[i][2:] if bc else (0.0, 0.0)
-        scales = [xn * an * xn, xn * an * bn, cn * an * xn]
-        return {name: (d[i], scale) for (name, d), scale in zip(defects.items(), scales)}
-    results: list = [refused.get(i) for i in range(k)]
-    for i in sorted(set(range(k)) - set(refused)):  # sigma_max(H A F) / 2 <= ||a||
-        results[i] = _certificate(
-            judged(i, 0.5 * kernel.sigma_max(core_sigma[i])), tol, core_sigma[i], x[i], kind,
-            ops[i], ts[i], ss[i], xnorm[i], memos[i],
-            exact=lambda i=i: judged(i, _lazy(memos[i], "operator_norm", ops[i])))
-    return results
+        return xn * an * xn, xn * an * bn, cn * an * xn
+    return _certificates(  # at sigma_max(H A F) / 2 <= ||a|| first (0 if T = {0})
+        kind, x, defects, [scales(i, 0.5 * kernel.sigma_max(s)) for i, s in enumerate(core_sigma)],
+        tol, core_sigma, f, kernel.stack([s.basis for s in ss]), zip(ops, ts, ss, xnorm, memos),
+        lambda i: scales(i, _lazy(memos[i], "operator_norm", ops[i])), refused)
 
 
 def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:

@@ -82,17 +82,21 @@ def _lapack_svd(a: np.ndarray, **kwargs):
 
 
 def layout(a: np.ndarray) -> tuple:
-    """Shape, field and memory order of a matrix (or row): what a BLAS product of it reads."""
-    return a.shape, a.dtype.char, a.strides[0] < a.strides[-1]
+    """Shape, field and strides of a matrix (or row): how a BLAS product of it reads memory."""
+    return a.shape, a.dtype.char, a.strides
 
 
 def stack(matrices) -> np.ndarray:
-    """Matrices of one ``layout`` on a new axis 0, each slice in its memory order (one: a view)."""
-    if len(matrices) == 1:
-        return matrices[0][None]
-    if layout(matrices[0])[2]:
-        return np.stack([m.T for m in matrices]).swapaxes(-1, -2)
-    return np.stack(matrices)
+    """Matrices of one ``layout`` on a new axis 0 (one: a view), each slice with their strides: a
+    BLAS product of a slice then rounds as one of the matrix alone."""
+    first, k = matrices[0], len(matrices)
+    if k == 1:
+        return first[None]
+    if first.flags.c_contiguous or min(first.strides) < 0:
+        return np.stack(matrices)
+    span = sum((d - 1) * s for d, s in zip(first.shape, first.strides)) // first.itemsize + 1
+    return np.stack(matrices, out=np.ndarray((k, *first.shape), first.dtype, np.empty(
+        k * span, first.dtype), strides=(span * first.itemsize, *first.strides)))
 
 
 def groups(keys) -> list[list[int]]:
@@ -156,13 +160,23 @@ def stack_norms(stack: np.ndarray) -> np.ndarray:
     return np.where(finite, norms, math.inf)
 
 
-def residual_norm(a, budget: float = math.inf) -> float:
-    """Frobenius norm of ``a`` if within ``budget`` (none by default), else the exact
-    spectral norm; the result exceeds ``budget`` exactly when the spectral norm does.
-    An inf or NaN entry (an overflowed product) gives inf."""
-    fro = _frobenius(a)
+def frobenius_norms(stack: np.ndarray) -> list[float]:
+    """``_frobenius`` of each C-ordered slice of a 3-d stack (as products are), bit for bit: one
+    strided BLAS dot per slice and part (real, then imaginary), their sum and root on floats."""
+    if stack.dtype.char == "D":  # the real and imaginary parts on a last axis
+        parts = stack.reshape(len(stack), -1).view(np.float64).reshape(len(stack), -1, 2)
+        return [math.sqrt(re + im) for re, im in np.vecdot(parts, parts, axis=-2).tolist()]
+    rows = stack.reshape(len(stack), -1)
+    return [math.sqrt(dot) for dot in np.vecdot(rows, rows).tolist()]
+
+
+def residual_norm(a, budget: float = math.inf, fro: float | None = None) -> float:
+    """Frobenius norm of ``a`` (``fro``, where already taken) if within ``budget`` (none by
+    default), else the exact spectral norm; the result exceeds ``budget`` exactly when the
+    spectral norm does. An inf or NaN entry (an overflowed product) gives inf."""
+    fro = _frobenius(a) if fro is None else fro
     if not 1e-150 < fro < np.inf:  # the squares overflowed or may underflow: rescale
-        scale = float(np.max(np.abs(a), initial=0.0))
+        scale = float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
         if not scale < np.inf:
             return math.inf
         if scale > 0.0:

@@ -10,7 +10,9 @@ by field: certificates with their lazily read numbers, reports with their record
 verdicts, errors with their type, message, clause and margin, and CLI requests as the exit
 code and the SHA-256 of the report bytes. Floats are written as ``float.hex`` and arrays as
 the SHA-256 of their shape, dtype and bytes, so two records agree only where every bit
-does. ``diff`` prints each case whose line moved, the fields that moved, and the count.
+does. ``diff`` groups the moved cases by pool and field: decision fields (outcome type,
+error, clause, check, verdicts, alarm, failed indices, exit code, report hash) apart from
+the floats, each float field with its largest move in ulps; then it prints the count.
 Run ``record`` once per tree, each in its own process.
 """
 
@@ -20,6 +22,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -87,28 +91,58 @@ def record(tree: Path, out: Path, seeds) -> int:
     return 0
 
 
+# leaves that carry a decision: outcome type, error, clause, oracle check, verdicts, alarm,
+# failed indices, a CLI request's report hash (its exit code is an int outcome)
+DECISIONS = {"error", "clause", "check", "verdicts", "alarm", "failed_indices", "report"}
+
+
 def _moved(a, b, path=""):
-    """Paths of the leaves where a and b differ."""
+    """(path, a leaf, b leaf) of each leaf where a and b differ; path has no indices."""
     if isinstance(a, dict) and isinstance(b, dict):
         keys = list(dict.fromkeys([*a, *b]))
-        return [p for k in keys for p in _moved(a.get(k), b.get(k), f"{path}.{k}")]
+        return [m for k in keys for m in _moved(a.get(k), b.get(k), f"{path}.{k}")]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        return [p for k, (x, y) in enumerate(zip(a, b)) for p in _moved(x, y, f"{path}[{k}]")]
-    return [] if a == b else [path or "."]
+        return [m for x, y in zip(a, b) for m in _moved(x, y, path)]
+    return [] if a == b else [(path or ".", a, b)]
+
+
+def _ulps(a, b) -> float | None:
+    """How many doubles apart two ``float.hex`` strings lie (inf where one is not finite), or
+    None unless both are floats."""
+    try:
+        x, y = float.fromhex(a), float.fromhex(b)
+    except (TypeError, ValueError):
+        return None
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    ordered = [(i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)) for i in
+               struct.unpack("<2q", struct.pack("<2d", x, y))]
+    return abs(ordered[0] - ordered[1])
 
 
 def diff(first: Path, second: Path) -> int:
-    a, b = ([json.loads(line) for line in open(p)] for p in (first, second))
+    """The moved cases, grouped by pool and field: decision fields apart, each float field with
+    its largest move in ulps, and the other fields (arrays, messages); 1 if any case moved."""
+    a, b = ([json.loads(line) for line in p.read_text().splitlines()] for p in (first, second))
     cases_a, cases_b = ({r["case"]: r for r in rs} for rs in (a, b))
     if list(cases_a) != list(cases_b):
         print("the two records hold different cases")
         return 1
+    groups: dict = {}  # (kind, pool, field) -> [cases moved, largest ulps]
     moved = 0
     for case, line in cases_a.items():
-        paths = _moved(line, cases_b[case])
-        if paths:
-            moved += 1
-            print(f"{case}: {', '.join(paths[:8])}{' ...' if len(paths) > 8 else ''}")
+        leaves = _moved(line, cases_b[case])
+        moved += bool(leaves)
+        for field, x, y in leaves:
+            ulps = _ulps(x, y)
+            kind = ("decision" if DECISIONS & set(field.split(".")) or isinstance(x, int)
+                    else "other" if ulps is None else "float")
+            entry = groups.setdefault((kind, case.split("/")[0], field), [set(), 0])
+            entry[0].add(case)
+            entry[1] = max(entry[1], ulps or 0)
+    for (kind, pool, field), (cases, ulps) in sorted(groups.items()):
+        largest = f", largest move {ulps:g} ulp{'s' * (ulps != 1)}" if kind == "float" else ""
+        print(f"{kind} {pool} {field}: {len(cases)} case(s){largest}")
     print(f"{moved} of {len(cases_a)} cases moved")
     return 1 if moved else 0
 

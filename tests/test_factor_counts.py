@@ -428,7 +428,7 @@ def _affine_curves(kind: str, complex_: bool):
 
 
 @pytest.mark.parametrize("complex_", [False, True])
-@pytest.mark.parametrize("kind, svd, qr", [("bc", 3, 0), ("mp", 2, 0), ("oip", 4, 1)])
+@pytest.mark.parametrize("kind, svd, qr", [("bc", 3, 0), ("mp", 2, 0), ("oip", 3, 1)])
 def test_finite_difference_check_calls_do_not_grow_with_the_steps(linalg_calls, kind, svd, qr,
                                                                   complex_):
     # the sweep's certificates are one stacked construction and its errors one

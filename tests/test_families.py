@@ -86,3 +86,61 @@ def test_rotating_family_builds_one_inverse(monkeypatch):
     monkeypatch.setattr(families, "bc_inverse", counted)
     families.rotating_family(a, b, c, 60, rng)
     assert len(calls) == 1
+
+
+def _per_index_cayley(k_mat, t):
+    """The Cayley transform of one parameter, from its own solve: the reference for the stack."""
+    eye = np.eye(k_mat.shape[0])
+    return np.linalg.solve(eye - (t / 2.0) * k_mat, eye + (t / 2.0) * k_mat)
+
+
+@FIELDS
+@pytest.mark.parametrize("n", [6, 20])
+def test_cayley_families_are_their_per_index_constructions(n, complex_):
+    # one batched solve draws every index; each transform, and each product with b, c or a,
+    # is bitwise the per-index solve and product
+    rng = np.random.default_rng(31)
+    a, b, c = families.random_solvable_triple(rng, n, n // 2, complex_)
+    k = families.random_skew(rng, n, complex_)
+    angles = 0.3 / np.arange(1, 11)
+    for t, got in zip(angles, families.cayley(k, angles)):
+        assert got.tobytes() == _per_index_cayley(k, t).tobytes()
+    assert families.cayley(k, 0.3).tobytes() == _per_index_cayley(k, 0.3).tobytes()
+    cert = gi.bc_inverse(a, b, c)
+    angle = 0.4 / max(2.0, cert.operator_norm * cert.inverse_norm)
+    draw = np.random.default_rng(32)
+    k1, k2 = (families.random_skew(draw, n, complex_) for _ in range(2))
+    family = families.rotating_family(a, b, c, 10, np.random.default_rng(32))
+    for i, (a_i, b_i, c_i) in enumerate(family, start=1):
+        want = (a, _per_index_cayley(k1, angle / i) @ b, c @ _per_index_cayley(k2, angle / i))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip((a_i, b_i, c_i), want))
+    draw = np.random.default_rng(33)
+    limit = families.random_rank_matrix(draw, n, n, n // 2, complex_)
+    k1, k2 = (families.random_skew(draw, n, complex_) for _ in range(2))
+    a0, seq = families.mp_convergent_sequence(np.random.default_rng(33), n, n // 2, 10, complex_)
+    assert a0.tobytes() == limit.tobytes() and len(seq) == 10
+    for i, a_i in enumerate(seq, start=1):
+        want = _per_index_cayley(k1, 0.2 / i) @ limit @ _per_index_cayley(k2, 0.2 / i)
+        assert a_i.tobytes() == want.tobytes()
+
+
+@FIELDS
+def test_rankdrop_families_are_their_per_index_constructions(complex_):
+    # every index is drawn at once; each element is bitwise its per-index product
+    (limit, _, _), seq = families.rankdrop_family(np.random.default_rng(34), 6, 3, 8, complex_)
+    draw = np.random.default_rng(34)
+    q = families.random_conditioned(draw, 6, complex_)
+    d = np.zeros(6)
+    d[:3] = 0.5 + draw.random(3)
+    qinv = np.linalg.inv(q)
+    assert limit.tobytes() == (q @ np.diag(d) @ qinv).tobytes()
+    for i, (a_i, b_i, c_i) in enumerate(seq, start=1):
+        want = q @ np.diag(np.r_[d[:3], [1.0 / i] * 3]) @ qinv
+        assert a_i is b_i is c_i and a_i.tobytes() == want.tobytes()
+    a, seq = families.mp_rankdrop_sequence(np.random.default_rng(35), 6, 3, 8, complex_)
+    draw = np.random.default_rng(35)
+    u, v = (families._haar(draw, 6, complex_) for _ in range(2))
+    s = np.r_[0.5 + draw.random(3), [0.0] * 3]
+    assert a.tobytes() == ((u * s) @ v.conj().T).tobytes()
+    for i, a_i in enumerate(seq, start=1):
+        assert a_i.tobytes() == ((u * np.r_[s[:3], [1.0 / i] * 3]) @ v.conj().T).tobytes()

@@ -221,3 +221,35 @@ def test_stack_norms_of_an_overflowed_slice_is_inf(rng):
             assert norms[[1, 3]].tolist() == [np.inf, np.inf]
             assert norms[[0, 2]].tolist() == want[[0, 2]].tolist()
             assert kernel.stack_norms(broken.real).tolist()[1] == np.inf
+
+
+def test_frobenius_norms_of_a_stack_are_each_slice_alone(rng):
+    # the batched dots are bitwise the vdot and np.linalg.norm of each slice, real and complex,
+    # at any scale where the squares neither overflow nor underflow, and for empty slices
+    for k, n, m in ((1, 1, 1), (3, 6, 6), (51, 6, 6), (2, 20, 7), (4, 0, 3), (2, 5, 0)):
+        for scale in (1e-100, 1.0, 1e100):
+            real = rng.standard_normal((k, n, m)) * scale
+            for stack in (real, real + 1j * rng.standard_normal((k, n, m)) * scale):
+                stack = stack @ np.eye(m)  # a product, as the construction's are
+                norms = kernel.frobenius_norms(stack)
+                assert norms == [kernel._frobenius(d) for d in stack]
+                assert norms == [float(np.linalg.norm(d)) for d in stack]
+
+
+def test_stack_keeps_each_matrix_strides(rng):
+    # a basis of leading columns (a view into a wider array) keeps its row stride in a stack,
+    # so a gemv over a rank-1 basis rounds as it does for the basis alone
+    for field in (float, complex):
+        wide = [rng.standard_normal((6, 6)).astype(field) for _ in range(3)]
+        for cols in (1, 3):
+            bases = [w[:, :cols] for w in wide]
+            for views in (bases, [b.T for b in bases]):  # row-major and column-major views
+                stacked = kernel.stack(views)
+                assert stacked.strides[1:] == views[0].strides
+                assert all(np.array_equal(s, v) for s, v in zip(stacked, views))
+            x = rng.standard_normal((6, 4))
+            stacked = kernel.stack(bases)
+            products = stacked.conj().swapaxes(-1, -2) @ x
+            for got, basis in zip(products, bases):
+                assert got.tobytes() == (basis.conj().T @ x).tobytes()
+    assert kernel.stack([np.zeros((3, 0))] * 2).shape == (2, 3, 0)

@@ -1,0 +1,47 @@
+"""``tests/replay.py diff`` on hand-written records: it counts the moved cases, keeps decision
+fields apart from floats and gives each float field's largest move in ulps."""
+
+import json
+import math
+
+import replay
+
+
+def _write(path, lines):
+    path.write_text("".join(json.dumps(line, sort_keys=True) + "\n" for line in lines))
+    return path
+
+
+def _records():
+    certificate = {"inverse": "array:00", "residuals": {"xax_x": (1e-17).hex()},
+                   "range_gap": (0.25).hex(), "operator_norm": (3.0).hex()}
+    return [
+        {"case": "certify/0/0/bc/64/r", "check": None, "outcome": certificate},
+        {"case": "drivers/0/1/sequence/additive/6", "check": None,
+         "outcome": [{"alarm": False, "verdicts": {"gap_inverse": True}}]},
+        {"case": "cli/0/2/pinv", "check": None, "outcome": 0, "report": "ab12"},
+    ]
+
+
+def test_diff_of_identical_records_reads_zero(tmp_path, capsys):
+    first = _write(tmp_path / "a.jsonl", _records())
+    second = _write(tmp_path / "b.jsonl", _records())
+    assert replay.diff(first, second) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 3 cases moved"]
+
+
+def test_diff_gives_a_one_ulp_float_move_and_a_decision_apart(tmp_path, capsys):
+    first = _write(tmp_path / "a.jsonl", _records())
+    nudged = _records()
+    nudged[0]["outcome"]["range_gap"] = math.nextafter(0.25, 1.0).hex()
+    assert replay.diff(first, _write(tmp_path / "b.jsonl", nudged)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "float certify .outcome.range_gap: 1 case(s), largest move 1 ulp", "1 of 3 cases moved"]
+    nudged[1]["outcome"][0]["verdicts"]["gap_inverse"] = False
+    nudged[2]["outcome"] = 2
+    assert replay.diff(first, _write(tmp_path / "c.jsonl", nudged)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "decision cli .outcome: 1 case(s)",
+        "decision drivers .outcome.verdicts.gap_inverse: 1 case(s)",
+        "float certify .outcome.range_gap: 1 case(s), largest move 1 ulp",
+        "3 of 3 cases moved"]

@@ -10,6 +10,7 @@ be bitwise the sweep of single calls.
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -174,6 +175,18 @@ def test_stack_of_column_major_operands_matches_the_single_calls(complex_):
     matrices = [np.asfortranarray(p[0]) if k % 2 else p[0] for k, p in enumerate(problems)]
     for a, result in zip(matrices, moore_penrose_stack(matrices)):
         assert_same_outcome(result, gi.moore_penrose(a))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_stack_of_rank_one_column_major_operands_matches_the_single_calls(complex_):
+    # R(b) of a rank-1 b is the leading column of b's SVD: a view whose row stride the stack
+    # keeps, so its gemv products round as the single call's; a compact copy rounded otherwise
+    rng = np.random.default_rng(42)
+    a, b, c = families.random_solvable_triple(rng, 6, 1, complex_)
+    problems = [tuple(np.asfortranarray(m) for m in p)
+                for p in [(a, b, c), *families.additive_family(a, b, c, 8, rng)]]
+    for problem, result in zip(problems, bc_inverse_stack(problems)):
+        assert_same_outcome(result, gi.bc_inverse(*problem))
 
 
 def outer_problem(rng, m: int, n: int, kind: str, complex_: bool, r: int, fortran: bool):
@@ -395,3 +408,64 @@ def test_deviations_of_repeated_bases_are_the_single_rows():
     devs = deviations([bases[k] for k in order], n)
     assert devs.tobytes() == np.vstack([deviations([bases[k]], n) for k in order]).tobytes()
     assert deviations([], n).shape == (0, 2)
+
+
+
+def _judged_path(problem, tol) -> str:
+    """How bc_inverse judges ``problem`` alone: "refused", "spectral" (a residual is its defect's
+    spectral norm, the Frobenius norm over budget), "exact" (judged at the exact ||a||) or "lower"
+    (every Frobenius norm within budget at the lower bound on ||a||)."""
+    try:
+        cert = gi.bc_inverse(*problem, tol)
+    except gi.CertificateError:
+        return "refused"
+    (a, b, c), x = problem, cert.inverse
+    defects = {"xax_x": x @ a @ x - x, "xab_b": x @ a @ b - b, "cax_c": c @ a @ x - c}
+    if any(cert.residuals[name] != np.linalg.norm(d) for name, d in defects.items()):
+        return "spectral"
+    return "exact" if "operator_norm" in cert._memo else "lower"
+
+
+def _spectral_window(problem) -> float:
+    """A residual_tol at which some defect's Frobenius norm exceeds its budget at the exact
+    ||a|| and no spectral norm does: the geometric middle of that window."""
+    (a, b, c), cert = problem, gi.bc_inverse(*problem)
+    x, xn, an = cert.inverse, cert.inverse_norm, cert.operator_norm
+    bn, cn = (gi.svd(m, full=True)[1][0] for m in (b, c))
+    defects = [(x @ a @ x - x, xn * an * xn), (x @ a @ b - b, xn * an * bn),
+               (c @ a @ x - c, cn * an * xn)]
+    low = max(np.linalg.norm(d, 2) / scale for d, scale in defects)
+    return math.sqrt(low * max(np.linalg.norm(d) / scale for d, scale in defects))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_stack_judging_every_path_at_once_is_the_single_calls(complex_):
+    # one stack holds slices accepted at the lower bound on ||a||, only at the exact ||a||, only
+    # by a spectral norm, refused (over budget where one is found, and overflowed), a zero one
+    # (b = c = 0) and one whose defect takes residual_norm's rescale branch; each is bitwise its
+    # single call. A large component of a that H kills grows ||a|| but not the core's
+    # sigma_max, which moves a slice from the lower bound to the exact ||a||
+    rng = np.random.default_rng(41)
+    pool = []
+    for _ in range(16):
+        a, b, c = families.random_solvable_triple(rng, 6, 3, complex_)
+        killed = gi.null_space(c).basis @ families.random_matrix(rng, 3, 6, complex_)
+        pool += [(a, b, c), (a + 1e6 * killed, b, c)]
+    for problem in pool[::2]:
+        tol = gi.ToleranceConfig(residual_tol=_spectral_window(problem))
+        found = {_judged_path(p, tol): p for p in pool}
+        if _judged_path(problem, tol) == "spectral" and {"lower", "exact"} <= set(found):
+            found["spectral"] = problem
+            break
+    assert {"lower", "exact", "spectral"} <= set(found)
+    a, b, c = found["lower"]
+    tiny = (a * 2.0**500, b, c)  # x near 2^-500: the squares of x a x - x underflow
+    x = gi.bc_inverse(*tiny, tol).inverse
+    defect = x @ tiny[0] @ x - x
+    assert np.abs(defect).max() > 0.0 and np.linalg.norm(defect) <= 1e-150
+    overflowed = (a * 1e-309, b, c)
+    problems = [*found.values(), tiny, (a, 0 * b, 0 * c), overflowed, found["spectral"]]
+    for problem, result in zip(problems, bc_inverse_stack(problems, tol)):
+        want = _outcome(gi.bc_inverse, *problem, tol)
+        assert_same_outcome(result, want)
+    assert isinstance(_outcome(gi.bc_inverse, *overflowed, tol), gi.CertificateError)
