@@ -29,7 +29,7 @@ import numpy as np
 from . import kernel
 from .errors import CertificateError, ExistenceError, InputError
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
-from .subspace import ObliqueProjector, Subspace, orthonormal_span
+from .subspace import ObliqueProjector, Subspace, orthonormal_span, range_and_null_spaces
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
@@ -98,10 +98,11 @@ def _one(results: list):
     return results[0]
 
 
-def _prefixed(prefix: str, results: list) -> list:
-    """``results`` with ``prefix`` on each ExistenceError's message (not a CertificateError's)."""
-    return [ExistenceError(f"{prefix}: {r}", clause=r.clause, margin=r.margin)
-            if type(r) is ExistenceError else r for r in results]
+def _relabeled(results: list, message: str, clause=lambda old: old) -> list:
+    """``results`` with each ExistenceError but a CertificateError relabelled, margin kept: its
+    clause is clause(old clause), its message ``message`` formatted with it and the old error."""
+    return [ExistenceError(message.format(r, clause=(new := clause(r.clause))), clause=new,
+                           margin=r.margin) if type(r) is ExistenceError else r for r in results]
 
 
 def _certificates(kind, x, defects, scales, tol, core_sigma, f, sb, fields, exact=None,
@@ -146,31 +147,29 @@ def moore_penrose(a, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificate:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def moore_penrose_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """moore_penrose of each matrix: one SVD per ``kernel.layout``, one product per rank.
-    Entry i is matrix i's certificate or the CertificateError that refuses it."""
+    """moore_penrose of each matrix: one SVD per shape and field (``kernel.svds``), one product
+    per ``kernel.layout`` and rank. Entry i is matrix i's certificate or the CertificateError
+    that refuses it."""
     ops, results = [as_matrix(a) for a in matrices], {}
-    for group in kernel.groups(map(kernel.layout, ops)):
-        stack = kernel.stack([ops[i] for i in group])
-        u, sigma, v = kernel.svd_stack(stack, full=True)
-        ranks = kernel.numerical_rank(sigma, tol).tolist()
-        for sub in kernel.groups(ranks):
-            r, live = ranks[sub[0]], [group[j] for j in sub]
-            a, u_r, sig, v_r = (kernel.stack([m[j] for j in sub]) for m in (stack, u, sigma, v))
-            f, s_basis = v_r[:, :, :r], u_r[:, :, r:]
-            b = (f / sig[:, None, :r]) @ u_r[:, :, :r].conj().swapaxes(-1, -2)
-            ab, ba = a @ b, b @ a
-            defects = {"aba": ab @ a - a, "bab": ba @ b - b,
-                       "ab_hermitian": ab.conj().swapaxes(-1, -2) - ab,
-                       "ba_hermitian": ba.conj().swapaxes(-1, -2) - ba}
-            norms = [(s[0], 1.0 / s[r - 1], s[0] / s[r - 1]) if r else (0.0, 0.0, 1.0)
-                     for s in sig.tolist()]  # ||a||, ||b|| and the condition number
-            fields = [(ops[i], orthonormal_span(f[j], v_r[j, :, r:]),
-                       orthonormal_span(s_basis[j], u_r[j, :, :r]), bn,
-                       {"operator_norm": an, "complement_margin": 1.0, "restricted_condition": kn})
-                      for j, (i, (an, bn, kn)) in enumerate(zip(live, norms))]
-            scales = [(an * bn * an, bn * an * bn, an * bn, an * bn) for an, bn, _ in norms]
-            results.update(zip(live, _certificates("moore_penrose", b, defects, scales, tol,
-                                                   sig[:, :r], f, s_basis, fields)))
+    svds = kernel.svds(ops, tol)
+    for live in kernel.groups((kernel.layout(a), r) for a, (*_, r) in zip(ops, svds)):
+        r, a = svds[live[0]][3], kernel.stack([ops[i] for i in live])
+        u_r, sig, v_r = (kernel.stack([svds[i][j] for i in live]) for j in range(3))
+        f, s_basis = v_r[:, :, :r], u_r[:, :, r:]
+        b = (f / sig[:, None, :r]) @ u_r[:, :, :r].conj().swapaxes(-1, -2)
+        ab, ba = a @ b, b @ a
+        defects = {"aba": ab @ a - a, "bab": ba @ b - b,
+                   "ab_hermitian": ab.conj().swapaxes(-1, -2) - ab,
+                   "ba_hermitian": ba.conj().swapaxes(-1, -2) - ba}
+        norms = [(s[0], 1.0 / s[r - 1], s[0] / s[r - 1]) if r else (0.0, 0.0, 1.0)
+                 for s in sig.tolist()]  # ||a||, ||b|| and the condition number
+        fields = [(ops[i], orthonormal_span(f[j], v_r[j, :, r:]),
+                   orthonormal_span(s_basis[j], u_r[j, :, :r]), bn,
+                   {"operator_norm": an, "complement_margin": 1.0, "restricted_condition": kn})
+                  for j, (i, (an, bn, kn)) in enumerate(zip(live, norms))]
+        scales = [(an * bn * an, bn * an * bn, an * bn, an * bn) for an, bn, _ in norms]
+        results.update(zip(live, _certificates("moore_penrose", b, defects, scales, tol,
+                                               sig[:, :r], f, s_basis, fields)))
     return [results[i] for i in range(len(ops))]
 
 
@@ -188,15 +187,20 @@ def outer_prescribed(
 
 
 def outer_prescribed_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """outer_prescribed of each (a, t, s): one construction per ``kernel.layout`` of a, of T's
-    basis and of S's basis and carried complement, so per shape, field, strides, dim T and dim S.
-    Entry i is problem i's certificate or the ExistenceError that refuses it."""
-    probs, found = [(as_matrix(a), t, s) for a, t, s in problems], {}
-    for group in kernel.groups(tuple(kernel.layout(m) for m in (a, t.basis, s.basis, s._complement)
-                                     if m is not None) for a, t, s in probs):
-        ops, ts, ss = ([probs[i][j] for i in group] for j in range(3))
-        found.update(zip(group, _outer(ops, ts, ss, tol, "outer_prescribed")))
-    return [found[i] for i in range(len(probs))]
+    """outer_prescribed of each (a, t, s), stacked as ``_stacked`` groups them. Entry i is
+    problem i's certificate or the ExistenceError that refuses it."""
+    return _stacked([(as_matrix(a), t, s) for a, t, s in problems], tol, "outer_prescribed")
+
+
+def _stacked(problems: list, tol: ToleranceConfig, kind: str) -> list:
+    """``_outer`` of each (a, T, S[, b, c, ||b||, ||c||]) as ``kind``: one construction per
+    ``kernel.layout`` of every matrix it stacks (a, T's basis, S's basis and carried complement,
+    b and c), so per shape, field, strides, dim T and dim S. Entry i is problem i's result."""
+    found: dict = {}
+    for group in kernel.groups(tuple(m if m is None else kernel.layout(m) for m in (
+            p[0], p[1].basis, p[2].basis, p[2]._complement, *p[3:5])) for p in problems):
+        found.update(zip(group, _outer([problems[i] for i in group], tol, kind)))
+    return [found[i] for i in range(len(problems))]
 
 
 def oblique_projector(
@@ -207,13 +211,8 @@ def oblique_projector(
     test, within ``residual_tol * ||P||^2``, and its inverse_norm is ||P||."""
     if t.ambient_dim != s.ambient_dim:
         raise InputError("ambient dimensions differ")
-    try:
-        cert = outer_prescribed(np.eye(t.ambient_dim), t, s, tol)
-    except CertificateError:
-        raise
-    except ExistenceError as exc:
-        clause = "not complementary"
-        raise ExistenceError(clause, clause=clause, margin=exc.margin) from exc
+    cert = _one(_relabeled(outer_prescribed_stack([(np.eye(t.ambient_dim), t, s)], tol),
+                           "{clause}", lambda _: "not complementary"))
     return ObliqueProjector(cert.inverse, t, s, cert.inverse_norm)
 
 
@@ -264,15 +263,16 @@ def _clauses(ops: list, ts: list, ss: list, memos: list, tol: ToleranceConfig) -
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()) -> list:
-    """outer_prescribed of each ops[i] (of one ``kernel.layout``) with range ts[i] and null space
-    ss[i] (of one dim each) as ``kind``, each factorization one LAPACK call over the stack. Entry
-    i is slice i's certificate or the ExistenceError refusing it; ||x|| = 1 / sigma_min(core).
-    bc[i] = (b, c, ||b||, ||c||) adds (b, c)-absorption residuals to x a x = x. The core H A F is
+def _outer(problems: list, tol: ToleranceConfig, kind: str) -> list:
+    """outer_prescribed of each (a, T, S[, b, c, ||b||, ||c||]) of ``_stacked``'s one group as
+    ``kind``, each factorization one LAPACK call over the stack. Entry i is slice i's certificate
+    or the ExistenceError refusing it; ||x|| = 1 / sigma_min(core). A problem's
+    (b, c, ||b||, ||c||) adds (b, c)-absorption residuals to x a x = x. The core H A F is
     factored first: sigma_min(H A F) <= sigma_min(A F), and <= sin ||A F|| at the direct-sum
     test's sine (its margin >= sin / sqrt 2), so sigma_min(H A F) > (2 rank_rel_tol + 8 (m + n)
     eps) ||a||_F, the allowance for both SVDs' rounding, grants both clauses; ``_clauses``
     decides the rest exactly. Residual budgets use sigma_max(H A F) / 2 <= ||a|| first."""
+    ops, ts, ss, *bc = zip(*problems)  # bc: the b's, c's, ||b||'s and ||c||'s, if given
     (m, n), k, dt, ds = ops[0].shape, len(ops), ts[0].dim, ss[0].dim
     if any(t.ambient_dim != n for t in ts):
         raise InputError("prescribed range does not live in the domain of a")
@@ -303,11 +303,11 @@ def _outer(ops: list, ts: list, ss: list, tol: ToleranceConfig, kind: str, bc=()
     xa = x @ a
     defects = {"xax_x": xa @ x - x}
     if bc:
-        b, c = (kernel.stack([p[j] for p in bc]) for j in (0, 1))
+        b, c = map(kernel.stack, bc[:2])
         defects.update(xab_b=xa @ b - b, cax_c=c @ a @ x - c)
 
     def scales(i: int, an: float) -> tuple:  # slice i's budget scales at ||a_i|| = an
-        xn, (bn, cn) = xnorm[i], bc[i][2:] if bc else (0.0, 0.0)
+        xn, (bn, cn) = xnorm[i], (bc[2][i], bc[3][i]) if bc else (0.0, 0.0)
         return xn * an * xn, xn * an * bn, cn * an * xn
     return _certificates(  # at sigma_max(H A F) / 2 <= ||a|| first (0 if T = {0})
         kind, x, defects, [scales(i, 0.5 * kernel.sigma_max(s)) for i, s in enumerate(core_sigma)],
@@ -327,26 +327,14 @@ def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
 
 def bc_inverse_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """bc_inverse of each (a, b, c): each distinct b or c object (after ``as_matrix``; equal
-    copies are not merged) factored once, in one full SVD per ``kernel.layout``, its R(b) or N(c)
-    one Subspace for every problem using it; then one construction per layout and (rank b,
-    rank c). Entry i is problem i's certificate or the ExistenceError that refuses it."""
+    copies are not merged) factored once, by ``range_and_null_spaces``, its R(b), N(c) and norm
+    shared by every problem using it; then stacked as ``_stacked`` groups them. Entry i is
+    problem i's certificate or the ExistenceError that refuses it."""
     probs = [_bc_operands(*p) for p in problems]
-    keys = [tuple(map(kernel.layout, p)) for p in probs]
-    operands = list({id(m): (m, k) for p, ks in zip(probs, keys)
-                     for m, k in ((p[1], ks[1]), (p[2], ks[2]))}.values())
-    as_b, as_c, spans = {id(p[1]) for p in probs}, {id(p[2]) for p in probs}, {}
-    for group in kernel.groups(k for _, k in operands):
-        u, sigma, v = kernel.svd_stack(kernel.stack([operands[i][0] for i in group]), full=True)
-        for j, (i, r) in enumerate(zip(group, kernel.numerical_rank(sigma, tol).tolist())):
-            m = id(operands[i][0])  # R(m) where m is a b, N(m) with its complement where a c
-            spans[m] = (orthonormal_span(u[j, :, :r]) if m in as_b else None,
-                        orthonormal_span(v[j, :, r:], v[j, :, :r]) if m in as_c else None,
-                        kernel.sigma_max(sigma[j]))
-    bs, cs, found = [spans[id(p[1])] for p in probs], [spans[id(p[2])] for p in probs], {}
-    for group in kernel.groups((k, b[0].dim, c[1].dim) for k, b, c in zip(keys, bs, cs)):
-        found.update(zip(group, _bc([(*probs[i], bs[i][2], cs[i][2]) for i in group],
-                                    [bs[i][0] for i in group], [cs[i][1] for i in group], tol)))
-    return [found[i] for i in range(len(probs))]
+    operands = list({id(m): m for p in probs for m in p[1:]}.values())
+    spans = dict(zip(map(id, operands), range_and_null_spaces(operands, tol)))
+    return _relabeled(_stacked([(a, spans[id(b)][0], spans[id(c)][1], b, c, spans[id(b)][2],
+                                 spans[id(c)][2]) for a, b, c in probs], tol, "bc"), _NO_BC)
 
 
 def _bc_operands(a, b, c) -> tuple:
@@ -357,11 +345,7 @@ def _bc_operands(a, b, c) -> tuple:
     return a, b, c
 
 
-def _bc(problems: list, ts: list, ss: list, tol: ToleranceConfig) -> list:
-    """bc_inverse's results for checked (a, b, c, ||b||, ||c||) of one layout, given
-    T = R(b) and S = N(c) (of one dim each)."""
-    results = _outer([p[0] for p in problems], ts, ss, tol, "bc", [p[1:] for p in problems])
-    return _prefixed("(B,C)-inverse does not exist", results)
+_NO_BC = "(B,C)-inverse does not exist: {}"
 
 
 def bott_duffin(
@@ -369,12 +353,13 @@ def bott_duffin(
 ) -> InverseCertificate:
     """The (p, q)-inverse for idempotents p, q: range R(p), null space N(q), as p and q
     record them; x a p = p, p x = x and q a x = q tie those to the matrices."""
-    problem = (*_bc_operands(a, p.matrix, q.matrix), p.norm, q.norm)
-    cert = _one(_bc([problem], [p.range], [q.nullspace], tol))
-    x, xnorm, pm, qm = cert.inverse, cert.inverse_norm, p.matrix, q.matrix
+    a, pm, qm = _bc_operands(a, p.matrix, q.matrix)
+    problem = (a, p.range, q.nullspace, pm, qm, p.norm, q.norm)
+    cert = _one(_relabeled(_stacked([problem], tol, "bc"), _NO_BC))
+    x, xnorm = cert.inverse, cert.inverse_norm
     defects = {"py_y": (pm @ x - x, p.norm * xnorm), "yq_y": (x @ qm - x, xnorm * q.norm)}
     extra = _certify(defects, tol, "bott_duffin")
-    # y a p - p and q a y - q are the (p, q) absorption defects, certified by _bc
+    # y a p - p and q a y - q are the (p, q) absorption defects, certified by _outer
     extra.update(yap_p=cert.residuals["xab_b"], qay_q=cert.residuals["cax_c"])
     return replace(cert, kind="bott_duffin", residuals={**cert.residuals, **extra})
 
@@ -383,10 +368,10 @@ def inverse_along(a, d, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
     """Inverse of ``a`` along ``d``: the (d, d)-inverse, from one full SVD of d.
 
     Its defining equations x a d = d = d a x are the (d, d) absorption
-    residuals, which ``_bc`` certifies.
+    residuals, which ``_outer`` certifies.
     """
     d = as_matrix(d)  # one object, so bc_inverse_stack factors it once
-    cert = _one(_prefixed("not invertible along D", bc_inverse_stack([(a, d, d)], tol)))
+    cert = _one(_relabeled(bc_inverse_stack([(a, d, d)], tol), "not invertible along D: {}"))
     along = {"xad_d": cert.residuals["xab_b"], "dax_d": cert.residuals["cax_c"]}
     return replace(cert, kind="along", residuals={**cert.residuals, **along})
 
@@ -406,14 +391,11 @@ def reflexive_inverse(
     # an N outside the domain is left to outer_prescribed's InputError
     if n_complement.ambient_dim == f.shape[1] and n_complement.dim != rank:
         raise ExistenceError(f"complement fails: {domain}", clause=domain, margin=0.0)
-    try:
-        return outer_prescribed(f, n_complement, m_complement, tol).inverse
-    except CertificateError:
-        raise
-    except ExistenceError as exc:
-        clause = domain if exc.clause == "restriction not injective" else "R(F) (+) M != Y"
-        message = f"complement fails: {clause}"
-        raise ExistenceError(message, clause=clause, margin=exc.margin) from exc
+    results = outer_prescribed_stack([(f, n_complement, m_complement)], tol)
+
+    def clause(old: str) -> str:  # N(F) (+) N fails where f is not injective on N
+        return domain if old == "restriction not injective" else "R(F) (+) M != Y"
+    return _one(_relabeled(results, "complement fails: {clause}", clause)).inverse
 
 
 def left_regular(a, k: int) -> np.ndarray:

@@ -56,11 +56,15 @@ class ToleranceConfig:
     fd_step_sweep: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5)
 
     def __post_init__(self):
-        if not 0.0 <= self.rank_rel_tol < 1.0:
-            raise InputError("rank_rel_tol must lie in [0, 1)")
-        if not 0.0 <= self.residual_tol < 1.0:
-            raise InputError("residual_tol must lie in [0, 1)")
-        steps = tuple(float(s) for s in self.fd_step_sweep)
+        try:  # a string or None compares or converts with a TypeError or ValueError
+            if isinstance(self.fd_step_sweep, str):  # its characters would read as steps
+                raise TypeError("fd_step_sweep is a string, not a sequence of steps")
+            steps = tuple(float(s) for s in self.fd_step_sweep)
+            for name in ("rank_rel_tol", "residual_tol"):
+                if not 0.0 <= getattr(self, name) < 1.0:
+                    raise InputError(f"{name} must lie in [0, 1)")
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"tolerances must be numbers: {exc}") from None
         if not steps or not all(0.0 < s < math.inf for s in steps):
             raise InputError("fd_step_sweep entries must be positive and finite")
         if any(b >= a for a, b in zip(steps, steps[1:])):
@@ -87,8 +91,8 @@ def layout(a: np.ndarray) -> tuple:
 
 
 def stack(matrices) -> np.ndarray:
-    """Matrices of one ``layout`` on a new axis 0 (one: a view), each slice with their strides: a
-    BLAS product of a slice then rounds as one of the matrix alone."""
+    """Matrices of one shape on a new axis 0 (one: a view), each slice with the first's strides:
+    for one ``layout``, a BLAS product of a slice then rounds as one of the matrix alone."""
     first, k = matrices[0], len(matrices)
     if k == 1:
         return first[None]
@@ -123,6 +127,17 @@ def svd_stack(stack: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.nda
     """
     u, sigma, vh = _lapack_svd(_finite_float(stack), full_matrices=full)
     return u, sigma, vh.conj().swapaxes(-1, -2)
+
+
+def svds(matrices, tol: ToleranceConfig, full: bool = True) -> list[tuple]:
+    """(u, sigma, v, rank) of each 2-d float matrix: its ``svd`` and ``numerical_rank``, from one
+    ``svd_stack`` call per shape and field. LAPACK reads each slice from its own copy, so the
+    factors are bitwise those of the matrix alone, whatever its strides."""
+    found: dict = {}
+    for group in groups((m.shape, m.dtype.char) for m in matrices):
+        u, sigma, v = svd_stack(stack([matrices[i] for i in group]), full)
+        found.update(zip(group, zip(u, sigma, v, numerical_rank(sigma, tol).tolist())))
+    return [found[i] for i in range(len(matrices))]
 
 
 def singular_values(a) -> np.ndarray:

@@ -49,8 +49,8 @@ def perturbation_bound(
     operator perturbation ||x|| * ||a - a_n||. The bound only holds under the
     smallness premises checked here; outside them None is returned.
     """
-    if min(kappa, u, v, z, inv_norm) < 0.0:
-        raise InputError("bound inputs must be nonnegative")
+    if not all(0.0 <= value < np.inf for value in (kappa, u, v, z, inv_norm)):  # NaN too
+        raise InputError("bound inputs must be nonnegative and finite")
     if not (
         u < 1.0 / (3.0 + kappa)
         and v < 1.0 / (1.0 + kappa) ** 2
@@ -106,8 +106,8 @@ def perturbed_bc_inverse(
     norms = stack_norms(np.stack(diffs)).tolist()
     factor_disc, discrepancy, actual = norms if direct is not None else (norms[0], None, None)
 
-    kappa = cert.operator_norm * xnorm
-    bound = perturbation_bound(kappa, 0.0, 0.0, xnorm * enorm, xnorm)
+    kappa, z = cert.operator_norm * xnorm, xnorm * enorm  # an overflow fails the premises
+    bound = perturbation_bound(kappa, 0.0, 0.0, z, xnorm) if max(kappa, z) < np.inf else None
     return PerturbationReport(
         radius=radius,
         formula_inverse=left,

@@ -86,14 +86,9 @@ def column_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
 
 
 def column_spaces(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list[Subspace]:
-    """``column_space`` of each matrix, from one batched thin SVD per (shape, field) group."""
+    """``column_space`` of each matrix, from one batched thin SVD per shape and field."""
     mats = [as_matrix(m) for m in matrices]
-    spaces: list = [None] * len(mats)
-    for members in kernel.groups((m.shape, m.dtype.char) for m in mats):
-        u, sigma, _ = kernel.svd_stack(kernel.stack([mats[i] for i in members]))
-        for i, basis, r in zip(members, u, kernel.numerical_rank(sigma, tol).tolist()):
-            spaces[i] = orthonormal_span(basis[:, :r])
-    return spaces
+    return [orthonormal_span(u[:, :r]) for u, _, _, r in kernel.svds(mats, tol, full=False)]
 
 
 def null_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
@@ -103,10 +98,14 @@ def null_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
 
 def range_and_null_space(a, tol: ToleranceConfig) -> tuple[Subspace, Subspace, float]:
     """R(a), N(a) and ||a||, read off one full SVD."""
-    u, sigma, v = kernel.svd(a, full=True)
-    r = kernel.numerical_rank(sigma, tol)
-    spans = orthonormal_span(u[:, :r], u[:, r:]), orthonormal_span(v[:, r:], v[:, :r])
-    return *spans, kernel.sigma_max(sigma)
+    return range_and_null_spaces([as_matrix(a)], tol)[0]
+
+
+def range_and_null_spaces(matrices, tol: ToleranceConfig) -> list[tuple[Subspace, Subspace, float]]:
+    """``range_and_null_space`` of each 2-d float matrix, from one full SVD per shape and field;
+    each span carries the rest of its SVD's singular vectors as its complement."""
+    return [(orthonormal_span(u[:, :r], u[:, r:]), orthonormal_span(v[:, r:], v[:, :r]),
+             kernel.sigma_max(sigma)) for u, sigma, v, r in kernel.svds(matrices, tol)]
 
 
 def orthogonal_complement(s: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:

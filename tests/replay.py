@@ -1,18 +1,19 @@
 """Record every outcome of the benchmark's op pools from one source tree, and diff two records.
 
-    python tests/replay.py record TREE OUT.jsonl [--seeds 0 1 2]
+    python tests/replay.py record TREE OUT.jsonl [--seeds 0 1 2] [--pools certify drivers cli]
     python tests/replay.py diff A.jsonl B.jsonl
 
 ``record`` imports ``geninv`` from TREE/src and the pools from TREE/bench, runs each op of
-the certify, drivers and cli pools once per seed, and writes one JSON line per op: its
-case id, its outcome and the verdict of its own oracle check. An outcome is written field
-by field: certificates with their lazily read numbers, reports with their records and
-verdicts, errors with their type, message, clause and margin, and CLI requests as the exit
-code and the SHA-256 of the report bytes. Floats are written as ``float.hex`` and arrays as
-the SHA-256 of their shape, dtype and bytes, so two records agree only where every bit
-does. ``diff`` groups the moved cases by pool and field: decision fields (outcome type,
-error, clause, check, verdicts, alarm, failed indices, exit code, report hash) apart from
-the floats, each float field with its largest move in ulps; then it prints the count.
+the certify, drivers and cli pools (or those ``--pools`` names) once per seed, and writes
+one JSON line per op: its case id, its outcome and the verdict of its own oracle check. An
+outcome is written field by field: certificates with their lazily read numbers, reports with
+their records and verdicts, errors with their type, message, clause and margin, and CLI
+requests as the exit code and the SHA-256 of the report bytes. Floats are written as
+``float.hex`` and arrays as the SHA-256 of their shape, dtype and bytes, so two records
+agree only where every bit does. ``diff`` groups the moved cases by pool and field: decision
+fields (outcome type, error, clause, check, verdicts, alarm, failed indices, exit code,
+report hash) apart from the floats, each float field with its largest move in ulps; then it
+prints the count.
 Run ``record`` once per tree, each in its own process.
 """
 
@@ -66,13 +67,13 @@ def digest(value):
     return value
 
 
-def record(tree: Path, out: Path, seeds) -> int:
+def record(tree: Path, out: Path, seeds, pools=POOLS) -> int:
     sys.path[:0] = [str(tree / "src"), str(tree)]
     from bench.workloads import POOLS as BUILDERS
 
     lines = 0
     with open(out, "w") as handle, tempfile.TemporaryDirectory() as workdir:
-        for pool in POOLS:
+        for pool in pools:
             for seed in seeds:
                 ops = BUILDERS[pool](seed, Path(workdir) / f"{pool}{seed}")
                 for k, op in enumerate(ops):
@@ -154,12 +155,13 @@ def main(argv=None) -> int:
     rec.add_argument("tree", type=Path)
     rec.add_argument("out", type=Path)
     rec.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    rec.add_argument("--pools", nargs="+", choices=POOLS, default=list(POOLS))
     dif = sub.add_parser("diff")
     dif.add_argument("first", type=Path)
     dif.add_argument("second", type=Path)
     args = parser.parse_args(argv)
     if args.command == "record":
-        return record(args.tree.resolve(), args.out, args.seeds)
+        return record(args.tree.resolve(), args.out, args.seeds, args.pools)
     return diff(args.first, args.second)
 
 

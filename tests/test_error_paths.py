@@ -9,6 +9,7 @@ import pytest
 import geninv as gi
 from geninv import families
 from geninv.errors import InputError
+from geninv.inverses import bc_inverse_stack
 
 EYE2, EYE3 = np.eye(2), np.eye(3)
 LINE2 = gi.Subspace(2, EYE2[:, :1])
@@ -35,6 +36,28 @@ CASES = {
         lambda: gi.mp_gap_terms(EYE2, EYE3), "mp_gap_terms needs square matrices of equal size"),
     "zero_limit_check empty": (
         lambda: gi.zero_limit_check([]), "empty certificate sequence"),
+    "zero_limit_check on a refused index": (
+        lambda: gi.zero_limit_check(bc_inverse_stack([(EYE2, EYE2, EYE2), (0 * EYE2, EYE2, EYE2)])),
+        "entry 2 is not a certificate: ExistenceError('(B,C)-inverse does not exist: "
+        "restriction not injective')"),
+    "perturbation bound of a NaN": (
+        lambda: gi.perturbation_bound(1.0, 0.0, 0.0, np.nan, 1.0),
+        "bound inputs must be nonnegative and finite"),
+    "perturbation bound of an infinite norm": (
+        lambda: gi.perturbation_bound(1.0, 0.0, 0.0, 0.0, np.inf),
+        "bound inputs must be nonnegative and finite"),
+    "tolerance as a string": (
+        lambda: gi.ToleranceConfig(rank_rel_tol="0.1"),
+        "tolerances must be numbers: '<=' not supported between instances of 'float' and 'str'"),
+    "step sweep as a string": (
+        lambda: gi.ToleranceConfig(fd_step_sweep="0.1"),
+        "tolerances must be numbers: fd_step_sweep is a string, not a sequence of steps"),
+    "step sweep as a string of digits": (
+        lambda: gi.ToleranceConfig(fd_step_sweep="54"),
+        "tolerances must be numbers: fd_step_sweep is a string, not a sequence of steps"),
+    "step sweep with a step that is not a number": (
+        lambda: gi.ToleranceConfig(fd_step_sweep=(1e-2, "x")),
+        "tolerances must be numbers: could not convert string to float: 'x'"),
     "outer range outside the domain": (
         lambda: gi.outer_prescribed(np.ones((2, 3)), LINE2, LINE2),
         "prescribed range does not live in the domain of a"),

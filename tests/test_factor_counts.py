@@ -41,6 +41,7 @@ import pytest
 
 import geninv as gi
 from geninv import calculus, families, kernel, subspace
+from geninv.inverses import bc_inverse_stack
 
 from conftest import complement_rows, outer_instance_at_angles
 
@@ -99,6 +100,20 @@ def test_bc_inverse_counts(linalg_calls, complex_):
     # b and c are the only N x N operands factored, one stack of two slices; a is not
     square = [shape for name, shape in linalg_calls if shape[-2:] == (N, N)]
     assert square == [(2, N, N)]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_bc_inverse_stack_factors_b_and_c_of_two_layouts_in_one_call(linalg_calls, complex_):
+    # the SVD groups operands by shape and field, not by strides: a C-ordered b and a
+    # Fortran-ordered c of one shape are one stack of two slices
+    rng = np.random.default_rng(3)
+    a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
+    b = np.ascontiguousarray(t.basis @ families.random_matrix(rng, N // 2, N, complex_))
+    c = np.asfortranarray(families.random_matrix(rng, N, N // 2, complex_) @ complement_rows(s))
+    linalg_calls.clear()
+    (cert,) = bc_inverse_stack([(a, b, c)])
+    assert isinstance(cert, gi.InverseCertificate)
+    assert [shape for name, shape in linalg_calls if shape[-2:] == (N, N)] == [(2, N, N)]
 
 
 @pytest.mark.parametrize("complex_", [False, True])

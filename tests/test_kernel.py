@@ -174,6 +174,37 @@ def test_batched_svd_and_norms_match_per_matrix_calls(rng):
             kernel.svd_stack(stack)
 
 
+def test_svds_of_mixed_layouts_is_each_matrix_alone_in_one_call_per_shape_and_field(
+        rng, monkeypatch):
+    # LAPACK reads each slice from its own copy, so strides do not group the SVD: a C-ordered
+    # matrix, a Fortran-ordered one, a strided column view and a row-reversed view share a call
+    matrices = []
+    for complex_ in (False, True):
+        wide = rng.standard_normal((5, 8)) + (1j * rng.standard_normal((5, 8)) if complex_ else 0)
+        wide[:, 6] = wide[:, 0] + wide[:, 2]  # rank 3 in the strided view's columns 0, 2, 4, 6
+        matrices += [wide[:, :4].copy(), np.asfortranarray(wide[:, 1:5]), wide[:, ::2],
+                     wide[::-1, 4:]]
+    matrices = matrices[::2] + matrices[1::2]  # the fields alternate in pairs
+    calls = []
+    original = np.linalg.svd
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return original(x, *args, **kwargs)
+    for full in (False, True):
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        calls.clear()
+        got = kernel.svds(matrices, gi.DEFAULT_TOL, full)
+        assert calls == [(4, 5, 4), (4, 5, 4)]
+        monkeypatch.setattr(np.linalg, "svd", original)
+        assert [r for *_, r in got] == [4, 3, 4, 3, 4, 4, 4, 4]
+        for m, (u, sigma, v, r) in zip(matrices, got):
+            single = gi.svd(m, full=full)
+            assert all(np.array_equal(x, y) for x, y in zip((u, sigma, v), single))
+            assert r == kernel.numerical_rank(single[1])
+            assert u.strides == single[0].strides and v.strides == single[2].strides
+
+
 def test_as_matrix_turns_unconvertible_input_into_input_error():
     for bad in ([[1.0, 2.0], [3.0]], [[{}]], [[1 + 2j, "x"]]):
         with pytest.raises(InputError, match="not a numeric matrix"):

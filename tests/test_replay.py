@@ -1,8 +1,12 @@
 """``tests/replay.py diff`` on hand-written records: it counts the moved cases, keeps decision
-fields apart from floats and gives each float field's largest move in ulps."""
+fields apart from floats and gives each float field's largest move in ulps. And ``record`` of
+one tree in two fresh processes reads identical."""
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import replay
 
@@ -45,3 +49,16 @@ def test_diff_gives_a_one_ulp_float_move_and_a_decision_apart(tmp_path, capsys):
         "decision drivers .outcome.verdicts.gap_inverse: 1 case(s)",
         "float certify .outcome.range_gap: 1 case(s), largest move 1 ulp",
         "3 of 3 cases moved"]
+
+
+def test_the_drivers_pool_replays_identically_in_two_fresh_processes(tmp_path, capsys):
+    # the same tree recorded twice, each in its own interpreter: nothing may depend on the
+    # process (hash seeds, allocation, import order)
+    tree, script = Path(replay.__file__).resolve().parents[1], replay.__file__
+    outs = [tmp_path / f"{k}.jsonl" for k in (0, 1)]
+    runs = [subprocess.Popen([sys.executable, script, "record", str(tree), str(out), "--pools",
+                              "drivers", "--seeds", "0"], stdout=subprocess.DEVNULL)
+            for out in outs]
+    assert [run.wait(timeout=60) for run in runs] == [0, 0]
+    assert replay.diff(*outs) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 26 cases moved"]
