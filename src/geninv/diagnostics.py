@@ -134,8 +134,9 @@ def zero_limit_check(certificates) -> tuple[bool, int | None]:
     certs = list(certificates)
     if not certs:
         raise InputError("empty certificate sequence")
-    for k in (k for k, c in enumerate(certs) if not isinstance(c, InverseCertificate)):
-        raise InputError(f"entry {k + 1} is not a certificate: {certs[k]!r}")
+    for k, cert in enumerate(certs):
+        if not isinstance(cert, InverseCertificate):
+            raise InputError(f"entry {k + 1} is not a certificate: {cert!r}")
     nonzero = [i for i, c in enumerate(certs) if c.inverse_norm != 0.0]
     if not nonzero:
         return True, 1
@@ -227,7 +228,7 @@ def _diagnose(
     s_devs = deviations([c.prescribed_nullspace.basis for c in certs_ok], s)
     t_gap, s_gap = t_devs.max(axis=1), s_devs.max(axis=1)
     # bases of R(x) and N(x) for each x, its rank decided as in column_space / null_space
-    spaces = zip(*((u[:, :r], v[:, r:]) for u, _, v, r in kernel.svds(list(xs), tol)))
+    spaces = zip(*[(u[:, :r], v[:, r:]) for u, _, v, r in kernel.svds(list(xs), tol)])
     x_range, x_null = (deviations(bases[1:], bases[0]).max(axis=1) for bases in spaces)
     # the MP report (b = c = x) reads its gaps off R(x_n) and N(x_n), and its projector errors
     # are the product errors; the (b, c) report reads both off T_n and S_n (Kato, as above)

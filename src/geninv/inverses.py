@@ -99,10 +99,15 @@ def _one(results: list):
 
 
 def _relabeled(results: list, message: str, clause=lambda old: old) -> list:
-    """``results`` with each ExistenceError but a CertificateError relabelled, margin kept: its
-    clause is clause(old clause), its message ``message`` formatted with it and the old error."""
-    return [ExistenceError(message.format(r, clause=(new := clause(r.clause))), clause=new,
-                           margin=r.margin) if type(r) is ExistenceError else r for r in results]
+    """``results``, each ExistenceError in it but a CertificateError relabelled in place: clause
+    clause(old clause), message ``message`` formatted with it and the old error, the old margin,
+    and the old error as its __cause__."""
+    for j, old in enumerate(results):
+        if type(old) is ExistenceError:
+            results[j] = ExistenceError(message.format(old, clause=(new := clause(old.clause))),
+                                        clause=new, margin=old.margin)
+            results[j].__cause__ = old
+    return results
 
 
 def _certificates(kind, x, defects, scales, tol, core_sigma, f, sb, fields, exact=None,
@@ -152,7 +157,7 @@ def moore_penrose_stack(matrices, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     that refuses it."""
     ops, results = [as_matrix(a) for a in matrices], {}
     svds = kernel.svds(ops, tol)
-    for live in kernel.groups((kernel.layout(a), r) for a, (*_, r) in zip(ops, svds)):
+    for live in kernel.groups([(kernel.layout(a), r) for a, (*_, r) in zip(ops, svds)]):
         r, a = svds[live[0]][3], kernel.stack([ops[i] for i in live])
         u_r, sig, v_r = (kernel.stack([svds[i][j] for i in live]) for j in range(3))
         f, s_basis = v_r[:, :, :r], u_r[:, :, r:]
@@ -197,8 +202,8 @@ def _stacked(problems: list, tol: ToleranceConfig, kind: str) -> list:
     ``kernel.layout`` of every matrix it stacks (a, T's basis, S's basis and carried complement,
     b and c), so per shape, field, strides, dim T and dim S. Entry i is problem i's result."""
     found: dict = {}
-    for group in kernel.groups(tuple(m if m is None else kernel.layout(m) for m in (
-            p[0], p[1].basis, p[2].basis, p[2]._complement, *p[3:5])) for p in problems):
+    for group in kernel.groups([tuple([m if m is None else kernel.layout(m) for m in (
+            p[0], p[1].basis, p[2].basis, p[2]._complement, *p[3:5])]) for p in problems]):
         found.update(zip(group, _outer([problems[i] for i in group], tol, kind)))
     return [found[i] for i in range(len(problems))]
 

@@ -57,12 +57,12 @@ class ToleranceConfig:
 
     def __post_init__(self):
         try:  # a string or None compares or converts with a TypeError or ValueError
-            if isinstance(self.fd_step_sweep, str):  # its characters would read as steps
-                raise TypeError("fd_step_sweep is a string, not a sequence of steps")
-            steps = tuple(float(s) for s in self.fd_step_sweep)
             for name in ("rank_rel_tol", "residual_tol"):
                 if not 0.0 <= getattr(self, name) < 1.0:
                     raise InputError(f"{name} must lie in [0, 1)")
+            if isinstance(self.fd_step_sweep, str):  # its characters would read as steps
+                raise InputError("fd_step_sweep must be a sequence of steps")
+            steps = tuple(float(s) for s in self.fd_step_sweep)
         except (TypeError, ValueError) as exc:
             raise InputError(f"tolerances must be numbers: {exc}") from None
         if not steps or not all(0.0 < s < math.inf for s in steps):
@@ -91,8 +91,8 @@ def layout(a: np.ndarray) -> tuple:
 
 
 def stack(matrices) -> np.ndarray:
-    """Matrices of one shape on a new axis 0 (one: a view), each slice with the first's strides:
-    for one ``layout``, a BLAS product of a slice then rounds as one of the matrix alone."""
+    """Matrices of one ``layout`` on a new axis 0 (one: a view), each slice with their strides: a
+    BLAS product of a slice then rounds as one of the matrix alone."""
     first, k = matrices[0], len(matrices)
     if k == 1:
         return first[None]
@@ -134,8 +134,9 @@ def svds(matrices, tol: ToleranceConfig, full: bool = True) -> list[tuple]:
     ``svd_stack`` call per shape and field. LAPACK reads each slice from its own copy, so the
     factors are bitwise those of the matrix alone, whatever its strides."""
     found: dict = {}
-    for group in groups((m.shape, m.dtype.char) for m in matrices):
-        u, sigma, v = svd_stack(stack([matrices[i] for i in group]), full)
+    for group in groups([(m.shape, m.dtype.char) for m in matrices]):
+        ms = [matrices[i] for i in group]  # strides may differ: several are copied in C order
+        u, sigma, v = svd_stack(np.stack(ms) if len(ms) > 1 else ms[0][None], full)
         found.update(zip(group, zip(u, sigma, v, numerical_rank(sigma, tol).tolist())))
     return [found[i] for i in range(len(matrices))]
 

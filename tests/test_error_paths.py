@@ -51,10 +51,10 @@ CASES = {
         "tolerances must be numbers: '<=' not supported between instances of 'float' and 'str'"),
     "step sweep as a string": (
         lambda: gi.ToleranceConfig(fd_step_sweep="0.1"),
-        "tolerances must be numbers: fd_step_sweep is a string, not a sequence of steps"),
+        "fd_step_sweep must be a sequence of steps"),
     "step sweep as a string of digits": (
         lambda: gi.ToleranceConfig(fd_step_sweep="54"),
-        "tolerances must be numbers: fd_step_sweep is a string, not a sequence of steps"),
+        "fd_step_sweep must be a sequence of steps"),
     "step sweep with a step that is not a number": (
         lambda: gi.ToleranceConfig(fd_step_sweep=(1e-2, "x")),
         "tolerances must be numbers: could not convert string to float: 'x'"),

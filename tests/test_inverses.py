@@ -330,6 +330,21 @@ def test_reflexive_inverse_names_failing_decomposition():
     assert err.value.clause == "R(F) (+) M != Y"
 
 
+def test_a_relabelled_refusal_keeps_the_construction_refusal_as_its_cause():
+    # oblique_projector and reflexive_inverse refuse under their own clause; the outer
+    # construction's refusal, with its clause and margin, stays on the error as __cause__
+    e1, e2, e3 = np.eye(3)
+    calls = {"reflexive": lambda: gi.reflexive_inverse(np.diag([1.0, 0.0]), line(0, 1), line(0, 1)),
+             "oblique": lambda: gi.oblique_projector(span(e1, e2), span(e2, e3))}
+    causes = {"reflexive": "restriction not injective", "oblique": "R(A*T) (+) S != Y"}
+    for name, call in calls.items():
+        with pytest.raises(ExistenceError) as err:
+            call()
+        cause = err.value.__cause__
+        assert type(cause) is ExistenceError and cause.clause == causes[name]
+        assert cause.margin == err.value.margin and err.value.clause != cause.clause
+
+
 def test_reflexive_inverse_needs_dim_n_equal_to_the_rank():
     # no outer inverse of I has range and null space span(e1); with null space span(e2) one
     # exists (diag(1, 0)), but it is not reflexive: N(I) (+) span(e1) != X in both cases

@@ -177,14 +177,16 @@ def test_batched_svd_and_norms_match_per_matrix_calls(rng):
 def test_svds_of_mixed_layouts_is_each_matrix_alone_in_one_call_per_shape_and_field(
         rng, monkeypatch):
     # LAPACK reads each slice from its own copy, so strides do not group the SVD: a C-ordered
-    # matrix, a Fortran-ordered one, a strided column view and a row-reversed view share a call
+    # matrix, a Fortran-ordered one, a strided column view, a row-reversed view and broadcast
+    # views (zero strides; a row one first in its call) share a call
     matrices = []
     for complex_ in (False, True):
         wide = rng.standard_normal((5, 8)) + (1j * rng.standard_normal((5, 8)) if complex_ else 0)
         wide[:, 6] = wide[:, 0] + wide[:, 2]  # rank 3 in the strided view's columns 0, 2, 4, 6
-        matrices += [wide[:, :4].copy(), np.asfortranarray(wide[:, 1:5]), wide[:, ::2],
-                     wide[::-1, 4:]]
-    matrices = matrices[::2] + matrices[1::2]  # the fields alternate in pairs
+        matrices += [np.broadcast_to(wide[0, :4], (5, 4)), wide[:, :4].copy(),
+                     np.asfortranarray(wide[:, 1:5]), wide[:, ::2], wide[::-1, 4:],
+                     np.broadcast_to(wide[:, 7:], (5, 4))]
+    matrices = matrices[::2] + matrices[1::2]  # the fields alternate in triples
     calls = []
     original = np.linalg.svd
 
@@ -195,9 +197,9 @@ def test_svds_of_mixed_layouts_is_each_matrix_alone_in_one_call_per_shape_and_fi
         monkeypatch.setattr(np.linalg, "svd", counted)
         calls.clear()
         got = kernel.svds(matrices, gi.DEFAULT_TOL, full)
-        assert calls == [(4, 5, 4), (4, 5, 4)]
+        assert calls == [(6, 5, 4), (6, 5, 4)]
         monkeypatch.setattr(np.linalg, "svd", original)
-        assert [r for *_, r in got] == [4, 3, 4, 3, 4, 4, 4, 4]
+        assert [r for *_, r in got] == [1, 4, 4, 1, 4, 4, 4, 3, 1, 4, 3, 1]
         for m, (u, sigma, v, r) in zip(matrices, got):
             single = gi.svd(m, full=full)
             assert all(np.array_equal(x, y) for x, y in zip((u, sigma, v), single))

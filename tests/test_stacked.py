@@ -376,6 +376,29 @@ def test_bc_inverse_stack_of_shared_operands_is_the_single_calls(complex_):
 
 
 @pytest.mark.parametrize("complex_", [False, True])
+def test_broadcast_operands_are_read_as_their_copies(complex_):
+    # a broadcast view (one row repeated: strides (0, 8), or its transpose) shares its SVD call
+    # with every matrix of its shape; each spans what its C-ordered copy spans. Products with a
+    # zero-stride matrix round on their own, so the inverse and the spans are compared
+    rng = np.random.default_rng(31)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0)
+    a, general, rows = draw(4, 4), draw(4, 4), np.broadcast_to(draw(4), (4, 4))
+    c = np.outer(draw(4), draw(4))  # C-ordered and of rank 1, as rows is
+    for problem in ((a, rows, c), (a, rows, rows.T), (a, rows, general)):
+        got, want = (_outcome(gi.bc_inverse, *p) for p in (problem, [m.copy() for m in problem]))
+        if isinstance(want, gi.ExistenceError):
+            assert (type(got), str(got), got.clause) == (type(want), str(want), want.clause)
+            continue
+        for name in ("inverse", "prescribed_range", "prescribed_nullspace"):
+            assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    stacked = moore_penrose_stack([rows, general])
+    assert _bits(stacked[0].inverse) == _bits(gi.moore_penrose(rows.copy()).inverse)
+    assert_same_outcome(stacked[1], gi.moore_penrose(general))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("kind", ["exists", "not_injective", "nilpotent", "zero"])
 def test_inverse_along_is_the_dd_inverse(kind, complex_):
     # inverse_along(a, d) is bc_inverse(a, d, d) bit for bit, with kind "along", the residuals
