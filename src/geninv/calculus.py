@@ -18,23 +18,53 @@ import numpy as np
 
 from .errors import CertificateError, ExistenceError, InputError
 from .inverses import bc_inverse_stack, moore_penrose_stack, outer_prescribed_stack
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm, stack_norms
+from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, cayley, spectral_norm, stack_norms
 from .subspace import ObliqueProjector, column_spaces
+
+
+@dataclass(frozen=True, eq=False)
+class CayleyQuadratic:
+    """``t -> cayley(left, t) @ (c0 + t c1 + t t c2) @ cayley(right, t)``, c1, c2, left and right
+    optional: every library curve. At an array of t, the stack of the values, one batched solve per
+    Cayley factor, each slice bit for bit the value at its t (one LAPACK or BLAS call per slice)."""
+
+    c0: np.ndarray
+    c1: np.ndarray | None = None
+    c2: np.ndarray | None = None
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
+
+    def __call__(self, t) -> np.ndarray:
+        s = np.asarray(t, dtype=float)[..., None, None]
+        value = self.c0 if self.c1 is None else self.c0 + s * self.c1
+        value = value if self.c2 is None else value + s * s * self.c2
+        value = value if self.left is None else cayley(self.left, t) @ value
+        value = value if self.right is None else value @ cayley(self.right, t)
+        return value if value.ndim == s.ndim else np.repeat(value[None], len(s), axis=0)
 
 
 @dataclass(frozen=True)
 class MatrixCurve:
-    """A matrix-valued function of one real parameter on an open interval."""
+    """A matrix-valued function of one real parameter on an open interval; ``at(ts)`` stacks its
+    values at the points ts, from one call of a ``CayleyQuadratic`` evaluator or one per point."""
 
     evaluator: Callable[[float], np.ndarray]
     domain: tuple[float, float] = (-1.0, 1.0)
     label: str = ""
 
-    def __call__(self, t: float) -> np.ndarray:
+    def _inside(self, t):
         lo, hi = self.domain
         if not lo < t < hi:
             raise InputError(f"curve {self.label or '<unnamed>'} evaluated outside {self.domain}")
-        return as_matrix(self.evaluator(t))
+        return t
+
+    def __call__(self, t: float) -> np.ndarray:
+        return as_matrix(self.evaluator(self._inside(t)))
+
+    def at(self, ts: Sequence[float]) -> np.ndarray:
+        ts = [self._inside(t) for t in ts]
+        whole = isinstance(self.evaluator, CayleyQuadratic)
+        return as_matrix(self.evaluator(np.array(ts)) if whole else [self(t) for t in ts], ndim=3)
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
@@ -144,15 +174,16 @@ def finite_difference_check(
 
     kind selects the construction: "bc" takes (a, b, c) curves, "mp" a single
     operator curve, "oip" an operator curve plus two curves whose column spans
-    prescribe the inverse's range and null space. The curves are evaluated at
-    t0 and at t0 +- each step, and the 1 + 2 len(steps) certificates are one
+    prescribe the inverse's range and null space. Each curve is read once, with
+    ``at`` on the points t0 and t0 +- each step (a library curve in one batched
+    solve per Cayley factor), and the 1 + 2 len(steps) certificates are one
     stacked construction (``bc_inverse_stack``, ``moore_penrose_stack`` or
     ``outer_prescribed_stack``), each slice bit-identical to its single call;
     nothing else is constructed: a', (P_T)' and (P_S)' are central-differenced
     at the finest step from those certificates' operators and prescribed
-    subspaces, and the errors of all steps are one batched norm. So the
-    factorizations do not grow with the number of steps. The points are
-    checked in sweep order (t0, t0 + h, t0 - h for each step in turn): the
+    subspaces, and the errors of all steps are one batched norm. So neither the
+    factorizations nor the curves' solves grow with the number of steps. The
+    points are checked in sweep order (t0, t0 + h, t0 - h for each step): the
     first one whose inverse does not exist, or whose prescribed subspaces
     differ in dimension from t0's (the inverse jumps there), raises
     ExistenceError; a refused certificate raises its CertificateError as it is,
@@ -164,13 +195,10 @@ def finite_difference_check(
     if len(curves) != expected:
         raise InputError(f"kind {kind!r} takes {expected} curve(s), got {len(curves)}")
     steps = tol.fd_step_sweep
-    hmax = max(steps)
-    for curve in curves:
-        lo, hi = curve.domain
-        if not (lo < t0 - hmax and t0 + hmax < hi):
-            raise InputError("curve domain does not cover the difference window")
     points = [t0, *(t for h in steps for t in (t0 + h, t0 - h))]
-    certs = construct([tuple(curve(t) for curve in curves) for t in points], tol)
+    if not all(c.domain[0] < min(points) and max(points) < c.domain[1] for c in curves):
+        raise InputError("curve domain does not cover the difference window")
+    certs = construct(list(zip(*(curve.at(points) for curve in curves))), tol)
     for t, cert in zip(points, certs):
         if isinstance(cert, CertificateError):
             raise cert

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import diagnostics, families, kernel
-from .calculus import MatrixCurve, finite_difference_check
+from .calculus import CayleyQuadratic, MatrixCurve, finite_difference_check
 from .errors import ExistenceError, GenInvError, InputError
 from .inverses import (
     InverseCertificate,
@@ -132,10 +132,8 @@ def _derivcheck(args, tol, *mats) -> dict:
     # for oip the trailing pairs are spanning curves of the range and the null space
     labels = "ats" if args.kind == "oip" else "abc"
     domain = (args.t0 - 1.0, args.t0 + 1.0)
-    curves = [
-        MatrixCurve(lambda t, base=base, step=step: base + t * step, domain, label)
-        for base, step, label in zip(mats[::2], mats[1::2], labels)
-    ]
+    curves = [MatrixCurve(CayleyQuadratic(base, step), domain, label)
+              for base, step, label in zip(mats[::2], mats[1::2], labels)]
     return {"kind": args.kind, **vars(finite_difference_check(curves, args.t0, tol, args.kind))}
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import MatrixCurve
+from .calculus import CayleyQuadratic, MatrixCurve
 from .errors import InputError
 from .inverses import bc_inverse, outer_prescribed
-from .kernel import DEFAULT_TOL, ToleranceConfig, spectral_norm
+from .kernel import DEFAULT_TOL, ToleranceConfig, cayley, spectral_norm
 from .subspace import Subspace, orthogonal_complement, trivial_subspace
 
 _DOMAIN = (-0.6, 0.6)
@@ -57,13 +57,6 @@ def random_skew(rng, n: int, complex_: bool = False) -> np.ndarray:
     k = g - g.conj().T
     nrm = spectral_norm(k)
     return k / nrm if nrm else k
-
-
-def cayley(k_mat: np.ndarray, t) -> np.ndarray:
-    """Unitary Cayley transform of a skew-Hermitian matrix, smooth in t; for an array of t, the
-    stack of transforms, from one batched solve."""
-    half, eye = np.asarray(t, dtype=float)[..., None, None] / 2.0, np.eye(k_mat.shape[0])
-    return np.linalg.solve(eye - half * k_mat, eye + half * k_mat)
 
 
 def random_rank_matrix(rng, m: int, n: int, r: int, complex_: bool = False) -> np.ndarray:
@@ -182,10 +175,9 @@ def bc_curves(rng, n: int, r: int, complex_: bool = False, tol: ToleranceConfig 
     a1 = random_matrix(rng, n, n, complex_) * (0.2 / xnorm)
     a2 = random_matrix(rng, n, n, complex_) * (0.2 / xnorm)
     k = [random_skew(rng, n, complex_) for _ in range(4)]
-    a_curve = MatrixCurve(lambda t: a + t * a1 + t * t * a2, _DOMAIN, "a")
-    b_curve = MatrixCurve(lambda t: cayley(k[0], t) @ b @ cayley(k[1], t), _DOMAIN, "b")
-    c_curve = MatrixCurve(lambda t: cayley(k[2], t) @ c @ cayley(k[3], t), _DOMAIN, "c")
-    return a_curve, b_curve, c_curve
+    return (MatrixCurve(CayleyQuadratic(a, a1, a2), _DOMAIN, "a"),
+            MatrixCurve(CayleyQuadratic(b, left=k[0], right=k[1]), _DOMAIN, "b"),
+            MatrixCurve(CayleyQuadratic(c, left=k[2], right=k[3]), _DOMAIN, "c"))
 
 
 def mp_curve(rng, m: int, n: int, r: int, complex_: bool = False):
@@ -193,7 +185,7 @@ def mp_curve(rng, m: int, n: int, r: int, complex_: bool = False):
     a = random_rank_matrix(rng, m, n, r, complex_)
     k1 = random_skew(rng, m, complex_)
     k2 = random_skew(rng, n, complex_)
-    return MatrixCurve(lambda t: cayley(k1, t) @ a @ cayley(k2, t), _DOMAIN, "a")
+    return MatrixCurve(CayleyQuadratic(a, left=k1, right=k2), _DOMAIN, "a")
 
 
 def oip_curves(
@@ -205,8 +197,6 @@ def oip_curves(
     a1 = random_matrix(rng, m, n, complex_) * (0.2 / xnorm)
     kt = random_skew(rng, n, complex_)
     ks = random_skew(rng, m, complex_)
-
-    a_curve = MatrixCurve(lambda t: a + t * a1, _DOMAIN, "a")
-    t_curve = MatrixCurve(lambda t: cayley(kt, t) @ t_space.basis, _DOMAIN, "t")
-    s_curve = MatrixCurve(lambda t: cayley(ks, t) @ s_space.basis, _DOMAIN, "s")
-    return a_curve, t_curve, s_curve
+    return (MatrixCurve(CayleyQuadratic(a, a1), _DOMAIN, "a"),
+            MatrixCurve(CayleyQuadratic(t_space.basis, left=kt), _DOMAIN, "t"),
+            MatrixCurve(CayleyQuadratic(s_space.basis, left=ks), _DOMAIN, "s"))

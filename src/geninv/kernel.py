@@ -1,4 +1,4 @@
-"""Dense linear-algebra substrate: SVD, numerical rank, norms, restricted solves.
+"""Dense linear-algebra substrate: SVD, numerical rank, norms and Cayley transforms.
 
 Everything downstream decides rank questions relative to the largest singular
 value and works in the spectral norm. Real and complex matrices are both
@@ -18,16 +18,17 @@ _REAL = np.float64
 _COMPLEX = np.complex128
 
 
-def as_matrix(a) -> np.ndarray:
-    """Validate and promote input to a 2-d float64/complex128 array.
+def as_matrix(a, ndim: int = 2) -> np.ndarray:
+    """Validate and promote input to a 2-d float64/complex128 array (ndim=3: a stack of them).
 
     Rejects non-finite entries and anything numpy cannot convert to numbers (ragged rows,
     non-numeric objects or strings); every public operation goes through here.
     """
     try:
         arr = np.asarray(a)
-        if arr.ndim != 2:
-            raise InputError(f"expected a 2-d matrix, got ndim={arr.ndim}")
+        if arr.ndim != ndim:
+            kind = "matrix" if ndim == 2 else "stack"
+            raise InputError(f"expected a {ndim}-d {kind}, got ndim={arr.ndim}")
         return _finite_float(arr)
     except (TypeError, ValueError) as exc:  # numpy's conversion errors; not an InputError
         raise InputError(f"not a numeric matrix: {exc}") from None
@@ -109,6 +110,13 @@ def groups(keys) -> list[list[int]]:
     for i, key in enumerate(keys):
         found.setdefault(key, []).append(i)
     return list(found.values())
+
+
+def cayley(k_mat: np.ndarray, t) -> np.ndarray:
+    """Unitary Cayley transform of a skew-Hermitian matrix, smooth in t; for an array of t, the
+    stack of transforms, from one batched solve."""
+    half, eye = np.asarray(t, dtype=float)[..., None, None] / 2.0, np.eye(k_mat.shape[0])
+    return np.linalg.solve(eye - half * k_mat, eye + half * k_mat)
 
 
 def svd(a, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

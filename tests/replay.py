@@ -1,19 +1,19 @@
-"""Record every outcome of the benchmark's op pools from one source tree, and diff two records.
+"""Record every outcome of the op pools from one source tree, and diff two records.
 
-    python tests/replay.py record TREE OUT.jsonl [--seeds 0 1 2] [--pools certify drivers cli]
+    python tests/replay.py record TREE OUT.jsonl [--seeds 0 1 2] [--pools certify cli ...]
     python tests/replay.py diff A.jsonl B.jsonl
 
 ``record`` imports ``geninv`` from TREE/src and the pools from TREE/bench, runs each op of
-the certify, drivers and cli pools (or those ``--pools`` names) once per seed, and writes
-one JSON line per op: its case id, its outcome and the verdict of its own oracle check. An
-outcome is written field by field: certificates with their lazily read numbers, reports with
-their records and verdicts, errors with their type, message, clause and margin, and CLI
-requests as the exit code and the SHA-256 of the report bytes. Floats are written as
-``float.hex`` and arrays as the SHA-256 of their shape, dtype and bytes, so two records
-agree only where every bit does. ``diff`` groups the moved cases by pool and field: decision
-fields (outcome type, error, clause, check, verdicts, alarm, failed indices, exit code,
-report hash) apart from the floats, each float field with its largest move in ulps; then it
-prints the count.
+the certify, drivers and cli pools and of this file's curves pool (or those ``--pools``
+names) once per seed, and writes one JSON line per op: its case id, its outcome and the
+verdict of its own oracle check. An outcome is written field by field: certificates with
+their lazily read numbers, reports with their records and verdicts, errors with their type,
+message, clause and margin, and CLI requests as the exit code and the SHA-256 of the report
+bytes. Floats are written as ``float.hex`` and arrays as the SHA-256 of their shape, dtype
+and bytes, so two records agree only where every bit does. ``diff`` groups the moved cases by
+pool and field: decision fields (outcome type, error, clause, check, verdicts, alarm, failed
+indices, exit code, report hash) apart from the floats, each float field with its largest
+move in ulps; then it prints the count.
 Run ``record`` once per tree, each in its own process.
 """
 
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-POOLS = ("certify", "drivers", "cli")
+POOLS = ("certify", "drivers", "cli", "curves")
 
 
 def digest(value):
@@ -67,15 +68,74 @@ def digest(value):
     return value
 
 
+def curves_pool(seed: int, workdir: Path) -> list:
+    """Derivative checks the benchmark's pools leave out: ``finite_difference_check`` on the
+    family curves (bc, mp and oip; real and complex; t0 = 0 and 0.1), and a ``derivcheck``
+    request of each kind, field and t0 on affine curves whose ranks hold near t0."""
+    import geninv as gi
+    from bench.workloads import Op, _CliOp
+    from geninv import families
+
+    def second_order(outcome):
+        if isinstance(outcome, BaseException):
+            return f"{type(outcome).__name__}: {outcome}"
+        order = outcome.observed_order
+        return None if order == "exact" or 1.5 <= order <= 2.5 else f"observed order {order}"
+
+    def exit_zero(outcome):
+        return None if outcome == 0 else f"exit code {outcome!r}"
+
+    makers = {"bc": lambda r, cx: families.bc_curves(r, 6, 3, cx),
+              "mp": lambda r, cx: [families.mp_curve(r, 6, 5, 3, cx)],
+              "oip": lambda r, cx: families.oip_curves(r, 6, 5, 3, cx)}
+    rng, ops = np.random.default_rng(seed), []
+    workdir.mkdir(parents=True, exist_ok=True)
+    for kind, make in makers.items():
+        for cx in (False, True):
+            field = "c" if cx else "r"
+            curves = make(rng, cx)
+            files = _affine_files(families, rng, kind, cx)
+            for t0 in (0.0, 0.1):
+                check = functools.partial(gi.finite_difference_check, curves, t0, gi.DEFAULT_TOL,
+                                          kind)
+                ops.append(Op(f"derivative/{kind}/6/{field}/t0={t0}", 6, check, second_order))
+                request = _CliOp(workdir / f"{kind}{field}{t0}", "derivcheck", files)
+                request.argv += ["--kind", kind, "--t0", str(t0)]
+                ops.append(Op(f"derivcheck/{kind}/6/{field}/t0={t0}", 6, request.call, exit_zero))
+    return ops
+
+
+def _affine_files(families, rng, kind: str, cx: bool) -> dict:
+    """Base and direction matrices of a derivcheck request: each rank-deficient base x0 moves
+    as (I + t L) x0 (c as c (I + t L)), so its rank holds near t0."""
+    def turn(n):
+        return 0.1 * families.random_matrix(rng, n, n, cx)
+
+    def move(x0):
+        return turn(x0.shape[0]) @ x0
+
+    if kind == "mp":
+        a = families.random_rank_matrix(rng, 6, 5, 3, cx)
+        return {"a0": a, "a1": move(a)}
+    if kind == "bc":
+        a, b, c = families.random_solvable_triple(rng, 6, 3, cx)
+        return {"a0": a, "a1": move(a), "b0": b, "b1": move(b), "c0": c, "c1": c @ turn(6)}
+    a, t, s = families.random_outer_instance(rng, 6, 5, 3, cx)
+    return {"a0": a, "a1": move(a), "t0": t.basis, "t1": move(t.basis), "s0": s.basis,
+            "s1": move(s.basis)}
+
+
 def record(tree: Path, out: Path, seeds, pools=POOLS) -> int:
     sys.path[:0] = [str(tree / "src"), str(tree)]
-    from bench.workloads import POOLS as BUILDERS
+    from bench.workloads import POOLS as BENCH_POOLS
+
+    builders = {**BENCH_POOLS, "curves": curves_pool}
 
     lines = 0
     with open(out, "w") as handle, tempfile.TemporaryDirectory() as workdir:
         for pool in pools:
             for seed in seeds:
-                ops = BUILDERS[pool](seed, Path(workdir) / f"{pool}{seed}")
+                ops = builders[pool](seed, Path(workdir) / f"{pool}{seed}")
                 for k, op in enumerate(ops):
                     try:
                         outcome = op.call()

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geninv as gi
-from geninv import families
-from geninv.calculus import MatrixCurve
+from geninv import cli, families
+from geninv.calculus import CayleyQuadratic, MatrixCurve
+from geninv.kernel import cayley
 from geninv.errors import CertificateError, ExistenceError, InputError
 
 from conftest import outer_fullrank_oracle, rank_jump_instance
@@ -333,3 +334,108 @@ def test_fd_check_refuses_an_overflowing_derivative():
     with pytest.raises(CertificateError, match="formula derivative is not finite") as info:
         gi.finite_difference_check([curve], 0.0, kind="mp")
     assert info.value.clause == "residual exceeds tolerance"
+
+
+def _family_curves(kind: str, complex_: bool) -> list:
+    rng = np.random.default_rng(21)
+    return list({
+        "bc": lambda: families.bc_curves(rng, 6, 3, complex_),
+        "mp": lambda: [families.mp_curve(rng, 6, 5, 3, complex_)],
+        "oip": lambda: families.oip_curves(rng, 6, 5, 3, complex_),
+    }[kind]())
+
+
+def _by_hand(form: CayleyQuadratic, t: float) -> np.ndarray:
+    """cayley(left, t) @ (c0 + t c1 + t t c2) @ cayley(right, t) at one Python float t."""
+    value = form.c0
+    if form.c1 is not None:
+        value = value + t * form.c1
+    if form.c2 is not None:
+        value = value + t * t * form.c2
+    if form.left is not None:
+        value = cayley(form.left, t) @ value
+    if form.right is not None:
+        value = value @ cayley(form.right, t)
+    return value
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _sweep(t0: float) -> list:
+    return [t0, *(t for h in gi.DEFAULT_TOL.fd_step_sweep for t in (t0 + h, t0 - h))]
+
+
+def _assert_stacks_bit_for_bit(curve: MatrixCurve, points: list) -> None:
+    stack = curve.at(points)
+    assert stack.shape[0] == len(points)
+    assert np.array_equal(_bits(stack), _bits(np.stack([curve(t) for t in points])))
+    for t, value in zip(points, stack):
+        assert np.array_equal(_bits(value), _bits(_by_hand(curve.evaluator, t)))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("kind", ["bc", "mp", "oip"])
+def test_family_curves_stack_their_values_bit_for_bit(kind, complex_):
+    # at(points) is one batched solve per Cayley factor; each slice is curve(t) to the bit,
+    # and curve(t) the curve's expression at a Python float t
+    for curve in _family_curves(kind, complex_):
+        assert isinstance(curve.evaluator, CayleyQuadratic)
+        for t0 in (0.0, 0.1):
+            _assert_stacks_bit_for_bit(curve, _sweep(t0))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_derivcheck_affine_curves_stack_their_values_bit_for_bit(tmp_path, monkeypatch, complex_):
+    rng = np.random.default_rng(22)
+    base, step = (families.random_matrix(rng, 4, 3, complex_) for _ in range(2))
+    paths = [str(tmp_path / f"{name}.mat") for name in ("a0", "a1")]
+    for path, a in zip(paths, (base, step)):
+        gi.save_matrix(a, path)
+    seen = []
+
+    def check(curves, *args):
+        seen.extend(curves)
+        return gi.finite_difference_check(curves, *args)
+
+    monkeypatch.setattr(cli, "finite_difference_check", check)
+    assert cli.main(["derivcheck", "--kind", "mp", "--t0", "0.1", *paths,
+                     "--out", str(tmp_path / "r.json")]) == 0
+    (curve,) = seen
+    parsed = [gi.parse_matrix(path) for path in paths]
+    for t, value in zip(_sweep(0.1), curve.at(_sweep(0.1))):
+        assert np.array_equal(_bits(value), _bits(parsed[0] + t * parsed[1]))
+    _assert_stacks_bit_for_bit(curve, _sweep(0.1))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("kind", ["bc", "mp", "oip"])
+def test_fd_check_of_stacked_curves_equals_the_point_by_point_check(kind, complex_):
+    # the same curves behind a plain evaluator are read one point at a time
+    curves = _family_curves(kind, complex_)
+    plain = [MatrixCurve(lambda t, c=c: c(t), c.domain, c.label) for c in curves]
+    for t0 in (0.0, 0.1):
+        got, want = (gi.finite_difference_check(cs, t0, kind=kind) for cs in (curves, plain))
+        assert got.formula_derivative.tobytes() == want.formula_derivative.tobytes()
+        assert [(h.hex(), e.hex()) for h, e in got.fd_errors] == [
+            (h.hex(), e.hex()) for h, e in want.fd_errors]
+        assert got.observed_order == want.observed_order
+
+
+def test_matrix_curve_at_checks_each_point_and_the_stack():
+    calls = []
+    plain = MatrixCurve(lambda t: calls.append(t) or np.eye(2) * t, (-1.0, 1.0), "p")
+    assert np.array_equal(plain.at([0.5, -0.25]), [0.5 * np.eye(2), -0.25 * np.eye(2)])
+    assert calls == [0.5, -0.25]  # a plain evaluator is called once per point
+    constant = MatrixCurve(CayleyQuadratic(np.eye(2)), (-1.0, 1.0), "k")
+    assert np.array_equal(constant.at([0.1, 0.2, 0.3]), [np.eye(2)] * 3)
+    for curve in (plain, constant):
+        with pytest.raises(InputError, match=f"curve {curve.label} evaluated outside"):
+            curve.at([0.0, 1.0])
+    ragged = MatrixCurve(lambda t: np.eye(2 if t < 0 else 3))
+    with pytest.raises(InputError, match="not a numeric matrix"):
+        ragged.at([-0.5, 0.5])
+    overflowing = MatrixCurve(CayleyQuadratic(np.full((2, 2), 1e308), np.full((2, 2), 1e308)))
+    with np.errstate(over="ignore"), pytest.raises(InputError, match="non-finite"):
+        overflowing.at([0.0, 0.9])

@@ -1,11 +1,15 @@
 """bc_inverse and moore_penrose against the exact rational oracle of ``exact.py``, on small
-integer instances: every existence decision the rounding cannot blur, and every inverse."""
+integer instances: every existence decision the rounding cannot blur, and every inverse. And
+the derivative of a (b, c)-inverse curve against its exact value on a rational curve."""
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geninv as gi
+from geninv.calculus import CayleyQuadratic, MatrixCurve
 from geninv.errors import ExistenceError
 
 import exact
@@ -70,3 +74,47 @@ def test_the_oracle_decides_rank_and_existence_exactly():
     # pinv of the rank-1 [[1, 2], [2, 4]] is a* / ||a||_F^2 = a / 25
     pinv = exact.moore_penrose(np.array([[1, 2], [2, 4]]))
     assert (pinv * 25 == [[1, 2], [2, 4]]).all()
+
+
+# a rational (b, c) curve: a(t) = A0 + t A1 + t^2 A2, b(t) = F(t) P and c(t) = Q G(t) with
+# F(t) = F0 + t F1 and G(t) = G0 + t G1 of full rank 2, so R(b) = R(F) and c's row space is G's
+A0 = np.array([[2, 1, 0, 1], [0, 3, 1, 0], [1, 0, 2, 1], [0, 1, 1, 3]])
+A1 = np.array([[1, 0, -1, 0], [0, 1, 0, 2], [-1, 0, 1, 0], [2, 0, 0, -1]])
+A2 = np.array([[0, 1, 0, 0], [1, 0, 0, -1], [0, 0, 1, 0], [0, 2, 0, 1]])
+F0, F1 = np.array([[1, 0], [0, 1], [1, 1], [0, 2]]), np.array([[0, 1], [1, 0], [0, -1], [1, 0]])
+G0, G1 = np.array([[1, 0, 0, 1], [0, 1, 1, 0]]), np.array([[0, 1, 0, 0], [-1, 0, 0, 1]])
+P, Q = np.array([[1, 0, 1, 0], [0, 1, 0, 1]]), np.array([[1, 0], [0, 1], [1, 0], [2, 1]])
+
+
+def _exact_bc_curve(t: Fraction):
+    """X(t) = F (G A F)^-1 G and its exact derivative at t, by the product rule and
+    (K^-1)' = -K^-1 K' K^-1 for K = G A F."""
+    e = exact.exact
+    f, g = e(F0) + t * e(F1), e(G0) + t * e(G1)
+    a, a_prime = e(A0) + t * e(A1) + t * t * e(A2), e(A1) + 2 * t * e(A2)
+    k_inv = exact.inverse(g @ a @ f)
+    k_prime = e(G1) @ a @ f + g @ a_prime @ f + g @ a @ e(F1)
+    x_prime = (e(F1) @ k_inv @ g - f @ k_inv @ k_prime @ k_inv @ g + f @ k_inv @ e(G1))
+    return f @ k_inv @ g, x_prime, a
+
+
+def test_formula_derivative_matches_the_exact_derivative_of_a_rational_curve():
+    t0 = Fraction(1, 4)  # a binary fraction: the library's t0 is exactly the oracle's
+    x, x_prime, a = _exact_bc_curve(t0)
+    # the oracle's own check: exact central differences of X are within O(delta^2) of X'
+    delta = Fraction(1, 10**4)
+    central = (_exact_bc_curve(t0 + delta)[0] - _exact_bc_curve(t0 - delta)[0]) / (2 * delta)
+    assert np.abs((central - x_prime).astype(float)).max() < 1e-6
+    curves = [MatrixCurve(CayleyQuadratic(*(m.astype(float) for m in ms))) for ms in (
+        (A0, A1, A2), (F0 @ P, F1 @ P), (Q @ G0, Q @ G1))]
+    report = gi.finite_difference_check(curves, float(t0), TOL, "bc")
+    # a' is central-differenced exactly on a quadratic; (P_T)' and (P_S)' carry a truncation
+    # error C h^2 at the finest step h, C read off the sweep's coarsest step (where its error
+    # is C h^2 too), and a rounding error eps / h times the sandwich's size ||x|| (1 + ||a x||)
+    x, a = x.astype(float), a.astype(float)
+    coarse, coarse_error = report.fd_errors[0]
+    h = TOL.fd_step_sweep[-1]
+    truncation = coarse_error / coarse**2 * h**2
+    rounding = np.finfo(float).eps / h * np.linalg.norm(x, 2) * (1 + np.linalg.norm(a @ x, 2))
+    error = np.linalg.norm(report.formula_derivative - x_prime.astype(float), 2)
+    assert error <= truncation + rounding

@@ -33,7 +33,11 @@ the construction's own factorizations.
 perturbed_bc_inverse and zero_limit_check read ||a|| and ||x|| off the
 certificate; ||x|| costs nothing and ||a|| at most its first read.
 finite_difference_check builds one inverse per point of its sweep, all of them one
-stacked construction, so its factorizations do not grow with the steps.
+stacked construction, so its factorizations do not grow with the steps. It reads each
+curve once, at every point of the sweep: a library curve (families.bc_curves, mp_curve,
+oip_curves) takes one batched solve per Cayley factor, so a (b, c) check makes 4 solve
+calls and a Moore-Penrose or prescribed-outer check 2, however many steps it has (one
+solve per factor and point made 36 at 4 steps and 68 at 8 for (b, c)).
 """
 
 import numpy as np
@@ -458,3 +462,25 @@ def test_finite_difference_check_calls_do_not_grow_with_the_steps(linalg_calls, 
     assert counts[4] == counts[8]
     assert counts[4]["svd"] <= svd and counts[4]["qr"] <= qr
     assert sum(counts[4].values()) == counts[4]["svd"] + counts[4]["qr"]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("kind, solves", [("bc", 4), ("mp", 2), ("oip", 2)])
+def test_finite_difference_check_of_family_curves_solves_once_per_generator(
+        linalg_calls, kind, solves, complex_):
+    # each Cayley factor of a curve is one batched solve over the whole sweep, so a longer
+    # sweep adds no numpy.linalg call, solve included
+    rng = np.random.default_rng(20)
+    curves = {
+        "bc": lambda: families.bc_curves(rng, 6, 3, complex_),
+        "mp": lambda: [families.mp_curve(rng, 6, 5, 3, complex_)],
+        "oip": lambda: families.oip_curves(rng, 6, 5, 3, complex_),
+    }[kind]()
+    counts = {}
+    for steps in (4, 8):
+        tol = gi.ToleranceConfig(fd_step_sweep=tuple(10.0 ** -(2 + k / 2) for k in range(steps)))
+        linalg_calls.clear()
+        gi.finite_difference_check(curves, 0.0, tol, kind)
+        counts[steps] = _counts(linalg_calls)
+    assert counts[4] == counts[8]
+    assert counts[4]["solve"] <= solves

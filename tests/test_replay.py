@@ -62,3 +62,16 @@ def test_the_drivers_pool_replays_identically_in_two_fresh_processes(tmp_path, c
     assert [run.wait(timeout=60) for run in runs] == [0, 0]
     assert replay.diff(*outs) == 0
     assert capsys.readouterr().out.splitlines() == ["0 of 26 cases moved"]
+
+
+def test_the_curves_pool_records_every_derivative_check_passing(tmp_path):
+    # finite_difference_check of each family curve and a derivcheck request of each kind,
+    # field and t0: 24 cases at one seed, every one within its own check
+    tree, script = Path(replay.__file__).resolve().parents[1], replay.__file__
+    out = tmp_path / "curves.jsonl"
+    subprocess.run([sys.executable, script, "record", str(tree), str(out), "--pools", "curves",
+                    "--seeds", "0"], stdout=subprocess.DEVNULL, check=True, timeout=60)
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(lines) == 24 and all(line["check"] is None for line in lines)
+    assert {line["case"].split("/")[3] for line in lines} == {"derivative", "derivcheck"}
+    assert {line["outcome"] for line in lines if "report" in line} == {0}
