@@ -36,8 +36,7 @@ finite_difference_check builds one inverse per point of its sweep, all of them o
 stacked construction, so its factorizations do not grow with the steps. It reads each
 curve once, at every point of the sweep: a library curve (families.bc_curves, mp_curve,
 oip_curves) takes one batched solve per Cayley factor, so a (b, c) check makes 4 solve
-calls and a Moore-Penrose or prescribed-outer check 2, however many steps it has (one
-solve per factor and point made 36 at 4 steps and 68 at 8 for (b, c)).
+calls and a Moore-Penrose or prescribed-outer check 2, however many steps it has.
 """
 
 import numpy as np
