@@ -154,12 +154,13 @@ def _oip_stack(points: list, tol: ToleranceConfig) -> list:
     return outer_prescribed_stack([*zip(ops, spans[:len(ps)], spans[len(ps):])], tol)
 
 
-# kind -> (number of curves, stacked construction from the curves' values at each point);
+# kind -> (its curves' labels, stacked construction from the curves' values at each point):
+# the one list of derivative kinds, read by finite_difference_check and the derivcheck CLI;
 # each looks its stack up at call time, so a rebound name is the one called
-_CONSTRUCTIONS = {
-    "bc": (3, lambda points, tol: bc_inverse_stack(points, tol)),
-    "mp": (1, lambda points, tol: moore_penrose_stack([a for (a,) in points], tol)),
-    "oip": (3, _oip_stack),
+KINDS = {
+    "bc": ("abc", lambda points, tol: bc_inverse_stack(points, tol)),
+    "mp": ("a", lambda points, tol: moore_penrose_stack([a for (a,) in points], tol)),
+    "oip": ("ats", _oip_stack),
 }
 
 
@@ -189,11 +190,11 @@ def finite_difference_check(
     ExistenceError; a refused certificate raises its CertificateError as it is,
     and so does a formula derivative that overflows.
     """
-    if kind not in _CONSTRUCTIONS:
+    if kind not in KINDS:
         raise InputError(f"unknown kind {kind!r}")
-    expected, construct = _CONSTRUCTIONS[kind]
-    if len(curves) != expected:
-        raise InputError(f"kind {kind!r} takes {expected} curve(s), got {len(curves)}")
+    labels, construct = KINDS[kind]
+    if len(curves) != len(labels):
+        raise InputError(f"kind {kind!r} takes {len(labels)} curve(s), got {len(curves)}")
     steps = tol.fd_step_sweep
     points = [t0, *(t for h in steps for t in (t0 + h, t0 - h))]
     if not all(c.domain[0] < min(points) and max(points) < c.domain[1] for c in curves):

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import diagnostics, families, kernel
-from .calculus import CayleyQuadratic, MatrixCurve, finite_difference_check
+from .calculus import KINDS, CayleyQuadratic, MatrixCurve, finite_difference_check
 from .errors import ExistenceError, GenInvError, InputError
 from .inverses import (
     InverseCertificate,
@@ -119,7 +119,8 @@ def _perturb(args, tol, a, b, c, e) -> dict:
 
 
 def _derivcheck(args, tol, *mats) -> dict:
-    arity = 2 if args.kind == "mp" else 6
+    labels = KINDS[args.kind][0]  # for oip the trailing pairs span the range and null space
+    arity = 2 * len(labels)
     if len(mats) != arity:
         raise InputError(f"derivcheck takes {arity} input file(s), got {len(mats)}")
     for k in range(0, arity, 2):
@@ -128,9 +129,6 @@ def _derivcheck(args, tol, *mats) -> dict:
                 "derivcheck base %s is %dx%d but its direction %s is %dx%d"
                 % (args.inputs[k], *mats[k].shape, args.inputs[k + 1], *mats[k + 1].shape)
             )
-
-    # for oip the trailing pairs are spanning curves of the range and the null space
-    labels = "ats" if args.kind == "oip" else "abc"
     domain = (args.t0 - 1.0, args.t0 + 1.0)
     curves = [MatrixCurve(CayleyQuadratic(base, step), domain, label)
               for base, step, label in zip(mats[::2], mats[1::2], labels)]
@@ -229,10 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
         "derivcheck",
         _derivcheck,
         "finite-difference derivative check",
-        "mp: A0 A1; bc: A0 A1 B0 B1 C0 C1; oip: A0 A1 T0 T1 S0 S1 (base + direction)",
+        "; ".join(f"{kind}: " + " ".join(f"{x.upper()}{i}" for x in labels for i in "01")
+                  for kind, (labels, _) in KINDS.items()) + " (base + direction)",
         nargs="+",
     )
-    p.add_argument("--kind", choices=("bc", "mp", "oip"), default="mp")
+    p.add_argument("--kind", choices=tuple(KINDS), default="mp")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--steps", help="comma list of FD steps")
     p = command(

@@ -113,10 +113,10 @@ def _relabeled(results: list, message: str, clause=lambda old: old) -> list:
 def _certificates(kind, x, defects, scales, tol, core_sigma, f, sb, fields, exact=None,
                   refused=None) -> list:
     """Slice i's certificate as ``kind`` (fields[i]: its operator, T, S, ||x||, memo), the
-    CertificateError refusing it, or refused[i]. Norms are batched (``kernel.frobenius_norms``):
-    a slice whose defects' norms lie in (1e-150, inf) within budget at scales[i] (at a lower
-    bound on ||a|| if exact(i) gives the exact ones) is accepted at them, the others take
-    ``_certify``. For x = F core^-1 H (f, sb stack F, S), ||core|| times ||(I - FF*) x|| or
+    CertificateError refusing it, or refused[i]. Norms are batched (``kernel.frobenius_norms``)
+    and each slice is judged by ``_certify`` at scales[i] (at a lower bound on ||a|| if exact(i)
+    gives the exact ones), which keeps norms in range and within budget as they are and takes
+    nothing more for them. For x = F core^-1 H (f, sb stack F, S), ||core|| times ||(I - FF*) x|| or
     ||x S||, plus 2 dim eps ||x||_F for rounding, bounds gap(R(x), T) or gap(N(x), S); past the
     rank cutoff the gap is 1, and 0 where T is the domain or S = {0}."""
     (n, m), refused, gaps = x.shape[1:], refused or {}, [(0.0, 0.0)] * len(x)
@@ -131,9 +131,7 @@ def _certificates(kind, x, defects, scales, tol, core_sigma, f, sb, fields, exac
 
     def judged(i: int, norms: tuple, scale: tuple, field: tuple):
         try:
-            residuals = dict(zip(defects, norms)) if all(
-                1e-150 < v < math.inf and v <= tol.residual_tol * s for v, s in zip(norms, scale)
-            ) else _certify({name: (defects[name][i], s, v) for name, s, v in zip(
+            residuals = _certify({name: (defects[name][i], s, v) for name, s, v in zip(
                 defects, scale, norms)}, tol, kind, exact and (lambda: exact(i)))
         except CertificateError as exc:
             return exc
@@ -335,16 +333,19 @@ def bc_inverse_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     copies are not merged) factored once, by ``range_and_null_spaces``, its R(b), N(c) and norm
     shared by every problem using it; then stacked as ``_stacked`` groups them. Entry i is
     problem i's certificate or the ExistenceError that refuses it."""
-    probs = [_bc_operands(*p) for p in problems]
+    probs = [_bc_operands(*p, index=i) for i, p in enumerate(problems)]
     operands = list({id(m): m for p in probs for m in p[1:]}.values())
     spans = dict(zip(map(id, operands), range_and_null_spaces(operands, tol)))
     return _relabeled(_stacked([(a, spans[id(b)][0], spans[id(c)][1], b, c, spans[id(b)][2],
                                  spans[id(c)][2]) for a, b, c in probs], tol, "bc"), _NO_BC)
 
 
-def _bc_operands(a, b, c) -> tuple:
-    """(a, b, c) through ``as_matrix``; an InputError unless square and of one size."""
-    b, c, a = (as_matrix(m) for m in (b, c, a))
+def _bc_operands(*abc, index: int = 0) -> tuple:
+    """(a, b, c) through ``as_matrix``; an InputError unless three matrices, square and of one
+    size, naming the problem's ``index`` in its stack where it is not three."""
+    if len(abc) != 3:
+        raise InputError(f"problem {index} holds {len(abc)} matrices, not the 3 of (a, b, c)")
+    b, c, a = (as_matrix(abc[j]) for j in (1, 2, 0))
     if a.shape[0] != a.shape[1] or a.shape != b.shape or a.shape != c.shape:
         raise InputError("bc_inverse needs square a, b, c of equal size")
     return a, b, c

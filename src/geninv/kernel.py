@@ -156,13 +156,12 @@ def singular_values(a) -> np.ndarray:
 def numerical_rank(sigma, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarray:
     """Count singular values above ``rank_rel_tol * sigma_max``; 0 for sigma_max = 0.
 
-    ``sigma`` is one nonincreasing row (an int is returned) or a stack of rows (one each).
+    ``sigma`` is one nonincreasing row (an int is returned) or a stack of rows (one each), each
+    counted by the one expression, against its own first entry.
     """
     s = np.asarray(sigma, dtype=float)
-    if s.ndim > 1:
-        return (s > tol.rank_rel_tol * s[:, :1]).sum(axis=-1)
-    above = s > tol.rank_rel_tol * (s[0] if s.size else 0.0)
-    return int(np.count_nonzero(above))
+    ranks = (s > tol.rank_rel_tol * s[..., :1]).sum(axis=-1)
+    return int(ranks) if s.ndim == 1 else ranks
 
 
 def sigma_max(sigma) -> float:

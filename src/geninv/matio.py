@@ -108,17 +108,10 @@ def serialize_matrix(a) -> str:
     a = np.asarray(a)
     if a.ndim != 2 or 0 in a.shape:
         raise InputError("only nonempty 2-d matrices can be serialized")
-    complex_ = np.iscomplexobj(a)
-    field = "complex" if complex_ else "real"
+    field = "complex" if np.iscomplexobj(a) else "real"
+    body = np.stack([a.real, a.imag], axis=-1).reshape(len(a), -1) if field == "complex" else a
     out = StringIO()
-    out.write(f"{a.shape[0]} {a.shape[1]} {field}\n")
-    for row in a:
-        if complex_:
-            tokens = [f"{v.real:.17g} {v.imag:.17g}" for v in row]
-        else:
-            tokens = [f"{float(v):.17g}" for v in row]
-        out.write(" ".join(tokens))
-        out.write("\n")
+    np.savetxt(out, body, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]} {field}", comments="")
     return out.getvalue()
 
 

@@ -204,8 +204,8 @@ def gap_sampling_oracle(m: Subspace, n: Subspace, trials: int, seed: int) -> flo
     """
     if m.ambient_dim != n.ambient_dim:
         raise InputError("ambient dimensions differ")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise InputError(f"trials must be >= 1 and an integer, got {trials!r}")
     if m.is_trivial:
         return 0.0
     rng = np.random.default_rng(seed)

@@ -1,12 +1,14 @@
 """Record every outcome of the op pools from one source tree, and diff two records.
 
     python tests/replay.py record TREE OUT.jsonl [--seeds 0 1 2] [--pools certify cli ...]
+                                                 [--every K]
     python tests/replay.py diff A.jsonl B.jsonl
 
 ``record`` imports ``geninv`` from TREE/src and the pools from TREE/bench, runs each op of
-the certify, drivers and cli pools and of this file's curves pool (or those ``--pools``
-names) once per seed, and writes one JSON line per op: its case id, its outcome and the
-verdict of its own oracle check. An outcome is written field by field: certificates with
+the certify, drivers and cli pools and of this file's curves and grid pools (or those
+``--pools`` names; with ``--every K`` only every K-th op of each) once per seed, and writes
+one JSON line per op: its case id, its outcome, the verdict of its own oracle check and any
+warning that reached the caller. An outcome is written field by field: certificates with
 their lazily read numbers, reports with their records and verdicts, errors with their type,
 message, clause and margin, and CLI requests as the exit code and the SHA-256 of the report
 bytes. Floats are written as ``float.hex`` and arrays as the SHA-256 of their shape, dtype
@@ -28,11 +30,12 @@ import math
 import struct
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-POOLS = ("certify", "drivers", "cli", "curves")
+POOLS = ("certify", "drivers", "cli", "curves", "grid")
 
 
 def digest(value):
@@ -125,24 +128,103 @@ def _affine_files(families, rng, kind: str, cx: bool) -> dict:
             "s1": move(s.basis)}
 
 
-def record(tree: Path, out: Path, seeds, pools=POOLS) -> int:
+# the grid's sweep: 10^k scales of the operator and rank_rel_tol values
+GRID_EXPONENTS = (0, 3, -3, 6, -6, 150, -150, -308, -309, -320)
+GRID_RANK_TOLS = (1e-10, 0.0, 1e-3, 0.2, 0.45, 0.9)
+
+
+def grid_pool(seed: int, workdir: Path) -> list:
+    """6 x 6 constructions of every kind (moore_penrose, outer_prescribed, bc_inverse,
+    inverse_along, bott_duffin, oblique_projector, reflexive_inverse) at each of
+    ``GRID_EXPONENTS``' scales 10^k of the operator and each of ``GRID_RANK_TOLS``, real and
+    complex, on three operators each: a plain one, one that kills a vector of the prescribed
+    range T and one that shrinks it to 1e-9 (Moore-Penrose: a singular value set to 0 and to
+    1e-9 sigma_1; the projector: a T and an S at angle 0 and 1e-9, at scale 1 only, as it has
+    no operator). The bench pools reach none of: subnormal and overflowing defects, residuals
+    judged at the exact ||a||, reflexive_inverse's rank. An outcome other than a result, an
+    ExistenceError (a CertificateError is one) or an InputError fails the case's check."""
+    import geninv as gi
+    from bench.workloads import Op
+
+    def expected(outcome):
+        if isinstance(outcome, BaseException) and not isinstance(
+                outcome, (gi.ExistenceError, gi.InputError)):
+            return f"{type(outcome).__name__}: {outcome}"
+        return None
+
+    rng, ops = np.random.default_rng(seed), []
+    for cx in (False, True):
+        for name, call in _grid_cases(rng, cx).items():
+            for k in (0,) if name.startswith("oblique_projector") else GRID_EXPONENTS:
+                for rank_tol in GRID_RANK_TOLS:
+                    tol = gi.ToleranceConfig(rank_rel_tol=rank_tol)
+                    ops.append(Op(f"grid/{name}/k={k}/rank_tol={rank_tol}", 6,
+                                  functools.partial(call, 10.0 ** k, tol), expected))
+    return ops
+
+
+def _grid_cases(rng, cx: bool) -> dict:
+    """kind/variant/field -> call(scale, tol) of one field's grid instances."""
+    import geninv as gi
+    from geninv import families
+
+    a, t, s = families.random_outer_instance(rng, 6, 6, 3, cx)
+    b = t.basis @ families.random_matrix(rng, 3, 6, cx)  # R(b) = T and N(c) = S
+    c = families.random_matrix(rng, 6, 3, cx) @ gi.orthogonal_complement(s).basis.conj().T
+    p, q = gi.oblique_projector(t, s), gi.oblique_projector(gi.column_space(a @ t.basis), s)
+    f = families.random_rank_matrix(rng, 6, 6, 3, cx)
+    n_space, m_space = (families.random_subspace(rng, 6, 3, cx) for _ in range(2))
+    u, sigma, vh = np.linalg.svd(a)
+    t0, n0 = t.basis[:, :1], n_space.basis[:, :1]  # the unit vectors shrunk
+    w = s.basis[:, :1] - t.basis @ (t.basis.conj().T @ s.basis[:, :1])
+    w /= np.linalg.norm(w)  # orthogonal to T: t0 turned towards w leaves T at that angle
+    cases = {}
+    for variant, shrink in (("plain", 1.0), ("kills", 0.0), ("nearly", 1e-9)):
+        name = f"{variant}/{'c' if cx else 'r'}"
+        at_t, f_n = ((m - (1.0 - shrink) * (m @ v) @ v.conj().T) for m, v in ((a, t0), (f, n0)))
+        mp_a = a if shrink == 1 else (u * np.append(sigma[:-1], shrink * sigma[0])) @ vh
+        s_meet = s if shrink == 1 else gi.Subspace(6, np.linalg.qr(np.hstack(
+            [np.cos(shrink) * t0 + np.sin(shrink) * w, s.basis[:, 1:]]))[0])  # angle = shrink
+        cases.update({
+            f"moore_penrose/{name}": _scaled(gi.moore_penrose, mp_a),
+            f"outer_prescribed/{name}": _scaled(gi.outer_prescribed, at_t, t, s),
+            f"bc_inverse/{name}": _scaled(gi.bc_inverse, at_t, b, c),
+            f"inverse_along/{name}": _scaled(gi.inverse_along, at_t, b),
+            f"bott_duffin/{name}": _scaled(gi.bott_duffin, at_t, p, q),
+            f"reflexive_inverse/{name}": _scaled(gi.reflexive_inverse, f_n, n_space, m_space),
+            f"oblique_projector/{name}": lambda scale, tol, s_meet=s_meet: gi.oblique_projector(
+                t, s_meet, tol)})
+    return cases
+
+
+def _scaled(construct, a, *operands):
+    """construct(scale * a, *operands, tol) as a call of (scale, tol)."""
+    return lambda scale, tol: construct(scale * a, *operands, tol)
+
+
+def record(tree: Path, out: Path, seeds, pools=POOLS, every: int = 1) -> int:
     sys.path[:0] = [str(tree / "src"), str(tree)]
     from bench.workloads import POOLS as BENCH_POOLS
 
-    builders = {**BENCH_POOLS, "curves": curves_pool}
+    builders = {**BENCH_POOLS, "curves": curves_pool, "grid": grid_pool}
 
     lines = 0
     with open(out, "w") as handle, tempfile.TemporaryDirectory() as workdir:
         for pool in pools:
             for seed in seeds:
                 ops = builders[pool](seed, Path(workdir) / f"{pool}{seed}")
-                for k, op in enumerate(ops):
-                    try:
-                        outcome = op.call()
-                    except Exception as exc:  # the outcome is the error raised
-                        outcome = exc
+                for k, op in list(enumerate(ops))[::every]:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        try:
+                            outcome = op.call()
+                        except Exception as exc:  # the outcome is the error raised
+                            outcome = exc
                     line = {"case": f"{pool}/{seed}/{k}/{op.label}", "outcome": digest(outcome),
                             "check": op.check(outcome)}
+                    if caught:  # a warning that reached the caller
+                        line["warnings"] = sorted({f"{w.category.__name__}: {w.message}"
+                                                   for w in caught})
                     request = getattr(op.call, "__self__", None)  # a CLI request: its report
                     if request is not None:
                         line["report"] = hashlib.sha256(request.out.read_bytes()).hexdigest()
@@ -216,12 +298,14 @@ def main(argv=None) -> int:
     rec.add_argument("out", type=Path)
     rec.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     rec.add_argument("--pools", nargs="+", choices=POOLS, default=list(POOLS))
+    rec.add_argument("--every", type=int, default=1,
+                     help="record only every EVERY-th case of each pool and seed (a slice)")
     dif = sub.add_parser("diff")
     dif.add_argument("first", type=Path)
     dif.add_argument("second", type=Path)
     args = parser.parse_args(argv)
     if args.command == "record":
-        return record(args.tree.resolve(), args.out, args.seeds, args.pools)
+        return record(args.tree.resolve(), args.out, args.seeds, args.pools, args.every)
     return diff(args.first, args.second)
 
 

@@ -40,6 +40,12 @@ CASES = {
         lambda: gi.zero_limit_check(bc_inverse_stack([(EYE2, EYE2, EYE2), (0 * EYE2, EYE2, EYE2)])),
         "entry 2 is not a certificate: ExistenceError('(B,C)-inverse does not exist: "
         "restriction not injective')"),
+    "bc stack entry of two matrices": (
+        lambda: bc_inverse_stack([(EYE2, EYE2, EYE2), (EYE2, EYE2)]),
+        "problem 1 holds 2 matrices, not the 3 of (a, b, c)"),
+    "sequence index of two matrices": (
+        lambda: gi.sequence_report((EYE2, EYE2, EYE2), [(EYE2, EYE2)]),
+        "problem 1 holds 2 matrices, not the 3 of (a, b, c)"),
     "perturbation bound of a NaN": (
         lambda: gi.perturbation_bound(1.0, 0.0, 0.0, np.nan, 1.0),
         "bound inputs must be nonnegative and finite"),
@@ -89,6 +95,9 @@ CASES = {
         lambda: gi.gap_sampling_oracle(LINE2, LINE3, 10, 0), "ambient dimensions differ"),
     "oracle without trials": (
         lambda: gi.gap_sampling_oracle(LINE2, LINE2, 0, 0), "trials must be >= 1"),
+    "oracle with a fractional trial count": (
+        lambda: gi.gap_sampling_oracle(LINE2, LINE2, 1.5, 0),
+        "trials must be >= 1 and an integer, got 1.5"),
     "projector from a non-square matrix": (
         lambda: gi.ObliqueProjector.from_matrix(np.ones((2, 3))),
         "projector matrix must be square"),

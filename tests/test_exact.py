@@ -1,6 +1,7 @@
-"""bc_inverse and moore_penrose against the exact rational oracle of ``exact.py``, on small
-integer instances: every existence decision the rounding cannot blur, and every inverse. And
-the derivative of a (b, c)-inverse curve against its exact value on a rational curve."""
+"""bc_inverse, outer_prescribed, inverse_along, bott_duffin and moore_penrose against the exact
+rational oracle of ``exact.py``, on small integer instances: every existence decision the
+rounding cannot blur, and every inverse. And the derivative of a (b, c)-inverse curve against
+its exact value on a rational curve."""
 
 from fractions import Fraction
 
@@ -39,13 +40,11 @@ def _relative_error(got, want) -> float:
     return np.linalg.norm(got - want) / scale if scale else np.linalg.norm(got)
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data(), n=st.integers(1, 5))
-def test_bc_inverse_and_moore_penrose_match_the_exact_oracle(data, n):
-    a, b, c = (data.draw(integer_matrices(n)).astype(float) for _ in range(3))
-    want = exact.bc_inverse(a, b, c)
+def _agrees(construct, a, want) -> None:
+    """construct() refuses where the exact inverse ``want`` is None, exists wherever its exact
+    1 / kappa is at least 10 rank_rel_tol, and matches it within 1e-8 relative where it exists."""
     try:
-        got = gi.bc_inverse(a, b, c).inverse
+        got = construct().inverse
     except ExistenceError:
         got = None
     if want is None:  # G A F is exactly singular or not square: the inverse does not exist
@@ -56,8 +55,47 @@ def test_bc_inverse_and_moore_penrose_match_the_exact_oracle(data, n):
             assert got is not None
         if got is not None:
             assert _relative_error(got, want) <= 1e-8
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_bc_inverse_and_moore_penrose_match_the_exact_oracle(data, n):
+    a, b, c = (data.draw(integer_matrices(n)).astype(float) for _ in range(3))
+    _agrees(lambda: gi.bc_inverse(a, b, c), a, exact.bc_inverse(a, b, c))
     pinv = exact.moore_penrose(a).astype(float)
     assert _relative_error(gi.moore_penrose(a).inverse, pinv) <= 1e-8
+
+
+def _drawn(data, rows: int, cols: int) -> np.ndarray:
+    """A drawn rows x cols integer matrix with entries in [-2, 2], exact."""
+    entries = data.draw(st.lists(st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols))
+    return exact.exact(np.array(entries, dtype=int).reshape(rows, cols))
+
+
+def _idempotent(f, g):
+    """The rational idempotent F (G F)^-1 G, range R(F) and null space N(G), or None where G F
+    is singular."""
+    core_inverse = exact.inverse(g @ f)
+    return None if core_inverse is None else f @ core_inverse @ g
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_outer_along_and_bott_duffin_match_the_exact_oracle(data, n):
+    # the paper's characterizations: A^(2)_{R(b),N(c)} is the (b, c)-inverse, the inverse along
+    # d is the (d, d)-inverse, and the Bott-Duffin (p, q)-inverse is A^(2)_{R(p),N(q)}
+    a, b, c = (data.draw(integer_matrices(n)).astype(float) for _ in range(3))
+    want = exact.bc_inverse(a, b, c)
+    _agrees(lambda: gi.outer_prescribed(a, gi.column_space(b), gi.null_space(c)), a, want)
+    _agrees(lambda: gi.inverse_along(a, b), a, exact.bc_inverse(a, b, b))
+    # oblique idempotents with R(p) = R(b) and N(q) = N(c), from drawn integer factors (the
+    # orthogonal projector's where the drawn core is singular)
+    f, g = exact.independent_columns(b), exact.independent_rows(c)
+    left, right = (_drawn(data, rows, cols) for rows, cols in ((f.shape[1], n), (n, len(g))))
+    p, q = _idempotent(f, left), _idempotent(right, g)
+    p, q = (_idempotent(f, f.T) if p is None else p), (_idempotent(g.T, g) if q is None else q)
+    p, q = (gi.ObliqueProjector.from_matrix(m.astype(float)) for m in (p, q))
+    _agrees(lambda: gi.bott_duffin(a, p, q), a, want)
 
 
 def test_the_oracle_decides_rank_and_existence_exactly():

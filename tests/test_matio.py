@@ -89,6 +89,52 @@ def test_roundtrip_keeps_every_bit(complex_):
     assert np.array_equal(_bits(again), _bits(a))
 
 
+def reference_serialize(a) -> str:
+    """The writer as it was before numpy wrote it: every entry through its own f-string."""
+    a = np.asarray(a)
+    complex_ = np.iscomplexobj(a)
+    lines = [f"{a.shape[0]} {a.shape[1]} {'complex' if complex_ else 'real'}"]
+    for row in a:
+        if complex_:
+            lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
+        else:
+            lines.append(" ".join(f"{float(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.0 / 3.0, -1.0]
+
+
+def _random_entries(rng, shape):
+    """Floats across the whole range, about a third of them special: signed zeros,
+    subnormals, +-1e300."""
+    scaled = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+    return np.where(rng.random(shape) < 0.3, rng.choice(SPECIAL_ENTRIES, size=shape), scaled)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64,
+                                   np.int64, np.int8, np.bool_])
+def test_serialize_matches_the_per_entry_reference_byte_for_byte(dtype):
+    # numpy's writer against the f-string per entry it replaced, on random shapes; a float32
+    # +-1e300 is +-inf, which both write as "inf"
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        shape = tuple(rng.integers(1, 7, size=2).tolist())
+        if dtype is np.bool_:
+            a = rng.random(shape) < 0.5
+        elif np.dtype(dtype).kind == "i":
+            info = np.iinfo(dtype)
+            a = rng.integers(max(info.min, -(10**15)), min(info.max, 10**15), size=shape,
+                             dtype=dtype, endpoint=True)
+        else:
+            a = _random_entries(rng, shape)
+            a = a + 1j * _random_entries(rng, shape) if np.dtype(dtype).kind == "c" else a
+            with np.errstate(over="ignore"):
+                a = a.astype(dtype)
+        assert serialize_matrix(a) == reference_serialize(a)
+        assert serialize_matrix(np.asfortranarray(a)) == reference_serialize(a)
+
+
 def test_roundtrip_through_file(tmp_path):
     a = np.array([[1.0 / 3.0, -2.0 ** -52], [1e300, -0.0]])
     path = tmp_path / "m.mat"

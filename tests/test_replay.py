@@ -75,3 +75,22 @@ def test_the_curves_pool_records_every_derivative_check_passing(tmp_path):
     assert len(lines) == 24 and all(line["check"] is None for line in lines)
     assert {line["case"].split("/")[3] for line in lines} == {"derivative", "derivcheck"}
     assert {line["outcome"] for line in lines if "report" in line} == {0}
+
+
+def test_a_grid_slice_replays_identically_and_only_as_results_or_refusals(tmp_path, capsys):
+    # every 19th case of the grid (each kind at 10^k scales down to subnormal, at rank
+    # tolerances up to 0.9), in two fresh processes: the same bits, and each outcome a result,
+    # an ExistenceError or an InputError, with no warning reaching the caller
+    tree, script = Path(replay.__file__).resolve().parents[1], replay.__file__
+    outs = [tmp_path / f"{k}.jsonl" for k in (0, 1)]
+    runs = [subprocess.Popen([sys.executable, script, "record", str(tree), str(out), "--pools",
+                              "grid", "--seeds", "0", "--every", "19"], stdout=subprocess.DEVNULL)
+            for out in outs]
+    assert [run.wait(timeout=60) for run in runs] == [0, 0]
+    assert replay.diff(*outs) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 of 116 cases moved"]
+    lines = [json.loads(line) for line in outs[0].read_text().splitlines()]
+    assert all(line["check"] is None and "warnings" not in line for line in lines)
+    kinds = {line["case"].split("/")[4] for line in lines}
+    assert kinds == {"moore_penrose", "outer_prescribed", "bc_inverse", "inverse_along",
+                     "bott_duffin", "oblique_projector", "reflexive_inverse"}
