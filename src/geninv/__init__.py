@@ -9,7 +9,6 @@ continuity and differentiation laws.
 from .calculus import (
     DerivativeReport,
     MatrixCurve,
-    difference_identity_residual,
     finite_difference_check,
     outer_derivative,
 )
@@ -17,7 +16,6 @@ from .diagnostics import (
     SequenceDiagnostics,
     converged_by_final_index,
     mp_continuity_report,
-    mp_gap_terms,
     sequence_report,
     zero_limit_check,
 )
@@ -33,12 +31,10 @@ from .inverses import (
     bc_inverse,
     bott_duffin,
     inverse_along,
-    left_regular,
     moore_penrose,
     oblique_projector,
     outer_prescribed,
     reflexive_inverse,
-    right_regular,
 )
 from .kernel import (
     DEFAULT_TOL,

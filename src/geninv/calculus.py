@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import CertificateError, ExistenceError, InputError
 from .inverses import bc_inverse_stack, moore_penrose_stack, outer_prescribed_stack
-from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, cayley, spectral_norm, stack_norms
-from .subspace import ObliqueProjector, column_spaces
+from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, cayley, stack_norms
+from .subspace import column_spaces
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,40 +95,14 @@ def outer_derivative(x, a, a_prime, range_prime, null_prime) -> np.ndarray:
     for name, (operand, shape) in shapes.items():
         if operand.shape != shape:
             raise InputError(f"{name} has shape {operand.shape}, expected {shape}")
-    return _sandwich(x, a, x, a, -null_prime, range_prime, a_prime)
+    return _sandwich(x, a, -null_prime, range_prime, a_prime)
 
 
-def _sandwich(xl, al, xr, ar, left, right, delta) -> np.ndarray:
-    """``xl L (I - ar xr) + (I - xl al) R xr - xl delta xr``: the derivative of x at xl = xr = x,
-    al = ar = a, delta = a', and exactly y - x for outer inverses y of b and x of a at xl = y,
-    al = b, xr = x, ar = a, delta = b - a."""
-    m, n = ar.shape
-    return xl @ left @ (np.eye(m) - ar @ xr) + (np.eye(n) - xl @ al) @ right @ xr - xl @ delta @ xr
-
-
-def difference_identity_residual(
-    a,
-    b,
-    a_inv,
-    b_inv,
-    pt: ObliqueProjector,
-    pv: ObliqueProjector,
-    ps: ObliqueProjector,
-    pu: ObliqueProjector,
-) -> float:
-    """Residual of the exact identity expanding the difference of two outer inverses.
-
-    a_inv and b_inv are prescribed-subspace outer inverses of a and b; the
-    projectors have ranges equal to the four prescribed subspaces (T, V in the
-    domain; S, U in the codomain). The identity is algebraic, so the residual
-    must sit at rounding level.
-    """
-    a, b, a_inv, b_inv = map(as_matrix, (a, b, a_inv, b_inv))
+def _sandwich(x, a, left, right, delta) -> np.ndarray:
+    """``x L (I - a x) + (I - x a) R x - x delta x``: the derivative of x at L = -(P_S)',
+    R = (P_T)' and delta = a'."""
     m, n = a.shape
-    if b.shape != (m, n) or a_inv.shape != (n, m) or b_inv.shape != (n, m):
-        raise InputError("operand shapes are inconsistent")
-    rhs = _sandwich(b_inv, b, a_inv, a, ps.matrix - pu.matrix, pv.matrix - pt.matrix, b - a)
-    return spectral_norm((b_inv - a_inv) - rhs)
+    return x @ left @ (np.eye(m) - a @ x) + (np.eye(n) - x @ a) @ right @ x - x @ delta @ x
 
 
 def _fit_order(steps: Sequence[float], errors: Sequence[float]) -> float:
@@ -226,7 +200,7 @@ def finite_difference_check(
 
     # every inverse here has L = -(P_S)' and R = (P_T)' in the shared sandwich
     x, a = base.inverse, base.operator
-    deriv = _sandwich(x, a, x, a, -prime(lambda cert: cert.prescribed_nullspace.projector()),
+    deriv = _sandwich(x, a, -prime(lambda cert: cert.prescribed_nullspace.projector()),
                       prime(lambda cert: cert.prescribed_range.projector()),
                       prime(lambda cert: cert.operator))
     if not np.isfinite(deriv).all():

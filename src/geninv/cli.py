@@ -9,7 +9,7 @@ number is written as null. Every report, error reports included, goes where
 input error). Usage errors found by argparse (a wrong number of files, an
 unknown option or choice) exit 1 with no JSON.
 ``seqcheck --indices`` must be at least 1. Only gap and seqcheck take ``--seed``
-(else $GENINV_SEED, else 0), and only derivcheck takes ``--steps``.
+(default 0), and only derivcheck takes ``--steps``.
 
 Each subcommand is one subparser carrying its handler; a handler takes the
 parsed arguments, the tolerances and the parsed matrices and returns its own
@@ -22,7 +22,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -183,12 +182,6 @@ def _render(args, body: dict) -> str:
 def _respond(args) -> tuple[str, int]:
     """The rendered report and exit code of one parsed request."""
     try:
-        if "seed" in args and args.seed is None:
-            seed = os.environ.get("GENINV_SEED", "0")
-            try:
-                args.seed = int(seed)
-            except ValueError:
-                raise InputError(f"$GENINV_SEED must be an integer, got {seed!r}") from None
         tol = _tolerances(args)
         return _render(args, args.handler(args, tol, *map(parse_matrix, args.inputs))), 0
     except ExistenceError as exc:
@@ -221,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("bottduffin", _bottduffin, "(P,Q)-inverse of A for idempotents P, Q", "A P Q")
     p = command("gap", _gap, "gap between span(M) and span(N)", "M N")
     p.add_argument("--trials", type=int, default=0, help="sampling-oracle trials")
-    p.add_argument("--seed", type=int, help="RNG seed (default: $GENINV_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     command("perturb", _perturb, "closed-form perturbed inverse of A+E", "A B C E")
     p = command(
         "derivcheck",
@@ -240,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--family", choices=("additive", "rotating", "rankdrop"), default="additive")
     p.add_argument("--indices", type=int, default=50, help="sequence length, at least 1")
-    p.add_argument("--seed", type=int, help="RNG seed (default: $GENINV_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     return parser
 
 

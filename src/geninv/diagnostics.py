@@ -28,7 +28,7 @@ from . import kernel
 from .errors import ExistenceError, InputError
 from .inverses import InverseCertificate, bc_inverse_stack, moore_penrose_stack
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
-from .subspace import column_spaces, deviations, gap
+from .subspace import deviations
 
 
 # verdict -> the records whose convergence it asserts; one prefix's verdicts are equivalent
@@ -102,26 +102,6 @@ def converged_by_final_index(
     tail = vals[-max(2, len(vals) // 3):]
     slack = 1e-12 * max(1.0, scale)
     return all(b <= 1.05 * a + slack for a, b in zip(tail, tail[1:]))
-
-
-def mp_gap_terms(b, bn, tol: ToleranceConfig = DEFAULT_TOL):
-    """Projector-difference norms expressing subspace gaps through b b^+.
-
-    Returns (range_terms, cokernel_terms): range_terms are
-    ``(||(1 - b b^+) bn bn^+||, ||(1 - bn bn^+) b b^+||)`` and measure the gap
-    between the column spaces; cokernel_terms are the complementary products
-    ``(||b b^+ (1 - bn bn^+)||, ||bn bn^+ (1 - b b^+)||)`` and measure the gap
-    between the row-annihilator spaces. b b^+ is the orthogonal projector onto
-    the column space of b, so the range terms are the one-sided deviations
-    ``(delta(R(bn), R(b)), delta(R(b), R(bn)))`` and the cokernel terms, their
-    adjoints, are the same pair swapped; both are read off one ``gap``.
-    """
-    b = as_matrix(b)
-    bn = as_matrix(bn)
-    if b.shape != bn.shape or b.shape[0] != b.shape[1]:
-        raise InputError("mp_gap_terms needs square matrices of equal size")
-    d_nb, d_bn, _ = gap(*column_spaces([bn, b], tol))
-    return (d_nb, d_bn), (d_bn, d_nb)
 
 
 def zero_limit_check(certificates) -> tuple[bool, int | None]:

@@ -354,6 +354,7 @@ def _bc_operands(*abc, index: int = 0) -> tuple:
 _NO_BC = "(B,C)-inverse does not exist: {}"
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def bott_duffin(
     a, p: ObliqueProjector, q: ObliqueProjector, tol: ToleranceConfig = DEFAULT_TOL
 ) -> InverseCertificate:
@@ -402,19 +403,3 @@ def reflexive_inverse(
     def clause(old: str) -> str:  # N(F) (+) N fails where f is not injective on N
         return domain if old == "restriction not injective" else "R(F) (+) M != Y"
     return _one(_relabeled(results, "complement fails: {clause}", clause)).inverse
-
-
-def left_regular(a, k: int) -> np.ndarray:
-    """Matrix of x -> a x on k x k matrices under column-stacking vectorization."""
-    a = as_matrix(a)
-    if a.shape != (k, k):
-        raise InputError(f"expected a {k}x{k} matrix, got {a.shape}")
-    return np.kron(np.eye(k), a)
-
-
-def right_regular(a, k: int) -> np.ndarray:
-    """Matrix of x -> x a on k x k matrices under column-stacking vectorization."""
-    a = as_matrix(a)
-    if a.shape != (k, k):
-        raise InputError(f"expected a {k}x{k} matrix, got {a.shape}")
-    return np.kron(a.T, np.eye(k))

@@ -86,7 +86,9 @@ def outer_instance_at_angles(rng, m, n, r, complex_=False, rank=None, min_angle=
 
 
 def _mp_gap_terms_oracle(b, bn, tol):
-    """mp_gap_terms with b b^+ formed from certified Moore-Penrose inverses."""
+    """The range terms (||(1 - b b^+) bn bn^+||, ||(1 - bn bn^+) b b^+||) and the cokernel terms
+    (||b b^+ (1 - bn bn^+)||, ||bn bn^+ (1 - b b^+)||), b b^+ from certified Moore-Penrose
+    inverses."""
     eye = np.eye(b.shape[0])
     p = b @ gi.moore_penrose(b, tol).inverse
     pn = bn @ gi.moore_penrose(bn, tol).inverse
@@ -94,6 +96,24 @@ def _mp_gap_terms_oracle(b, bn, tol):
         (gi.spectral_norm((eye - p) @ pn), gi.spectral_norm((eye - pn) @ p)),
         (gi.spectral_norm(p @ (eye - pn)), gi.spectral_norm(pn @ (eye - p))),
     )
+
+
+def left_lift(m):
+    """Matrix of x -> m x on square matrices under column-stacking vectorization."""
+    return np.kron(np.eye(len(m)), m)
+
+
+def right_lift(m):
+    """Matrix of x -> x m on square matrices under column-stacking vectorization."""
+    return np.kron(m.T, np.eye(len(m)))
+
+
+def difference_identity_residual(a, b, x, y, pt, pv, ps, pu):
+    """||(y - x) - rhs||, rhs = y (P_S - P_U)(I - a x) + (I - y b)(P_V - P_T) x - y (b - a) x, for
+    outer inverses x of a (range T, null space S) and y of b (range V, null space U)."""
+    (m, n), left, right = a.shape, ps.matrix - pu.matrix, pv.matrix - pt.matrix
+    rhs = y @ left @ (np.eye(m) - a @ x) + (np.eye(n) - y @ b) @ right @ x - y @ (b - a) @ x
+    return gi.spectral_norm((y - x) - rhs)
 
 
 def verdicts_oracle(cols, tol, err_scale):

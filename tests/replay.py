@@ -6,20 +6,29 @@
 
 ``record`` imports ``geninv`` from TREE/src and the pools from TREE/bench, runs each op of
 the certify, drivers and cli pools and of this file's curves and grid pools (or those
-``--pools`` names; with ``--every K`` only every K-th op of each) once per seed, and writes
-one JSON line per op: its case id, its outcome, the verdict of its own oracle check and any
-warning that reached the caller. An outcome is written field by field: certificates with
-their lazily read numbers, reports with their records and verdicts, errors with their type,
-message, clause and margin, and CLI requests as the exit code and the SHA-256 of the report
-bytes. Floats are written as ``float.hex`` and arrays as the SHA-256 of their shape, dtype
-and bytes, so two records agree only where every bit does. ``diff`` groups the moved cases by
-pool and field: decision fields (outcome type, error, clause, check, verdicts, alarm, failed
-indices, exit code, report hash) apart from the floats, each float field with its largest
-move in ulps; then it prints the count.
+``--pools`` names; with ``--every K`` only every K-th op of each) once per seed, and writes a
+header line (numpy's version, its BLAS and the BLAS thread settings), then one JSON line per
+op: its case id, its outcome, the verdict of its own oracle check and any warning that
+reached the caller. An outcome is written field by field: certificates with their lazily
+read numbers, reports with their records and verdicts, errors with their type, message,
+clause and margin, and CLI requests as the exit code and the SHA-256 of the report bytes.
+Floats are written as ``float.hex`` and arrays as the SHA-256 of their shape, dtype and
+bytes, so two records agree only where every bit does. ``diff`` prints both headers and says
+when they differ: the same input and seed give the same bits only on the same numpy build and
+BLAS thread count, so ``record`` run as a script pins the BLAS to one thread, as bench/run.py
+does. Then it groups the moved cases by pool and field: decision fields (outcome type, error,
+clause, check, verdicts, alarm, failed indices, exit code, report hash) apart from the floats,
+each float field with its largest move in ulps; last it prints the count.
 Run ``record`` once per tree, each in its own process.
 """
 
 from __future__ import annotations
+
+import os
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if __name__ == "__main__":  # before numpy loads
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 
 import argparse
 import dataclasses
@@ -54,7 +63,7 @@ def digest(value):
         return {"ambient_dim": value.ambient_dim, "basis": digest(value.basis)}
     if isinstance(value, gi.InverseCertificate):
         names = [f.name for f in dataclasses.fields(value) if f.name != "_memo"]
-        names += ["operator_norm", "restricted_condition", "complement_margin"]
+        names += [k for k, v in vars(gi.InverseCertificate).items() if isinstance(v, property)]
         return {name: digest(getattr(value, name)) for name in names}
     if dataclasses.is_dataclass(value):
         return {f.name: digest(getattr(value, f.name)) for f in dataclasses.fields(value)}
@@ -202,6 +211,13 @@ def _scaled(construct, a, *operands):
     return lambda scale, tol: construct(scale * a, *operands, tol)
 
 
+def header() -> dict:
+    """What the bits of a record depend on besides the tree, the input and the seed."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS}}
+
+
 def record(tree: Path, out: Path, seeds, pools=POOLS, every: int = 1) -> int:
     sys.path[:0] = [str(tree / "src"), str(tree)]
     from bench.workloads import POOLS as BENCH_POOLS
@@ -210,6 +226,7 @@ def record(tree: Path, out: Path, seeds, pools=POOLS, every: int = 1) -> int:
 
     lines = 0
     with open(out, "w") as handle, tempfile.TemporaryDirectory() as workdir:
+        handle.write(json.dumps({"header": header()}, sort_keys=True) + "\n")
         for pool in pools:
             for seed in seeds:
                 ops = builders[pool](seed, Path(workdir) / f"{pool}{seed}")
@@ -267,6 +284,12 @@ def diff(first: Path, second: Path) -> int:
     """The moved cases, grouped by pool and field: decision fields apart, each float field with
     its largest move in ulps, and the other fields (arrays, messages); 1 if any case moved."""
     a, b = ([json.loads(line) for line in p.read_text().splitlines()] for p in (first, second))
+    headers = [rs.pop(0)["header"] if rs and "header" in rs[0] else None for rs in (a, b)]
+    if any(headers):
+        for which, head in zip(("first", "second"), headers):
+            print(f"{which} header: {json.dumps(head, sort_keys=True)}")
+        if headers[0] != headers[1]:
+            print("the headers differ: bits may move with the numpy build or BLAS threads")
     cases_a, cases_b = ({r["case"]: r for r in rs} for rs in (a, b))
     if list(cases_a) != list(cases_b):
         print("the two records hold different cases")

@@ -14,7 +14,13 @@ from geninv import diagnostics, families
 from geninv.cli import main as cli_main
 from geninv.errors import ExistenceError
 
-from conftest import _mp_gap_terms_oracle, outer_fullrank_oracle
+from conftest import (
+    _mp_gap_terms_oracle,
+    difference_identity_residual,
+    left_lift,
+    outer_fullrank_oracle,
+    right_lift,
+)
 
 SEQ_TOL = gi.ToleranceConfig(residual_tol=1e-2)
 
@@ -104,12 +110,12 @@ def test_regular_representation_agreement():
             r = int(rng.integers(1, k + 1))
             a, b, c = families.random_solvable_triple(rng, k, r, complex_)
             x = gi.bc_inverse(a, b, c).inverse
-            la, lb, lc = (gi.left_regular(m, k) for m in (a, b, c))
+            la, lb, lc = (left_lift(m) for m in (a, b, c))
             left = gi.outer_prescribed(la, gi.column_space(lb), gi.null_space(lc)).inverse
-            assert gi.spectral_norm(gi.left_regular(x, k) - left) <= 1e-8, (k, i)
-            ra, rb, rc = (gi.right_regular(m, k) for m in (a, b, c))
+            assert gi.spectral_norm(left_lift(x) - left) <= 1e-8, (k, i)
+            ra, rb, rc = (right_lift(m) for m in (a, b, c))
             right = gi.outer_prescribed(ra, gi.column_space(rc), gi.null_space(rb)).inverse
-            assert gi.spectral_norm(gi.right_regular(x, k) - right) <= 1e-8, (k, i)
+            assert gi.spectral_norm(right_lift(x) - right) <= 1e-8, (k, i)
     _passed("regular-representation agreement on 2x2 and 3x3 algebras")
 
 
@@ -205,10 +211,11 @@ def test_gap_identities_and_adjoint_symmetry():
         k1 = families.random_skew(rng, n, complex_)
         k2 = families.random_skew(rng, n, complex_)
         bn = families.cayley(k1, 0.2) @ b @ families.cayley(k2, 0.2)
-        range_terms, cokernel_terms = diagnostics.mp_gap_terms(b, bn)
-        geometric = gi.gap(gi.column_space(bn), gi.column_space(b)).gap
+        # delta(R(bn), R(b)) and delta(R(b), R(bn)) are the range terms, and their adjoints,
+        # the cokernel terms, are the same pair swapped; the projector products are independent
+        *range_terms, geometric = gi.gap(gi.column_space(bn), gi.column_space(b))
+        cokernel_terms = range_terms[::-1]
         assert abs(max(range_terms) - geometric) <= 1e-9, f"instance {i}"
-        # both of the above read subspace.deviations; the projector products are independent
         oracle_range, oracle_cokernel = _mp_gap_terms_oracle(b, bn, gi.DEFAULT_TOL)
         assert np.allclose(range_terms, oracle_range, rtol=0, atol=1e-10), f"instance {i}"
         assert np.allclose(cokernel_terms, oracle_cokernel, rtol=0, atol=1e-10), f"instance {i}"
@@ -261,7 +268,7 @@ def test_outer_difference_identity_is_exact():
         ps = gi.oblique_projector(s, gi.orthogonal_complement(s))
         pu = gi.oblique_projector(u, gi.orthogonal_complement(u))
         scale = 1.0 + sum(gi.spectral_norm(z) for z in (a, b, ainv, binv))
-        residual = gi.difference_identity_residual(a, b, ainv, binv, pt, pv, ps, pu)
+        residual = difference_identity_residual(a, b, ainv, binv, pt, pv, ps, pu)
         assert residual <= 1e-12 * scale, f"instance {i}"
     _passed("outer-inverse difference identity, 200 pairs")
 

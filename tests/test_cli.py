@@ -174,16 +174,6 @@ def test_cli_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):
-    m_path = write(tmp_path / "m.mat", np.array([[1.0], [1.0]]))
-    n_path = write(tmp_path / "n.mat", np.array([[1.0], [0.0]]))
-    monkeypatch.setenv("GENINV_SEED", "123")
-    _, with_env = run_cli(capsys, "gap", m_path, n_path, "--trials", "50")
-    monkeypatch.delenv("GENINV_SEED")
-    _, with_flag = run_cli(capsys, "gap", m_path, n_path, "--trials", "50", "--seed", "123")
-    assert with_env == with_flag
-
-
 def test_cli_roundtrip_of_emitted_inverse(tmp_path, capsys):
     a = np.array([[1.0 / 3.0, 2.0], [0.125, 7e-30]])
     a_path = write(tmp_path / "a.mat", a)
@@ -424,24 +414,6 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(files, capsys, argv
     assert capsys.readouterr().out == ""
 
 
-def test_pinv_ignores_the_seed_environment_variable(files, capsys, monkeypatch):
-    monkeypatch.setenv("GENINV_SEED", "abc")
-    code, report = run_cli(capsys, "pinv", files["a"])
-    assert code == 0
-    assert np.allclose(report["inverse"], np.diag([1.0, 1.0 / 2.0, 1.0 / 3.0]))
-
-
-@pytest.mark.parametrize("subcommand", ["gap", "seqcheck"])
-def test_unparsable_seed_environment_variable_is_an_input_error(files, capsys, monkeypatch,
-                                                                 subcommand):
-    monkeypatch.setenv("GENINV_SEED", "abc")
-    inputs = [files["t"], files["e1"]] if subcommand == "gap" else [files["a"], files["b"], files["b"]]
-    code, report = run_cli(capsys, subcommand, *inputs)
-    assert code == 1
-    assert report["clause"] == "input"
-    assert "$GENINV_SEED must be an integer" in report["error"] and "'abc'" in report["error"]
-
-
 def test_overflowing_perturbation_and_derivative_are_refused_with_exit_two(tmp_path, capsys):
     # each formula overflows on finite input: exit 2 naming it, not an input error
     eye = write(tmp_path / "i.mat", np.eye(2))
@@ -458,32 +430,27 @@ def test_overflowing_perturbation_and_derivative_are_refused_with_exit_two(tmp_p
         assert report["margin"] is None
 
 
-def test_consecutive_requests_share_one_parser_and_answer_as_a_fresh_one(files, capsys,
-                                                                         monkeypatch):
+def test_consecutive_requests_share_one_parser_and_answer_as_a_fresh_one(files, capsys):
     # main builds its parser once per process; each request, a usage error between them
     # included, gets the report and exit code a freshly built parser gives
     from geninv import cli
 
     requests = [
-        (None, ["gap", "t", "e1", "--trials", "20"]),
-        ("7", ["gap", "t", "e1", "--trials", "20"]),
-        ("7", ["seqcheck", "a", "b", "b", "--indices", "4"]),
-        ("3", ["seqcheck", "a", "b", "b", "--indices", "4", "--family", "rotating"]),
-        ("3", ["seqcheck", "a", "b", "b", "--indices", "4", "--seed", "9"]),
-        (None, ["pinv", "a", "--tol-rank", "0.4"]),
-        (None, ["pinv", "a"]),
-        (None, ["outer", "a", "e1", "e1"]),
-        (None, ["derivcheck", "a", "da", "--steps", "1e-2,1e-3"]),
-        (None, ["pinv", "a", "--seed", "1"]),
-        ("abc", ["gap", "t", "e1", "--trials", "20"]),
-        ("abc", ["bcinv", "a", "b", "b", "--tol-res", "1e-3"]),
+        ["gap", "t", "e1", "--trials", "20"],
+        ["gap", "t", "e1", "--trials", "20", "--seed", "7"],
+        ["seqcheck", "a", "b", "b", "--indices", "4", "--seed", "7"],
+        ["seqcheck", "a", "b", "b", "--indices", "4", "--family", "rotating", "--seed", "3"],
+        ["seqcheck", "a", "b", "b", "--indices", "4", "--seed", "3", "--seed", "9"],
+        ["pinv", "a", "--tol-rank", "0.4"],
+        ["pinv", "a"],
+        ["outer", "a", "e1", "e1"],
+        ["derivcheck", "a", "da", "--steps", "1e-2,1e-3"],
+        ["pinv", "a", "--seed", "1"],
+        ["gap", "t", "e1", "--trials", "20", "--seed", "abc"],
+        ["bcinv", "a", "b", "b", "--tol-res", "1e-3"],
     ]
     assert cli._parser() is cli._parser()
-    for seed, argv in requests:
-        if seed is None:
-            monkeypatch.delenv("GENINV_SEED", raising=False)
-        else:
-            monkeypatch.setenv("GENINV_SEED", seed)
+    for argv in requests:
         argv = [files.get(token, token) for token in argv]
         code = main(argv)
         out = capsys.readouterr().out

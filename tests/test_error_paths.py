@@ -20,20 +20,12 @@ CASES = {
         lambda: CURVE(1.0), "curve a evaluated outside (-1.0, 1.0)"),
     "unnamed curve outside its domain": (
         lambda: gi.MatrixCurve(lambda t: EYE2)(-2.0), "curve <unnamed> evaluated outside"),
-    "difference identity shapes": (
-        lambda: gi.difference_identity_residual(EYE2, EYE3, EYE2, EYE2, *[None] * 4),
-        "operand shapes are inconsistent"),
     "derivative check kind": (
         lambda: gi.finite_difference_check([CURVE], 0.0, kind="drazin"),
         "unknown kind 'drazin'"),
     "derivative check curve count": (
         lambda: gi.finite_difference_check([CURVE], 0.0, kind="bc"),
         "kind 'bc' takes 3 curve(s), got 1"),
-    "mp_gap_terms non-square": (
-        lambda: gi.mp_gap_terms(np.ones((2, 3)), np.ones((2, 3))),
-        "mp_gap_terms needs square matrices of equal size"),
-    "mp_gap_terms unequal": (
-        lambda: gi.mp_gap_terms(EYE2, EYE3), "mp_gap_terms needs square matrices of equal size"),
     "zero_limit_check empty": (
         lambda: gi.zero_limit_check([]), "empty certificate sequence"),
     "zero_limit_check on a refused index": (
@@ -70,10 +62,6 @@ CASES = {
     "outer null space outside the codomain": (
         lambda: gi.outer_prescribed(np.ones((2, 3)), LINE3, LINE3),
         "prescribed null space does not live in the codomain of a"),
-    "left_regular size": (
-        lambda: gi.left_regular(EYE2, 3), "expected a 3x3 matrix, got (2, 2)"),
-    "right_regular size": (
-        lambda: gi.right_regular(EYE3, 2), "expected a 2x2 matrix, got (3, 3)"),
     "as_matrix 1-d": (
         lambda: gi.as_matrix(np.ones(3)), "expected a 2-d matrix, got ndim=1"),
     "parse empty text": (

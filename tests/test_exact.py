@@ -1,12 +1,12 @@
 """bc_inverse, outer_prescribed, inverse_along, bott_duffin and moore_penrose against the exact
 rational oracle of ``exact.py``, on small integer instances: every existence decision the
-rounding cannot blur, and every inverse. And the derivative of a (b, c)-inverse curve against
-its exact value on a rational curve."""
+rounding cannot blur, every inverse, and the failed indices of a sequence report. And the
+derivative of a (b, c)-inverse curve against its exact value on a rational curve."""
 
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import geninv as gi
@@ -19,10 +19,10 @@ TOL = gi.DEFAULT_TOL
 
 
 @st.composite
-def integer_matrices(draw, n: int):
-    """An n x n integer matrix of rank at most r (drawn in 1..n): the product of n x r and
-    r x n factors with entries in [-3, 3]."""
-    r = draw(st.integers(1, n))
+def integer_matrices(draw, n: int, r: int | None = None):
+    """An n x n integer matrix of rank at most r (drawn in 1..n if not given): the product of
+    n x r and r x n factors with entries in [-3, 3]."""
+    r = r or draw(st.integers(1, n))
     entries = st.integers(-3, 3)
     left, right = (np.array(draw(st.lists(entries, min_size=n * r, max_size=n * r)))
                    for _ in range(2))
@@ -64,6 +64,22 @@ def test_bc_inverse_and_moore_penrose_match_the_exact_oracle(data, n):
     _agrees(lambda: gi.bc_inverse(a, b, c), a, exact.bc_inverse(a, b, c))
     pinv = exact.moore_penrose(a).astype(float)
     assert _relative_error(gi.moore_penrose(a).inverse, pinv) <= 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), count=st.integers(1, 6))
+def test_sequence_report_fails_exactly_the_indices_whose_core_is_singular(data, n, count):
+    # every index shares the limit's b and c, so a drawn a_n of low rank often leaves its core
+    # G a_n F exactly singular; those indices, and no others, are the failed ones
+    r = data.draw(st.integers(1, n))  # b and c of one rank, so G a F is mostly square
+    a, b, c = (data.draw(integer_matrices(n, rank)).astype(float) for rank in (n, r, r))
+    ops = [data.draw(integer_matrices(n)).astype(float) for _ in range(count)]
+    wants = [exact.bc_inverse(m, b, c) for m in (a, *ops)]
+    assume(wants[0] is not None and any(v != 0 for v in wants[0].ravel()))
+    assume(all(_inverse_condition(m, w.astype(float)) >= 10 * TOL.rank_rel_tol
+               for m, w in zip((a, *ops), wants) if w is not None))
+    report = gi.sequence_report((a, b, c), [(m, b, c) for m in ops], TOL)
+    assert report.failed_indices == tuple(k for k, w in enumerate(wants) if k and w is None)
 
 
 def _drawn(data, rows: int, cols: int) -> np.ndarray:

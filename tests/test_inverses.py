@@ -12,10 +12,12 @@ from geninv.errors import CertificateError, ExistenceError, InputError
 from conftest import (
     assert_same_subspace,
     complement_rows,
+    left_lift,
     outer_fullrank_oracle,
     oblique_projector_oracle,
     outer_instance_at_angles,
     outer_projector_oracle,
+    right_lift,
 )
 
 
@@ -381,12 +383,12 @@ def test_range_factorization_criterion(rng):
 
 
 def test_left_right_regular_examples():
-    assert np.allclose(gi.left_regular(np.array([[3.0]]), 1), [[3.0]])
-    assert np.allclose(gi.left_regular(np.eye(3), 3), np.eye(9))
-    assert np.allclose(gi.right_regular(np.eye(3), 3), np.eye(9))
+    assert np.allclose(left_lift(np.array([[3.0]])), [[3.0]])
+    assert np.allclose(left_lift(np.eye(3)), np.eye(9))
+    assert np.allclose(right_lift(np.eye(3)), np.eye(9))
     a = np.diag([1.0, 2.0])
-    assert np.allclose(gi.left_regular(a, 2), np.diag([1.0, 2.0, 1.0, 2.0]))
-    assert np.allclose(gi.right_regular(a, 2), np.diag([1.0, 1.0, 2.0, 2.0]))
+    assert np.allclose(left_lift(a), np.diag([1.0, 2.0, 1.0, 2.0]))
+    assert np.allclose(right_lift(a), np.diag([1.0, 1.0, 2.0, 2.0]))
 
 
 def test_regular_representations_act_by_multiplication(rng):
@@ -394,8 +396,8 @@ def test_regular_representations_act_by_multiplication(rng):
     a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     vec = lambda m: m.reshape(-1, order="F")
-    assert np.allclose(gi.left_regular(a, k) @ vec(x), vec(a @ x))
-    assert np.allclose(gi.right_regular(a, k) @ vec(x), vec(x @ a))
+    assert np.allclose(left_lift(a) @ vec(x), vec(a @ x))
+    assert np.allclose(right_lift(a) @ vec(x), vec(x @ a))
 
 
 def test_regular_representation_of_bc_inverse(rng):
@@ -405,12 +407,12 @@ def test_regular_representation_of_bc_inverse(rng):
         for complex_ in (False, True):
             a, b, c = families.random_solvable_triple(rng, k, max(1, k - 1), complex_)
             x = gi.bc_inverse(a, b, c).inverse
-            la, lb, lc = (gi.left_regular(m, k) for m in (a, b, c))
+            la, lb, lc = (left_lift(m) for m in (a, b, c))
             lx = gi.outer_prescribed(la, gi.column_space(lb), gi.null_space(lc)).inverse
-            assert gi.spectral_norm(gi.left_regular(x, k) - lx) <= 1e-8
-            ra, rb, rc = (gi.right_regular(m, k) for m in (a, b, c))
+            assert gi.spectral_norm(left_lift(x) - lx) <= 1e-8
+            ra, rb, rc = (right_lift(m) for m in (a, b, c))
             rx = gi.outer_prescribed(ra, gi.column_space(rc), gi.null_space(rb)).inverse
-            assert gi.spectral_norm(gi.right_regular(x, k) - rx) <= 1e-8
+            assert gi.spectral_norm(right_lift(x) - rx) <= 1e-8
 
 
 def test_certificate_rejection_on_absurd_tolerance():

@@ -1,6 +1,7 @@
 """``tests/replay.py diff`` on hand-written records: it counts the moved cases, keeps decision
-fields apart from floats and gives each float field's largest move in ulps. And ``record`` of
-one tree in two fresh processes reads identical."""
+fields apart from floats, gives each float field's largest move in ulps and names records whose
+headers differ. And ``record`` of one tree in two fresh processes reads identical, and a grid
+case that overflows is refused with no warning."""
 
 import json
 import math
@@ -8,6 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import geninv as gi
 import replay
 
 
@@ -51,6 +56,27 @@ def test_diff_gives_a_one_ulp_float_move_and_a_decision_apart(tmp_path, capsys):
         "3 of 3 cases moved"]
 
 
+def test_records_whose_headers_differ_are_reported_and_still_compared(tmp_path, capsys):
+    header = replay.header()
+    other = {**header, "threads": dict.fromkeys(header["threads"], "2")}
+    first = _write(tmp_path / "a.jsonl", [{"header": header}, *_records()])
+    second = _write(tmp_path / "b.jsonl", [{"header": other}, *_records()])
+    assert replay.diff(first, second) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"first header: {json.dumps(header, sort_keys=True)}",
+        f"second header: {json.dumps(other, sort_keys=True)}",
+        "the headers differ: bits may move with the numpy build or BLAS threads",
+        "0 of 3 cases moved"]
+
+
+def _replayed_identically(out: str, count: int) -> None:
+    """``diff`` read two records run as scripts (BLAS on one thread) here, and no case moved."""
+    head = json.dumps({**replay.header(), "threads": dict.fromkeys(replay.THREAD_VARS, "1")},
+                      sort_keys=True)
+    assert out.splitlines() == [f"first header: {head}", f"second header: {head}",
+                                f"0 of {count} cases moved"]
+
+
 def test_the_drivers_pool_replays_identically_in_two_fresh_processes(tmp_path, capsys):
     # the same tree recorded twice, each in its own interpreter: nothing may depend on the
     # process (hash seeds, allocation, import order)
@@ -61,7 +87,7 @@ def test_the_drivers_pool_replays_identically_in_two_fresh_processes(tmp_path, c
             for out in outs]
     assert [run.wait(timeout=60) for run in runs] == [0, 0]
     assert replay.diff(*outs) == 0
-    assert capsys.readouterr().out.splitlines() == ["0 of 26 cases moved"]
+    _replayed_identically(capsys.readouterr().out, 26)
 
 
 def test_the_curves_pool_records_every_derivative_check_passing(tmp_path):
@@ -71,7 +97,7 @@ def test_the_curves_pool_records_every_derivative_check_passing(tmp_path):
     out = tmp_path / "curves.jsonl"
     subprocess.run([sys.executable, script, "record", str(tree), str(out), "--pools", "curves",
                     "--seeds", "0"], stdout=subprocess.DEVNULL, check=True, timeout=60)
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    lines = [json.loads(line) for line in out.read_text().splitlines()[1:]]  # after the header
     assert len(lines) == 24 and all(line["check"] is None for line in lines)
     assert {line["case"].split("/")[3] for line in lines} == {"derivative", "derivcheck"}
     assert {line["outcome"] for line in lines if "report" in line} == {0}
@@ -88,9 +114,21 @@ def test_a_grid_slice_replays_identically_and_only_as_results_or_refusals(tmp_pa
             for out in outs]
     assert [run.wait(timeout=60) for run in runs] == [0, 0]
     assert replay.diff(*outs) == 0
-    assert capsys.readouterr().out.splitlines() == ["0 of 116 cases moved"]
-    lines = [json.loads(line) for line in outs[0].read_text().splitlines()]
+    _replayed_identically(capsys.readouterr().out, 116)
+    lines = [json.loads(line) for line in outs[0].read_text().splitlines()[1:]]
     assert all(line["check"] is None and "warnings" not in line for line in lines)
     kinds = {line["case"].split("/")[4] for line in lines}
     assert kinds == {"moore_penrose", "outer_prescribed", "bc_inverse", "inverse_along",
                      "bott_duffin", "oblique_projector", "reflexive_inverse"}
+
+
+@pytest.mark.parametrize("seed, cx", [(1, False), (2, True)])
+def test_an_overflowing_bott_duffin_is_refused_with_no_warning(seed, cx):
+    # the grid's plain operator at 10^-308 (warnings are errors here): x overflows, and its
+    # p x - x defect is refused as not finite rather than warned about in a matmul
+    rng = np.random.default_rng(seed)
+    cases = [replay._grid_cases(rng, field) for field in (False, True)][cx]
+    construct = cases[f"bott_duffin/plain/{'c' if cx else 'r'}"]
+    for rank_tol in (1e-10, 0.0):
+        with pytest.raises(gi.CertificateError, match="residual py_y=inf is not finite"):
+            construct(1e-308, gi.ToleranceConfig(rank_rel_tol=rank_tol))

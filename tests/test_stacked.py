@@ -274,7 +274,7 @@ def _reference_sweep(curves, t0, tol, kind):
         return (read(plus) - read(minus)) / (2.0 * h_ref)
 
     x, a = base.inverse, base.operator
-    deriv = _sandwich(x, a, x, a, -prime(lambda c: c.prescribed_nullspace.projector()),
+    deriv = _sandwich(x, a, -prime(lambda c: c.prescribed_nullspace.projector()),
                       prime(lambda c: c.prescribed_range.projector()),
                       prime(lambda c: c.operator))
     errors = [gi.spectral_norm((fwd.inverse - back.inverse) / (2.0 * h) - deriv)
