@@ -27,9 +27,11 @@ from .errors import (
     KernelError,
 )
 from .inverses import (
+    DirectSumResult,
     InverseCertificate,
     bc_inverse,
     bott_duffin,
+    direct_sum_check,
     inverse_along,
     moore_penrose,
     oblique_projector,
@@ -52,12 +54,10 @@ from .perturb import (
     perturbed_bc_inverse,
 )
 from .subspace import (
-    DirectSumResult,
     GapResult,
     ObliqueProjector,
     Subspace,
     column_space,
-    direct_sum_check,
     full_subspace,
     gap,
     gap_sampling_oracle,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,6 +218,33 @@ def oblique_projector(
     cert = _one(_relabeled(outer_prescribed_stack([(np.eye(t.ambient_dim), t, s)], tol),
                            "{clause}", lambda _: "not complementary"))
     return ObliqueProjector(cert.inverse, t, s, cert.inverse_norm)
+
+
+class DirectSumResult(NamedTuple):
+    holds: bool
+    margin: float
+
+
+def direct_sum_check(
+    t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL
+) -> DirectSumResult:
+    """Whether T and S decompose the ambient space as a direct sum: whether the outer inverse
+    of I with range T and null space S, ``oblique_projector``, exists, by its own clauses.
+
+    Dimensions that do not add up to the ambient one fail at margin 0, counted with no SVD, and
+    T = {0} (so S is the whole space, C^0 = {0} (+) {0} included) holds at margin 1. Otherwise
+    the margin is ``_clauses``' sigma_min([T | S]), and the sum holds iff it exceeds
+    ``rank_rel_tol``.
+    """
+    if t.ambient_dim != s.ambient_dim:
+        raise InputError("ambient dimensions differ")
+    if t.dim + s.dim != t.ambient_dim:
+        return DirectSumResult(False, 0.0)
+    if t.is_trivial:
+        return DirectSumResult(True, 1.0)
+    memo: dict = {}
+    refused = _clauses([np.eye(t.ambient_dim)], [t], [s], [memo], tol)
+    return DirectSumResult(not refused, refused[0].margin if refused else memo["complement_margin"])
 
 
 def _complement_failure(margin: float) -> ExistenceError:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, KernelError
+from .errors import CertificateError, InputError, KernelError
 
 _REAL = np.float64
 _COMPLEX = np.complex128
@@ -29,15 +29,10 @@ def as_matrix(a, ndim: int = 2) -> np.ndarray:
         if arr.ndim != ndim:
             kind = "matrix" if ndim == 2 else "stack"
             raise InputError(f"expected a {ndim}-d {kind}, got ndim={arr.ndim}")
-        return _finite_float(arr)
+        arr = arr.astype(_COMPLEX if np.iscomplexobj(arr) else _REAL, copy=False)
     except (TypeError, ValueError) as exc:  # numpy's conversion errors; not an InputError
         raise InputError(f"not a numeric matrix: {exc}") from None
-
-
-def _finite_float(arr: np.ndarray) -> np.ndarray:
-    """as_matrix's promotion to float64/complex128 and finiteness check, for any ndim."""
-    arr = arr.astype(_COMPLEX if np.iscomplexobj(arr) else _REAL, copy=False)
-    if arr.size and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise InputError("matrix contains non-finite entries")
     return arr
 
@@ -129,11 +124,14 @@ def svd(a, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def svd_stack(stack: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``svd`` of each slice of a 3-d stack, from one batched LAPACK call.
+    """``svd`` of each float slice of a 3-d stack, from one batched LAPACK call.
 
-    Rejects non-finite entries: LAPACK would return NaN singular values without an error.
+    Inputs reach it through ``as_matrix``, so an inf or NaN entry is an overflow in one of the
+    library's own products, refused as a certificate is: LAPACK may not return on it.
     """
-    u, sigma, vh = _lapack_svd(_finite_float(stack), full_matrices=full)
+    if not np.isfinite(stack).all():
+        raise CertificateError("an intermediate product is not finite")
+    u, sigma, vh = _lapack_svd(stack, full_matrices=full)
     return u, sigma, vh.conj().swapaxes(-1, -2)
 
 

@@ -1,8 +1,8 @@
-"""Subspaces, oblique projectors, direct-sum tests and the gap metric.
+"""Subspaces, oblique projectors and the gap metric.
 
 The gap is computed in the Euclidean norm through orthogonal projectors:
-``delta(M, N) = || (I - P_N) P_M ||`` with the conventions delta(0, N) = 0 and
-delta(M, 0) = 1 for M != 0. A seeded sampling oracle gives an independent
+``delta(M, N) = || (I - P_N) P_M ||``: 0 for M = 0, and 1 wherever dim M > dim N, by counting
+(delta(M, 0) = 1 for M != 0 is one case). A seeded sampling oracle gives an independent
 lower bound on the one-sided deviation.
 """
 
@@ -115,29 +115,6 @@ def orthogonal_complement(s: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Su
     return null_space(s.basis.conj().T, tol)
 
 
-class DirectSumResult(NamedTuple):
-    holds: bool
-    margin: float
-
-
-def direct_sum_check(
-    t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL
-) -> DirectSumResult:
-    """Whether T and S decompose the ambient space as a direct sum.
-
-    Dimensions that do not add up to the ambient one fail at margin 0, counted with no SVD.
-    Otherwise the margin is the smallest singular value of the square [T.basis | S.basis]
-    (1 for the empty one: C^0 = {0} (+) {0}), and the sum holds iff it exceeds ``rank_rel_tol``.
-    """
-    if t.ambient_dim != s.ambient_dim:
-        raise InputError("ambient dimensions differ")
-    if t.dim + s.dim != t.ambient_dim:
-        return DirectSumResult(False, 0.0)
-    sig = kernel.singular_values(np.hstack([t.basis, s.basis]))
-    margin = float(sig[-1]) if sig.size else 1.0
-    return DirectSumResult(margin > tol.rank_rel_tol, margin)
-
-
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
 class ObliqueProjector:
     """Idempotent matrix with recorded range and null-space bases and spectral norm."""
@@ -170,22 +147,21 @@ class GapResult(NamedTuple):
 
 def deviations(bases, n: np.ndarray) -> np.ndarray:
     """Row k is (delta(M_k, N), delta(N, M_k)) for M_k = span(bases[k]) and N = span(n), all
-    orthonormal; each side is one batched product and SVD per layout of the distinct bases."""
+    orthonormal. The side from the larger subspace is 1 by counting: it holds a unit vector
+    orthogonal to the smaller one (Kato 1966, I §6.8), so delta(M, {0}) = 1 for M != {0}. Each
+    other side is one batched product and SVD per layout of the distinct bases."""
     distinct = {id(m): m for m in bases}
     if len(distinct) < len(bases):  # measure each distinct object once, then copy its row
         rows = {key: row for row, key in enumerate(distinct)}
         return deviations(list(distinct.values()), n)[[rows[id(m)] for m in bases]]
-    devs = np.zeros((len(bases), 2))
+    devs = np.ones((len(bases), 2))
     for group in kernel.groups(map(kernel.layout, bases)):
         m = kernel.stack([bases[i] for i in group])
-        devs[group, 0] = kernel.stack_norms(m - n @ (n.conj().T @ m))
-        devs[group, 1] = kernel.stack_norms(n - m @ (m.conj().swapaxes(-1, -2) @ n))
-    devs = np.minimum(1.0, devs)
-    # delta(M, 0) = 1 for M != 0; delta(0, N) = 0 is already the empty offside's norm
-    dims = np.array([m.shape[1] for m in bases], dtype=int)
-    devs[(dims > 0) & (n.shape[1] == 0), 0] = 1.0
-    devs[(dims == 0) & (n.shape[1] > 0), 1] = 1.0
-    return devs
+        if m.shape[-1] <= n.shape[1]:  # delta(0, N) = 0 is the empty offside's norm
+            devs[group, 0] = kernel.stack_norms(m - n @ (n.conj().T @ m))
+        if m.shape[-1] >= n.shape[1]:
+            devs[group, 1] = kernel.stack_norms(n - m @ (m.conj().swapaxes(-1, -2) @ n))
+    return np.minimum(1.0, devs)
 
 
 def gap(m: Subspace, n: Subspace) -> GapResult:
@@ -206,20 +182,12 @@ def gap_sampling_oracle(m: Subspace, n: Subspace, trials: int, seed: int) -> flo
         raise InputError("ambient dimensions differ")
     if not (isinstance(trials, (int, np.integer)) and trials >= 1):
         raise InputError(f"trials must be >= 1 and an integer, got {trials!r}")
-    if m.is_trivial:
-        return 0.0
-    rng = np.random.default_rng(seed)
     complex_ = np.iscomplexobj(m.basis) or np.iscomplexobj(n.basis)
-    p_n = n.projector() if not n.is_trivial else None
-    best = 0.0
-    for _ in range(trials):
-        coeff = rng.standard_normal(m.dim)
-        if complex_:
-            coeff = coeff + 1j * rng.standard_normal(m.dim)
-        nrm = np.linalg.norm(coeff)
-        if nrm == 0.0:
-            continue
-        x = m.basis @ (coeff / nrm)
-        residual = x if p_n is None else x - p_n @ x
-        best = max(best, float(np.linalg.norm(residual)))
-    return min(1.0, best)
+    # per trial its real parts, then its imaginary ones: the stream of one draw per trial
+    draws = np.random.default_rng(seed).standard_normal((trials, 1 + complex_, m.dim))
+    coeff = draws[:, 0] + 1j * draws[:, 1] if complex_ else draws[:, 0]
+    nrm = np.linalg.norm(coeff, axis=1)
+    offset = m.basis - n.basis @ (n.basis.conj().T @ m.basis)  # (I - P_N) M
+    # each unit vector's distance to N, a row of coeff / nrm times offset^T; none for M = {0}
+    residual = (coeff[nrm > 0.0] / nrm[nrm > 0.0, None]) @ offset.T
+    return min(1.0, float(np.linalg.norm(residual, axis=1).max(initial=0.0)))

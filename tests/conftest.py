@@ -85,13 +85,16 @@ def outer_instance_at_angles(rng, m, n, r, complex_=False, rank=None, min_angle=
     return a, gi.Subspace(n, t_basis), gi.Subspace(m, s_basis)
 
 
+def mp_range_projector(b, tol=gi.DEFAULT_TOL):
+    """b b^+, the orthogonal projector onto R(b), from a certified Moore-Penrose inverse."""
+    return b @ gi.moore_penrose(b, tol).inverse
+
+
 def _mp_gap_terms_oracle(b, bn, tol):
     """The range terms (||(1 - b b^+) bn bn^+||, ||(1 - bn bn^+) b b^+||) and the cokernel terms
-    (||b b^+ (1 - bn bn^+)||, ||bn bn^+ (1 - b b^+)||), b b^+ from certified Moore-Penrose
-    inverses."""
+    (||b b^+ (1 - bn bn^+)||, ||bn bn^+ (1 - b b^+)||), b b^+ from ``mp_range_projector``."""
     eye = np.eye(b.shape[0])
-    p = b @ gi.moore_penrose(b, tol).inverse
-    pn = bn @ gi.moore_penrose(bn, tol).inverse
+    p, pn = mp_range_projector(b, tol), mp_range_projector(bn, tol)
     return (
         (gi.spectral_norm((eye - p) @ pn), gi.spectral_norm((eye - pn) @ p)),
         (gi.spectral_norm(p @ (eye - pn)), gi.spectral_norm(pn @ (eye - p))),

@@ -149,9 +149,12 @@ def grid_pool(seed: int, workdir: Path) -> list:
     complex, on three operators each: a plain one, one that kills a vector of the prescribed
     range T and one that shrinks it to 1e-9 (Moore-Penrose: a singular value set to 0 and to
     1e-9 sigma_1; the projector: a T and an S at angle 0 and 1e-9, at scale 1 only, as it has
-    no operator). The bench pools reach none of: subnormal and overflowing defects, residuals
-    judged at the exact ||a||, reflexive_inverse's rank. An outcome other than a result, an
-    ExistenceError (a CertificateError is one) or an InputError fails the case's check."""
+    no operator). The outer, bc, along and Bott-Duffin kinds have a fourth, wide operator: the
+    plain one plus 1e7 (I - P_T), which the inverse annihilates, so the core H A F is the plain
+    one's while ||a|| is about 1e7 sigma_max(H A F); its cases come after all others. The bench
+    pools reach none of: subnormal and overflowing defects, residuals judged at the exact ||a||,
+    reflexive_inverse's rank. An outcome other than a result, an ExistenceError (a
+    CertificateError is one) or an InputError fails the case's check."""
     import geninv as gi
     from bench.workloads import Op
 
@@ -161,14 +164,15 @@ def grid_pool(seed: int, workdir: Path) -> list:
             return f"{type(outcome).__name__}: {outcome}"
         return None
 
-    rng, ops = np.random.default_rng(seed), []
+    rng, ops, cases = np.random.default_rng(seed), [], {}
     for cx in (False, True):
-        for name, call in _grid_cases(rng, cx).items():
-            for k in (0,) if name.startswith("oblique_projector") else GRID_EXPONENTS:
-                for rank_tol in GRID_RANK_TOLS:
-                    tol = gi.ToleranceConfig(rank_rel_tol=rank_tol)
-                    ops.append(Op(f"grid/{name}/k={k}/rank_tol={rank_tol}", 6,
-                                  functools.partial(call, 10.0 ** k, tol), expected))
+        cases.update(_grid_cases(rng, cx))
+    for name in sorted(cases, key=lambda name: "/wide/" in name):  # the others keep their ids
+        for k in (0,) if name.startswith("oblique_projector") else GRID_EXPONENTS:
+            for rank_tol in GRID_RANK_TOLS:
+                tol = gi.ToleranceConfig(rank_rel_tol=rank_tol)
+                ops.append(Op(f"grid/{name}/k={k}/rank_tol={rank_tol}", 6,
+                              functools.partial(cases[name], 10.0 ** k, tol), expected))
     return ops
 
 
@@ -203,6 +207,12 @@ def _grid_cases(rng, cx: bool) -> dict:
             f"reflexive_inverse/{name}": _scaled(gi.reflexive_inverse, f_n, n_space, m_space),
             f"oblique_projector/{name}": lambda scale, tol, s_meet=s_meet: gi.oblique_projector(
                 t, s_meet, tol)})
+    wide = a + 1e7 * (np.eye(6) - t.basis @ t.basis.conj().T)  # (I - P_T) x = 0
+    name = f"wide/{'c' if cx else 'r'}"
+    cases.update({f"outer_prescribed/{name}": _scaled(gi.outer_prescribed, wide, t, s),
+                  f"bc_inverse/{name}": _scaled(gi.bc_inverse, wide, b, c),
+                  f"inverse_along/{name}": _scaled(gi.inverse_along, wide, b),
+                  f"bott_duffin/{name}": _scaled(gi.bott_duffin, wide, p, q)})
     return cases
 
 

@@ -18,6 +18,7 @@ from conftest import (
     _mp_gap_terms_oracle,
     difference_identity_residual,
     left_lift,
+    mp_range_projector,
     outer_fullrank_oracle,
     right_lift,
 )
@@ -215,13 +216,15 @@ def test_gap_identities_and_adjoint_symmetry():
         # the cokernel terms, are the same pair swapped; the projector products are independent
         *range_terms, geometric = gi.gap(gi.column_space(bn), gi.column_space(b))
         cokernel_terms = range_terms[::-1]
-        assert abs(max(range_terms) - geometric) <= 1e-9, f"instance {i}"
+        p, pn = mp_range_projector(b), mp_range_projector(bn)
+        assert abs(geometric - gi.spectral_norm(pn - p)) <= 1e-9, f"instance {i}"
+        whole = gi.gap(gi.column_space(bn), gi.full_subspace(n)).gap
+        assert abs(whole - gi.spectral_norm(pn - np.eye(n))) <= 1e-9, f"instance {i}"
         oracle_range, oracle_cokernel = _mp_gap_terms_oracle(b, bn, gi.DEFAULT_TOL)
         assert np.allclose(range_terms, oracle_range, rtol=0, atol=1e-10), f"instance {i}"
         assert np.allclose(cokernel_terms, oracle_cokernel, rtol=0, atol=1e-10), f"instance {i}"
         if complex_:
-            assert abs(range_terms[0] - cokernel_terms[1]) <= 1e-10
-            assert abs(range_terms[1] - cokernel_terms[0]) <= 1e-10
+            assert np.allclose(oracle_range, oracle_cokernel[::-1], rtol=0, atol=1e-10)
     _passed("projector gap identities and adjoint symmetry, 200 pairs")
 
 

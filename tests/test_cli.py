@@ -124,6 +124,18 @@ def test_overflowing_inverse_is_refused_with_exit_two(tmp_path, capsys):
     assert report["margin"] is None
 
 
+def test_an_overflowing_core_is_refused_with_exit_two(tmp_path, capsys):
+    # every entry of a is finite, but the core H A F overflows: the certificate refuses it,
+    # not the input check
+    a = write(tmp_path / "a.mat", np.full((4, 4), 1e308) - np.diag(np.full(4, 0.5e308)))
+    t = write(tmp_path / "t.mat", np.full((4, 1), 0.5))
+    s = write(tmp_path / "s.mat", gi.null_space(np.ones((1, 4))).basis)
+    code, report = run_cli(capsys, "outer", a, t, s)
+    assert code == 2
+    assert report["clause"] == "residual exceeds tolerance"
+    assert report["error"] == "an intermediate product is not finite"
+
+
 def test_derivcheck_mp_kind(tmp_path, capsys):
     base = write(tmp_path / "a0.mat", np.diag([2.0, 1.0]))
     step = write(tmp_path / "a1.mat", np.diag([1.0, 0.0]))

@@ -12,6 +12,7 @@ from geninv.errors import CertificateError, ExistenceError, InputError
 from conftest import (
     _mp_gap_terms_oracle,
     mp_continuity_oracle,
+    mp_range_projector,
     sequence_report_oracle,
     verdicts_oracle,
 )
@@ -135,14 +136,17 @@ def test_mp_gap_terms_match_geometry_and_adjoint_symmetry(rng):
         # the range terms are the one-sided gaps; their adjoints, the cokernel terms, swap them
         geometric = gi.gap(gi.column_space(bn), gi.column_space(b))
         range_terms, cokernel_terms = geometric[:2], geometric[1::-1]
-        assert max(range_terms) == pytest.approx(geometric.gap, abs=1e-9)
-        # taking adjoints swaps the range and cokernel products without
-        # changing norms, and equal ranks force the two range terms to agree
-        assert range_terms[0] == pytest.approx(cokernel_terms[1], abs=1e-10)
-        assert range_terms[1] == pytest.approx(cokernel_terms[0], abs=1e-10)
+        # the gap is the distance of the certified projectors, also from the whole space
+        p, pn = mp_range_projector(b), mp_range_projector(bn)
+        assert geometric.gap == pytest.approx(gi.spectral_norm(pn - p), abs=1e-9)
+        whole = gi.gap(gi.column_space(bn), gi.full_subspace(n)).gap
+        assert whole == pytest.approx(gi.spectral_norm(pn - np.eye(n)), abs=1e-9)
+        # equal ranks force the two range terms to agree
         assert range_terms[0] == pytest.approx(range_terms[1], abs=1e-10)
-        # the projector products themselves, from certified Moore-Penrose inverses
+        # the projector products themselves, from certified Moore-Penrose inverses: taking
+        # adjoints swaps the range and cokernel products without changing norms
         oracle_range, oracle_cokernel = _mp_gap_terms_oracle(b, bn, gi.DEFAULT_TOL)
+        assert oracle_range == pytest.approx(oracle_cokernel[::-1], abs=1e-10)
         assert range_terms == pytest.approx(oracle_range, abs=1e-10)
         assert cokernel_terms == pytest.approx(oracle_cokernel, abs=1e-10)
 

@@ -20,7 +20,11 @@ indices may add no more calls than 30 more bc_inverse (2 SVD) or
 moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices,
 and a 20x20, 10-index report takes at most 15 SVD (sequence_report) or
 13 SVD (mp_continuity_report): its projector records are read off the
-deviations of the prescribed subspaces, with no projector formed. Its b and c
+deviations of the prescribed subspaces, with no projector formed. A deviation
+side from the larger of two subspaces is 1 by counting, so only pairs of equal
+dimension measure both sides: a rank-drop family, whose indices differ in rank
+from its limit, takes 10 SVD calls (84 slices) for a 20x20, 10-index
+sequence_report and 7 (72 slices) for an 8x8 one of mp_continuity_report. Its b and c
 are factored as one slice per distinct operand object: 2 slices for an
 additive family, whose indices share the limit's b and c, and 11 for a
 rank-drop family of (a_n, a_n, a_n), where one b and one c slice per problem
@@ -362,6 +366,24 @@ def test_deviations_measure_a_shared_basis_once(linalg_calls, complex_):
     devs = subspace.deviations([m] * 10, n)
     assert linalg_calls == [("svd", (1, 20, 10))] * 2
     assert devs.tobytes() == np.repeat(one, 10, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_rank_drop_reports_measure_one_side_of_each_unequal_gap(linalg_calls, complex_):
+    # each index's subspaces differ in dimension from the limit's: one side is measured, the
+    # other counted (14 calls and 124 slices, and 11 and 112, measuring both)
+    def svd_calls_and_slices():
+        assert {name for name, _ in linalg_calls} == {"svd"}
+        return len(linalg_calls), sum(int(np.prod(shape[:-2])) for _, shape in linalg_calls)
+
+    limit, seq = families.rankdrop_family(np.random.default_rng(18), 20, 10, 10, complex_)
+    linalg_calls.clear()
+    assert not gi.sequence_report(limit, seq, gi.ToleranceConfig(residual_tol=1e-2)).failed_indices
+    assert svd_calls_and_slices() == (10, 84)
+    a, seq = families.mp_rankdrop_sequence(np.random.default_rng(7), 8, 4, 10, complex_)
+    linalg_calls.clear()
+    assert not gi.mp_continuity_report(a, seq).failed_indices
+    assert svd_calls_and_slices() == (7, 72)
 
 
 def test_stack_norms_of_empty_slices_factor_nothing(linalg_calls):

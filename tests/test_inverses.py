@@ -421,6 +421,15 @@ def test_certificate_rejection_on_absurd_tolerance():
         gi.moore_penrose(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]), tol)
 
 
+def test_an_overflowing_core_is_refused_by_the_certificate():
+    # every entry of a is finite, but the core H A F overflows (4e308): an input check on the
+    # core would blame the input
+    a = np.full((4, 4), 1e308) - np.diag(np.full(4, 0.5e308))
+    t, s = gi.Subspace(4, np.full((4, 1), 0.5)), gi.null_space(np.ones((1, 4)))
+    with pytest.raises(CertificateError, match="^an intermediate product is not finite$"):
+        gi.outer_prescribed(a, t, s)
+
+
 def _boundary_problem(complex_: bool, spread: float):
     """An 8x8 a, T and S (dim 4 each) with sigma_min(a F) / ||a|| about 1e-3 / spread, and the
     four constructions of its outer inverse, each ``construct(a, tol)``. ``spread`` scales a

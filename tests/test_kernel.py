@@ -170,7 +170,7 @@ def test_batched_svd_and_norms_match_per_matrix_calls(rng):
     for bad in (np.inf, np.nan):
         stack = np.zeros((2, 3, 3))
         stack[1, 2, 0] = bad
-        with pytest.raises(InputError, match="non-finite"):
+        with pytest.raises(gi.CertificateError, match="intermediate product is not finite"):
             kernel.svd_stack(stack)
 
 

@@ -114,7 +114,7 @@ def test_a_grid_slice_replays_identically_and_only_as_results_or_refusals(tmp_pa
             for out in outs]
     assert [run.wait(timeout=60) for run in runs] == [0, 0]
     assert replay.diff(*outs) == 0
-    _replayed_identically(capsys.readouterr().out, 116)
+    _replayed_identically(capsys.readouterr().out, 141)
     lines = [json.loads(line) for line in outs[0].read_text().splitlines()[1:]]
     assert all(line["check"] is None and "warnings" not in line for line in lines)
     kinds = {line["case"].split("/")[4] for line in lines}

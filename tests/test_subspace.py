@@ -2,9 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geninv as gi
-from geninv import families
+from geninv import families, subspace
 from geninv.errors import CertificateError, ExistenceError, InputError
 
 from conftest import assert_same_subspace, oblique_projector_oracle
@@ -112,6 +114,23 @@ def test_gap_symmetry(rng):
         m = families.random_subspace(rng, n, int(rng.integers(0, n + 1)))
         s = families.random_subspace(rng, n, int(rng.integers(0, n + 1)))
         assert gi.gap(m, s).gap == gi.gap(s, m).gap
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_deviations_count_the_larger_side_and_measure_the_other(data, n, complex_, seed):
+    # bases of drawn dimensions 0..n against one N: a side from the larger subspace is exactly
+    # 1; every other side is ||(I - P_N) P_M|| (or ||(I - P_M) P_N||) from explicit projectors
+    rng = np.random.default_rng(seed)
+    dims = data.draw(st.lists(st.integers(0, n), min_size=1, max_size=4))
+    ms = [families.random_subspace(rng, n, d, complex_) for d in dims]
+    other = families.random_subspace(rng, n, data.draw(st.integers(0, n)), complex_)
+    eye = np.eye(n)
+    for m, (d_mn, d_nm) in zip(ms, subspace.deviations([m.basis for m in ms], other.basis)):
+        for side, larger, p, q in ((d_mn, m.dim > other.dim, other, m),
+                                   (d_nm, other.dim > m.dim, m, other)):
+            want = gi.spectral_norm((eye - p.projector()) @ q.projector())
+            assert side == 1.0 if larger else abs(side - want) <= 1e-12
 
 
 def test_gap_equal_dimension_rigidity(rng):
@@ -223,6 +242,24 @@ def test_direct_sum_check_decides_with_the_tol_it_is_passed():
     # the decision is the argument's even for subspaces built under another tolerance
     loose_t = gi.column_space(np.array([[1.0], [0.0]]), LOOSE_RANK)
     assert gi.direct_sum_check(loose_t, s).holds
+
+
+def test_direct_sum_check_holds_exactly_where_the_projector_exists():
+    # 400 pairs (T, S), each probed at rank tolerances a hair either side of its margin, 1,600
+    # probes: the check is the projector's complement clause, so the two never disagree
+    rng = np.random.default_rng(27)
+    for i in range(400):
+        n = int(rng.integers(2, 9))
+        dim = int(rng.integers(1, n))
+        t, s = (families.random_subspace(rng, n, d, bool(i % 2)) for d in (dim, n - dim))
+        margin = gi.direct_sum_check(t, s).margin
+        for factor in (1 - 1e-13, 1 + 1e-13, 1 - 1e-15, 1 + 1e-15):
+            tol = gi.ToleranceConfig(rank_rel_tol=margin * factor)
+            try:
+                exists = gi.oblique_projector(t, s, tol) is not None
+            except ExistenceError:
+                exists = False
+            assert gi.direct_sum_check(t, s, tol).holds == exists, (i, factor)
 
 
 def test_orthogonal_complement_decides_rank_with_the_tol_it_is_passed():
