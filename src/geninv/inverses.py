@@ -261,12 +261,25 @@ def _complement_rows(ss: list) -> np.ndarray:
     return np.linalg.qr(sb, mode="complete")[0][:, :, sb.shape[-1]:].conj().swapaxes(-1, -2)
 
 
+def _svd_or_refuse(products: np.ndarray, refused: dict) -> tuple:
+    """``kernel.svd_stack`` of the construction's products; where it refuses an overflow (an inf or
+    NaN entry), each slice holding one is refused in ``refused`` and zeroed in place first."""
+    try:
+        return kernel.svd_stack(products)
+    except CertificateError as exc:
+        overflowed = np.flatnonzero(~np.isfinite(products).all(axis=(-2, -1))).tolist()
+        refused.update((i, CertificateError(str(exc))) for i in overflowed)
+        products[overflowed] = 0.0
+        return kernel.svd_stack(products)
+
+
 def _clauses(ops: list, ts: list, ss: list, memos: list, tol: ToleranceConfig) -> dict:
     """Both existence clauses of each (a, T, S) of one layout and dims, decided exactly: the
-    refused indices' ExistenceErrors; memos[i] gets restricted_condition and complement_margin.
-    Injectivity, sigma_min(A F) > rank_rel_tol ||a||, is judged at sigma_max(A F) / 2 first."""
-    (m, _), k, dt, ds = ops[0].shape, len(ops), ts[0].dim, ss[0].dim
-    image, sig, _ = kernel.svd_stack(kernel.stack(ops) @ kernel.stack([t.basis for t in ts]))
+    refused indices' ExistenceErrors (a CertificateError where A F overflowed); memos[i] gets
+    restricted_condition and complement_margin. Injectivity, sigma_min(A F) > rank_rel_tol ||a||,
+    is judged at sigma_max(A F) / 2 first."""
+    (m, _), k, dt, ds, refused = ops[0].shape, len(ops), ts[0].dim, ss[0].dim, {}
+    image, sig, _ = _svd_or_refuse(kernel.stack(ops) @ kernel.stack([t.basis for t in ts]), refused)
     sig0, smin = sig[:, 0].tolist(), sig[:, dt - 1].tolist() if dt <= m else [0.0] * k
 
     def deficient(i: int) -> bool:  # smin_i <= rank_rel_tol ||a_i||, a_i factored last
@@ -274,8 +287,8 @@ def _clauses(ops: list, ts: list, ss: list, memos: list, tol: ToleranceConfig) -
         return (smin[i] <= rel * low or not smin[i] > rel * high
                 and smin[i] <= rel * _lazy(memos[i], "operator_norm", ops[i]))
     clause = "restriction not injective"
-    refused = {i: ExistenceError(clause, clause=clause, margin=smin[i]) for i in range(k)
-               if dt > m or deficient(i)}
+    refused.update((i, ExistenceError(clause, clause=clause, margin=smin[i])) for i in range(k)
+                   if i not in refused and (dt > m or deficient(i)))
     live = [i for i in range(k) if i not in refused]
     if dt + ds != m:  # dim a(T) = dim T on the live slices: the count decides
         refused.update((i, _complement_failure(0.0)) for i in live)
@@ -315,17 +328,17 @@ def _outer(problems: list, tol: ToleranceConfig, kind: str) -> list:
         memos = [{"restricted_condition": 1.0, "complement_margin": 1.0} for _ in ops]
         x, core_sigma, xnorm, f = np.zeros((k, n, m), a.dtype), np.zeros((k, 0)), [0.0] * k, None
     else:
-        undecided = list(range(k))  # all, where dim T + dim S != m: _clauses refuses them
+        undecided, refused = list(range(k)), {}  # all, where dim T + dim S != m
         if dt + ds == m:
             h = _complement_rows(ss)
             f = kernel.stack([t.basis for t in ts])
-            cu, core_sigma, cv = kernel.svd_stack(h @ (a @ f))
+            cu, core_sigma, cv = _svd_or_refuse(h @ (a @ f), refused)
             floor = 2.0 * tol.rank_rel_tol + 8 * (m + n) * math.ulp(1.0)
-            undecided = [i for i in range(k)
-                         if not core_sigma[i, -1] > floor * kernel.residual_norm(ops[i])]
+            undecided = [i for i in range(k) if i not in refused
+                         and not core_sigma[i, -1] > floor * kernel.residual_norm(ops[i])]
         picked = [[p[i] for i in undecided] for p in (ops, ts, ss, memos)]
         found = _clauses(*picked, tol) if undecided else {}
-        refused = {undecided[j]: e for j, e in found.items()}
+        refused.update((undecided[j], e) for j, e in found.items())
         if len(refused) == k:
             return [refused[i] for i in range(k)]
         core_sigma[list(refused)] = 1.0  # a refused slice's inverse is never read: keep it finite

@@ -1,9 +1,9 @@
 """Subspaces, oblique projectors and the gap metric.
 
 The gap is computed in the Euclidean norm through orthogonal projectors:
-``delta(M, N) = || (I - P_N) P_M ||``: 0 for M = 0, and 1 wherever dim M > dim N, by counting
-(delta(M, 0) = 1 for M != 0 is one case). A seeded sampling oracle gives an independent
-lower bound on the one-sided deviation.
+``delta(M, N) = || (I - P_N) P_M ||``: 0 for M = 0, 1 wherever dim M > dim N by counting, and
+delta(N, M) where dim M = dim N, so every pair measures one side. A seeded sampling oracle
+gives an independent lower bound on the one-sided deviation.
 """
 
 from __future__ import annotations
@@ -147,9 +147,11 @@ class GapResult(NamedTuple):
 
 def deviations(bases, n: np.ndarray) -> np.ndarray:
     """Row k is (delta(M_k, N), delta(N, M_k)) for M_k = span(bases[k]) and N = span(n), all
-    orthonormal. The side from the larger subspace is 1 by counting: it holds a unit vector
-    orthogonal to the smaller one (Kato 1966, I §6.8), so delta(M, {0}) = 1 for M != {0}. Each
-    other side is one batched product and SVD per layout of the distinct bases."""
+    orthonormal; every row measures one side. The side from the larger subspace is 1 by
+    counting: it holds a unit vector orthogonal to the smaller one (Kato 1966, I §6.8), so
+    delta(M, {0}) = 1 for M != {0}. At equal dimensions both are the sine of the largest principal
+    angle (Stewart & Sun 1990, ch. I), delta(M_k, N). Each measured side is one batched product
+    and SVD per layout of the distinct bases."""
     distinct = {id(m): m for m in bases}
     if len(distinct) < len(bases):  # measure each distinct object once, then copy its row
         rows = {key: row for row, key in enumerate(distinct)}
@@ -157,18 +159,22 @@ def deviations(bases, n: np.ndarray) -> np.ndarray:
     devs = np.ones((len(bases), 2))
     for group in kernel.groups(map(kernel.layout, bases)):
         m = kernel.stack([bases[i] for i in group])
-        if m.shape[-1] <= n.shape[1]:  # delta(0, N) = 0 is the empty offside's norm
-            devs[group, 0] = kernel.stack_norms(m - n @ (n.conj().T @ m))
-        if m.shape[-1] >= n.shape[1]:
+        if m.shape[-1] > n.shape[1]:
             devs[group, 1] = kernel.stack_norms(n - m @ (m.conj().swapaxes(-1, -2) @ n))
+        else:  # delta(0, N) = 0 is the empty offside's norm
+            devs[group, 0] = kernel.stack_norms(m - n @ (n.conj().T @ m))
+            if m.shape[-1] == n.shape[1]:
+                devs[group, 1] = devs[group, 0]
     return np.minimum(1.0, devs)
 
 
 def gap(m: Subspace, n: Subspace) -> GapResult:
-    """One-sided deviations and their max, all in [0, 1]."""
+    """One-sided deviations and their max, all in [0, 1], of the pair in a fixed order (by the
+    bases' layouts, then bytes): gap(n, m) is gap(m, n) with its sides swapped, bit for bit."""
     if m.ambient_dim != n.ambient_dim:
         raise InputError("ambient dimensions differ")
-    d_mn, d_nm = deviations([m.basis], n.basis)[0].tolist()
+    first, second = sorted((m, n), key=lambda s: (kernel.layout(s.basis), s.basis.tobytes()))
+    d_mn, d_nm = deviations([first.basis], second.basis)[0, ::1 if first is m else -1].tolist()
     return GapResult(d_mn, d_nm, max(d_mn, d_nm))
 
 

@@ -18,7 +18,8 @@ when they differ: the same input and seed give the same bits only on the same nu
 BLAS thread count, so ``record`` run as a script pins the BLAS to one thread, as bench/run.py
 does. Then it groups the moved cases by pool and field: decision fields (outcome type, error,
 clause, check, verdicts, alarm, failed indices, exit code, report hash) apart from the floats,
-each float field with its largest move in ulps; last it prints the count.
+each float field with its largest move in ulps and its largest absolute move; last it prints
+the count.
 Run ``record`` once per tree, each in its own process.
 """
 
@@ -276,23 +277,24 @@ def _moved(a, b, path=""):
     return [] if a == b else [(path or ".", a, b)]
 
 
-def _ulps(a, b) -> float | None:
-    """How many doubles apart two ``float.hex`` strings lie (inf where one is not finite), or
-    None unless both are floats."""
+def _move(a, b) -> tuple[int | float, float] | None:
+    """How far apart two ``float.hex`` strings lie, in doubles and absolutely (both inf where one
+    is not finite), or None unless both are floats."""
     try:
         x, y = float.fromhex(a), float.fromhex(b)
     except (TypeError, ValueError):
         return None
     if not (math.isfinite(x) and math.isfinite(y)):
-        return math.inf
+        return math.inf, math.inf
     ordered = [(i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)) for i in
                struct.unpack("<2q", struct.pack("<2d", x, y))]
-    return abs(ordered[0] - ordered[1])
+    return abs(ordered[0] - ordered[1]), abs(x - y)
 
 
 def diff(first: Path, second: Path) -> int:
     """The moved cases, grouped by pool and field: decision fields apart, each float field with
-    its largest move in ulps, and the other fields (arrays, messages); 1 if any case moved."""
+    its largest move in ulps and its largest absolute move, and the other fields (arrays,
+    messages); 1 if any case moved."""
     a, b = ([json.loads(line) for line in p.read_text().splitlines()] for p in (first, second))
     headers = [rs.pop(0)["header"] if rs and "header" in rs[0] else None for rs in (a, b)]
     if any(headers):
@@ -304,20 +306,21 @@ def diff(first: Path, second: Path) -> int:
     if list(cases_a) != list(cases_b):
         print("the two records hold different cases")
         return 1
-    groups: dict = {}  # (kind, pool, field) -> [cases moved, largest ulps]
+    groups: dict = {}  # (kind, pool, field) -> [cases moved, largest ulps, largest |move|]
     moved = 0
     for case, line in cases_a.items():
         leaves = _moved(line, cases_b[case])
         moved += bool(leaves)
         for field, x, y in leaves:
-            ulps = _ulps(x, y)
+            move = _move(x, y)
             kind = ("decision" if DECISIONS & set(field.split(".")) or isinstance(x, int)
-                    else "other" if ulps is None else "float")
-            entry = groups.setdefault((kind, case.split("/")[0], field), [set(), 0])
+                    else "other" if move is None else "float")
+            entry = groups.setdefault((kind, case.split("/")[0], field), [set(), 0, 0.0])
             entry[0].add(case)
-            entry[1] = max(entry[1], ulps or 0)
-    for (kind, pool, field), (cases, ulps) in sorted(groups.items()):
-        largest = f", largest move {ulps:g} ulp{'s' * (ulps != 1)}" if kind == "float" else ""
+            entry[1:] = map(max, entry[1:], move or (0, 0.0))
+    for (kind, pool, field), (cases, ulps, absolute) in sorted(groups.items()):
+        largest = (f", largest move {ulps:g} ulp{'s' * (ulps != 1)}, {absolute:.2g} absolute"
+                   if kind == "float" else "")
         print(f"{kind} {pool} {field}: {len(cases)} case(s){largest}")
     print(f"{moved} of {len(cases_a)} cases moved")
     return 1 if moved else 0

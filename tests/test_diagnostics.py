@@ -456,3 +456,15 @@ def test_alarm_groups_verdicts_by_the_family_of_their_key():
     assert diagnostics._alarm({"mp_inverse": False, "mp_range_null_proj": True})
     assert diagnostics._alarm({"oip_inverse": True, "oip_subspace_gaps": False,
                                "gap_inverse": True})
+
+
+def test_an_overflowing_index_is_recorded_as_failed():
+    # index 2's core H A F overflows though every entry of a is finite: that index alone is
+    # refused and recorded as failed; the report reads the others
+    a = np.full((4, 4), 1e308) - np.diag(np.full(4, 0.5e308))
+    eye, ones = np.eye(4), np.ones((4, 4))
+    sequence = [(1.01 * eye, ones, ones), (a, ones, ones), (1.001 * eye, ones, ones)]
+    report = gi.sequence_report((eye, ones, ones), sequence)
+    assert report.failed_indices == (2,)
+    errors = report.records["inverse_error"]
+    assert np.isnan(errors[1]) and np.isfinite([errors[0], errors[2]]).all()

@@ -18,11 +18,14 @@ read (none of these for moore_penrose, whose SVD gives them).
 The sequence reports are held to their per-index construction: 30 more
 indices may add no more calls than 30 more bc_inverse (2 SVD) or
 moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices,
-and a 20x20, 10-index report takes at most 15 SVD (sequence_report) or
-13 SVD (mp_continuity_report): its projector records are read off the
-deviations of the prescribed subspaces, with no projector formed. A deviation
-side from the larger of two subspaces is 1 by counting, so only pairs of equal
-dimension measure both sides: a rank-drop family, whose indices differ in rank
+and a 20x20, 10-index report takes at most 11 SVD (sequence_report) or
+9 SVD (mp_continuity_report): its projector records are read off the
+deviations of the prescribed subspaces, with no projector formed. Every row of
+the deviations measures one side: a side from the larger of two subspaces is 1
+by counting, and at equal dimensions both sides are one measured number. So a
+20x20, 10-index sequence_report takes 11 SVD calls (77 slices) for an additive
+family and 11 (115) for a rotating one, and an 8x8 convergent
+mp_continuity_report 9 (92); a rank-drop family, whose indices differ in rank
 from its limit, takes 10 SVD calls (84 slices) for a 20x20, 10-index
 sequence_report and 7 (72 slices) for an 8x8 one of mp_continuity_report. Its b and c
 are factored as one slice per distinct operand object: 2 slices for an
@@ -73,6 +76,12 @@ def linalg_calls(monkeypatch):
 
 def _counts(calls):
     return {name: sum(1 for n, _ in calls if n == name) for name in ENTRY_POINTS}
+
+
+def _svd_calls_and_slices(calls):
+    """(number of calls, number of slices factored) of calls that are all SVDs."""
+    assert {name for name, _ in calls} == {"svd"}
+    return len(calls), sum(int(np.prod(shape[:-2])) for _, shape in calls)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -308,12 +317,12 @@ def test_sequence_report_counts(linalg_calls, complex_):
     # the stacked construction (2 SVD: b and c as one stack, then the core), the limit's
     # ||a|| for the error scale, the inverse and two product errors (one SVD each), R(x_n)
     # and N(x_n) (one full SVD), and four deviations readings (R(x_n), N(x_n), T_n and S_n;
-    # two SVDs each)
+    # one SVD each: each pair is of equal dimension)
     limit, seq, tol = _additive_sequence(complex_, 10)
     linalg_calls.clear()
     assert not gi.sequence_report(limit, seq, tol).failed_indices
     counts = _counts(linalg_calls)
-    assert counts["svd"] <= 15
+    assert counts["svd"] <= 11
     assert counts["qr"] == counts["inv"] == counts["solve"] == counts["lstsq"] == 0
 
 
@@ -357,14 +366,14 @@ def test_sequence_report_factors_each_distinct_operand_once(factored, complex_):
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_deviations_measure_a_shared_basis_once(linalg_calls, complex_):
-    # each side of the deviations is one norm of a one-slice stack, however often the basis
-    # repeats; each row is the single basis's
+    # the one measured side of the deviations (of equal dimensions) is one norm of a one-slice
+    # stack, however often the basis repeats; each row is the single basis's
     rng = np.random.default_rng(19)
     m, n = (families.random_subspace(rng, 20, 10, complex_).basis for _ in range(2))
     one = subspace.deviations([m], n)
     linalg_calls.clear()
     devs = subspace.deviations([m] * 10, n)
-    assert linalg_calls == [("svd", (1, 20, 10))] * 2
+    assert linalg_calls == [("svd", (1, 20, 10))]
     assert devs.tobytes() == np.repeat(one, 10, axis=0).tobytes()
 
 
@@ -372,18 +381,30 @@ def test_deviations_measure_a_shared_basis_once(linalg_calls, complex_):
 def test_rank_drop_reports_measure_one_side_of_each_unequal_gap(linalg_calls, complex_):
     # each index's subspaces differ in dimension from the limit's: one side is measured, the
     # other counted (14 calls and 124 slices, and 11 and 112, measuring both)
-    def svd_calls_and_slices():
-        assert {name for name, _ in linalg_calls} == {"svd"}
-        return len(linalg_calls), sum(int(np.prod(shape[:-2])) for _, shape in linalg_calls)
-
     limit, seq = families.rankdrop_family(np.random.default_rng(18), 20, 10, 10, complex_)
     linalg_calls.clear()
     assert not gi.sequence_report(limit, seq, gi.ToleranceConfig(residual_tol=1e-2)).failed_indices
-    assert svd_calls_and_slices() == (10, 84)
+    assert _svd_calls_and_slices(linalg_calls) == (10, 84)
     a, seq = families.mp_rankdrop_sequence(np.random.default_rng(7), 8, 4, 10, complex_)
     linalg_calls.clear()
     assert not gi.mp_continuity_report(a, seq).failed_indices
-    assert svd_calls_and_slices() == (7, 72)
+    assert _svd_calls_and_slices(linalg_calls) == (7, 72)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_equal_dimension_reports_measure_one_side_of_each_gap(linalg_calls, complex_):
+    # each index's subspaces match the limit's in dimension: one side is measured and written
+    # to both (15 calls and 99 slices, 15 and 155, and 13 and 132, measuring both)
+    limit, seq, tol = _additive_sequence(complex_, 10)
+    rotating = families.rotating_family(*limit, 10, np.random.default_rng(5), tol)
+    for family, want in ((seq, (11, 77)), (rotating, (11, 115))):
+        linalg_calls.clear()
+        assert not gi.sequence_report(limit, family, tol).failed_indices
+        assert _svd_calls_and_slices(linalg_calls) == want
+    a, seq = families.mp_convergent_sequence(np.random.default_rng(6), 8, 4, 10, complex_)
+    linalg_calls.clear()
+    assert not gi.mp_continuity_report(a, seq).failed_indices
+    assert _svd_calls_and_slices(linalg_calls) == (9, 92)
 
 
 def test_stack_norms_of_empty_slices_factor_nothing(linalg_calls):
@@ -400,7 +421,7 @@ def test_mp_continuity_report_counts(linalg_calls, complex_):
     linalg_calls.clear()
     assert not gi.mp_continuity_report(a, seq).failed_indices
     counts = _counts(linalg_calls)
-    assert counts["svd"] <= 13
+    assert counts["svd"] <= 9
     assert counts["qr"] == counts["inv"] == counts["solve"] == counts["lstsq"] == 0
 
 

@@ -430,6 +430,24 @@ def test_an_overflowing_core_is_refused_by_the_certificate():
         gi.outer_prescribed(a, t, s)
 
 
+def test_an_overflowing_slice_is_refused_alone():
+    # in a stack, the slice whose core H A F (dim T + dim S = 4) or whose A F (a count refuses
+    # the sum) overflows is refused as a stack of one is; the plain slices beside it are
+    # decided as they are alone
+    huge = np.full((4, 4), 1e308)
+    t, s = gi.Subspace(4, np.full((4, 1), 0.5)), gi.null_space(np.ones((1, 4)))
+    alone = gi.outer_prescribed(np.eye(4), t, s)
+    for a, space in ((huge - np.diag(np.full(4, 0.5e308)), s), (huge, gi.trivial_subspace(4))):
+        plain, overflowed = inverses.outer_prescribed_stack([(np.eye(4), t, space), (a, t, space)])
+        assert type(overflowed) is CertificateError
+        assert str(overflowed) == "an intermediate product is not finite"
+        if space is s:
+            assert plain.inverse.tobytes() == alone.inverse.tobytes()
+            assert plain.residuals == alone.residuals
+        else:
+            assert type(plain) is ExistenceError and plain.clause == "R(A*T) (+) S != Y"
+
+
 def _boundary_problem(complex_: bool, spread: float):
     """An 8x8 a, T and S (dim 4 each) with sigma_min(a F) / ||a|| about 1e-3 / spread, and the
     four constructions of its outer inverse, each ``construct(a, tol)``. ``spread`` scales a

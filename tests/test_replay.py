@@ -1,6 +1,6 @@
 """``tests/replay.py diff`` on hand-written records: it counts the moved cases, keeps decision
-fields apart from floats, gives each float field's largest move in ulps and names records whose
-headers differ. And ``record`` of one tree in two fresh processes reads identical, and a grid
+fields apart from floats, gives each float field's largest move in ulps and absolutely and
+names records whose headers differ. And ``record`` of one tree in two fresh processes reads identical, and a grid
 case that overflows is refused with no warning."""
 
 import json
@@ -45,15 +45,28 @@ def test_diff_gives_a_one_ulp_float_move_and_a_decision_apart(tmp_path, capsys):
     nudged[0]["outcome"]["range_gap"] = math.nextafter(0.25, 1.0).hex()
     assert replay.diff(first, _write(tmp_path / "b.jsonl", nudged)) == 1
     assert capsys.readouterr().out.splitlines() == [
-        "float certify .outcome.range_gap: 1 case(s), largest move 1 ulp", "1 of 3 cases moved"]
+        "float certify .outcome.range_gap: 1 case(s), largest move 1 ulp, 5.6e-17 absolute",
+        "1 of 3 cases moved"]
     nudged[1]["outcome"][0]["verdicts"]["gap_inverse"] = False
     nudged[2]["outcome"] = 2
     assert replay.diff(first, _write(tmp_path / "c.jsonl", nudged)) == 1
     assert capsys.readouterr().out.splitlines() == [
         "decision cli .outcome: 1 case(s)",
         "decision drivers .outcome.verdicts.gap_inverse: 1 case(s)",
-        "float certify .outcome.range_gap: 1 case(s), largest move 1 ulp",
+        "float certify .outcome.range_gap: 1 case(s), largest move 1 ulp, 5.6e-17 absolute",
         "3 of 3 cases moved"]
+
+
+def test_diff_gives_a_float_move_absolutely_beside_its_ulps(tmp_path, capsys):
+    # a residual moving from 1e-17 to 2e-15 lies some 1e15 doubles apart, 2e-15 absolutely
+    first = _write(tmp_path / "a.jsonl", _records())
+    moved = _records()
+    moved[0]["outcome"]["residuals"]["xax_x"] = (2e-15).hex()
+    assert replay.diff(first, _write(tmp_path / "b.jsonl", moved)) == 1
+    ulps = int(np.float64(2e-15).view(np.int64) - np.float64(1e-17).view(np.int64))
+    assert capsys.readouterr().out.splitlines() == [
+        f"float certify .outcome.residuals.xax_x: 1 case(s), largest move {ulps:g} ulps, "
+        "2e-15 absolute", "1 of 3 cases moved"]
 
 
 def test_records_whose_headers_differ_are_reported_and_still_compared(tmp_path, capsys):

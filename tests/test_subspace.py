@@ -133,6 +133,44 @@ def test_deviations_count_the_larger_side_and_measure_the_other(data, n, complex
             assert side == 1.0 if larger else abs(side - want) <= 1e-12
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), fields=st.sampled_from(["real", "complex", "mixed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_equal_dimension_deviations_measure_one_side_for_both(data, n, fields, seed):
+    # bases of drawn dimensions 0..n against one N, some of them N turned by a small rotation,
+    # each of its own field where fields are mixed: an equal-dimension row holds one number
+    # twice, bit for bit, and every row's larger side is the two-sided deviation from explicit
+    # projectors; gap of the pair either way round is the same row, sides swapped, bit for bit
+    rng = np.random.default_rng(seed)
+
+    def field() -> bool:
+        return fields == "complex" or fields == "mixed" and data.draw(st.booleans())
+
+    other = families.random_subspace(rng, n, data.draw(st.integers(0, n)), field())
+    ms = []
+    for dim in data.draw(st.lists(st.integers(-1, n), min_size=1, max_size=4)):
+        if dim >= 0:  # -1: N turned by a rotation through an angle of 10^-k
+            ms.append(families.random_subspace(rng, n, dim, field()))
+            continue
+        turn = families.cayley(families.random_skew(rng, n, field()), 10.0 ** -data.draw(
+            st.integers(1, 12)))
+        ms.append(gi.Subspace(n, turn @ other.basis))
+    eye = np.eye(n)
+    for m, row in zip(ms, subspace.deviations([m.basis for m in ms], other.basis)):
+        if m.dim == other.dim:
+            assert _bits(row[0]) == _bits(row[1])
+        p_m, p_n = m.projector(), other.projector()
+        two_sided = max(gi.spectral_norm((eye - p_n) @ p_m), gi.spectral_norm((eye - p_m) @ p_n))
+        assert abs(row.max() - two_sided) <= 1e-13
+        forward, backward = gi.gap(m, other), gi.gap(other, m)
+        swapped = (backward.delta_nm, backward.delta_mn, backward.gap)
+        assert _bits(forward) == _bits(swapped)
+
+
 def test_gap_equal_dimension_rigidity(rng):
     # equal-dimension pairs with deviation < 1 have equal one-sided deviations
     for _ in range(20):
