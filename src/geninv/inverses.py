@@ -13,9 +13,9 @@ Every other inverse here is that construction with a specific a, T or S:
   oblique_projector   a = I:      P_{T,S} = I^(2)_{T,S}
 
 All are built as ``X = F (H A F)^{-1} H`` (Wei 1998; Sheng & Chen 2007), F an
-orthonormal basis of T and H orthonormal rows spanning S's orthogonal complement, the
-complement the SVD that found S carries (a complete QR of S where it carries none);
-existence clauses and certificates reuse its factorizations. A construction
+orthonormal basis of T and H orthonormal rows spanning S's orthogonal complement: the rest
+of the SVD that found S, or one complete QR of a caller's S on its first read, kept on S;
+existence clauses and certificates reuse these factorizations. A construction
 whose residuals exceed tolerance is rejected rather than returned.
 """
 
@@ -30,7 +30,8 @@ import numpy as np
 from . import kernel
 from .errors import CertificateError, ExistenceError, InputError
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
-from .subspace import ObliqueProjector, Subspace, orthonormal_span, range_and_null_spaces
+from .subspace import ObliqueProjector, Subspace, complement_rows, orthonormal_span
+from .subspace import range_and_null_spaces
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
@@ -43,7 +44,7 @@ class InverseCertificate:
     computed inverse's subspaces and the prescribed ones. inverse_norm is ||inverse||. _memo
     keeps, from the construction or from their first read, restricted_condition (the condition
     number of ``a`` on the prescribed range) and complement_margin (the smallest singular value
-    of the direct-sum test [a(T) | S]), both from two SVDs and one QR, and operator_norm, ||a||.
+    of the direct-sum test [a(T) | S]), both from two SVDs, and operator_norm, ||a||.
     """
 
     inverse: np.ndarray
@@ -252,15 +253,6 @@ def _complement_failure(margin: float) -> ExistenceError:
     return ExistenceError(f"complement fails: {clause}", clause=clause, margin=margin)
 
 
-def _complement_rows(ss: list) -> np.ndarray:
-    """H: orthonormal rows spanning each S's orthogonal complement, the bases the S's carry
-    (all of them carry one, or none does), else one complete QR of the S's."""
-    if ss[0]._complement is not None:
-        return kernel.stack([s._complement for s in ss]).conj().swapaxes(-1, -2)
-    sb = kernel.stack([s.basis for s in ss])
-    return np.linalg.qr(sb, mode="complete")[0][:, :, sb.shape[-1]:].conj().swapaxes(-1, -2)
-
-
 def _svd_or_refuse(products: np.ndarray, refused: dict) -> tuple:
     """``kernel.svd_stack`` of the construction's products; where it refuses an overflow (an inf or
     NaN entry), each slice holding one is refused in ``refused`` and zeroed in place first."""
@@ -296,7 +288,7 @@ def _clauses(ops: list, ts: list, ss: list, memos: list, tol: ToleranceConfig) -
         # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
         # and S; cos is measured along that angle, as sqrt(1 - sin^2) cancels near sin = 1
         sb = kernel.stack([s.basis for s in ss])
-        _, sines, w = kernel.svd_stack(_complement_rows(ss) @ image)
+        _, sines, w = kernel.svd_stack(complement_rows(ss) @ image)
         cosines = map(np.linalg.norm, sb.conj().swapaxes(-1, -2) @ (image @ w[:, :, -1:]))
         margin = [sin / math.sqrt(1.0 + cos) for sin, cos in zip(sines[:, -1].tolist(), cosines)]
         for i in live:
@@ -330,7 +322,7 @@ def _outer(problems: list, tol: ToleranceConfig, kind: str) -> list:
     else:
         undecided, refused = list(range(k)), {}  # all, where dim T + dim S != m
         if dt + ds == m:
-            h = _complement_rows(ss)
+            h = complement_rows(ss)
             f = kernel.stack([t.basis for t in ts])
             cu, core_sigma, cv = _svd_or_refuse(h @ (a @ f), refused)
             floor = 2.0 * tol.rank_rel_tol + 8 * (m + n) * math.ulp(1.0)

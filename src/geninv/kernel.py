@@ -147,6 +147,12 @@ def svds(matrices, tol: ToleranceConfig, full: bool = True) -> list[tuple]:
     return [found[i] for i in range(len(matrices))]
 
 
+def complements(bases) -> np.ndarray:
+    """Orthonormal columns completing each orthonormal basis of one ``layout`` to a unitary: the
+    trailing columns of its complete QR, from one batched LAPACK call, as a 3-d stack."""
+    return np.linalg.qr(stack(bases), mode="complete")[0][:, :, bases[0].shape[1]:]
+
+
 def singular_values(a) -> np.ndarray:
     return _lapack_svd(as_matrix(a), compute_uv=False)
 

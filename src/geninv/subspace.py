@@ -22,13 +22,15 @@ from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix
 class Subspace:
     """A subspace of C^n (or R^n) carried as an orthonormal column basis.
 
-    ``tol`` only checks that the basis is orthonormal; it is not kept.
+    ``tol`` only checks that the basis is orthonormal; it is not kept. Its orthogonal complement
+    is read once, then kept (complement_rows): no basis may change in place, as ObliqueProjector
+    already assumes.
     """
 
     ambient_dim: int
     basis: np.ndarray  # ambient_dim x dim, orthonormal columns (dim may be 0)
     tol: InitVar[ToleranceConfig] = DEFAULT_TOL
-    _complement = None  # orthonormal complement: the rest of the full SVD that gave basis, if any
+    _complement = None  # orthonormal complement: the rest of basis's full SVD or complete QR
 
     @property
     def dim(self) -> int:
@@ -106,6 +108,15 @@ def range_and_null_spaces(matrices, tol: ToleranceConfig) -> list[tuple[Subspace
     each span carries the rest of its SVD's singular vectors as its complement."""
     return [(orthonormal_span(u[:, :r], u[:, r:]), orthonormal_span(v[:, r:], v[:, :r]),
              kernel.sigma_max(sigma)) for u, sigma, v, r in kernel.svds(matrices, tol)]
+
+
+def complement_rows(spaces) -> np.ndarray:
+    """Stacked orthonormal rows spanning each space's orthogonal complement (bases of one layout),
+    the basis it keeps: the distinct spaces that keep none take one ``kernel.complements`` first."""
+    bare = list({id(s): s for s in spaces if s._complement is None}.values())
+    for s, rest in zip(bare, kernel.complements([s.basis for s in bare]) if bare else ()):
+        object.__setattr__(s, "_complement", rest)
+    return kernel.stack([s._complement for s in spaces]).conj().swapaxes(-1, -2)
 
 
 def orthogonal_complement(s: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:

@@ -17,9 +17,9 @@ bytes, so two records agree only where every bit does. ``diff`` prints both head
 when they differ: the same input and seed give the same bits only on the same numpy build and
 BLAS thread count, so ``record`` run as a script pins the BLAS to one thread, as bench/run.py
 does. Then it groups the moved cases by pool and field: decision fields (outcome type, error,
-clause, check, verdicts, alarm, failed indices, exit code, report hash) apart from the floats,
-each float field with its largest move in ulps and its largest absolute move; last it prints
-the count.
+clause, check, verdicts, alarm, failed indices, exit code) apart from a CLI report's hash, which
+moves with any float the report prints, and from the floats, each float field with its largest
+move in ulps and its largest absolute move; last it prints the count.
 Run ``record`` once per tree, each in its own process.
 """
 
@@ -263,8 +263,8 @@ def record(tree: Path, out: Path, seeds, pools=POOLS, every: int = 1) -> int:
 
 
 # leaves that carry a decision: outcome type, error, clause, oracle check, verdicts, alarm,
-# failed indices, a CLI request's report hash (its exit code is an int outcome)
-DECISIONS = {"error", "clause", "check", "verdicts", "alarm", "failed_indices", "report"}
+# failed indices (a CLI request's exit code is an int outcome; its report hash is a kind apart)
+DECISIONS = {"error", "clause", "check", "verdicts", "alarm", "failed_indices"}
 
 
 def _moved(a, b, path=""):
@@ -292,9 +292,9 @@ def _move(a, b) -> tuple[int | float, float] | None:
 
 
 def diff(first: Path, second: Path) -> int:
-    """The moved cases, grouped by pool and field: decision fields apart, each float field with
-    its largest move in ulps and its largest absolute move, and the other fields (arrays,
-    messages); 1 if any case moved."""
+    """The moved cases, grouped by pool and field: decision fields apart, CLI report hashes
+    apart, each float field with its largest move in ulps and its largest absolute move, and the
+    other fields (arrays, messages); 1 if any case moved."""
     a, b = ([json.loads(line) for line in p.read_text().splitlines()] for p in (first, second))
     headers = [rs.pop(0)["header"] if rs and "header" in rs[0] else None for rs in (a, b)]
     if any(headers):
@@ -313,7 +313,8 @@ def diff(first: Path, second: Path) -> int:
         moved += bool(leaves)
         for field, x, y in leaves:
             move = _move(x, y)
-            kind = ("decision" if DECISIONS & set(field.split(".")) or isinstance(x, int)
+            kind = ("report" if field == ".report"
+                    else "decision" if DECISIONS & set(field.split(".")) or isinstance(x, int)
                     else "other" if move is None else "float")
             entry = groups.setdefault((kind, case.split("/")[0], field), [set(), 0, 0.0])
             entry[0].add(case)

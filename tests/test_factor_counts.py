@@ -5,16 +5,21 @@ tests count the calls made inside one construction at n = 64 (r = n / 2) and
 hold each count to the value of the full-rank construction as an upper bound.
 Where a call factors a stack, its slices (the operand's leading dimension) are
 counted beside the calls: a stack factors each distinct operand object once.
-The outer construction (outer_prescribed: 1 SVD + 1 QR) factors only its core
-H A F: both existence clauses and the checks scaled by ||a|| are decided at
-bounds read off the core's singular values. H, orthonormal rows spanning the
-orthogonal complement of the prescribed null space S, takes the complete QR of
-S only where S was built by the caller: a null space read off a full SVD (of c,
-d or q for bc_inverse, inverse_along and bott_duffin) carries its complement,
-so those three take no QR. A certificate's restricted_condition and
-complement_margin are the SVD of A F, H and one more SVD, taken together on the
-first read of either, and its operator_norm is one values-only SVD of a on first
-read (none of these for moore_penrose, whose SVD gives them).
+The outer construction (outer_prescribed: 1 SVD, and 1 QR of a caller's S on
+its first read) factors only its core H A F: both existence clauses and the
+checks scaled by ||a|| are decided at bounds read off the core's singular
+values. H, orthonormal rows spanning the
+orthogonal complement of the prescribed null space S, is the complement S keeps:
+a null space read off a full SVD (of c, d or q for bc_inverse, inverse_along
+and bott_duffin) carries it, so those three take no QR, and an S built by the
+caller takes one complete QR on its first read and keeps it. So a second
+construction on the same S object takes no QR, nor does an exact clause check
+that refuses its complement, and a stack of problems sharing one S takes one QR
+slice; a complement clause decided by counting (dim T = 0, or dim T + dim S !=
+m) reads no H. A certificate's restricted_condition and complement_margin are
+the SVD of A F, the kept H and one more SVD (2 SVDs, no QR), taken together on
+the first read of either, and its operator_norm is one values-only SVD of a on
+first read (none of these for moore_penrose, whose SVD gives them).
 The sequence reports are held to their per-index construction: 30 more
 indices may add no more calls than 30 more bc_inverse (2 SVD) or
 moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices,
@@ -51,8 +56,9 @@ import pytest
 
 import geninv as gi
 from geninv import calculus, families, kernel, subspace
-from geninv.inverses import bc_inverse_stack
+from geninv.inverses import bc_inverse_stack, outer_prescribed_stack
 
+import replay
 from conftest import complement_rows, outer_instance_at_angles
 
 N = 64
@@ -217,10 +223,10 @@ def test_operator_norm_costs_one_svd_on_first_read(linalg_calls, complex_):
 
 
 @pytest.mark.parametrize("complex_", [False, True])
-def test_clause_record_costs_two_svds_and_one_qr_on_first_read(linalg_calls, complex_):
+def test_clause_record_costs_two_svds_on_first_read(linalg_calls, complex_):
     # the construction decides both clauses off its core; restricted_condition and
-    # complement_margin are taken together, on the first read of either, and kept; the QR of
-    # S is outer_prescribed's alone, as bott_duffin's N(q) carries its complement
+    # complement_margin are taken together, on the first read of either, and kept; H is the
+    # complement S keeps: the construction's QR of outer_prescribed's S, bott_duffin's N(q)'s own
     rng = np.random.default_rng(16)
     a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
     h = complement_rows(s)
@@ -228,10 +234,10 @@ def test_clause_record_costs_two_svds_and_one_qr_on_first_read(linalg_calls, com
     q = gi.ObliqueProjector.from_matrix(h.conj().T @ h)
     for first, second in (("restricted_condition", "complement_margin"),
                           ("complement_margin", "restricted_condition")):
-        for cert, qr in ((gi.outer_prescribed(a, t, s), 1), (gi.bott_duffin(a, p, q), 0)):
+        for cert in (gi.outer_prescribed(a, t, s), gi.bott_duffin(a, p, q)):
             linalg_calls.clear()
             getattr(cert, first)
-            assert _counts(linalg_calls) == {"svd": 2, "qr": qr, "inv": 0, "solve": 0, "lstsq": 0}
+            assert _counts(linalg_calls) == {"svd": 2, "qr": 0, "inv": 0, "solve": 0, "lstsq": 0}
             linalg_calls.clear()
             getattr(cert, second), getattr(cert, first), cert.operator_norm
             assert linalg_calls == [("svd", (N, N))]  # operator_norm's own, kept apart
@@ -239,6 +245,75 @@ def test_clause_record_costs_two_svds_and_one_qr_on_first_read(linalg_calls, com
     linalg_calls.clear()
     cert.restricted_condition, cert.complement_margin, cert.operator_norm
     assert linalg_calls == []
+
+
+def _qr_calls(calls) -> list:
+    return [shape for name, shape in calls if name == "qr"]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_caller_built_null_space_is_factored_once(linalg_calls, complex_):
+    # the first construction takes one complete QR of S and S keeps its complement: a second
+    # construction with the same S takes none, and its certificate is bitwise the first one's
+    # and the one from a fresh copy of S
+    a, t, s = outer_instance_at_angles(np.random.default_rng(21), N, N, N // 2, complex_)
+    twin = gi.Subspace(N, s.basis.copy())
+    linalg_calls.clear()
+    first = gi.outer_prescribed(a, t, s)
+    assert _qr_calls(linalg_calls) == [(1, N, N // 2)]
+    linalg_calls.clear()
+    second = gi.outer_prescribed(a, t, s)
+    assert _counts(linalg_calls) == {"svd": 1, "qr": 0, "inv": 0, "solve": 0, "lstsq": 0}
+    fresh = gi.outer_prescribed(a, t, twin)
+    assert replay.digest(second) == replay.digest(first) == replay.digest(fresh)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_refused_complement_and_a_clause_read_share_one_qr(linalg_calls, complex_):
+    # a(T) meets S along s_1: the core cannot decide, so the exact clauses refuse the complement,
+    # with the H the construction took. A certificate on the same S then reads its clause
+    # records with no QR
+    rng = np.random.default_rng(22)
+    t, s = (families.random_subspace(rng, N, N // 2, complex_) for _ in range(2))
+    t1, s1 = t.basis[:, :1], s.basis[:, :1]
+    bad = np.eye(N) + (s1 - t1) @ t1.conj().T  # t_1 to s_1, the rest of T kept
+    linalg_calls.clear()
+    with pytest.raises(gi.ExistenceError) as refusal:
+        gi.outer_prescribed(bad, t, s)
+    assert refusal.value.clause == "R(A*T) (+) S != Y"
+    cert = gi.outer_prescribed(np.eye(N), t, s)
+    assert cert.restricted_condition > 0 and cert.complement_margin > 0
+    assert _qr_calls(linalg_calls) == [(1, N, N // 2)]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_stack_sharing_one_null_space_takes_one_qr_slice(linalg_calls, complex_):
+    # k problems on one S: one QR slice, in the first group to read it, however many groups
+    # (here two layouts of a) the stack has
+    rng = np.random.default_rng(23)
+    a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
+    ops = [a + 0.01 * families.random_matrix(rng, N, N, complex_) for _ in range(4)]
+    ops[1], ops[3] = np.asfortranarray(ops[1]), np.asfortranarray(ops[3])
+    linalg_calls.clear()
+    certs = outer_prescribed_stack([(op, t, s) for op in ops])
+    assert all(isinstance(cert, gi.InverseCertificate) for cert in certs)
+    assert _qr_calls(linalg_calls) == [(1, N, N // 2)]
+
+
+def test_counted_complement_clauses_take_no_qr(linalg_calls):
+    # dim T = 0 and dim T + dim S != m are decided by counting: S's complement is never read
+    rng = np.random.default_rng(24)
+    a = families.random_matrix(rng, N, N)
+    t, s = (families.random_subspace(rng, N, N // 2) for _ in range(2))
+    small = families.random_subspace(rng, N, N // 2 - 1)
+    trivial, full = gi.trivial_subspace(N), gi.full_subspace(N)
+    linalg_calls.clear()
+    assert gi.outer_prescribed(a, trivial, full).inverse_norm == 0.0
+    for t_, s_ in ((trivial, s), (t, small)):
+        with pytest.raises(gi.ExistenceError, match="complement fails"):
+            gi.outer_prescribed(a, t_, s_)
+    assert _qr_calls(linalg_calls) == []
+    assert s._complement is small._complement is full._complement is None
 
 
 def test_zero_limit_check_factors_nothing(linalg_calls):

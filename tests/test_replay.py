@@ -1,7 +1,7 @@
 """``tests/replay.py diff`` on hand-written records: it counts the moved cases, keeps decision
-fields apart from floats, gives each float field's largest move in ulps and absolutely and
-names records whose headers differ. And ``record`` of one tree in two fresh processes reads identical, and a grid
-case that overflows is refused with no warning."""
+fields apart from CLI report hashes and floats, gives each float field's largest move in ulps
+and absolutely and names records whose headers differ. And ``record`` of one tree in two fresh
+processes reads identical, and a grid case that overflows is refused with no warning."""
 
 import json
 import math
@@ -55,6 +55,21 @@ def test_diff_gives_a_one_ulp_float_move_and_a_decision_apart(tmp_path, capsys):
         "decision drivers .outcome.verdicts.gap_inverse: 1 case(s)",
         "float certify .outcome.range_gap: 1 case(s), largest move 1 ulp, 5.6e-17 absolute",
         "3 of 3 cases moved"]
+
+
+def test_diff_gives_a_moved_report_hash_its_own_group_and_the_exit_code_as_the_decision(
+        tmp_path, capsys):
+    # a report whose only move is a printed float changes its hash, not its request's decision
+    first = _write(tmp_path / "a.jsonl", _records())
+    moved = _records()
+    moved[2]["report"] = "cd34"
+    assert replay.diff(first, _write(tmp_path / "b.jsonl", moved)) == 1
+    assert capsys.readouterr().out.splitlines() == ["report cli .report: 1 case(s)",
+                                                    "1 of 3 cases moved"]
+    moved[2]["outcome"] = 1
+    assert replay.diff(first, _write(tmp_path / "c.jsonl", moved)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "decision cli .outcome: 1 case(s)", "report cli .report: 1 case(s)", "1 of 3 cases moved"]
 
 
 def test_diff_gives_a_float_move_absolutely_beside_its_ulps(tmp_path, capsys):
