@@ -106,6 +106,8 @@ def additive_family(a, b, c, count: int, rng, tol: ToleranceConfig = DEFAULT_TOL
     """(a + e/n, b, c) with a fixed direction e small enough to keep existence
     and the quantitative error bound applicable at every index."""
     cert = bc_inverse(a, b, c, tol)
+    if cert.inverse_norm == 0.0:  # the amplitude is read off ||x||
+        raise InputError("limit inverse is zero; use zero_limit_check")
     xnorm, kappa = cert.inverse_norm, cert.operator_norm * cert.inverse_norm
     z_cap = 2.0 * kappa / ((1.0 + kappa) * (4.0 + kappa))
     amplitude = min(0.4 / xnorm, 0.5 * z_cap / xnorm)

@@ -30,8 +30,8 @@ import numpy as np
 from . import kernel
 from .errors import CertificateError, ExistenceError, InputError
 from .kernel import DEFAULT_TOL, ToleranceConfig, as_matrix, spectral_norm
-from .subspace import ObliqueProjector, Subspace, complement_rows, orthonormal_span
-from .subspace import range_and_null_spaces
+from .subspace import ObliqueProjector, Subspace, complement_layout, complement_rows
+from .subspace import orthonormal_span, range_and_null_spaces
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hashable: fields are arrays
@@ -82,7 +82,8 @@ def _certify(defects: dict, tol: ToleranceConfig, kind: str, exact=None) -> dict
     or NaN entry) is refused whatever its budget."""
     residuals = {}
     for j, (name, (defect, scale, *fro)) in enumerate(defects.items()):
-        value, budget = kernel.residual_norm(defect, math.inf, *fro), tol.residual_tol * scale
+        value, budget = (fro[0] if fro and kernel.FRO_LOW < fro[0] < math.inf else  # as it is
+                         kernel.residual_norm(defect, math.inf, *fro)), tol.residual_tol * scale
         budget = tol.residual_tol * exact()[j] if exact and not value <= budget else budget
         value = value if value <= budget else kernel.residual_norm(defect, budget, value)
         if value > budget or value == math.inf:
@@ -199,11 +200,11 @@ def outer_prescribed_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list
 
 def _stacked(problems: list, tol: ToleranceConfig, kind: str) -> list:
     """``_outer`` of each (a, T, S[, b, c, ||b||, ||c||]) as ``kind``: one construction per
-    ``kernel.layout`` of every matrix it stacks (a, T's basis, S's basis and carried complement,
-    b and c), so per shape, field, strides, dim T and dim S. Entry i is problem i's result."""
+    ``kernel.layout`` of every matrix it stacks (a, T's basis, S's basis, b, c and the complement
+    S keeps or will keep), so per shape, field, strides, dim T and dim S. Entry i is problem i's."""
     found: dict = {}
-    for group in kernel.groups([tuple([m if m is None else kernel.layout(m) for m in (
-            p[0], p[1].basis, p[2].basis, p[2]._complement, *p[3:5])]) for p in problems]):
+    for group in kernel.groups([(*map(kernel.layout, (p[0], p[1].basis, p[2].basis, *p[3:5])),
+                                 complement_layout(p[2])) for p in problems]):
         found.update(zip(group, _outer([problems[i] for i in group], tol, kind)))
     return [found[i] for i in range(len(problems))]
 
@@ -309,10 +310,10 @@ def _outer(problems: list, tol: ToleranceConfig, kind: str) -> list:
     eps) ||a||_F, the allowance for both SVDs' rounding, grants both clauses; ``_clauses``
     decides the rest exactly. Residual budgets use sigma_max(H A F) / 2 <= ||a|| first."""
     ops, ts, ss, *bc = zip(*problems)  # bc: the b's, c's, ||b||'s and ||c||'s, if given
-    (m, n), k, dt, ds = ops[0].shape, len(ops), ts[0].dim, ss[0].dim
-    if any(t.ambient_dim != n for t in ts):
+    (m, n), k, (_, dt), (_, ds) = ops[0].shape, len(ops), ts[0].basis.shape, ss[0].basis.shape
+    if ts[0].ambient_dim != n:  # a group's bases share their shapes
         raise InputError("prescribed range does not live in the domain of a")
-    if any(s.ambient_dim != m for s in ss):
+    if ss[0].ambient_dim != m:
         raise InputError("prescribed null space does not live in the codomain of a")
     a, memos = kernel.stack(ops), [{} for _ in ops]  # the lazily read numbers taken here
     if dt == 0:  # a(T) = {0}: the sum fills Y iff S = Y, a count
@@ -322,18 +323,18 @@ def _outer(problems: list, tol: ToleranceConfig, kind: str) -> list:
     else:
         undecided, refused = list(range(k)), {}  # all, where dim T + dim S != m
         if dt + ds == m:
-            h = complement_rows(ss)
-            f = kernel.stack([t.basis for t in ts])
+            h, f = complement_rows(ss), kernel.stack([t.basis for t in ts])
             cu, core_sigma, cv = _svd_or_refuse(h @ (a @ f), refused)
             floor = 2.0 * tol.rank_rel_tol + 8 * (m + n) * math.ulp(1.0)
             undecided = [i for i in range(k) if i not in refused
                          and not core_sigma[i, -1] > floor * kernel.residual_norm(ops[i])]
-        picked = [[p[i] for i in undecided] for p in (ops, ts, ss, memos)]
-        found = _clauses(*picked, tol) if undecided else {}
-        refused.update((undecided[j], e) for j, e in found.items())
+        if undecided:  # the core-first bound granted the others
+            found = _clauses(*[[p[i] for i in undecided] for p in (ops, ts, ss, memos)], tol)
+            refused.update((undecided[j], e) for j, e in found.items())
         if len(refused) == k:
             return [refused[i] for i in range(k)]
-        core_sigma[list(refused)] = 1.0  # a refused slice's inverse is never read: keep it finite
+        if refused:  # a refused slice's inverse is never read: keep it finite
+            core_sigma[list(refused)] = 1.0
         x = (f @ (cv / core_sigma[:, None, :])) @ (cu.conj().swapaxes(-1, -2) @ h)
         xnorm = (1.0 / core_sigma[:, -1]).tolist()
     xa = x @ a
@@ -363,12 +364,12 @@ def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
 
 def bc_inverse_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """bc_inverse of each (a, b, c): each distinct b or c object (after ``as_matrix``; equal
-    copies are not merged) factored once, by ``range_and_null_spaces``, its R(b), N(c) and norm
-    shared by every problem using it; then stacked as ``_stacked`` groups them. Entry i is
-    problem i's certificate or the ExistenceError that refuses it."""
+    copies are not merged) factored once, by ``range_and_null_spaces``, into R(b) if a b, N(c) if
+    a c, and its norm, shared by every problem using it; then stacked as ``_stacked`` groups
+    them. Entry i is problem i's certificate or the ExistenceError that refuses it."""
     probs = [_bc_operands(*p, index=i) for i, p in enumerate(problems)]
-    operands = list({id(m): m for p in probs for m in p[1:]}.values())
-    spans = dict(zip(map(id, operands), range_and_null_spaces(operands, tol)))
+    bs, cs = {id(b): b for _, b, _ in probs}, {id(c): c for *_, c in probs}
+    spans = dict(zip({**bs, **cs}, range_and_null_spaces([*{**bs, **cs}.values()], bs, cs, tol)))
     return _relabeled(_stacked([(a, spans[id(b)][0], spans[id(c)][1], b, c, spans[id(b)][2],
                                  spans[id(c)][2]) for a, b, c in probs], tol, "bc"), _NO_BC)
 
@@ -378,7 +379,7 @@ def _bc_operands(*abc, index: int = 0) -> tuple:
     size, naming the problem's ``index`` in its stack where it is not three."""
     if len(abc) != 3:
         raise InputError(f"problem {index} holds {len(abc)} matrices, not the 3 of (a, b, c)")
-    b, c, a = (as_matrix(abc[j]) for j in (1, 2, 0))
+    b, c, a = [as_matrix(abc[j]) for j in (1, 2, 0)]
     if a.shape[0] != a.shape[1] or a.shape != b.shape or a.shape != c.shape:
         raise InputError("bc_inverse needs square a, b, c of equal size")
     return a, b, c

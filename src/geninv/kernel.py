@@ -8,6 +8,7 @@ supported; complex is the canonical path.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .errors import CertificateError, InputError, KernelError
 
 _REAL = np.float64
 _COMPLEX = np.complex128
+FRO_LOW = 1e-150  # a Frobenius norm below it may have underflowed in its squares: rescale
 
 
 def as_matrix(a, ndim: int = 2) -> np.ndarray:
@@ -29,7 +31,7 @@ def as_matrix(a, ndim: int = 2) -> np.ndarray:
         if arr.ndim != ndim:
             kind = "matrix" if ndim == 2 else "stack"
             raise InputError(f"expected a {ndim}-d {kind}, got ndim={arr.ndim}")
-        arr = arr.astype(_COMPLEX if np.iscomplexobj(arr) else _REAL, copy=False)
+        arr = arr.astype(_COMPLEX if arr.dtype.kind == "c" else _REAL, copy=False)
     except (TypeError, ValueError) as exc:  # numpy's conversion errors; not an InputError
         raise InputError(f"not a numeric matrix: {exc}") from None
     if not np.isfinite(arr).all():
@@ -81,9 +83,7 @@ def _lapack_svd(a: np.ndarray, **kwargs):
         ) from exc
 
 
-def layout(a: np.ndarray) -> tuple:
-    """Shape, field and strides of a matrix (or row): how a BLAS product of it reads memory."""
-    return a.shape, a.dtype.char, a.strides
+layout = operator.attrgetter("shape", "dtype.char", "strides")  # how BLAS reads a matrix
 
 
 def stack(matrices) -> np.ndarray:
@@ -124,10 +124,9 @@ def svd(a, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def svd_stack(stack: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``svd`` of each float slice of a 3-d stack, from one batched LAPACK call.
-
-    Inputs reach it through ``as_matrix``, so an inf or NaN entry is an overflow in one of the
-    library's own products, refused as a certificate is: LAPACK may not return on it.
+    """``svd`` of each float slice of a 3-d stack of the library's own products, from one batched
+    LAPACK call. Inputs reach ``svds`` through ``as_matrix``, so an inf or NaN entry here is an
+    overflow in a product, refused as a certificate is: LAPACK may not return on it.
     """
     if not np.isfinite(stack).all():
         raise CertificateError("an intermediate product is not finite")
@@ -136,14 +135,14 @@ def svd_stack(stack: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.nda
 
 
 def svds(matrices, tol: ToleranceConfig, full: bool = True) -> list[tuple]:
-    """(u, sigma, v, rank) of each 2-d float matrix: its ``svd`` and ``numerical_rank``, from one
-    ``svd_stack`` call per shape and field. LAPACK reads each slice from its own copy, so the
-    factors are bitwise those of the matrix alone, whatever its strides."""
+    """(u, sigma, v, rank) of each matrix ``as_matrix`` validated, by one LAPACK call per shape and
+    field with no second finiteness pass: its ``svd`` and ``numerical_rank``. LAPACK reads each
+    slice from its own C-ordered copy: the factors are bitwise the matrix's alone, any strides."""
     found: dict = {}
     for group in groups([(m.shape, m.dtype.char) for m in matrices]):
-        ms = [matrices[i] for i in group]  # strides may differ: several are copied in C order
-        u, sigma, v = svd_stack(np.stack(ms) if len(ms) > 1 else ms[0][None], full)
-        found.update(zip(group, zip(u, sigma, v, numerical_rank(sigma, tol).tolist())))
+        u, sigma, vh = _lapack_svd(np.array([matrices[i] for i in group]), full_matrices=full)
+        ranks = numerical_rank(sigma, tol).tolist()
+        found.update(zip(group, zip(u, sigma, vh.conj().swapaxes(-1, -2), ranks)))
     return [found[i] for i in range(len(matrices))]
 
 
@@ -192,9 +191,9 @@ def frobenius_norms(stack: np.ndarray) -> list[float]:
     strided BLAS dot per slice and part (real, then imaginary), their sum and root on floats."""
     if stack.dtype.char == "D":  # the real and imaginary parts on a last axis
         parts = stack.reshape(len(stack), -1).view(np.float64).reshape(len(stack), -1, 2)
-        return [math.sqrt(re + im) for re, im in np.vecdot(parts, parts, axis=-2).tolist()]
+        return list(map(math.sqrt, map(sum, np.vecdot(parts, parts, axis=-2).tolist())))
     rows = stack.reshape(len(stack), -1)
-    return [math.sqrt(dot) for dot in np.vecdot(rows, rows).tolist()]
+    return list(map(math.sqrt, np.vecdot(rows, rows).tolist()))
 
 
 def residual_norm(a, budget: float = math.inf, fro: float | None = None) -> float:
@@ -202,7 +201,7 @@ def residual_norm(a, budget: float = math.inf, fro: float | None = None) -> floa
     default), else the exact spectral norm; the result exceeds ``budget`` exactly when the
     spectral norm does. An inf or NaN entry (an overflowed product) gives inf."""
     fro = _frobenius(a) if fro is None else fro
-    if not 1e-150 < fro < np.inf:  # the squares overflowed or may underflow: rescale
+    if not FRO_LOW < fro < np.inf:  # the squares overflowed or may underflow: rescale
         scale = float(np.maximum.reduce(np.abs(a), axis=None, initial=0.0))
         if not scale < np.inf:
             return math.inf

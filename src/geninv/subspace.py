@@ -67,10 +67,8 @@ del Subspace.tol
 def orthonormal_span(basis: np.ndarray, complement: np.ndarray | None = None) -> Subspace:
     """The Subspace of a float basis whose columns are orthonormal by construction (singular
     vectors), without checking them again; ``complement`` is the rest of those vectors."""
-    span = object.__new__(Subspace)
-    object.__setattr__(span, "ambient_dim", basis.shape[0])
-    object.__setattr__(span, "basis", basis)
-    object.__setattr__(span, "_complement", complement)
+    span = object.__new__(Subspace)  # frozen: its fields set past __setattr__
+    vars(span).update(ambient_dim=basis.shape[0], basis=basis, _complement=complement)
     return span
 
 
@@ -100,14 +98,16 @@ def null_space(a, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:
 
 def range_and_null_space(a, tol: ToleranceConfig) -> tuple[Subspace, Subspace, float]:
     """R(a), N(a) and ||a||, read off one full SVD."""
-    return range_and_null_spaces([as_matrix(a)], tol)[0]
+    return range_and_null_spaces([a := as_matrix(a)], {id(a)}, {id(a)}, tol)[0]
 
 
-def range_and_null_spaces(matrices, tol: ToleranceConfig) -> list[tuple[Subspace, Subspace, float]]:
-    """``range_and_null_space`` of each 2-d float matrix, from one full SVD per shape and field;
-    each span carries the rest of its SVD's singular vectors as its complement."""
-    return [(orthonormal_span(u[:, :r], u[:, r:]), orthonormal_span(v[:, r:], v[:, :r]),
-             kernel.sigma_max(sigma)) for u, sigma, v, r in kernel.svds(matrices, tol)]
+def range_and_null_spaces(matrices, ranges, nulls, tol: ToleranceConfig) -> list[tuple]:
+    """(R(m), N(m), ||m||) of each 2-d float matrix m, from one full SVD per shape and field, R(m)
+    only if id(m) is in ``ranges`` and N(m) only if in ``nulls`` (else None); each span carries
+    the rest of its SVD's singular vectors as its complement."""
+    return [(orthonormal_span(u[:, :r], u[:, r:]) if id(m) in ranges else None,
+             orthonormal_span(v[:, r:], v[:, :r]) if id(m) in nulls else None, kernel.sigma_max(
+                 sigma)) for m, (u, sigma, v, r) in zip(matrices, kernel.svds(matrices, tol))]
 
 
 def complement_rows(spaces) -> np.ndarray:
@@ -117,6 +117,13 @@ def complement_rows(spaces) -> np.ndarray:
     for s, rest in zip(bare, kernel.complements([s.basis for s in bare]) if bare else ()):
         object.__setattr__(s, "_complement", rest)
     return kernel.stack([s._complement for s in spaces]).conj().swapaxes(-1, -2)
+
+
+def complement_layout(s: Subspace) -> tuple:
+    """``kernel.layout`` of s's complement: kept, or unread the C-ordered one its QR will give."""
+    (m, d), item = s.basis.shape, s.basis.itemsize
+    qr = (m, m - d), s.basis.dtype.char, (m * item, item)  # a complete Q's trailing columns
+    return qr if s._complement is None else kernel.layout(s._complement)
 
 
 def orthogonal_complement(s: Subspace, tol: ToleranceConfig = DEFAULT_TOL) -> Subspace:

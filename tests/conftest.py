@@ -1,11 +1,32 @@
 """Shared helpers: independent oracles, instance builders and subspace assertions."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 import geninv as gi
 from geninv import diagnostics, families
 from geninv.errors import ExistenceError
+
+
+def python_frames(call) -> int:
+    """Python frames that ``call()`` runs in the geninv package: its "call" events under
+    ``sys.setprofile``. CPython 3.11 counts each comprehension and each generator resumption as a
+    frame; a later CPython, which inlines comprehensions, only lowers the count."""
+    package, count, previous = os.path.dirname(gi.__file__) + os.sep, 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            count += 1
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(previous)
+    return count
 
 
 def outer_fullrank_oracle(a, t_space, s_space):

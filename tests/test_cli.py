@@ -275,6 +275,20 @@ def test_seqcheck_rotating_zero_limit_is_an_input_error(tmp_path, capsys):
     assert "limit inverse is zero" in report["error"]
 
 
+def test_seqcheck_additive_zero_limit_is_an_input_error(tmp_path, capsys):
+    # the additive family's amplitude is read off the limit inverse, zero here, so the refusal
+    # is the rotating family's, and its report reaches --out
+    a_path = write(tmp_path / "a.mat", np.eye(3))
+    z_path = write(tmp_path / "z.mat", np.zeros((3, 3)))
+    out = tmp_path / "report.json"
+    code = main(["seqcheck", a_path, z_path, z_path, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+    report = json.loads(out.read_text())
+    assert report["clause"] == "input"
+    assert report["error"] == "limit inverse is zero; use zero_limit_check"
+
+
 def test_seqcheck_report_keys(tmp_path, capsys):
     a_path = write(tmp_path / "a.mat", np.diag([1.0, 2.0, 3.0]))
     b_path = write(tmp_path / "b.mat", np.diag([1.0, 1.0, 0.0]))

@@ -44,6 +44,12 @@ norm; values only for reflexive_inverse's f, whose rank is all it reads) before
 the construction's own factorizations.
 perturbed_bc_inverse and zero_limit_check read ||a|| and ||x|| off the
 certificate; ||x|| costs nothing and ||a|| at most its first read.
+The fixed cost around one construction is held too, in Python frames run inside geninv
+(conftest.python_frames): a 6x6 bc_inverse runs at most 73 (54 with b = c = 0),
+moore_penrose 46 and outer_prescribed on subspaces already read 48, and each problem added
+to a bc_inverse_stack at most 20 more (an additive family) or 24 (a rotating one, a new b
+and c per problem): only the spans a problem reads are built, and a problem's stacking key
+reads its layouts through a C getter, not a Python call per matrix.
 finite_difference_check builds one inverse per point of its sweep, all of them one
 stacked construction, so its factorizations do not grow with the steps. It reads each
 curve once, at every point of the sweep: a library curve (families.bc_curves, mp_curve,
@@ -59,7 +65,7 @@ from geninv import calculus, families, kernel, subspace
 from geninv.inverses import bc_inverse_stack, outer_prescribed_stack
 
 import replay
-from conftest import complement_rows, outer_instance_at_angles
+from conftest import complement_rows, outer_instance_at_angles, python_frames
 
 N = 64
 ENTRY_POINTS = ("svd", "qr", "inv", "solve", "lstsq")
@@ -298,6 +304,22 @@ def test_a_stack_sharing_one_null_space_takes_one_qr_slice(linalg_calls, complex
     certs = outer_prescribed_stack([(op, t, s) for op in ops])
     assert all(isinstance(cert, gi.InverseCertificate) for cert in certs)
     assert _qr_calls(linalg_calls) == [(1, N, N // 2)]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_read_and_an_unread_null_space_share_one_construction(linalg_calls, complex_):
+    # S, read by an earlier construction, keeps its complement; a fresh copy keeps none yet and
+    # is keyed on the layout its QR will give: one core SVD of two slices, each certificate
+    # bitwise its lone call's
+    a, t, s = outer_instance_at_angles(np.random.default_rng(25), 8, 8, 4, complex_)
+    gi.outer_prescribed(a, t, s)
+    fresh = gi.Subspace(8, s.basis.copy())
+    linalg_calls.clear()
+    certs = outer_prescribed_stack([(a, t, s), (a, t, fresh)])
+    assert _svd_calls_and_slices([c for c in linalg_calls if c[0] == "svd"]) == (1, 2)
+    assert _qr_calls(linalg_calls) == [(1, 8, 4)]
+    lone = [gi.outer_prescribed(a, t, gi.Subspace(8, s.basis.copy())) for _ in range(2)]
+    assert [replay.digest(c) for c in certs] == [replay.digest(c) for c in lone]
 
 
 def test_counted_complement_clauses_take_no_qr(linalg_calls):
@@ -601,3 +623,25 @@ def test_finite_difference_check_of_family_curves_solves_once_per_generator(
         counts[steps] = _counts(linalg_calls)
     assert counts[4] == counts[8]
     assert counts[4]["solve"] <= solves
+
+
+def test_per_call_python_frames_stay_within_their_bounds():
+    # counted on CPython 3.11, where each comprehension and generator resumption is a frame;
+    # a later CPython, which inlines comprehensions, only lowers these counts
+    rng = np.random.default_rng(0)
+    a, b, c = families.random_solvable_triple(rng, 6, 3)
+    assert python_frames(lambda: gi.bc_inverse(a, b, c)) <= 73
+    assert python_frames(lambda: gi.bc_inverse(a, np.zeros((6, 6)), np.zeros((6, 6)))) <= 54
+    assert python_frames(lambda: gi.moore_penrose(a)) <= 46
+    a8, t, s = outer_instance_at_angles(rng, 8, 8, 4)
+    gi.outer_prescribed(a8, t, s)  # S keeps its complement from here on
+    assert python_frames(lambda: gi.outer_prescribed(a8, t, s)) <= 48
+
+
+@pytest.mark.parametrize("family, per_problem", [("additive", 20), ("rotating", 24)])
+def test_each_problem_added_to_a_stack_runs_few_python_frames(family, per_problem):
+    rng = np.random.default_rng(0)
+    a, b, c = families.random_solvable_triple(rng, 6, 3)
+    problems = getattr(families, f"{family}_family")(a, b, c, 50, rng)
+    frames = [python_frames(lambda k=k: bc_inverse_stack(problems[:k])) for k in (10, 50)]
+    assert frames[1] - frames[0] <= 40 * per_problem

@@ -63,6 +63,13 @@ def test_rank_outside_range_is_rejected():
             families.random_solvable_triple(rng, n, r)
 
 
+def test_additive_family_refuses_a_zero_limit_inverse():
+    # its amplitude is read off ||x||, which is 0 for b = c = 0: an InputError, not a division
+    zero = np.zeros((3, 3))
+    with pytest.raises(gi.InputError, match="limit inverse is zero; use zero_limit_check"):
+        families.additive_family(np.eye(3), zero, zero, 5, np.random.default_rng(0))
+
+
 @FIELDS
 @pytest.mark.parametrize("seed", range(10))
 def test_rotating_family_exists_at_every_index(seed, complex_):
