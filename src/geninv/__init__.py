@@ -27,16 +27,12 @@ from .errors import (
     KernelError,
 )
 from .inverses import (
-    DirectSumResult,
     InverseCertificate,
     bc_inverse,
     bott_duffin,
-    direct_sum_check,
     inverse_along,
     moore_penrose,
-    oblique_projector,
     outer_prescribed,
-    reflexive_inverse,
 )
 from .kernel import (
     DEFAULT_TOL,
@@ -44,9 +40,8 @@ from .kernel import (
     as_matrix,
     numerical_rank,
     spectral_norm,
-    svd,
 )
-from .matio import parse_matrix, save_matrix, serialize_matrix
+from .matio import parse_matrix
 from .perturb import (
     PerturbationReport,
     openness_radius,

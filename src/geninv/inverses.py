@@ -10,7 +10,6 @@ Every other inverse here is that construction with a specific a, T or S:
   bc_inverse      T = range(b),   S = null(c)
   bott_duffin     T = range(p),   S = null(q)   for idempotents p, q
   inverse_along   T = range(d),   S = null(d)
-  oblique_projector   a = I:      P_{T,S} = I^(2)_{T,S}
 
 All are built as ``X = F (H A F)^{-1} H`` (Wei 1998; Sheng & Chen 2007), F an
 orthonormal basis of T and H orthonormal rows spanning S's orthogonal complement: the rest
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,14 +99,13 @@ def _one(results: list):
     return results[0]
 
 
-def _relabeled(results: list, message: str, clause=lambda old: old) -> list:
-    """``results``, each ExistenceError in it but a CertificateError relabelled in place: clause
-    clause(old clause), message ``message`` formatted with it and the old error, the old margin,
-    and the old error as its __cause__."""
+def _relabeled(results: list, message: str) -> list:
+    """``results``, each ExistenceError in it but a CertificateError relabelled in place: message
+    ``message`` formatted with the old error, the old clause and margin, and the old error as its
+    __cause__."""
     for j, old in enumerate(results):
         if type(old) is ExistenceError:
-            results[j] = ExistenceError(message.format(old, clause=(new := clause(old.clause))),
-                                        clause=new, margin=old.margin)
+            results[j] = ExistenceError(message.format(old), clause=old.clause, margin=old.margin)
             results[j].__cause__ = old
     return results
 
@@ -207,46 +204,6 @@ def _stacked(problems: list, tol: ToleranceConfig, kind: str) -> list:
                                  complement_layout(p[2])) for p in problems]):
         found.update(zip(group, _outer([problems[i] for i in group], tol, kind)))
     return [found[i] for i in range(len(problems))]
-
-
-def oblique_projector(
-    t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL
-) -> ObliqueProjector:
-    """Idempotent with range T and null space S, if T and S are complementary: the outer
-    inverse of I with that range and null space. Its x I x - x residual is the idempotency
-    test, within ``residual_tol * ||P||^2``, and its inverse_norm is ||P||."""
-    if t.ambient_dim != s.ambient_dim:
-        raise InputError("ambient dimensions differ")
-    cert = _one(_relabeled(outer_prescribed_stack([(np.eye(t.ambient_dim), t, s)], tol),
-                           "{clause}", lambda _: "not complementary"))
-    return ObliqueProjector(cert.inverse, t, s, cert.inverse_norm)
-
-
-class DirectSumResult(NamedTuple):
-    holds: bool
-    margin: float
-
-
-def direct_sum_check(
-    t: Subspace, s: Subspace, tol: ToleranceConfig = DEFAULT_TOL
-) -> DirectSumResult:
-    """Whether T and S decompose the ambient space as a direct sum: whether the outer inverse
-    of I with range T and null space S, ``oblique_projector``, exists, by its own clauses.
-
-    Dimensions that do not add up to the ambient one fail at margin 0, counted with no SVD, and
-    T = {0} (so S is the whole space, C^0 = {0} (+) {0} included) holds at margin 1. Otherwise
-    the margin is ``_clauses``' sigma_min([T | S]), and the sum holds iff it exceeds
-    ``rank_rel_tol``.
-    """
-    if t.ambient_dim != s.ambient_dim:
-        raise InputError("ambient dimensions differ")
-    if t.dim + s.dim != t.ambient_dim:
-        return DirectSumResult(False, 0.0)
-    if t.is_trivial:
-        return DirectSumResult(True, 1.0)
-    memo: dict = {}
-    refused = _clauses([np.eye(t.ambient_dim)], [t], [s], [memo], tol)
-    return DirectSumResult(not refused, refused[0].margin if refused else memo["complement_margin"])
 
 
 def _complement_failure(margin: float) -> ExistenceError:
@@ -415,25 +372,3 @@ def inverse_along(a, d, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
     cert = _one(_relabeled(bc_inverse_stack([(a, d, d)], tol), "not invertible along D: {}"))
     along = {"xad_d": cert.residuals["xab_b"], "dax_d": cert.residuals["cax_c"]}
     return replace(cert, kind="along", residuals={**cert.residuals, **along})
-
-
-def reflexive_inverse(
-    f, n_complement: Subspace, m_complement: Subspace, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Reflexive generalized inverse of ``f`` with range N and null space M.
-
-    N must complement the kernel of ``f`` in the domain and M must complement
-    its range in the codomain; the result inverts ``f`` between N and R(f) and
-    vanishes on M. That is the outer inverse with T = N and S = M once dim N = rank f:
-    then f is injective on N iff N(F) (+) N = X, and f(N) = R(f).
-    """
-    f = as_matrix(f)
-    domain, rank = "N(F) (+) N != X", kernel.numerical_rank(kernel.singular_values(f), tol)
-    # an N outside the domain is left to outer_prescribed's InputError
-    if n_complement.ambient_dim == f.shape[1] and n_complement.dim != rank:
-        raise ExistenceError(f"complement fails: {domain}", clause=domain, margin=0.0)
-    results = outer_prescribed_stack([(f, n_complement, m_complement)], tol)
-
-    def clause(old: str) -> str:  # N(F) (+) N fails where f is not injective on N
-        return domain if old == "restriction not injective" else "R(F) (+) M != Y"
-    return _one(_relabeled(results, "complement fails: {clause}", clause)).inverse

@@ -114,20 +114,11 @@ def cayley(k_mat: np.ndarray, t) -> np.ndarray:
     return np.linalg.solve(eye - half * k_mat, eye + half * k_mat)
 
 
-def svd(a, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD ``a = u @ diag(sigma) @ v.conj().T`` with orthonormal columns, thin unless ``full``.
-
-    Returns (u, sigma, v), sigma nonincreasing and nonnegative: ``svd_stack`` of a stack of one.
-    """
-    u, sigma, v = svd_stack(as_matrix(a)[None], full)
-    return u[0], sigma[0], v[0]
-
-
 def svd_stack(stack: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``svd`` of each float slice of a 3-d stack of the library's own products, from one batched
-    LAPACK call. Inputs reach ``svds`` through ``as_matrix``, so an inf or NaN entry here is an
-    overflow in a product, refused as a certificate is: LAPACK may not return on it.
-    """
+    """(u, sigma, v), a = u diag(sigma) v* thin unless ``full`` and sigma nonincreasing, of each
+    float slice a of a 3-d stack of the library's own products, from one batched LAPACK call.
+    Inputs reach ``svds`` through ``as_matrix``, so an inf or NaN entry here is an overflow in a
+    product, refused as a certificate is: LAPACK may not return on it."""
     if not np.isfinite(stack).all():
         raise CertificateError("an intermediate product is not finite")
     u, sigma, vh = _lapack_svd(stack, full_matrices=full)
@@ -136,8 +127,9 @@ def svd_stack(stack: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.nda
 
 def svds(matrices, tol: ToleranceConfig, full: bool = True) -> list[tuple]:
     """(u, sigma, v, rank) of each matrix ``as_matrix`` validated, by one LAPACK call per shape and
-    field with no second finiteness pass: its ``svd`` and ``numerical_rank``. LAPACK reads each
-    slice from its own C-ordered copy: the factors are bitwise the matrix's alone, any strides."""
+    field with no second finiteness pass: its SVD as ``svd_stack`` gives it, and ``numerical_rank``.
+    LAPACK reads each slice from its own C-ordered copy: the factors are bitwise the matrix's alone,
+    any strides."""
     found: dict = {}
     for group in groups([(m.shape, m.dtype.char) for m in matrices]):
         u, sigma, vh = _lapack_svd(np.array([matrices[i] for i in group]), full_matrices=full)

@@ -1,9 +1,9 @@
-"""Matrix file parsing and serialization.
+"""Matrix file parsing.
 
 Format: a header line ``rows cols field`` with field in {real, complex},
 followed by whitespace-separated entries in row-major order. Complex entries
-are written as ``re im`` token pairs. Serialization uses 17 significant
-digits, so parse(serialize(a)) reproduces a bit for bit, signed zeros included.
+are written as ``re im`` token pairs. A file written with 17 significant
+digits parses back to its matrix bit for bit, signed zeros included.
 
 A token is anything Python's ``float()`` accepts, and rows may break at any
 ``str.splitlines`` break. A bad or non-finite token is an error naming its
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os.path
 import re
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -101,22 +100,6 @@ def parse_matrix(source) -> np.ndarray:
     if field == "complex":  # (re, im) pairs are complex128's memory layout: exact, no copy
         return values.view(np.complex128).reshape(rows, cols)
     return values.reshape(rows, cols)
-
-
-def serialize_matrix(a) -> str:
-    """Render a matrix in the file format at full double precision."""
-    a = np.asarray(a)
-    if a.ndim != 2 or 0 in a.shape:
-        raise InputError("only nonempty 2-d matrices can be serialized")
-    field = "complex" if np.iscomplexobj(a) else "real"
-    body = np.stack([a.real, a.imag], axis=-1).reshape(len(a), -1) if field == "complex" else a
-    out = StringIO()
-    np.savetxt(out, body, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]} {field}", comments="")
-    return out.getvalue()
-
-
-def save_matrix(a, path) -> None:
-    Path(path).write_text(serialize_matrix(a))
 
 
 def matrix_to_json(a):

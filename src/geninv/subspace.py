@@ -204,7 +204,7 @@ def gap_sampling_oracle(m: Subspace, n: Subspace, trials: int, seed: int) -> flo
     """
     if m.ambient_dim != n.ambient_dim:
         raise InputError("ambient dimensions differ")
-    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+    if not (isinstance(trials, (int, np.integer)) and not isinstance(trials, bool) and trials >= 1):
         raise InputError(f"trials must be >= 1 and an integer, got {trials!r}")
     complex_ = np.iscomplexobj(m.basis) or np.iscomplexobj(n.basis)
     # per trial its real parts, then its imaginary ones: the stream of one draw per trial

@@ -1,7 +1,10 @@
-"""Shared helpers: independent oracles, instance builders and subspace assertions."""
+"""Shared helpers: independent oracles, instance builders, subspace assertions and a matrix-file
+writer."""
 
+import io
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +76,28 @@ def oblique_projector_oracle(t_space, s_space):
     selector = np.zeros((n, n), dtype=stacked.dtype)
     selector[:r, :r] = np.eye(r)
     return stacked @ selector @ np.linalg.inv(stacked)
+
+
+def projector(t_space, s_space, tol=gi.DEFAULT_TOL):
+    """The idempotent onto T along S: the outer inverse of I with range T and null space S
+    (Ben-Israel & Greville 2003, ch. 2), its ``x I x - x`` residual the idempotency test and its
+    inverse_norm ||P||."""
+    cert = gi.outer_prescribed(np.eye(t_space.ambient_dim), t_space, s_space, tol)
+    return gi.ObliqueProjector(cert.inverse, t_space, s_space, cert.inverse_norm)
+
+
+def serialize_matrix(a) -> str:
+    """A matrix in the file format at full precision: numpy's writer at 17 significant digits, as
+    the benchmark writes its files, a complex matrix as its ``re im`` pairs side by side."""
+    a, out = np.asarray(a), io.StringIO()
+    field = "complex" if np.iscomplexobj(a) else "real"
+    body = np.stack([a.real, a.imag], axis=-1).reshape(len(a), -1) if field == "complex" else a
+    np.savetxt(out, body, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]} {field}", comments="")
+    return out.getvalue()
+
+
+def save_matrix(a, path) -> None:
+    Path(path).write_text(serialize_matrix(a))
 
 
 def complement_rows(s_space):

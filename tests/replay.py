@@ -145,17 +145,15 @@ GRID_RANK_TOLS = (1e-10, 0.0, 1e-3, 0.2, 0.45, 0.9)
 
 def grid_pool(seed: int, workdir: Path) -> list:
     """6 x 6 constructions of every kind (moore_penrose, outer_prescribed, bc_inverse,
-    inverse_along, bott_duffin, oblique_projector, reflexive_inverse) at each of
-    ``GRID_EXPONENTS``' scales 10^k of the operator and each of ``GRID_RANK_TOLS``, real and
-    complex, on three operators each: a plain one, one that kills a vector of the prescribed
-    range T and one that shrinks it to 1e-9 (Moore-Penrose: a singular value set to 0 and to
-    1e-9 sigma_1; the projector: a T and an S at angle 0 and 1e-9, at scale 1 only, as it has
-    no operator). The outer, bc, along and Bott-Duffin kinds have a fourth, wide operator: the
-    plain one plus 1e7 (I - P_T), which the inverse annihilates, so the core H A F is the plain
-    one's while ||a|| is about 1e7 sigma_max(H A F); its cases come after all others. The bench
-    pools reach none of: subnormal and overflowing defects, residuals judged at the exact ||a||,
-    reflexive_inverse's rank. An outcome other than a result, an ExistenceError (a
-    CertificateError is one) or an InputError fails the case's check."""
+    inverse_along, bott_duffin) at each of ``GRID_EXPONENTS``' scales 10^k of the operator and
+    each of ``GRID_RANK_TOLS``, real and complex, on three operators each: a plain one, one that
+    kills a vector of the prescribed range T and one that shrinks it to 1e-9 (Moore-Penrose: a
+    singular value set to 0 and to 1e-9 sigma_1). Every kind but Moore-Penrose has a fourth,
+    wide operator: the plain one plus 1e7 (I - P_T), which the inverse annihilates, so the core
+    H A F is the plain one's while ||a|| is about 1e7 sigma_max(H A F); its cases come after all
+    others. The bench pools reach none of: subnormal and overflowing defects, residuals judged
+    at the exact ||a||. An outcome other than a result, an ExistenceError (a CertificateError is
+    one) or an InputError fails the case's check."""
     import geninv as gi
     from bench.workloads import Op
 
@@ -169,7 +167,7 @@ def grid_pool(seed: int, workdir: Path) -> list:
     for cx in (False, True):
         cases.update(_grid_cases(rng, cx))
     for name in sorted(cases, key=lambda name: "/wide/" in name):  # the others keep their ids
-        for k in (0,) if name.startswith("oblique_projector") else GRID_EXPONENTS:
+        for k in GRID_EXPONENTS:
             for rank_tol in GRID_RANK_TOLS:
                 tol = gi.ToleranceConfig(rank_rel_tol=rank_tol)
                 ops.append(Op(f"grid/{name}/k={k}/rank_tol={rank_tol}", 6,
@@ -185,29 +183,25 @@ def _grid_cases(rng, cx: bool) -> dict:
     a, t, s = families.random_outer_instance(rng, 6, 6, 3, cx)
     b = t.basis @ families.random_matrix(rng, 3, 6, cx)  # R(b) = T and N(c) = S
     c = families.random_matrix(rng, 6, 3, cx) @ gi.orthogonal_complement(s).basis.conj().T
-    p, q = gi.oblique_projector(t, s), gi.oblique_projector(gi.column_space(a @ t.basis), s)
-    f = families.random_rank_matrix(rng, 6, 6, 3, cx)
-    n_space, m_space = (families.random_subspace(rng, 6, 3, cx) for _ in range(2))
+    # p onto T and q onto a(T), both along S: outer inverses of I
+    p, q = (gi.ObliqueProjector(x.inverse, x.prescribed_range, s, x.inverse_norm) for x in (
+        gi.outer_prescribed(np.eye(6), r, s) for r in (t, gi.column_space(a @ t.basis))))
+    families.random_rank_matrix(rng, 6, 6, 3, cx)  # three draws no case reads: the complex
+    families.random_subspace(rng, 6, 3, cx)  # field's instances stay those of earlier records
+    families.random_subspace(rng, 6, 3, cx)
     u, sigma, vh = np.linalg.svd(a)
-    t0, n0 = t.basis[:, :1], n_space.basis[:, :1]  # the unit vectors shrunk
-    w = s.basis[:, :1] - t.basis @ (t.basis.conj().T @ s.basis[:, :1])
-    w /= np.linalg.norm(w)  # orthogonal to T: t0 turned towards w leaves T at that angle
+    t0 = t.basis[:, :1]  # the unit vector shrunk
     cases = {}
     for variant, shrink in (("plain", 1.0), ("kills", 0.0), ("nearly", 1e-9)):
         name = f"{variant}/{'c' if cx else 'r'}"
-        at_t, f_n = ((m - (1.0 - shrink) * (m @ v) @ v.conj().T) for m, v in ((a, t0), (f, n0)))
+        at_t = a - (1.0 - shrink) * (a @ t0) @ t0.conj().T
         mp_a = a if shrink == 1 else (u * np.append(sigma[:-1], shrink * sigma[0])) @ vh
-        s_meet = s if shrink == 1 else gi.Subspace(6, np.linalg.qr(np.hstack(
-            [np.cos(shrink) * t0 + np.sin(shrink) * w, s.basis[:, 1:]]))[0])  # angle = shrink
         cases.update({
             f"moore_penrose/{name}": _scaled(gi.moore_penrose, mp_a),
             f"outer_prescribed/{name}": _scaled(gi.outer_prescribed, at_t, t, s),
             f"bc_inverse/{name}": _scaled(gi.bc_inverse, at_t, b, c),
             f"inverse_along/{name}": _scaled(gi.inverse_along, at_t, b),
-            f"bott_duffin/{name}": _scaled(gi.bott_duffin, at_t, p, q),
-            f"reflexive_inverse/{name}": _scaled(gi.reflexive_inverse, f_n, n_space, m_space),
-            f"oblique_projector/{name}": lambda scale, tol, s_meet=s_meet: gi.oblique_projector(
-                t, s_meet, tol)})
+            f"bott_duffin/{name}": _scaled(gi.bott_duffin, at_t, p, q)})
     wide = a + 1e7 * (np.eye(6) - t.basis @ t.basis.conj().T)  # (I - P_T) x = 0
     name = f"wide/{'c' if cx else 'r'}"
     cases.update({f"outer_prescribed/{name}": _scaled(gi.outer_prescribed, wide, t, s),

@@ -20,7 +20,9 @@ from conftest import (
     left_lift,
     mp_range_projector,
     outer_fullrank_oracle,
+    projector,
     right_lift,
+    save_matrix,
 )
 
 SEQ_TOL = gi.ToleranceConfig(residual_tol=1e-2)
@@ -266,10 +268,10 @@ def test_outer_difference_identity_is_exact():
         b, v, u = families.random_outer_instance(rng, m, n, r, complex_)
         ainv = gi.outer_prescribed(a, t, s).inverse
         binv = gi.outer_prescribed(b, v, u).inverse
-        pt = gi.oblique_projector(t, gi.orthogonal_complement(t))
-        pv = gi.oblique_projector(v, gi.orthogonal_complement(v))
-        ps = gi.oblique_projector(s, gi.orthogonal_complement(s))
-        pu = gi.oblique_projector(u, gi.orthogonal_complement(u))
+        pt = projector(t, gi.orthogonal_complement(t))
+        pv = projector(v, gi.orthogonal_complement(v))
+        ps = projector(s, gi.orthogonal_complement(s))
+        pu = projector(u, gi.orthogonal_complement(u))
         scale = 1.0 + sum(gi.spectral_norm(z) for z in (a, b, ainv, binv))
         residual = difference_identity_residual(a, b, ainv, binv, pt, pv, ps, pu)
         assert residual <= 1e-12 * scale, f"instance {i}"
@@ -311,13 +313,13 @@ def test_cli_contract(tmp_path, capsys):
     # round-trip, determinism, and the 0/1/2 exit-code contract
     a = np.array([[1.0 / 3.0, 2e-7], [-5.0, 1e9]])
     a_path = tmp_path / "a.mat"
-    gi.save_matrix(a, a_path)
+    save_matrix(a, a_path)
     assert np.array_equal(gi.parse_matrix(a_path), a)
 
     diag_path = tmp_path / "d.mat"
-    gi.save_matrix(np.diag([1.0, 2.0, 3.0]), diag_path)
+    save_matrix(np.diag([1.0, 2.0, 3.0]), diag_path)
     b_path = tmp_path / "b.mat"
-    gi.save_matrix(np.diag([1.0, 1.0, 0.0]), b_path)
+    save_matrix(np.diag([1.0, 1.0, 0.0]), b_path)
     argv = ["seqcheck", str(diag_path), str(b_path), str(b_path),
             "--family", "rotating", "--indices", "20", "--seed", "11"]
     assert cli_main(argv) == 0
@@ -336,9 +338,9 @@ def test_cli_contract(tmp_path, capsys):
     assert set(report) >= {"error", "clause", "margin"}
 
     e1 = tmp_path / "e1.mat"
-    gi.save_matrix(np.array([[1.0], [0.0]]), e1)
+    save_matrix(np.array([[1.0], [0.0]]), e1)
     eye = tmp_path / "i.mat"
-    gi.save_matrix(np.eye(2), eye)
+    save_matrix(np.eye(2), eye)
     assert cli_main(["outer", str(eye), str(e1), str(e1)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["clause"] == "R(A*T) (+) S != Y"

@@ -9,7 +9,13 @@ from geninv.calculus import CayleyQuadratic, MatrixCurve
 from geninv.kernel import cayley
 from geninv.errors import CertificateError, ExistenceError, InputError
 
-from conftest import difference_identity_residual, outer_fullrank_oracle, rank_jump_instance
+from conftest import (
+    difference_identity_residual,
+    outer_fullrank_oracle,
+    projector,
+    rank_jump_instance,
+    save_matrix,
+)
 
 
 def test_bc_derivative_scalar_reciprocal():
@@ -284,8 +290,8 @@ def test_derivative_product_rule_for_projector_curves(rng):
 def test_difference_identity_same_instance_vanishes(rng):
     a, t, s = families.random_outer_instance(rng, 5, 4, 2)
     x = gi.outer_prescribed(a, t, s).inverse
-    pt = gi.oblique_projector(t, gi.orthogonal_complement(t))
-    ps = gi.oblique_projector(s, gi.orthogonal_complement(s))
+    pt = projector(t, gi.orthogonal_complement(t))
+    ps = projector(s, gi.orthogonal_complement(s))
     assert difference_identity_residual(a, a, x, x, pt, pt, ps, ps) <= 1e-13
 
 
@@ -298,10 +304,10 @@ def test_difference_identity_random_pairs(rng):
         b, v, u = families.random_outer_instance(rng, m, n, rank, complex_)
         ainv = gi.outer_prescribed(a, t, s).inverse
         binv = gi.outer_prescribed(b, v, u).inverse
-        pt = gi.oblique_projector(t, gi.orthogonal_complement(t))
-        pv = gi.oblique_projector(v, gi.orthogonal_complement(v))
-        ps = gi.oblique_projector(s, gi.orthogonal_complement(s))
-        pu = gi.oblique_projector(u, gi.orthogonal_complement(u))
+        pt = projector(t, gi.orthogonal_complement(t))
+        pv = projector(v, gi.orthogonal_complement(v))
+        ps = projector(s, gi.orthogonal_complement(s))
+        pu = projector(u, gi.orthogonal_complement(u))
         scale = 1.0 + sum(
             gi.spectral_norm(z) for z in (a, b, ainv, binv)
         )
@@ -316,8 +322,8 @@ def test_difference_identity_reduces_to_resolvent(rng):
     b = a + 0.1 * families.random_matrix(rng, n, n)
     full = gi.full_subspace(n)
     zero = gi.trivial_subspace(n)
-    p_full = gi.oblique_projector(full, zero)
-    p_zero = gi.oblique_projector(zero, full)
+    p_full = projector(full, zero)
+    p_zero = projector(zero, full)
     residual = difference_identity_residual(
         a, b, np.linalg.inv(a), np.linalg.inv(b), p_full, p_full, p_zero, p_zero
     )
@@ -392,7 +398,7 @@ def test_derivcheck_affine_curves_stack_their_values_bit_for_bit(tmp_path, monke
     base, step = (families.random_matrix(rng, 4, 3, complex_) for _ in range(2))
     paths = [str(tmp_path / f"{name}.mat") for name in ("a0", "a1")]
     for path, a in zip(paths, (base, step)):
-        gi.save_matrix(a, path)
+        save_matrix(a, path)
     seen = []
 
     def check(curves, *args):

@@ -7,11 +7,11 @@ import geninv as gi
 from geninv.calculus import MatrixCurve
 from geninv.cli import main
 
-from conftest import rank_jump_instance
+from conftest import rank_jump_instance, save_matrix
 
 
 def write(path, a):
-    gi.save_matrix(a, path)
+    save_matrix(a, path)
     return str(path)
 
 
@@ -192,7 +192,7 @@ def test_cli_roundtrip_of_emitted_inverse(tmp_path, capsys):
     _, report = run_cli(capsys, "pinv", a_path)
     emitted = np.array(report["inverse"])
     again_path = tmp_path / "inv.mat"
-    gi.save_matrix(emitted, again_path)
+    save_matrix(emitted, again_path)
     assert np.array_equal(gi.parse_matrix(again_path), emitted)
     assert np.allclose(emitted, np.linalg.inv(a), rtol=1e-12)
 

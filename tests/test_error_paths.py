@@ -69,16 +69,11 @@ CASES = {
     "parse non-integer header": (
         lambda: gi.parse_matrix("2 x real\n1 2\n3 4\n"),
         "malformed header '2 x real', rows/cols must be integers"),
-    "serialize empty": (
-        lambda: gi.serialize_matrix(np.zeros((0, 2))),
-        "only nonempty 2-d matrices can be serialized"),
     "subspace rows": (
         lambda: gi.Subspace(3, EYE2), "basis rows do not match ambient dimension"),
     "subspace columns": (
         lambda: gi.Subspace(2, np.zeros((2, 3))),
         "basis has more columns than the ambient dimension"),
-    "direct sum across ambient spaces": (
-        lambda: gi.direct_sum_check(LINE2, LINE3), "ambient dimensions differ"),
     "oracle across ambient spaces": (
         lambda: gi.gap_sampling_oracle(LINE2, LINE3, 10, 0), "ambient dimensions differ"),
     "oracle without trials": (
@@ -86,6 +81,9 @@ CASES = {
     "oracle with a fractional trial count": (
         lambda: gi.gap_sampling_oracle(LINE2, LINE2, 1.5, 0),
         "trials must be >= 1 and an integer, got 1.5"),
+    "oracle with a boolean trial count": (
+        lambda: gi.gap_sampling_oracle(LINE2, LINE2, True, 0),
+        "trials must be >= 1 and an integer, got True"),
     "projector from a non-square matrix": (
         lambda: gi.ObliqueProjector.from_matrix(np.ones((2, 3))),
         "projector matrix must be square"),

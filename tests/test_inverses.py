@@ -17,6 +17,7 @@ from conftest import (
     oblique_projector_oracle,
     outer_instance_at_angles,
     outer_projector_oracle,
+    projector,
     right_lift,
 )
 
@@ -79,8 +80,6 @@ def test_a_sum_whose_dimensions_do_not_add_up_is_refused_at_margin_zero():
     # rank b + dim N(c) = 1 + 1 != 3
     b, c = np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])
     assert _margin(lambda: gi.bc_inverse(np.eye(3), b, c)) == (clause, 0.0)
-    assert _margin(lambda: gi.oblique_projector(span(e1, e2), span(e2, e3))) == (
-        "not complementary", 0.0)
 
 
 def test_a_trivial_range_with_the_whole_codomain_has_complement_margin_one():
@@ -89,13 +88,6 @@ def test_a_trivial_range_with_the_whole_codomain_has_complement_margin_one():
     cert = gi.outer_prescribed(np.ones((5, 4)), gi.trivial_subspace(4), whole)
     assert np.array_equal(cert.inverse, np.zeros((4, 5)))
     assert cert.complement_margin == 1.0 and cert.restricted_condition == 1.0
-
-
-def test_reflexive_inverse_maps_a_dimension_refusal_to_the_codomain_clause():
-    # rank f = dim N = 1, dim M = 2 in C^2: refused by the count, under reflexive's own clause
-    f = np.diag([1.0, 0.0])
-    assert _margin(lambda: gi.reflexive_inverse(f, line(1, 0), gi.full_subspace(2))) == (
-        "R(F) (+) M != Y", 0.0)
 
 
 def test_outer_prescribed_diagonal():
@@ -215,9 +207,9 @@ def test_bott_duffin_oblique_case(rng):
     t = families.random_subspace(rng, n, 2)
     s1 = families.random_subspace(rng, n, 2)
     s2 = families.random_subspace(rng, n, 2)
-    p = gi.oblique_projector(t, s1)
+    p = projector(t, s1)
     q_range = families.random_subspace(rng, n, 2)
-    q = gi.oblique_projector(q_range, s2)
+    q = projector(q_range, s2)
     cert = gi.bott_duffin(np.eye(n), p, q)
     expected = gi.outer_prescribed(np.eye(n), t, s2).inverse
     assert gi.spectral_norm(cert.inverse - expected) <= 1e-9
@@ -233,7 +225,7 @@ def test_bott_duffin_of_wrapped_projectors_is_the_bc_inverse(rng, complex_):
     n = 6
     a = families.random_conditioned(rng, n, complex_)
     p, q = (
-        gi.oblique_projector(*(families.random_subspace(rng, n, 3, complex_) for _ in "ts"))
+        projector(*(families.random_subspace(rng, n, 3, complex_) for _ in "ts"))
         for _ in "pq"
     )
     wrapped = (gi.ObliqueProjector.from_matrix(x.matrix) for x in (p, q))
@@ -278,7 +270,7 @@ def test_bott_duffin_chain_is_bitwise(rng):
     # the (p, q)-inverse is the outer inverse with range R(p) and null space N(q), as p and q
     # record them: the same construction, whether N(q) carries its complement or not
     a, t, s = families.random_outer_instance(rng, 5, 5, 3)
-    built = gi.oblique_projector(t, gi.orthogonal_complement(t)), gi.oblique_projector(
+    built = projector(t, gi.orthogonal_complement(t)), projector(
         gi.column_space(a @ t.basis), s)
     for p, q in (built, [gi.ObliqueProjector.from_matrix(x.matrix) for x in built]):
         via_bott_duffin = gi.bott_duffin(a, p, q).inverse
@@ -312,58 +304,46 @@ def test_moore_penrose_is_bc_inverse_of_its_own_pair(rng):
 
 
 def test_reflexive_inverse_examples():
+    # with dim N = rank f, the outer inverse of f with range N and null space M is reflexive:
+    # it inverts f between N and R(f), so f x f = f as well as x f x = x
     f = np.diag([1.0, 0.0])
-    assert np.allclose(gi.reflexive_inverse(f, line(1, 0), line(0, 1)), np.diag([1.0, 0.0]))
-    s = gi.reflexive_inverse(f, line(1, 1), line(0, 1))
-    assert np.allclose(s, np.array([[1.0, 0.0], [1.0, 0.0]]), atol=1e-12)
+    for n_complement, want in ((line(1, 0), np.diag([1.0, 0.0])),
+                               (line(1, 1), np.array([[1.0, 0.0], [1.0, 0.0]]))):
+        x = gi.outer_prescribed(f, n_complement, line(0, 1)).inverse
+        assert np.allclose(x, want, atol=1e-12) and np.allclose(f @ x @ f, f, atol=1e-12)
     a = np.array([[2.0, 1.0], [0.0, 1.0]])
-    full = gi.full_subspace(2)
-    zero = gi.trivial_subspace(2)
-    assert np.allclose(gi.reflexive_inverse(a, full, zero), np.linalg.inv(a), atol=1e-12)
-
-
-def test_reflexive_inverse_names_failing_decomposition():
-    f = np.diag([1.0, 0.0])
-    with pytest.raises(ExistenceError) as err:
-        gi.reflexive_inverse(f, line(0, 1), line(0, 1))
-    assert err.value.clause == "N(F) (+) N != X"
-    with pytest.raises(ExistenceError) as err:
-        gi.reflexive_inverse(f, line(1, 0), line(1, 0))
-    assert err.value.clause == "R(F) (+) M != Y"
+    x = gi.outer_prescribed(a, gi.full_subspace(2), gi.trivial_subspace(2)).inverse
+    assert np.allclose(x, np.linalg.inv(a), atol=1e-12)
 
 
 def test_a_relabelled_refusal_keeps_the_construction_refusal_as_its_cause():
-    # oblique_projector and reflexive_inverse refuse under their own clause; the outer
-    # construction's refusal, with its clause and margin, stays on the error as __cause__
-    e1, e2, e3 = np.eye(3)
-    calls = {"reflexive": lambda: gi.reflexive_inverse(np.diag([1.0, 0.0]), line(0, 1), line(0, 1)),
-             "oblique": lambda: gi.oblique_projector(span(e1, e2), span(e2, e3))}
-    causes = {"reflexive": "restriction not injective", "oblique": "R(A*T) (+) S != Y"}
-    for name, call in calls.items():
+    # bc_inverse and inverse_along put their own words before the construction's refusal; its
+    # clause and margin stay, and each refusal it relabels stays on the error as __cause__
+    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    bc = "(B,C)-inverse does not exist: "
+    for call, prefixes in ((lambda: gi.bc_inverse(a, a, a), [bc]),
+                           (lambda: gi.inverse_along(a, a), ["not invertible along D: ", bc])):
         with pytest.raises(ExistenceError) as err:
             call()
-        cause = err.value.__cause__
-        assert type(cause) is ExistenceError and cause.clause == causes[name]
-        assert cause.margin == err.value.margin and err.value.clause != cause.clause
+        error = err.value
+        for prefix in prefixes:
+            cause = error.__cause__
+            assert type(cause) is ExistenceError and str(error) == prefix + str(cause)
+            assert (cause.clause, cause.margin) == (error.clause, error.margin)
+            error = cause
+        assert error.clause == "restriction not injective" and error.__cause__ is None
 
 
-def test_reflexive_inverse_needs_dim_n_equal_to_the_rank():
-    # no outer inverse of I has range and null space span(e1); with null space span(e2) one
-    # exists (diag(1, 0)), but it is not reflexive: N(I) (+) span(e1) != X in both cases
-    for m_complement in (line(1, 0), line(0, 1)):
-        with pytest.raises(ExistenceError) as err:
-            gi.reflexive_inverse(np.eye(2), line(1, 0), m_complement)
-        assert err.value.clause == "N(F) (+) N != X"
-    assert np.allclose(gi.outer_prescribed(np.eye(2), line(1, 0), line(0, 1)).inverse,
-                       np.diag([1.0, 0.0]))
-
-
-def test_reflexive_inverse_passes_a_refused_certificate_through(rng):
-    f = families.random_rank_matrix(rng, 5, 5, 3)
-    n_comp = gi.column_space(f.conj().T)
-    m_comp = gi.orthogonal_complement(gi.column_space(f))
-    with pytest.raises(CertificateError):
-        gi.reflexive_inverse(f, n_comp, m_comp, gi.ToleranceConfig(residual_tol=0.0))
+def test_a_refused_certificate_passes_the_relabeller_unchanged(rng):
+    # a residual over budget is no existence failure: bc_inverse and inverse_along raise the
+    # construction's CertificateError as it is, with no words of theirs and no __cause__
+    a, b, c = families.random_solvable_triple(rng, 5, 3)
+    tol = gi.ToleranceConfig(residual_tol=0.0)
+    for call in (lambda: gi.bc_inverse(a, b, c, tol), lambda: gi.inverse_along(a, b, tol)):
+        with pytest.raises(CertificateError) as err:
+            call()
+        assert type(err.value) is CertificateError and err.value.__cause__ is None
+        assert str(err.value).startswith("bc certificate rejected: residual ")
 
 
 def test_range_factorization_criterion(rng):
@@ -374,7 +354,7 @@ def test_range_factorization_criterion(rng):
         g = f @ families.random_conditioned(rng, n)
         n_comp = gi.column_space(f.conj().T)
         m_comp = gi.orthogonal_complement(gi.column_space(f))
-        s_f = gi.reflexive_inverse(f, n_comp, m_comp)
+        s_f = gi.outer_prescribed(f, n_comp, m_comp).inverse  # reflexive: dim N = rank f
         assert gi.spectral_norm(g - f @ s_f @ g) <= 1e-9
         # and a matrix with a different column space does not factor
         other = families.random_rank_matrix(rng, n, n, 4)
@@ -480,8 +460,8 @@ def _constructions(rng, t, s, complex_: bool):
         "bott_duffin": (lambda a, tol: gi.bott_duffin(a, p, q, tol),
                         "(B,C)-inverse does not exist: "),
     }
-    norms = {"b": gi.svd(b)[1][0], "c": gi.svd(c, full=True)[1][0],
-             "d": gi.svd(d, full=True)[1][0], "p": p.norm, "q": q.norm}
+    norms = {"b": gi.spectral_norm(b), "c": gi.spectral_norm(c), "d": gi.spectral_norm(d),
+             "p": p.norm, "q": q.norm}
     return constructions, norms
 
 
@@ -584,7 +564,8 @@ def _clause_problem(complex_: bool, shape: str):
                             "narrow": (4, 1e-4, 1e-6)}[shape], 8
     f = families.random_subspace(rng, n, r, complex_).basis
     a = families.random_matrix(rng, n, n, complex_)
-    u, sigma, v = gi.svd(a @ f)
+    u, sigma, vh = np.linalg.svd(a @ f, full_matrices=False)
+    v = vh.conj().T
     if shape == "tight":
         a = a @ (f @ f.conj().T) + 0.05 * a @ (np.eye(n) - f @ f.conj().T)
     else:
@@ -731,7 +712,9 @@ def test_outer_prescribed_property_against_oracles(problem):
     for oracle in (outer_fullrank_oracle(a, t, s), outer_projector_oracle(a, t, s)):
         assert gi.spectral_norm(x - oracle) <= 1e-9 * gi.spectral_norm(oracle)
     image = gi.column_space(a @ t.basis)
-    assert abs(cert.complement_margin - gi.direct_sum_check(image, s).margin) <= 1e-12
+    # the margin of the projector onto a(T) along S, the outer inverse of I
+    assert abs(cert.complement_margin - gi.outer_prescribed(
+        np.eye(m), image, s).complement_margin) <= 1e-12
     assert cert.range_gap >= gi.gap(gi.column_space(x), t).gap - 1e-14
     assert cert.nullspace_gap >= gi.gap(gi.null_space(x), s).gap - 1e-14
 

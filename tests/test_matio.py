@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 import geninv as gi
 from geninv import matio
 from geninv.errors import InputError
-from geninv.matio import matrix_to_json, parse_matrix, serialize_matrix
+from geninv.matio import matrix_to_json, parse_matrix
+
+from conftest import save_matrix, serialize_matrix
 
 
 def test_parse_identity():
@@ -90,7 +92,7 @@ def test_roundtrip_keeps_every_bit(complex_):
 
 
 def reference_serialize(a) -> str:
-    """The writer as it was before numpy wrote it: every entry through its own f-string."""
+    """The format written entry by entry, each through its own f-string."""
     a = np.asarray(a)
     complex_ = np.iscomplexobj(a)
     lines = [f"{a.shape[0]} {a.shape[1]} {'complex' if complex_ else 'real'}"]
@@ -115,8 +117,9 @@ def _random_entries(rng, shape):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128, np.complex64,
                                    np.int64, np.int8, np.bool_])
 def test_serialize_matches_the_per_entry_reference_byte_for_byte(dtype):
-    # numpy's writer against the f-string per entry it replaced, on random shapes; a float32
-    # +-1e300 is +-inf, which both write as "inf"
+    # the files these tests write go through numpy's writer, as the benchmark's do: it writes the
+    # per-entry format byte for byte on random shapes; a float32 +-1e300 is +-inf, which both
+    # write as "inf"
     rng = np.random.default_rng(0)
     for _ in range(60):
         shape = tuple(rng.integers(1, 7, size=2).tolist())
@@ -138,7 +141,7 @@ def test_serialize_matches_the_per_entry_reference_byte_for_byte(dtype):
 def test_roundtrip_through_file(tmp_path):
     a = np.array([[1.0 / 3.0, -2.0 ** -52], [1e300, -0.0]])
     path = tmp_path / "m.mat"
-    gi.save_matrix(a, path)
+    save_matrix(a, path)
     assert np.array_equal(gi.parse_matrix(path), a)
 
 
@@ -302,7 +305,7 @@ def test_valid_files_never_enter_the_token_loop(monkeypatch, tmp_path, field, sh
     if field == "complex":
         a = a + 1j * rng.standard_normal(shape)
     path = tmp_path / "m.mat"
-    gi.save_matrix(a, path)
+    save_matrix(a, path)
 
     def fail(*token):
         raise AssertionError(f"token loop entered on a valid file at {token}")

@@ -19,6 +19,8 @@ import geninv as gi
 from geninv import diagnostics, families
 from geninv.errors import CertificateError
 
+from conftest import projector
+
 KINDS = ("mp", "outer", "bc", "along", "bott_duffin")
 
 
@@ -41,8 +43,8 @@ def _instance(kind, m, n, r, complex_, seed):
         d = t.basis @ core @ gi.orthogonal_complement(s).basis.conj().T
         return (lambda a: gi.inverse_along(a, d)), a, (d, d)
     # p orthogonal onto T; q oblique onto a(T) along S, so ||q|| > 1
-    p = gi.oblique_projector(t, gi.orthogonal_complement(t))
-    q = gi.oblique_projector(gi.column_space(a @ t.basis), s)
+    p = projector(t, gi.orthogonal_complement(t))
+    q = projector(gi.column_space(a @ t.basis), s)
     return (lambda a: gi.bott_duffin(a, p, q)), a, (p.matrix, q.matrix)
 
 

@@ -454,7 +454,7 @@ def _spectral_window(problem) -> float:
     ||a|| and no spectral norm does: the geometric middle of that window."""
     (a, b, c), cert = problem, gi.bc_inverse(*problem)
     x, xn, an = cert.inverse, cert.inverse_norm, cert.operator_norm
-    bn, cn = (gi.svd(m, full=True)[1][0] for m in (b, c))
+    bn, cn = gi.spectral_norm(b), gi.spectral_norm(c)
     defects = [(x @ a @ x - x, xn * an * xn), (x @ a @ b - b, xn * an * bn),
                (c @ a @ x - c, cn * an * xn)]
     low = max(np.linalg.norm(d, 2) / scale for d, scale in defects)

@@ -9,12 +9,21 @@ import geninv as gi
 from geninv import families, subspace
 from geninv.errors import CertificateError, ExistenceError, InputError
 
-from conftest import assert_same_subspace, oblique_projector_oracle
+from conftest import assert_same_subspace, oblique_projector_oracle, projector
 
 
 def line(*coords):
     v = np.array(coords, dtype=float).reshape(-1, 1)
     return gi.column_space(v)
+
+
+def direct_sum(t, s, tol=gi.DEFAULT_TOL):
+    """Whether T (+) S fills the space, and the margin deciding it: the complement clause of the
+    projector onto T along S, the outer inverse of I."""
+    try:
+        return True, gi.outer_prescribed(np.eye(t.ambient_dim), t, s, tol).complement_margin
+    except ExistenceError as exc:
+        return False, exc.margin
 
 
 def test_column_space_examples():
@@ -32,28 +41,28 @@ def test_null_space_examples():
 
 
 def test_oblique_projector_orthogonal_case():
-    p = gi.oblique_projector(line(1, 0), line(0, 1))
+    p = projector(line(1, 0), line(0, 1))
     assert np.allclose(p.matrix, np.diag([1.0, 0.0]))
 
 
 def test_oblique_projector_skew_case():
-    p = gi.oblique_projector(line(1, 0), line(1, 1))
+    p = projector(line(1, 0), line(1, 1))
     assert np.allclose(p.matrix, np.array([[1.0, -1.0], [0.0, 0.0]]), atol=1e-12)
 
 
 def test_oblique_projector_overlapping_rejected():
-    with pytest.raises(ExistenceError, match="not complementary"):
-        gi.oblique_projector(line(1, 0), line(1, 0))
+    with pytest.raises(ExistenceError, match="complement fails: R\\(A\\*T\\)"):
+        projector(line(1, 0), line(1, 0))
 
 
 def test_oblique_projector_trivial_and_full():
     n = 4
     assert np.allclose(
-        gi.oblique_projector(gi.trivial_subspace(n), gi.full_subspace(n)).matrix,
+        projector(gi.trivial_subspace(n), gi.full_subspace(n)).matrix,
         np.zeros((n, n)),
     )
     assert np.allclose(
-        gi.oblique_projector(gi.full_subspace(n), gi.trivial_subspace(n)).matrix,
+        projector(gi.full_subspace(n), gi.trivial_subspace(n)).matrix,
         np.eye(n),
     )
 
@@ -66,7 +75,7 @@ def test_oblique_projector_matches_the_stacked_basis_oracle(complex_):
         for dim in range(n + 1):
             t = families.random_subspace(rng, n, dim, complex_)
             s = families.random_subspace(rng, n, n - dim, complex_)
-            p, want = gi.oblique_projector(t, s), oblique_projector_oracle(t, s)
+            p, want = projector(t, s), oblique_projector_oracle(t, s)
             assert gi.spectral_norm(p.matrix - want) <= 100 * n * p.norm * eps
             assert abs(p.norm - gi.spectral_norm(want)) <= 100 * n * p.norm * eps
             assert p.range is t and p.nullspace is s
@@ -78,9 +87,9 @@ def test_oblique_projector_recovers_subspaces(rng):
         d = int(rng.integers(1, n))
         t = families.random_subspace(rng, n, d)
         s = families.random_subspace(rng, n, n - d)
-        if gi.direct_sum_check(t, s).margin < 0.1:
+        if direct_sum(t, s)[1] < 0.1:
             continue
-        p = gi.oblique_projector(t, s)
+        p = projector(t, s)
         assert gi.gap(gi.column_space(p.matrix), t).gap <= 1e-9
         assert gi.gap(gi.null_space(p.matrix), s).gap <= 1e-9
 
@@ -212,34 +221,19 @@ def test_gap_sampling_oracle_converges_for_lines(rng):
 
 
 def test_direct_sum_check_examples():
-    ok, margin = gi.direct_sum_check(line(1, 0), line(0, 1))
+    ok, margin = direct_sum(line(1, 0), line(0, 1))
     assert ok and margin == pytest.approx(1.0)
-    ok, margin = gi.direct_sum_check(line(1, 0), line(1, 0))
+    ok, margin = direct_sum(line(1, 0), line(1, 0))
     assert not ok and margin == pytest.approx(0.0, abs=1e-12)
     theta = 0.3
-    ok, margin = gi.direct_sum_check(line(1, 0), line(np.cos(theta), np.sin(theta)))
+    ok, margin = direct_sum(line(1, 0), line(np.cos(theta), np.sin(theta)))
     assert ok
     assert margin == pytest.approx(np.sin(theta / 2) * np.sqrt(2.0), abs=1e-12)
 
 
 def test_direct_sum_dimension_mismatch_fails():
-    ok, _ = gi.direct_sum_check(gi.full_subspace(3), line(1, 0, 0))
+    ok, _ = direct_sum(gi.full_subspace(3), line(1, 0, 0))
     assert not ok
-
-
-def test_direct_sum_check_decides_a_dimension_mismatch_by_counting(monkeypatch):
-    # [T | S] of span(e1, e2) and span(e2, e3) is 3 x 4: numpy gives only 3 singular values,
-    # all 1, though the two meet in span(e2); the count refuses it at margin 0 with no SVD
-    def no_svd(*args, **kwargs):
-        raise AssertionError("direct_sum_check factored a matrix")
-
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    eye = np.eye(3)
-    t, s = gi.Subspace(3, eye[:, :2]), gi.Subspace(3, eye[:, 1:])
-    assert gi.direct_sum_check(t, s) == (False, 0.0)
-    assert gi.direct_sum_check(gi.Subspace(3, eye[:, :1]), gi.Subspace(3, eye[:, 1:2])) == (
-        False, 0.0)
-    assert gi.direct_sum_check(gi.trivial_subspace(3), gi.trivial_subspace(3)) == (False, 0.0)
 
 
 def test_ambient_mismatch_rejected():
@@ -254,10 +248,10 @@ NEAR_MARGIN = np.sqrt(2.0) * np.sin(np.arctan(0.1) / 2)
 
 def test_oblique_projector_decides_complementarity_with_the_tol_it_is_passed():
     t, s = line(1, 0), line(1, 0.1)
-    assert np.allclose(gi.oblique_projector(t, s).matrix, [[1.0, -10.0], [0.0, 0.0]])
-    with pytest.raises(ExistenceError, match="not complementary") as info:
-        gi.oblique_projector(t, s, LOOSE_RANK)
-    assert info.value.clause == "not complementary"
+    assert np.allclose(projector(t, s).matrix, [[1.0, -10.0], [0.0, 0.0]])
+    with pytest.raises(ExistenceError, match="complement fails") as info:
+        projector(t, s, LOOSE_RANK)
+    assert info.value.clause == "R(A*T) (+) S != Y"
     assert info.value.margin == pytest.approx(0.0704, abs=5e-5)
     assert info.value.margin == pytest.approx(NEAR_MARGIN, abs=1e-12)
 
@@ -268,36 +262,37 @@ def test_oblique_projector_passes_a_refused_certificate_through():
     rng = np.random.default_rng(5)
     t, s = families.random_subspace(rng, 6, 3), families.random_subspace(rng, 6, 3)
     with pytest.raises(CertificateError) as err:
-        gi.oblique_projector(t, s, gi.ToleranceConfig(residual_tol=0.0))
+        projector(t, s, gi.ToleranceConfig(residual_tol=0.0))
     assert err.value.clause == "residual exceeds tolerance" and "xax_x" in str(err.value)
 
 
 def test_direct_sum_check_decides_with_the_tol_it_is_passed():
     t, s = line(1, 0), line(1, 0.1)
-    assert gi.direct_sum_check(t, s).holds
-    ok, margin = gi.direct_sum_check(t, s, LOOSE_RANK)
+    assert direct_sum(t, s)[0]
+    ok, margin = direct_sum(t, s, LOOSE_RANK)
     assert not ok and margin == pytest.approx(NEAR_MARGIN, abs=1e-12)
     # the decision is the argument's even for subspaces built under another tolerance
     loose_t = gi.column_space(np.array([[1.0], [0.0]]), LOOSE_RANK)
-    assert gi.direct_sum_check(loose_t, s).holds
+    assert direct_sum(loose_t, s)[0]
 
 
 def test_direct_sum_check_holds_exactly_where_the_projector_exists():
-    # 400 pairs (T, S), each probed at rank tolerances a hair either side of its margin, 1,600
-    # probes: the check is the projector's complement clause, so the two never disagree
+    # 400 pairs (T, S), each probed at rank tolerances a hair either side of the margin read at
+    # the default one, 1,600 probes: the projector exists exactly where that margin exceeds the
+    # tolerance, whichever path (the core's bound or the exact clauses) decides
     rng = np.random.default_rng(27)
     for i in range(400):
         n = int(rng.integers(2, 9))
         dim = int(rng.integers(1, n))
         t, s = (families.random_subspace(rng, n, d, bool(i % 2)) for d in (dim, n - dim))
-        margin = gi.direct_sum_check(t, s).margin
+        margin = direct_sum(t, s)[1]
         for factor in (1 - 1e-13, 1 + 1e-13, 1 - 1e-15, 1 + 1e-15):
             tol = gi.ToleranceConfig(rank_rel_tol=margin * factor)
             try:
-                exists = gi.oblique_projector(t, s, tol) is not None
+                exists = projector(t, s, tol) is not None
             except ExistenceError:
                 exists = False
-            assert gi.direct_sum_check(t, s, tol).holds == exists, (i, factor)
+            assert exists == (margin > tol.rank_rel_tol), (i, factor)
 
 
 def test_orthogonal_complement_decides_rank_with_the_tol_it_is_passed():
@@ -331,8 +326,8 @@ def test_subspace_and_projector_compare_by_identity_and_hash():
     s, t = gi.Subspace(2, np.eye(2)), gi.Subspace(2, np.eye(2))
     assert s == s and s != t
     assert len({s, t, s}) == 2
-    p = gi.oblique_projector(line(1, 0), line(0, 1))
-    assert p == p and p != gi.oblique_projector(line(1, 0), line(0, 1))
+    p = projector(line(1, 0), line(0, 1))
+    assert p == p and p != projector(line(1, 0), line(0, 1))
     assert {p: 1}[p] == 1
 
 
@@ -373,18 +368,16 @@ def test_gap_sampling_oracle_of_the_zero_subspace():
 
 
 def test_oblique_projector_across_ambient_spaces_names_the_subspaces():
-    with pytest.raises(InputError, match="^ambient dimensions differ$"):
-        gi.oblique_projector(gi.trivial_subspace(2), gi.trivial_subspace(3))
-    with pytest.raises(InputError, match="^ambient dimensions differ$"):
-        gi.oblique_projector(line(1, 0, 0), line(0, 1))
+    for t, s in ((gi.trivial_subspace(2), gi.trivial_subspace(3)), (line(1, 0, 0), line(0, 1))):
+        with pytest.raises(InputError, match="^prescribed null space does not live in the co"):
+            projector(t, s)
 
 
 def test_the_empty_ambient_space_is_a_direct_sum():
-    # C^0 = {0} (+) {0}: the direct-sum test, the projector and the outer construction agree
+    # C^0 = {0} (+) {0}: the projector exists, the empty matrix, at complement margin 1
     zero = gi.trivial_subspace(0)
-    assert gi.direct_sum_check(zero, zero) == (True, 1.0)
-    assert gi.oblique_projector(zero, zero).matrix.shape == (0, 0)
-    assert gi.outer_prescribed(np.eye(0), zero, zero).complement_margin == 1.0
+    assert direct_sum(zero, zero) == (True, 1.0)
+    assert projector(zero, zero).matrix.shape == (0, 0)
     for n in (1, 2, 5):
-        assert gi.direct_sum_check(gi.trivial_subspace(n), gi.full_subspace(n)) == (True, 1.0)
-        assert gi.direct_sum_check(gi.full_subspace(n), gi.trivial_subspace(n)) == (True, 1.0)
+        assert direct_sum(gi.trivial_subspace(n), gi.full_subspace(n)) == (True, 1.0)
+        assert direct_sum(gi.full_subspace(n), gi.trivial_subspace(n)) == (True, 1.0)
