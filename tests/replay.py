@@ -16,10 +16,13 @@ Floats are written as ``float.hex`` and arrays as the SHA-256 of their shape, dt
 bytes, so two records agree only where every bit does. ``diff`` prints both headers and says
 when they differ: the same input and seed give the same bits only on the same numpy build and
 BLAS thread count, so ``record`` run as a script pins the BLAS to one thread, as bench/run.py
-does. Then it groups the moved cases by pool and field: decision fields (outcome type, error,
+does. It matches the two records' cases by pool, seed, label and occurrence among equal labels,
+not by the op's index in its pool, so a case added to or removed from a pool leaves the others
+matched. Then it groups the moved cases by pool and field: decision fields (outcome type, error,
 clause, check, verdicts, alarm, failed indices, exit code) apart from a CLI report's hash, which
 moves with any float the report prints, and from the floats, each float field with its largest
-move in ulps and its largest absolute move; last it prints the count.
+move in ulps and its largest absolute move; it prints the count, and last each case that only one
+record holds.
 Run ``record`` once per tree, each in its own process.
 """
 
@@ -285,10 +288,23 @@ def _move(a, b) -> tuple[int | float, float] | None:
     return abs(ordered[0] - ordered[1]), abs(x - y)
 
 
+def _keyed(records: list) -> dict:
+    """(pool, seed, label, occurrence among equal labels) -> (case id, the line without it)."""
+    keyed, seen = {}, {}
+    for line in records:
+        line = dict(line)
+        case = line.pop("case")
+        pool, seed, _, label = case.split("/", 3)  # the op's index in its pool drops out
+        seen[pool, seed, label] = seen.get((pool, seed, label), -1) + 1
+        keyed[pool, seed, label, seen[pool, seed, label]] = case, line
+    return keyed
+
+
 def diff(first: Path, second: Path) -> int:
-    """The moved cases, grouped by pool and field: decision fields apart, CLI report hashes
-    apart, each float field with its largest move in ulps and its largest absolute move, and the
-    other fields (arrays, messages); 1 if any case moved."""
+    """The moved cases among those both records hold, grouped by pool and field: decision fields
+    apart, CLI report hashes apart, each float field with its largest move in ulps and its largest
+    absolute move, and the other fields (arrays, messages); then the cases only one record holds.
+    1 if any case moved, was removed or was added."""
     a, b = ([json.loads(line) for line in p.read_text().splitlines()] for p in (first, second))
     headers = [rs.pop(0)["header"] if rs and "header" in rs[0] else None for rs in (a, b)]
     if any(headers):
@@ -296,29 +312,36 @@ def diff(first: Path, second: Path) -> int:
             print(f"{which} header: {json.dumps(head, sort_keys=True)}")
         if headers[0] != headers[1]:
             print("the headers differ: bits may move with the numpy build or BLAS threads")
-    cases_a, cases_b = ({r["case"]: r for r in rs} for rs in (a, b))
-    if list(cases_a) != list(cases_b):
-        print("the two records hold different cases")
-        return 1
+    cases_a, cases_b = _keyed(a), _keyed(b)
+    common = [key for key in cases_a if key in cases_b]
     groups: dict = {}  # (kind, pool, field) -> [cases moved, largest ulps, largest |move|]
     moved = 0
-    for case, line in cases_a.items():
-        leaves = _moved(line, cases_b[case])
+    for key in common:
+        (case, line), (_, other) = cases_a[key], cases_b[key]
+        leaves = _moved(line, other)
         moved += bool(leaves)
         for field, x, y in leaves:
             move = _move(x, y)
             kind = ("report" if field == ".report"
                     else "decision" if DECISIONS & set(field.split(".")) or isinstance(x, int)
                     else "other" if move is None else "float")
-            entry = groups.setdefault((kind, case.split("/")[0], field), [set(), 0, 0.0])
+            entry = groups.setdefault((kind, key[0], field), [set(), 0, 0.0])
             entry[0].add(case)
             entry[1:] = map(max, entry[1:], move or (0, 0.0))
     for (kind, pool, field), (cases, ulps, absolute) in sorted(groups.items()):
         largest = (f", largest move {ulps:g} ulp{'s' * (ulps != 1)}, {absolute:.2g} absolute"
                    if kind == "float" else "")
         print(f"{kind} {pool} {field}: {len(cases)} case(s){largest}")
-    print(f"{moved} of {len(cases_a)} cases moved")
-    return 1 if moved else 0
+    print(f"{moved} of {len(common)} cases moved")
+    removed = [case for key, (case, _) in cases_a.items() if key not in cases_b]
+    added = [case for key, (case, _) in cases_b.items() if key not in cases_a]
+    for case in removed:
+        print(f"removed {case}")
+    for case in added:
+        print(f"added {case}")
+    if removed or added:
+        print(f"{len(removed)} case(s) removed, {len(added)} added")
+    return 1 if moved or removed or added else 0
 
 
 def main(argv=None) -> int:

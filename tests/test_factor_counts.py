@@ -37,7 +37,8 @@ are factored as one slice per distinct operand object: 2 slices for an
 additive family, whose indices share the limit's b and c, and 11 for a
 rank-drop family of (a_n, a_n, a_n), where one b and one c slice per problem
 made 22; deviations measure a basis object shared by every index once.
-bc_inverse factors b and c as one stack of two slices, and inverse_along d as
+bc_inverse factors b and c as one stack of two slices (from kernel.SPLIT_MIN_DIM = 96
+on, as two one-slice calls, one on each of two threads), and inverse_along d as
 one slice, read for R(d) and N(d) alike; bott_duffin takes none for its
 projectors, which carry their own subspaces and norms, before the
 construction's own factorizations.
@@ -127,6 +128,22 @@ def test_bc_inverse_counts(linalg_calls, complex_):
     # b and c are the only N x N operands factored, one stack of two slices; a is not
     square = [shape for name, shape in linalg_calls if shape[-2:] == (N, N)]
     assert square == [(2, N, N)]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_large_bc_inverse_factors_b_and_c_as_two_one_slice_calls(linalg_calls, complex_):
+    # from kernel.SPLIT_MIN_DIM on, the (b, c) stack is factored in halves, one per thread: the
+    # same two slices in two calls instead of one, then the core H A F, as at N
+    n = 2 * N
+    rng = np.random.default_rng(3)
+    a, t, s = outer_instance_at_angles(rng, n, n, n // 2, complex_)
+    b = t.basis @ families.random_matrix(rng, n // 2, n, complex_)
+    c = families.random_matrix(rng, n, n // 2, complex_) @ complement_rows(s)
+    linalg_calls.clear()
+    gi.bc_inverse(a, b, c)
+    assert _counts(linalg_calls) == {"svd": 3, "qr": 0, "inv": 0, "solve": 0, "lstsq": 0}
+    assert sorted(shape for _, shape in linalg_calls) == [(1, n // 2, n // 2), (1, n, n),
+                                                          (1, n, n)]
 
 
 @pytest.mark.parametrize("complex_", [False, True])

@@ -1,3 +1,5 @@
+import multiprocessing
+import threading
 import warnings
 
 import mpmath
@@ -291,3 +293,92 @@ def test_stack_keeps_each_matrix_strides(rng):
             for got, basis in zip(products, bases):
                 assert got.tobytes() == (basis.conj().T @ x).tobytes()
     assert kernel.stack([np.zeros((3, 0))] * 2).shape == (2, 3, 0)
+
+
+def _threaded_svd_calls(monkeypatch):
+    """List of (on this thread, operand shape) filled by every np.linalg.svd call."""
+    calls, original, here = [], np.linalg.svd, threading.get_ident()
+
+    def counted(x, *args, **kwargs):
+        calls.append((threading.get_ident() == here, np.shape(x)))
+        return original(x, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape, complex_", [((2, 128, 128), False), ((2, 128, 128), True),
+                                             ((3, 100, 100), False)],
+                         ids=["2x128x128", "2x128x128-complex", "3x100x100"])
+def test_a_large_stack_is_factored_in_halves_each_slice_bitwise_as_alone(
+        rng, monkeypatch, shape, complex_):
+    # the first half on the worker thread, the second on the caller's: each slice through the
+    # same gufunc, so svds and svd_stack give its factors bit for bit as its own SVD does
+    stack = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0)
+    alone = {full: [np.linalg.svd(m, full_matrices=full) for m in stack] for full in (False, True)}
+    half, n = shape[0] // 2, shape[1]
+    calls = _threaded_svd_calls(monkeypatch)
+    for full in (False, True):
+        for factor in (lambda: list(zip(*kernel.svd_stack(stack, full))),
+                       lambda: [x[:3] for x in kernel.svds(list(stack), gi.DEFAULT_TOL, full)]):
+            calls.clear()
+            got = factor()
+            assert sorted(calls) == [(False, (half, n, n)), (True, (shape[0] - half, n, n))]
+            for (u, sigma, v), (u1, sigma1, vh1) in zip(got, alone[full], strict=True):
+                assert sigma.tobytes() == sigma1.tobytes()
+                assert u.tobytes() == u1.tobytes() and v.conj().T.tobytes() == vh1.tobytes()
+
+
+def test_a_small_or_values_only_stack_makes_one_call_on_the_callers_thread(rng, monkeypatch):
+    # below SPLIT_MIN_DIM the ~40 us hand-off costs more than a thread saves; values-only SVDs
+    # gain nothing even at 128
+    small, many = rng.standard_normal((2, 64, 64)), rng.standard_normal((51, 20, 20))
+    calls = _threaded_svd_calls(monkeypatch)
+    kernel.svd_stack(small, full=True)
+    kernel.svds(list(many), gi.DEFAULT_TOL)
+    kernel.stack_norms(rng.standard_normal((2, 128, 128)))
+    assert calls == [(True, (2, 64, 64)), (True, (51, 20, 20)), (True, (2, 128, 128))]
+
+
+@pytest.mark.parametrize("on_worker", [True, False], ids=["worker-half", "caller-half"])
+def test_a_linalg_error_in_either_half_is_a_kernel_error_and_the_next_call_succeeds(
+        rng, monkeypatch, on_worker):
+    stack, original, failures = rng.standard_normal((2, 128, 128)), np.linalg.svd, [1]
+
+    def fails_once(x, *args, **kwargs):
+        if (threading.current_thread() is not threading.main_thread()) == on_worker and failures:
+            failures.pop()
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(x, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", fails_once)
+    with pytest.raises(gi.KernelError, match="svd did not converge on a 128x128 matrix"):
+        kernel.svd_stack(stack)
+    assert not failures
+    u, sigma, v = kernel.svd_stack(stack)
+    want = original(stack, full_matrices=False)
+    assert [u.tobytes(), sigma.tobytes(), v.conj().swapaxes(-1, -2).tobytes()] == [
+        x.tobytes() for x in want]
+
+
+def _factor_in_child(stack, conn):
+    conn.send([x.tobytes() for x in kernel.svd_stack(stack, full=True)])
+
+
+def test_a_forked_child_builds_its_own_worker_and_returns_the_parents_bits(rng):
+    # a pool inherited across a fork has no thread: waiting on it would hang the child
+    stack = rng.standard_normal((2, 128, 128))
+    want = [x.tobytes() for x in kernel.svd_stack(stack, full=True)]  # the parent's pool exists
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    with warnings.catch_warnings():  # a Python that warns on forking a threaded process
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = context.Process(target=_factor_in_child, args=(stack, send))
+        child.start()
+    try:
+        assert receive.poll(60), "the forked child did not factor the stack within 60 s"
+        assert receive.recv() == want
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0

@@ -149,3 +149,28 @@ def test_an_overflowing_formula_inverse_is_refused_by_its_certificate():
         gi.perturbed_bc_inverse(cert, -9.99999999999e-301 * np.eye(2))
     assert info.value.clause == "residual exceeds tolerance"
     assert info.value.margin == np.inf
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("order", [np.inf, 1])
+def test_the_closed_form_holds_in_the_banach_norms_inf_and_one(order, complex_):
+    # ||.||_inf and ||.||_1 are submultiplicative, so ||e|| <= 1/2 / ||x|| in either bounds the
+    # Neumann factor, ||x e||_inf or ||e x||_1, by 1/2: 1 + x e is invertible and (1 + x e)^-1 x
+    # is the outer inverse of a + e with x's T and S. Premise: kappa = ||a|| ||x|| (spectral)
+    # <= 1e3 on these 8x8 instances, so the formula and the direct construction agree within
+    # 100 kappa eps ||x||, as in test_scale (the worst read about 20)
+    eps, rng = np.finfo(float).eps, np.random.default_rng(16 + complex_)
+    for r in (2, 4, 6, 8):
+        for _ in range(3):
+            a, b, c = families.random_solvable_triple(rng, 8, r, complex_)
+            cert = gi.bc_inverse(a, b, c)
+            kappa, x = cert.operator_norm * cert.inverse_norm, cert.inverse
+            assert kappa <= 1e3
+            direction = families.random_matrix(rng, 8, 8, complex_)
+            e = direction * (0.5 / (np.linalg.norm(x, order) * np.linalg.norm(direction, order)))
+            assert np.linalg.norm(x @ e if order == np.inf else e @ x, order) <= 0.5 + 1e-12
+            report = gi.perturbed_bc_inverse(cert, e)  # no ExistenceError
+            direct = gi.outer_prescribed(a + e, cert.prescribed_range,
+                                         cert.prescribed_nullspace).inverse
+            error = gi.spectral_norm(report.formula_inverse - direct)
+            assert error <= 100 * kappa * eps * cert.inverse_norm, (r, error)

@@ -1,7 +1,8 @@
 """``tests/replay.py diff`` on hand-written records: it counts the moved cases, keeps decision
 fields apart from CLI report hashes and floats, gives each float field's largest move in ulps
-and absolutely and names records whose headers differ. And ``record`` of one tree in two fresh
-processes reads identical, and a grid case that overflows is refused with no warning."""
+and absolutely, names records whose headers differ and lists the cases only one record holds.
+And ``record`` of one tree in two fresh processes reads identical, and a grid case that
+overflows is refused with no warning."""
 
 import json
 import math
@@ -95,6 +96,35 @@ def test_records_whose_headers_differ_are_reported_and_still_compared(tmp_path, 
         f"second header: {json.dumps(other, sort_keys=True)}",
         "the headers differ: bits may move with the numpy build or BLAS threads",
         "0 of 3 cases moved"]
+
+
+def test_a_record_lacking_a_grid_row_names_it_and_still_compares_the_rest(tmp_path, capsys):
+    # the second record lacks the first grid row, so the next has another index in its pool, and
+    # holds a row the first lacks: cases match by pool, seed, label and occurrence, not by index
+    def row(k, label, margin):
+        return {"case": f"grid/0/{k}/{label}", "check": None,
+                "outcome": {"error": "ExistenceError", "margin": margin.hex()}}
+
+    lacking = "bc_inverse/plain/r/k=0/rank_tol=0.0"
+    first = _write(tmp_path / "a.jsonl", [*_records(), row(3, lacking, 0.25),
+                                          row(4, "bc_inverse/plain/r/k=3/rank_tol=0.0", 0.5)])
+    second = [*_records(), row(3, "bc_inverse/plain/r/k=3/rank_tol=0.0", math.nextafter(0.5, 1)),
+              row(4, "bc_inverse/plain/r/k=6/rank_tol=0.0", 0.5)]
+    second[0]["outcome"]["range_gap"] = math.nextafter(0.25, 1.0).hex()
+    assert replay.diff(first, _write(tmp_path / "b.jsonl", second)) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "float certify .outcome.range_gap: 1 case(s), largest move 1 ulp, 5.6e-17 absolute",
+        "float grid .outcome.margin: 1 case(s), largest move 1 ulp, 1.1e-16 absolute",
+        "2 of 4 cases moved",
+        f"removed grid/0/3/{lacking}",
+        "added grid/0/4/bc_inverse/plain/r/k=6/rank_tol=0.0",
+        "1 case(s) removed, 1 added"]
+    # a record that only lacks the row: nothing moved, and the diff still fails
+    lacks_only = _write(tmp_path / "c.jsonl", [*_records(), row(3, lacking, 0.25)])
+    assert replay.diff(first, lacks_only) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 4 cases moved", "removed grid/0/4/bc_inverse/plain/r/k=3/rank_tol=0.0",
+        "1 case(s) removed, 0 added"]
 
 
 def _replayed_identically(out: str, count: int) -> None:
