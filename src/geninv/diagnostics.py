@@ -196,8 +196,9 @@ def _diagnose(
     with_limit = (limit, *certs_ok)
     xs, ops = np.stack([c.inverse for c in with_limit]), np.stack([c.operator for c in with_limit])
     xn, an = xs[1:], ops[1:]
-    left = kernel.stack_norms(xn @ an - x @ a)
-    right = kernel.stack_norms(an @ xn - a @ x)
+    # the left-product, right-product and inverse errors: one values-only SVD of every slice
+    left, right, inverse_error = kernel.stack_norms(
+        xn @ an - x @ a, an @ xn - a @ x, xn - x).reshape(3, len(xn))
     # Orthogonal projectors P onto M and P_n onto M_n satisfy ||(I - P) P_n|| =
     # delta(M_n, M); taking adjoints swaps the pair; and ||P_n - P|| is the larger
     # of the two (Kato 1966, I §6.8). With b b^+ = P_T and c^+ c = I - P_S, every
@@ -215,7 +216,7 @@ def _diagnose(
     range_gap, null_gap = (x_range, x_null) if mp_report else (t_gap, s_gap)
     range_projector, null_projector = (left, right) if mp_report else (t_gap, s_gap)
     values = {
-        "inverse_error": kernel.stack_norms(xn - x),
+        "inverse_error": inverse_error,
         "left_product_error": left,
         "right_product_error": right,
         "range_gap": range_gap,

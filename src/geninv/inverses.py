@@ -80,8 +80,9 @@ def _certify(defects: dict, tol: ToleranceConfig, kind: str, exact=None) -> dict
     or NaN entry) is refused whatever its budget."""
     residuals = {}
     for j, (name, (defect, scale, *fro)) in enumerate(defects.items()):
-        value, budget = (fro[0] if fro and kernel.FRO_LOW < fro[0] < math.inf else  # as it is
-                         kernel.residual_norm(defect, math.inf, *fro)), tol.residual_tol * scale
+        value, budget = (fro[0] if fro and (kernel.FRO_LOW < fro[0] < math.inf  # as it is
+                                            or fro[0] == 0.0 and not defect.any())
+                         else kernel.residual_norm(defect, math.inf, *fro)), tol.residual_tol * scale
         budget = tol.residual_tol * exact()[j] if exact and not value <= budget else budget
         value = value if value <= budget else kernel.residual_norm(defect, budget, value)
         if value > budget or value == math.inf:
@@ -283,8 +284,9 @@ def _outer(problems: list, tol: ToleranceConfig, kind: str) -> list:
             h, f = complement_rows(ss), kernel.stack([t.basis for t in ts])
             cu, core_sigma, cv = _svd_or_refuse(h @ (a @ f), refused)
             floor = 2.0 * tol.rank_rel_tol + 8 * (m + n) * math.ulp(1.0)
-            undecided = [i for i in range(k) if i not in refused
-                         and not core_sigma[i, -1] > floor * kernel.residual_norm(ops[i])]
+            fro = kernel.frobenius_norms(a) if a.flags.c_contiguous else [0.0] * k  # ||a_i||_F
+            undecided = [i for i in range(k) if i not in refused and not core_sigma[i, -1] > floor * (
+                fro[i] if kernel.FRO_LOW < fro[i] < math.inf else kernel.residual_norm(ops[i]))]
         if undecided:  # the core-first bound granted the others
             found = _clauses(*[[p[i] for i in undecided] for p in (ops, ts, ss, memos)], tol)
             refused.update((undecided[j], e) for j, e in found.items())
@@ -324,19 +326,25 @@ def bc_inverse_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     copies are not merged) factored once, by ``range_and_null_spaces``, into R(b) if a b, N(c) if
     a c, and its norm, shared by every problem using it; then stacked as ``_stacked`` groups
     them. Entry i is problem i's certificate or the ExistenceError that refuses it."""
-    probs = [_bc_operands(*p, index=i) for i, p in enumerate(problems)]
+    seen: dict = {}
+    probs = [_bc_operands(*p, index=i, seen=seen) for i, p in enumerate(problems)]
     bs, cs = {id(b): b for _, b, _ in probs}, {id(c): c for *_, c in probs}
     spans = dict(zip({**bs, **cs}, range_and_null_spaces([*{**bs, **cs}.values()], bs, cs, tol)))
     return _relabeled(_stacked([(a, spans[id(b)][0], spans[id(c)][1], b, c, spans[id(b)][2],
                                  spans[id(c)][2]) for a, b, c in probs], tol, "bc"), _NO_BC)
 
 
-def _bc_operands(*abc, index: int = 0) -> tuple:
-    """(a, b, c) through ``as_matrix``; an InputError unless three matrices, square and of one
-    size, naming the problem's ``index`` in its stack where it is not three."""
+def _bc_operands(*abc, index: int = 0, seen: dict | None = None) -> tuple:
+    """(a, b, c) through ``as_matrix``, each object once per ``seen`` (its id -> the object, kept
+    alive so its id is not reused, and its matrix); an InputError unless three matrices, square
+    and of one size, naming the problem's ``index`` in its stack where it is not three."""
     if len(abc) != 3:
         raise InputError(f"problem {index} holds {len(abc)} matrices, not the 3 of (a, b, c)")
-    b, c, a = [as_matrix(abc[j]) for j in (1, 2, 0)]
+    seen = {} if seen is None else seen
+    for x in (abc[1], abc[2], abc[0]):
+        if id(x) not in seen:
+            seen[id(x)] = x, as_matrix(x)
+    a, b, c = [seen[id(x)][1] for x in abc]
     if a.shape[0] != a.shape[1] or a.shape != b.shape or a.shape != c.shape:
         raise InputError("bc_inverse needs square a, b, c of equal size")
     return a, b, c

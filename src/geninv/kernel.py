@@ -75,22 +75,29 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-# Smallest slice dimension of a stack whose SVD with vectors is split over two threads. On 2 cores,
-# BLAS on one thread: 2x256x256 real 31.1 -> 17.5 ms, 2x128x128 complex 13.5 -> 7.6 ms and real
-# 8.2 -> 4.4 ms; 2x64x64 ties or loses to the ~40 us hand-off; values-only stacks gain nothing.
-SPLIT_MIN_DIM = 96
+# Smallest stack whose SVD is split over two threads, in bytes (a complex entry counts twice).
+# Sized on 2 cores, BLAS on one thread, serial -> split, medians of 41-61 interleaved runs:
+#   with vectors, 51x20x20 real 3.6 -> 2.2 ms, complex 5.2 -> 3.0; 51x10x10 0.92 -> 0.58;
+#   51x12x12 1.33 -> 0.95; 2x64x64 real 1.38 -> 1.00, complex 3.1 -> 1.8; 51x8x8 complex
+#   0.89 -> 0.63; below it, 2x32x32 real 0.29 -> 0.38 and 2x40x40 0.58 -> 0.60;
+#   values only, 150x20x20 5.7 -> 3.3 ms, 150x8x8 1.1 -> 0.87; below it, 252x4x4 0.63 -> 0.65.
+# numpy's values-only gufunc keeps the GIL through a call returning at most 500 singular values
+# (126x4x4 lets it go, 125x4x4 does not), so such halves run one after the other: 50x20x20
+# 1.8 -> 1.9 ms, 104x8x8 0.72 -> 1.03, 2x256x256 12.4 -> 14.4.
+SPLIT_MIN_BYTES = 40_000
 _worker: list = [None, None]  # the one worker thread's executor and the pid that made it
 
 
 def _lapack_svd(a: np.ndarray, **kwargs) -> list:
     """np.linalg.svd of a matrix or a stack as a list of results: one, or two for a stack of >= 2
-    slices each at least SPLIT_MIN_DIM across, with vectors: its first half's, factored on the
-    worker thread while this one factors the second. Each slice takes the same gufunc call, so its
-    factors are bitwise the serial ones. A LinAlgError from either half becomes a KernelError."""
+    slices and at least SPLIT_MIN_BYTES whose halves each return vectors or more than 500 singular
+    values: its first half's, factored on the worker thread while this one factors the second.
+    Each slice takes the same gufunc call, so its factors are bitwise the serial ones. A
+    LinAlgError from either half becomes a KernelError."""
     svd = np.linalg.svd  # looked up per call, so a wrapper sees both halves
     try:
-        if not (kwargs.get("compute_uv", True) and a.ndim == 3 and len(a) > 1
-                and min(a.shape[1:]) >= SPLIT_MIN_DIM):
+        if not (a.ndim == 3 and len(a) > 1 and a.nbytes >= SPLIT_MIN_BYTES and (
+                kwargs.get("compute_uv", True) or len(a) // 2 * min(a.shape[1:]) > 500)):
             return [svd(a, **kwargs)]
         if _worker[1] != os.getpid():  # none yet, or inherited across a fork: it has no thread
             from concurrent.futures import ThreadPoolExecutor  # here: its import takes ~10 ms
@@ -104,6 +111,12 @@ def _lapack_svd(a: np.ndarray, **kwargs) -> list:
         return [first, second]
     except np.linalg.LinAlgError as exc:
         raise KernelError(f"svd did not converge on a {a.shape[-2]}x{a.shape[-1]} matrix") from exc
+
+
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values of a matrix, or of each slice of a stack, from both halves of a split."""
+    parts = _lapack_svd(a, compute_uv=False)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 layout = operator.attrgetter("shape", "dtype.char", "strides")  # how BLAS reads a matrix
@@ -170,7 +183,7 @@ def complements(bases) -> np.ndarray:
 
 
 def singular_values(a) -> np.ndarray:
-    return _lapack_svd(as_matrix(a), compute_uv=False)[0]
+    return _singular_values(as_matrix(a))
 
 
 def numerical_rank(sigma, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarray:
@@ -194,13 +207,20 @@ def spectral_norm(a) -> float:
     return sigma_max(singular_values(a))
 
 
-def stack_norms(stack: np.ndarray) -> np.ndarray:
-    """``spectral_norm`` of each slice of a 3-d stack, from one LAPACK call; inf for a slice
-    with an inf or NaN entry (an overflowed product), as ``residual_norm`` gives."""
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    safe = stack if finite.all() else np.where(finite[:, None, None], stack, 0.0)
-    norms = _lapack_svd(safe, compute_uv=False)[0][:, 0] if stack.size else np.zeros(len(stack))
-    return np.where(finite, norms, math.inf)
+def stack_norms(*stacks: np.ndarray) -> np.ndarray:
+    """``spectral_norm`` of each slice of the 3-d stacks, in order, from one LAPACK call per slice
+    shape and field; inf for a slice with an inf or NaN entry (an overflowed product), as
+    ``residual_norm`` gives."""
+    norms = [None] * len(stacks)
+    for group in groups([(s.shape[1:], s.dtype.char) for s in stacks]):
+        whole = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[i] for i in group])
+        finite = np.isfinite(whole).all(axis=(-2, -1))
+        safe = whole if finite.all() else np.where(finite[:, None, None], whole, 0.0)
+        found = _singular_values(safe)[:, 0] if whole.size else np.zeros(len(whole))
+        found, start = np.where(finite, found, math.inf), 0
+        for i in group:  # each stack's slices, where the group holds them
+            norms[i], start = found[start:start + len(stacks[i])], start + len(stacks[i])
+    return norms[0] if len(stacks) == 1 else np.concatenate(norms)
 
 
 def frobenius_norms(stack: np.ndarray) -> list[float]:

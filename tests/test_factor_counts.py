@@ -23,39 +23,45 @@ first read (none of these for moore_penrose, whose SVD gives them).
 The sequence reports are held to their per-index construction: 30 more
 indices may add no more calls than 30 more bc_inverse (2 SVD) or
 moore_penrose (1 SVD) calls, so every diagnostic is batched over the indices,
-and a 20x20, 10-index report takes at most 11 SVD (sequence_report) or
-9 SVD (mp_continuity_report): its projector records are read off the
-deviations of the prescribed subspaces, with no projector formed. Every row of
-the deviations measures one side: a side from the larger of two subspaces is 1
-by counting, and at equal dimensions both sides are one measured number. So a
-20x20, 10-index sequence_report takes 11 SVD calls (77 slices) for an additive
-family and 11 (115) for a rotating one, and an 8x8 convergent
-mp_continuity_report 9 (92); a rank-drop family, whose indices differ in rank
-from its limit, takes 10 SVD calls (84 slices) for a 20x20, 10-index
-sequence_report and 7 (72 slices) for an 8x8 one of mp_continuity_report. Its b and c
+and a 20x20, 10-index report takes at most 9 SVD (sequence_report) or
+7 SVD (mp_continuity_report): its inverse, left-product and right-product errors
+are one values-only SVD of all three stacks, and its projector records are read
+off the deviations of the prescribed subspaces, with no projector formed. Every
+row of the deviations measures one side: a side from the larger of two subspaces
+is 1 by counting, and at equal dimensions both sides are one measured number. So a
+20x20, 10-index sequence_report takes 9 SVD calls (77 slices) for an additive
+family and 9 (115) for a rotating one, and an 8x8 convergent
+mp_continuity_report 7 (92); a rank-drop family, whose indices differ in rank
+from its limit, takes 8 SVD calls (84 slices) for a 20x20, 10-index
+sequence_report and 5 (72 slices) for an 8x8 one of mp_continuity_report. Its b and c
 are factored as one slice per distinct operand object: 2 slices for an
 additive family, whose indices share the limit's b and c, and 11 for a
 rank-drop family of (a_n, a_n, a_n), where one b and one c slice per problem
 made 22; deviations measure a basis object shared by every index once.
-bc_inverse factors b and c as one stack of two slices (from kernel.SPLIT_MIN_DIM = 96
-on, as two one-slice calls, one on each of two threads), and inverse_along d as
+A stack that kernel splits over two threads (from kernel.SPLIT_MIN_BYTES on) counts as
+one call, its slices summed over both threads: bc_inverse factors b and c as one stack of
+two slices, at n = 64 one slice on each thread, and inverse_along d as
 one slice, read for R(d) and N(d) alike; bott_duffin takes none for its
 projectors, which carry their own subspaces and norms, before the
 construction's own factorizations.
 perturbed_bc_inverse and zero_limit_check read ||a|| and ||x|| off the
 certificate; ||x|| costs nothing and ||a|| at most its first read.
 The fixed cost around one construction is held too, in Python frames run inside geninv
-(conftest.python_frames): a 6x6 bc_inverse runs at most 73 (54 with b = c = 0),
-moore_penrose 46 and outer_prescribed on subspaces already read 48, and each problem added
-to a bc_inverse_stack at most 20 more (an additive family) or 24 (a rotating one, a new b
-and c per problem): only the spans a problem reads are built, and a problem's stacking key
-reads its layouts through a C getter, not a Python call per matrix.
+(conftest.python_frames): a 6x6 bc_inverse runs at most 68 (51 with b = c = 0),
+moore_penrose 46 and outer_prescribed on subspaces already read 43, and each problem added
+to a bc_inverse_stack at most 12 more (an additive family) or 17 (a rotating one, a new b
+and c per problem): only the spans a problem reads are built, a problem's stacking key
+reads its layouts through a C getter, not a Python call per matrix, each distinct operand
+object is validated once per stack, the core-first floor reads every ||a_i||_F from one
+batched norm, and an all-zero defect is taken as 0 with no rescale.
 finite_difference_check builds one inverse per point of its sweep, all of them one
 stacked construction, so its factorizations do not grow with the steps. It reads each
 curve once, at every point of the sweep: a library curve (families.bc_curves, mp_curve,
 oip_curves) takes one batched solve per Cayley factor, so a (b, c) check makes 4 solve
 calls and a Moore-Penrose or prescribed-outer check 2, however many steps it has.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -71,15 +77,33 @@ N = 64
 ENTRY_POINTS = ("svd", "qr", "inv", "solve", "lstsq")
 
 
+class _Calls(list):
+    """(entry point, operand shape) of each numpy.linalg call on the test's thread; ``worker``
+    holds those on kernel's SVD worker thread, the first halves of split stacks. So a stack split
+    over two threads counts as one call, and its slices over both threads."""
+
+    def __init__(self):
+        super().__init__()
+        self.worker = []
+
+    def clear(self):
+        super().clear()
+        self.worker.clear()
+
+    def both(self) -> list:
+        """The calls of both threads."""
+        return [*self, *self.worker]
+
+
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """List of (entry point, operand shape) filled by every numpy.linalg call."""
-    calls = []
+    """``_Calls`` filled by every numpy.linalg call."""
+    calls, here = _Calls(), threading.get_ident()
     for name in ENTRY_POINTS:
         original = getattr(np.linalg, name)
 
         def counted(x, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, np.shape(x)))
+            (calls if threading.get_ident() == here else calls.worker).append((_name, np.shape(x)))
             return _original(x, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -91,9 +115,11 @@ def _counts(calls):
 
 
 def _svd_calls_and_slices(calls):
-    """(number of calls, number of slices factored) of calls that are all SVDs."""
-    assert {name for name, _ in calls} == {"svd"}
-    return len(calls), sum(int(np.prod(shape[:-2])) for _, shape in calls)
+    """(number of calls, number of slices factored) of calls that are all SVDs, a split stack one
+    call with its slices summed over both threads."""
+    every = calls.both() if isinstance(calls, _Calls) else calls
+    assert {name for name, _ in every} == {"svd"}
+    return len(calls), sum(int(np.prod(shape[:-2])) for _, shape in every)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -125,15 +151,17 @@ def test_bc_inverse_counts(linalg_calls, complex_):
     counts = _counts(linalg_calls)
     assert counts["svd"] <= 2 and counts["qr"] == 0 and counts["inv"] <= 1
     assert counts["solve"] == 0 and counts["lstsq"] == 0
-    # b and c are the only N x N operands factored, one stack of two slices; a is not
-    square = [shape for name, shape in linalg_calls if shape[-2:] == (N, N)]
-    assert square == [(2, N, N)]
+    # b and c are the only N x N operands factored, one stack of two slices, in halves on two
+    # threads (from kernel.SPLIT_MIN_BYTES on): one call here, one on the worker; a is not
+    square = sorted(shape for name, shape in linalg_calls.both() if shape[-2:] == (N, N))
+    assert square == [(1, N, N), (1, N, N)]
+    assert [shape for name, shape in linalg_calls if shape[-2:] == (N, N)] == [(1, N, N)]
 
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_a_large_bc_inverse_factors_b_and_c_as_two_one_slice_calls(linalg_calls, complex_):
-    # from kernel.SPLIT_MIN_DIM on, the (b, c) stack is factored in halves, one per thread: the
-    # same two slices in two calls instead of one, then the core H A F, as at N
+    # the (b, c) stack is factored in halves, one per thread: the same two slices in one call
+    # here and one on the worker, then the core H A F, as at N
     n = 2 * N
     rng = np.random.default_rng(3)
     a, t, s = outer_instance_at_angles(rng, n, n, n // 2, complex_)
@@ -141,15 +169,16 @@ def test_a_large_bc_inverse_factors_b_and_c_as_two_one_slice_calls(linalg_calls,
     c = families.random_matrix(rng, n, n // 2, complex_) @ complement_rows(s)
     linalg_calls.clear()
     gi.bc_inverse(a, b, c)
-    assert _counts(linalg_calls) == {"svd": 3, "qr": 0, "inv": 0, "solve": 0, "lstsq": 0}
-    assert sorted(shape for _, shape in linalg_calls) == [(1, n // 2, n // 2), (1, n, n),
-                                                          (1, n, n)]
+    assert _counts(linalg_calls) == {"svd": 2, "qr": 0, "inv": 0, "solve": 0, "lstsq": 0}
+    assert linalg_calls.worker == [("svd", (1, n, n))]
+    assert sorted(shape for _, shape in linalg_calls.both()) == [(1, n // 2, n // 2), (1, n, n),
+                                                                 (1, n, n)]
 
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_bc_inverse_stack_factors_b_and_c_of_two_layouts_in_one_call(linalg_calls, complex_):
     # the SVD groups operands by shape and field, not by strides: a C-ordered b and a
-    # Fortran-ordered c of one shape are one stack of two slices
+    # Fortran-ordered c of one shape are one stack of two slices, split over two threads
     rng = np.random.default_rng(3)
     a, t, s = outer_instance_at_angles(rng, N, N, N // 2, complex_)
     b = np.ascontiguousarray(t.basis @ families.random_matrix(rng, N // 2, N, complex_))
@@ -157,7 +186,8 @@ def test_bc_inverse_stack_factors_b_and_c_of_two_layouts_in_one_call(linalg_call
     linalg_calls.clear()
     (cert,) = bc_inverse_stack([(a, b, c)])
     assert isinstance(cert, gi.InverseCertificate)
-    assert [shape for name, shape in linalg_calls if shape[-2:] == (N, N)] == [(2, N, N)]
+    assert [shape for name, shape in linalg_calls if shape[-2:] == (N, N)] == [(1, N, N)]
+    assert [shape for name, shape in linalg_calls.worker if shape[-2:] == (N, N)] == [(1, N, N)]
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -422,7 +452,7 @@ def test_sequence_report_counts(linalg_calls, complex_):
     linalg_calls.clear()
     assert not gi.sequence_report(limit, seq, tol).failed_indices
     counts = _counts(linalg_calls)
-    assert counts["svd"] <= 11
+    assert counts["svd"] <= 9
     assert counts["qr"] == counts["inv"] == counts["solve"] == counts["lstsq"] == 0
 
 
@@ -484,11 +514,11 @@ def test_rank_drop_reports_measure_one_side_of_each_unequal_gap(linalg_calls, co
     limit, seq = families.rankdrop_family(np.random.default_rng(18), 20, 10, 10, complex_)
     linalg_calls.clear()
     assert not gi.sequence_report(limit, seq, gi.ToleranceConfig(residual_tol=1e-2)).failed_indices
-    assert _svd_calls_and_slices(linalg_calls) == (10, 84)
+    assert _svd_calls_and_slices(linalg_calls) == (8, 84)
     a, seq = families.mp_rankdrop_sequence(np.random.default_rng(7), 8, 4, 10, complex_)
     linalg_calls.clear()
     assert not gi.mp_continuity_report(a, seq).failed_indices
-    assert _svd_calls_and_slices(linalg_calls) == (7, 72)
+    assert _svd_calls_and_slices(linalg_calls) == (5, 72)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -497,14 +527,14 @@ def test_equal_dimension_reports_measure_one_side_of_each_gap(linalg_calls, comp
     # to both (15 calls and 99 slices, 15 and 155, and 13 and 132, measuring both)
     limit, seq, tol = _additive_sequence(complex_, 10)
     rotating = families.rotating_family(*limit, 10, np.random.default_rng(5), tol)
-    for family, want in ((seq, (11, 77)), (rotating, (11, 115))):
+    for family, want in ((seq, (9, 77)), (rotating, (9, 115))):
         linalg_calls.clear()
         assert not gi.sequence_report(limit, family, tol).failed_indices
         assert _svd_calls_and_slices(linalg_calls) == want
     a, seq = families.mp_convergent_sequence(np.random.default_rng(6), 8, 4, 10, complex_)
     linalg_calls.clear()
     assert not gi.mp_continuity_report(a, seq).failed_indices
-    assert _svd_calls_and_slices(linalg_calls) == (9, 92)
+    assert _svd_calls_and_slices(linalg_calls) == (7, 92)
 
 
 def test_stack_norms_of_empty_slices_factor_nothing(linalg_calls):
@@ -521,7 +551,7 @@ def test_mp_continuity_report_counts(linalg_calls, complex_):
     linalg_calls.clear()
     assert not gi.mp_continuity_report(a, seq).failed_indices
     counts = _counts(linalg_calls)
-    assert counts["svd"] <= 9
+    assert counts["svd"] <= 7
     assert counts["qr"] == counts["inv"] == counts["solve"] == counts["lstsq"] == 0
 
 
@@ -633,15 +663,15 @@ def test_per_call_python_frames_stay_within_their_bounds():
     # a later CPython, which inlines comprehensions, only lowers these counts
     rng = np.random.default_rng(0)
     a, b, c = families.random_solvable_triple(rng, 6, 3)
-    assert python_frames(lambda: gi.bc_inverse(a, b, c)) <= 73
-    assert python_frames(lambda: gi.bc_inverse(a, np.zeros((6, 6)), np.zeros((6, 6)))) <= 54
+    assert python_frames(lambda: gi.bc_inverse(a, b, c)) <= 68
+    assert python_frames(lambda: gi.bc_inverse(a, np.zeros((6, 6)), np.zeros((6, 6)))) <= 51
     assert python_frames(lambda: gi.moore_penrose(a)) <= 46
     a8, t, s = outer_instance_at_angles(rng, 8, 8, 4)
     gi.outer_prescribed(a8, t, s)  # S keeps its complement from here on
-    assert python_frames(lambda: gi.outer_prescribed(a8, t, s)) <= 48
+    assert python_frames(lambda: gi.outer_prescribed(a8, t, s)) <= 43
 
 
-@pytest.mark.parametrize("family, per_problem", [("additive", 20), ("rotating", 24)])
+@pytest.mark.parametrize("family, per_problem", [("additive", 12), ("rotating", 17)])
 def test_each_problem_added_to_a_stack_runs_few_python_frames(family, per_problem):
     rng = np.random.default_rng(0)
     a, b, c = families.random_solvable_triple(rng, 6, 3)

@@ -307,8 +307,10 @@ def _threaded_svd_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("shape, complex_", [((2, 128, 128), False), ((2, 128, 128), True),
-                                             ((3, 100, 100), False)],
-                         ids=["2x128x128", "2x128x128-complex", "3x100x100"])
+                                             ((3, 100, 100), False), ((51, 20, 20), False),
+                                             ((51, 20, 20), True), ((2, 64, 64), False)],
+                         ids=["2x128x128", "2x128x128-complex", "3x100x100", "51x20x20",
+                              "51x20x20-complex", "2x64x64"])
 def test_a_large_stack_is_factored_in_halves_each_slice_bitwise_as_alone(
         rng, monkeypatch, shape, complex_):
     # the first half on the worker thread, the second on the caller's: each slice through the
@@ -329,20 +331,49 @@ def test_a_large_stack_is_factored_in_halves_each_slice_bitwise_as_alone(
 
 
 def test_a_small_or_values_only_stack_makes_one_call_on_the_callers_thread(rng, monkeypatch):
-    # below SPLIT_MIN_DIM the ~40 us hand-off costs more than a thread saves; values-only SVDs
-    # gain nothing even at 128
-    small, many = rng.standard_normal((2, 64, 64)), rng.standard_normal((51, 20, 20))
+    # below SPLIT_MIN_BYTES the hand-off costs more than a thread saves; a values-only half of at
+    # most 500 singular values holds the GIL, so its halves would run one after the other
     calls = _threaded_svd_calls(monkeypatch)
-    kernel.svd_stack(small, full=True)
-    kernel.svds(list(many), gi.DEFAULT_TOL)
-    kernel.stack_norms(rng.standard_normal((2, 128, 128)))
-    assert calls == [(True, (2, 64, 64)), (True, (51, 20, 20)), (True, (2, 128, 128))]
+    kernel.svd_stack(rng.standard_normal((2, 40, 40)), full=True)  # 25,600 bytes
+    kernel.svds(list(rng.standard_normal((51, 6, 6))), gi.DEFAULT_TOL)  # 14,688
+    kernel.svd_stack(rng.standard_normal((51, 4, 4)) + 1j * rng.standard_normal((51, 4, 4)))
+    kernel.stack_norms(rng.standard_normal((252, 4, 4)))  # 32,256 bytes, halves of 504
+    kernel.stack_norms(rng.standard_normal((150, 6, 6)))  # halves of 450 singular values
+    kernel.stack_norms(*rng.standard_normal((2, 25, 20, 20)))  # halves of 500
+    kernel.stack_norms(rng.standard_normal((2, 128, 128)))  # halves of 128
+    kernel.svd_stack(rng.standard_normal((1, 200, 200)))  # one slice
+    assert calls == [(True, (2, 40, 40)), (True, (51, 6, 6)), (True, (51, 4, 4)),
+                     (True, (252, 4, 4)), (True, (150, 6, 6)), (True, (50, 20, 20)),
+                     (True, (2, 128, 128)), (True, (1, 200, 200))]
+
+
+def test_stack_norms_of_several_stacks_is_each_alone_and_splits_their_batch(rng, monkeypatch):
+    # three 50x20x20 stacks, each held serial alone, are one values-only call of 150 slices, split
+    # at slice 75: every norm is bitwise its stack's own, an overflowed slice on either side of
+    # the split reads inf in its place, and a stack of another shape or field takes its own call
+    stacks = [rng.standard_normal((50, 20, 20)) for _ in range(3)]
+    stacks[1][24, 3, 5], stacks[1][25, 0, 0] = np.inf, np.nan  # slices 74 and 75 of the batch
+    other = [rng.standard_normal((4, 20, 10)), rng.standard_normal((3, 20, 20)) * 1j]
+    alone = [kernel.stack_norms(s) for s in [*stacks, *other]]
+    assert np.isinf(alone[1][[24, 25]]).all() and np.isfinite(alone[1][[23, 26]]).all()
+    sigma = np.linalg.svd(stacks[0][0], compute_uv=False)
+    calls = _threaded_svd_calls(monkeypatch)
+    got = kernel.stack_norms(stacks[0], other[0], stacks[1], other[1], stacks[2])
+    assert sorted(calls) == [(False, (75, 20, 20)), (True, (3, 20, 20)), (True, (4, 20, 10)),
+                             (True, (75, 20, 20))]
+    want = np.concatenate([alone[0], alone[3], alone[1], alone[4], alone[2]])
+    assert got.tobytes() == want.tobytes()
+    calls.clear()
+    assert kernel.stack_norms(*stacks).tobytes() == np.concatenate(alone[:3]).tobytes()
+    assert kernel.singular_values(stacks[0][0]).tobytes() == sigma.tobytes()
+    assert sorted(calls) == [(False, (75, 20, 20)), (True, (20, 20)), (True, (75, 20, 20))]
 
 
 @pytest.mark.parametrize("on_worker", [True, False], ids=["worker-half", "caller-half"])
 def test_a_linalg_error_in_either_half_is_a_kernel_error_and_the_next_call_succeeds(
         rng, monkeypatch, on_worker):
-    stack, original, failures = rng.standard_normal((2, 128, 128)), np.linalg.svd, [1]
+    # on a certify-sized and a drivers-sized stack
+    original, failures = np.linalg.svd, []
 
     def fails_once(x, *args, **kwargs):
         if (threading.current_thread() is not threading.main_thread()) == on_worker and failures:
@@ -350,31 +381,35 @@ def test_a_linalg_error_in_either_half_is_a_kernel_error_and_the_next_call_succe
             raise np.linalg.LinAlgError("SVD did not converge")
         return original(x, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", fails_once)
-    with pytest.raises(gi.KernelError, match="svd did not converge on a 128x128 matrix"):
-        kernel.svd_stack(stack)
-    assert not failures
-    u, sigma, v = kernel.svd_stack(stack)
-    want = original(stack, full_matrices=False)
-    assert [u.tobytes(), sigma.tobytes(), v.conj().swapaxes(-1, -2).tobytes()] == [
-        x.tobytes() for x in want]
+    for stack in (rng.standard_normal((2, 128, 128)), rng.standard_normal((51, 20, 20))):
+        failures.append(1)
+        n = stack.shape[-1]
+        with pytest.raises(gi.KernelError, match=f"svd did not converge on a {n}x{n} matrix"):
+            kernel.svd_stack(stack)
+        assert not failures
+        u, sigma, v = kernel.svd_stack(stack)
+        want = original(stack, full_matrices=False)
+        assert [u.tobytes(), sigma.tobytes(), v.conj().swapaxes(-1, -2).tobytes()] == [
+            x.tobytes() for x in want]
 
 
-def _factor_in_child(stack, conn):
-    conn.send([x.tobytes() for x in kernel.svd_stack(stack, full=True)])
+def _factor_in_child(stacks, conn):
+    conn.send([[x.tobytes() for x in kernel.svd_stack(stack, full=True)] for stack in stacks])
 
 
 def test_a_forked_child_builds_its_own_worker_and_returns_the_parents_bits(rng):
-    # a pool inherited across a fork has no thread: waiting on it would hang the child
-    stack = rng.standard_normal((2, 128, 128))
-    want = [x.tobytes() for x in kernel.svd_stack(stack, full=True)]  # the parent's pool exists
-    context = multiprocessing.get_context("fork")
+    # a pool inherited across a fork has no thread: waiting on it would hang the child; on a
+    # certify-sized and a drivers-sized stack
+    stacks = [rng.standard_normal((2, 128, 128)), rng.standard_normal((51, 20, 20))]
+    want = [[x.tobytes() for x in kernel.svd_stack(stack, full=True)] for stack in stacks]
+    context = multiprocessing.get_context("fork")  # the parent's pool exists
     receive, send = context.Pipe(duplex=False)
     with warnings.catch_warnings():  # a Python that warns on forking a threaded process
         warnings.simplefilter("ignore", DeprecationWarning)
-        child = context.Process(target=_factor_in_child, args=(stack, send))
+        child = context.Process(target=_factor_in_child, args=(stacks, send))
         child.start()
     try:
-        assert receive.poll(60), "the forked child did not factor the stack within 60 s"
+        assert receive.poll(60), "the forked child did not factor the stacks within 60 s"
         assert receive.recv() == want
     finally:
         child.join(10)
