@@ -322,10 +322,11 @@ def bc_inverse(a, b, c, tol: ToleranceConfig = DEFAULT_TOL) -> InverseCertificat
 
 
 def bc_inverse_stack(problems, tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """bc_inverse of each (a, b, c): each distinct b or c object (after ``as_matrix``; equal
-    copies are not merged) factored once, by ``range_and_null_spaces``, into R(b) if a b, N(c) if
-    a c, and its norm, shared by every problem using it; then stacked as ``_stacked`` groups
-    them. Entry i is problem i's certificate or the ExistenceError that refuses it."""
+    """bc_inverse of each (a, b, c): each distinct input object validated by ``as_matrix`` once,
+    and each distinct b or c (equal copies are not merged) factored once per stack, by
+    ``range_and_null_spaces``, into R(b) if a b, N(c) if a c, and its norm, shared by every
+    problem using it; then stacked as ``_stacked`` groups them. Entry i is problem i's
+    certificate or the ExistenceError that refuses it."""
     seen: dict = {}
     probs = [_bc_operands(*p, index=i, seen=seen) for i, p in enumerate(problems)]
     bs, cs = {id(b): b for _, b, _ in probs}, {id(c): c for *_, c in probs}

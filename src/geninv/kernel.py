@@ -81,23 +81,24 @@ DEFAULT_TOL = ToleranceConfig()
 #   51x12x12 1.33 -> 0.95; 2x64x64 real 1.38 -> 1.00, complex 3.1 -> 1.8; 51x8x8 complex
 #   0.89 -> 0.63; below it, 2x32x32 real 0.29 -> 0.38 and 2x40x40 0.58 -> 0.60;
 #   values only, 150x20x20 5.7 -> 3.3 ms, 150x8x8 1.1 -> 0.87; below it, 252x4x4 0.63 -> 0.65.
-# numpy's values-only gufunc keeps the GIL through a call returning at most 500 singular values
-# (126x4x4 lets it go, 125x4x4 does not), so such halves run one after the other: 50x20x20
-# 1.8 -> 1.9 ms, 104x8x8 0.72 -> 1.03, 2x256x256 12.4 -> 14.4.
 SPLIT_MIN_BYTES = 40_000
+# numpy's values-only gufunc holds the GIL through a call returning at most this many singular
+# values (126x4x4 lets it go, 125x4x4 does not), so such halves run one after the other: 50x20x20
+# 1.8 -> 1.9 ms, 104x8x8 0.72 -> 1.03, 2x256x256 12.4 -> 14.4.
+GIL_HELD_MAX_VALUES = 500
 _worker: list = [None, None]  # the one worker thread's executor and the pid that made it
 
 
 def _lapack_svd(a: np.ndarray, **kwargs) -> list:
     """np.linalg.svd of a matrix or a stack as a list of results: one, or two for a stack of >= 2
-    slices and at least SPLIT_MIN_BYTES whose halves each return vectors or more than 500 singular
-    values: its first half's, factored on the worker thread while this one factors the second.
-    Each slice takes the same gufunc call, so its factors are bitwise the serial ones. A
-    LinAlgError from either half becomes a KernelError."""
+    slices and at least SPLIT_MIN_BYTES whose halves each return vectors or more than
+    GIL_HELD_MAX_VALUES singular values: its first half's, factored on the worker thread while
+    this one factors the second. Each slice takes the same gufunc call, so its factors are bitwise
+    the serial ones. A LinAlgError from either half becomes a KernelError."""
     svd = np.linalg.svd  # looked up per call, so a wrapper sees both halves
     try:
         if not (a.ndim == 3 and len(a) > 1 and a.nbytes >= SPLIT_MIN_BYTES and (
-                kwargs.get("compute_uv", True) or len(a) // 2 * min(a.shape[1:]) > 500)):
+                kwargs.get("compute_uv", True) or len(a) // 2 * min(a.shape[1:]) > GIL_HELD_MAX_VALUES)):
             return [svd(a, **kwargs)]
         if _worker[1] != os.getpid():  # none yet, or inherited across a fork: it has no thread
             from concurrent.futures import ThreadPoolExecutor  # here: its import takes ~10 ms

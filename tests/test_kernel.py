@@ -332,7 +332,7 @@ def test_a_large_stack_is_factored_in_halves_each_slice_bitwise_as_alone(
 
 def test_a_small_or_values_only_stack_makes_one_call_on_the_callers_thread(rng, monkeypatch):
     # below SPLIT_MIN_BYTES the hand-off costs more than a thread saves; a values-only half of at
-    # most 500 singular values holds the GIL, so its halves would run one after the other
+    # most GIL_HELD_MAX_VALUES singular values holds the GIL, so its halves would run one by one
     calls = _threaded_svd_calls(monkeypatch)
     kernel.svd_stack(rng.standard_normal((2, 40, 40)), full=True)  # 25,600 bytes
     kernel.svds(list(rng.standard_normal((51, 6, 6))), gi.DEFAULT_TOL)  # 14,688
