@@ -495,6 +495,21 @@ def test_sequence_report_factors_each_distinct_operand_once(factored, complex_):
 
 
 @pytest.mark.parametrize("complex_", [False, True])
+def test_a_shared_nested_list_operand_is_factored_once_per_stack(factored, complex_):
+    # each distinct input object goes through as_matrix once per stack, so one b and one c given
+    # as nested lists to three problems are two factored slices, not one b and one c per problem
+    rng = np.random.default_rng(19)
+    a, t, s = outer_instance_at_angles(rng, 8, 8, 4, complex_)
+    b = t.basis @ families.random_matrix(rng, 4, 8, complex_)
+    c = families.random_matrix(rng, 8, 4, complex_) @ complement_rows(s)
+    shared_b, shared_c = b.tolist(), c.tolist()
+    factored.clear()
+    certs = bc_inverse_stack([(a + k * 1e-3 * np.eye(8), shared_b, shared_c) for k in range(3)])
+    assert all(isinstance(cert, gi.InverseCertificate) for cert in certs)
+    assert _slices_of(factored, [b, c]) == 2
+
+
+@pytest.mark.parametrize("complex_", [False, True])
 def test_deviations_measure_a_shared_basis_once(linalg_calls, complex_):
     # the one measured side of the deviations (of equal dimensions) is one norm of a one-slice
     # stack, however often the basis repeats; each row is the single basis's
