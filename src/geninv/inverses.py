@@ -1,21 +1,20 @@
 """Generalized inverses with prescribed range and null space.
 
-The central construction is the outer inverse of ``a`` that has a prescribed
-range T (in the domain of ``a``) and a prescribed null space S (in its
-codomain): it exists iff ``a`` restricted to T is injective and a(T) and S
-decompose the codomain, in which case it inverts ``a`` on a(T) and kills S.
-Every other inverse here is that construction with a specific a, T or S:
+The central construction is the outer inverse of ``a`` that has a prescribed range T (in the
+domain of ``a``) and a prescribed null space S (in its codomain): it exists iff ``a`` restricted
+to T is injective and a(T) and S decompose the codomain, in which case it inverts ``a`` on a(T)
+and kills S. Every other inverse here is that construction with a specific a, T or S:
 
   moore_penrose   T = range(a*),  S = null(a*)
   bc_inverse      T = range(b),   S = null(c)
   bott_duffin     T = range(p),   S = null(q)   for idempotents p, q
   inverse_along   T = range(d),   S = null(d)
 
-All are built as ``X = F (H A F)^{-1} H`` (Wei 1998; Sheng & Chen 2007), F an
-orthonormal basis of T and H orthonormal rows spanning S's orthogonal complement: the rest
-of the SVD that found S, or one complete QR of a caller's S on its first read, kept on S;
-existence clauses and certificates reuse these factorizations. A construction
-whose residuals exceed tolerance is rejected rather than returned.
+All are built as ``X = F (H A F)^{-1} H`` (Wei 1998; Sheng & Chen 2007), F an orthonormal basis
+of T and H orthonormal rows spanning S's orthogonal complement: the rest of the SVD that found S,
+or one complete QR of a caller's S on its first read, kept on S. Existence is decided once, on
+the core: refused iff sigma_min(H A F) <= rank_rel_tol ||a||, its distance to nonexistence, the
+clause nearer its threshold named. A construction whose residuals exceed tolerance is refused.
 """
 
 from __future__ import annotations
@@ -36,13 +35,12 @@ from .subspace import orthonormal_span, range_and_null_spaces
 class InverseCertificate:
     """An inverse candidate bundled with the evidence that it is one.
 
-    residuals maps each defining equation to the norm of its defect: the Frobenius norm (an
-    upper bound on the spectral norm), or the exact spectral norm where that bound exceeded
-    the budget. range_gap / nullspace_gap are containment upper bounds on the gaps between the
-    computed inverse's subspaces and the prescribed ones. inverse_norm is ||inverse||. _memo
-    keeps, from the construction or from their first read, restricted_condition (the condition
-    number of ``a`` on the prescribed range) and complement_margin (the smallest singular value
-    of the direct-sum test [a(T) | S]), both from two SVDs, and operator_norm, ||a||.
+    residuals maps each defining equation to its defect's norm: Frobenius (an upper bound on the
+    spectral norm), or the exact spectral norm where that bound exceeded the budget. range_gap
+    and nullspace_gap bound the gaps between the inverse's subspaces and the prescribed ones from
+    above; inverse_norm is ||inverse||. _memo keeps, as the construction or a first read took
+    them, restricted_condition (the condition number of ``a`` on T) and complement_margin
+    (sigma_min of the direct-sum test [a(T) | S]), both from two SVDs, and operator_norm, ||a||.
     """
 
     inverse: np.ndarray
@@ -62,13 +60,19 @@ class InverseCertificate:
 
 
 def _lazy(memo: dict, name: str, a, t=None, s=None) -> float:
-    """memo[name], taken on first read: ||a|| by one values-only SVD, the clause values by
-    ``_clauses`` on (a, T, S) at rank_rel_tol 0, where a certificate's clauses hold."""
+    """memo[name], taken on first read: ||a|| by one values-only SVD, clause values by _clauses."""
     if name not in memo and name == "operator_norm":
         memo[name] = spectral_norm(a)
     elif name not in memo:
-        _clauses([a], [t], [s], [memo], ToleranceConfig(rank_rel_tol=0.0))
+        _clauses([a], [t], [s], [memo])
     return memo[name]
+
+
+def _at_most(value: float, rel: float, low: float, a, memo: dict, fro: float = 0.0) -> bool:
+    """Whether value <= rel ||a||: at low <= ||a|| <= ||a||_F (fro, if taken) first, ||a|| last."""
+    return value <= rel * low or not value > rel * (
+        fro if kernel.FRO_LOW < fro < math.inf else kernel.residual_norm(a)) and (
+        value <= rel * _lazy(memo, "operator_norm", a))
 
 
 def _certify(defects: dict, tol: ToleranceConfig, kind: str, exact=None) -> dict:
@@ -118,17 +122,16 @@ def _certificates(kind, x, defects, scales, tol, core_sigma, f, sb, fields, exac
     and each slice is judged by ``_certify`` at scales[i] (at a lower bound on ||a|| if exact(i)
     gives the exact ones), which keeps norms in range and within budget as they are and takes
     nothing more for them. For x = F core^-1 H (f, sb stack F, S), ||core|| times ||(I - FF*) x|| or
-    ||x S||, plus 2 dim eps ||x||_F for rounding, bounds gap(R(x), T) or gap(N(x), S); past the
-    rank cutoff the gap is 1, and 0 where T is the domain or S = {0}."""
+    ||x S||, plus 2 dim eps ||x||_F for rounding, bounds gap(R(x), T) or gap(N(x), S), at most 1;
+    the gap is 0 where T is the domain or S = {0}."""
     (n, m), refused, gaps = x.shape[1:], refused or {}, [(0.0, 0.0)] * len(x)
     if core_sigma.shape[1]:
         allowance = 2 * max(n, m) * math.ulp(1.0)  # the two products' rounding per ||x||_F
         sides = (kernel.frobenius_norms(x - f @ (f.conj().swapaxes(-1, -2) @ x)) if f.shape[-1] < n
                  else None, kernel.frobenius_norms(x @ sb) if sb.shape[-1] else None)
-        top, low = core_sigma[:, 0].tolist(), core_sigma[:, -1].tolist()  # full rank: low clears
-        gaps = [tuple(0.0 if side is None else min(1.0, (side[i] + allowance * xf) * top[i])
-                      for side in sides) if low[i] > tol.rank_rel_tol * top[i] else (1.0, 1.0)
-                for i, xf in enumerate(kernel.frobenius_norms(x))]
+        top, xf = core_sigma[:, 0].tolist(), kernel.frobenius_norms(x)
+        gaps = list(zip(*[[0.0] * len(x) if side is None else [
+            min(1.0, (d + allowance * e) * c) for d, e, c in zip(side, xf, top)] for side in sides]))
 
     def judged(i: int, norms: tuple, scale: tuple, field: tuple):
         try:
@@ -224,25 +227,21 @@ def _svd_or_refuse(products: np.ndarray, refused: dict) -> tuple:
         return kernel.svd_stack(products)
 
 
-def _clauses(ops: list, ts: list, ss: list, memos: list, tol: ToleranceConfig) -> dict:
-    """Both existence clauses of each (a, T, S) of one layout and dims, decided exactly: the
-    refused indices' ExistenceErrors (a CertificateError where A F overflowed); memos[i] gets
-    restricted_condition and complement_margin. Injectivity, sigma_min(A F) > rank_rel_tol ||a||,
-    is judged at sigma_max(A F) / 2 first."""
+def _clauses(ops: list, ts: list, ss: list, memos: list, rel: float | None = None) -> dict:
+    """Both existence clauses of each (a, T, S) of one layout and dims: memos[i] gets
+    restricted_condition and complement_margin where both are measured. Given ``rel``, the
+    rank_rel_tol that refused each core H A F, slice i's refusal (a CertificateError where A F
+    overflowed) names injectivity, margin sigma_min(A F), where that is <= max(rel, complement
+    margin) ||a|| (always if dim T > m; no [a(T) | S] SVD if at rel), else the complement."""
     (m, _), k, dt, ds, refused = ops[0].shape, len(ops), ts[0].dim, ss[0].dim, {}
     image, sig, _ = _svd_or_refuse(kernel.stack(ops) @ kernel.stack([t.basis for t in ts]), refused)
     sig0, smin = sig[:, 0].tolist(), sig[:, dt - 1].tolist() if dt <= m else [0.0] * k
 
-    def deficient(i: int) -> bool:  # smin_i <= rank_rel_tol ||a_i||, a_i factored last
-        rel, low, high = tol.rank_rel_tol, 0.5 * sig0[i], 2.0 * kernel.residual_norm(ops[i])
-        return (smin[i] <= rel * low or not smin[i] > rel * high
-                and smin[i] <= rel * _lazy(memos[i], "operator_norm", ops[i]))
-    clause = "restriction not injective"
-    refused.update((i, ExistenceError(clause, clause=clause, margin=smin[i])) for i in range(k)
-                   if i not in refused and (dt > m or deficient(i)))
-    live = [i for i in range(k) if i not in refused]
+    def deficient(i: int, rel: float) -> bool:  # sigma_min(A_i F) <= rel ||a_i||
+        return dt > m or _at_most(smin[i], rel, sig0[i], ops[i], memos[i])
+    live = [i for i in range(k) if i not in refused and (rel is None or not deficient(i, rel))]
     if dt + ds != m:  # dim a(T) = dim T on the live slices: the count decides
-        refused.update((i, _complement_failure(0.0)) for i in live)
+        margin = [0.0] * k
     elif live:  # none live: no more factorizations
         # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
         # and S; cos is measured along that angle, as sqrt(1 - sin^2) cancels near sin = 1
@@ -250,23 +249,23 @@ def _clauses(ops: list, ts: list, ss: list, memos: list, tol: ToleranceConfig) -
         _, sines, w = kernel.svd_stack(complement_rows(ss) @ image)
         cosines = map(np.linalg.norm, sb.conj().swapaxes(-1, -2) @ (image @ w[:, :, -1:]))
         margin = [sin / math.sqrt(1.0 + cos) for sin, cos in zip(sines[:, -1].tolist(), cosines)]
-        for i in live:
-            memos[i].update(restricted_condition=sig0[i] / smin[i], complement_margin=margin[i])
-            if margin[i] <= tol.rank_rel_tol:
-                refused[i] = _complement_failure(margin[i])
+    for i in live:
+        memos[i].update(restricted_condition=sig0[i] / smin[i], complement_margin=margin[i])
+    for i in range(k) if rel is not None else ():  # live: injective at rel, so margin is the max
+        clause = "restriction not injective"
+        refused.setdefault(i, _complement_failure(margin[i]) if i in live and not deficient(
+            i, margin[i]) else ExistenceError(clause, clause=clause, margin=smin[i]))
     return refused
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _outer(problems: list, tol: ToleranceConfig, kind: str) -> list:
     """outer_prescribed of each (a, T, S[, b, c, ||b||, ||c||]) of ``_stacked``'s one group as
-    ``kind``, each factorization one LAPACK call over the stack. Entry i is slice i's certificate
-    or the ExistenceError refusing it; ||x|| = 1 / sigma_min(core). A problem's
-    (b, c, ||b||, ||c||) adds (b, c)-absorption residuals to x a x = x. The core H A F is
-    factored first: sigma_min(H A F) <= sigma_min(A F), and <= sin ||A F|| at the direct-sum
-    test's sine (its margin >= sin / sqrt 2), so sigma_min(H A F) > (2 rank_rel_tol + 8 (m + n)
-    eps) ||a||_F, the allowance for both SVDs' rounding, grants both clauses; ``_clauses``
-    decides the rest exactly. Residual budgets use sigma_max(H A F) / 2 <= ||a|| first."""
+    ``kind``, each factorization one LAPACK call over the stack; (b, c, ||b||, ||c||) adds the
+    (b, c)-absorption residuals to x a x = x. Entry i is slice i's certificate or the refusal.
+    Existence is one rule on the core H A F, factored first: refused iff sigma_min(H A F) <=
+    rank_rel_tol ||a|| (``_at_most``), named by ``_clauses``; with no square core (dim T + dim S
+    != m) all are. ||x|| = 1 / sigma_min(H A F); budgets use sigma_max(H A F) / 2 <= ||a|| first."""
     ops, ts, ss, *bc = zip(*problems)  # bc: the b's, c's, ||b||'s and ||c||'s, if given
     (m, n), k, (_, dt), (_, ds) = ops[0].shape, len(ops), ts[0].basis.shape, ss[0].basis.shape
     if ts[0].ambient_dim != n:  # a group's bases share their shapes
@@ -279,17 +278,17 @@ def _outer(problems: list, tol: ToleranceConfig, kind: str) -> list:
         memos = [{"restricted_condition": 1.0, "complement_margin": 1.0} for _ in ops]
         x, core_sigma, xnorm, f = np.zeros((k, n, m), a.dtype), np.zeros((k, 0)), [0.0] * k, None
     else:
-        undecided, refused = list(range(k)), {}  # all, where dim T + dim S != m
+        singular, refused = list(range(k)), {}  # all, where dim T + dim S != m
         if dt + ds == m:
             h, f = complement_rows(ss), kernel.stack([t.basis for t in ts])
             cu, core_sigma, cv = _svd_or_refuse(h @ (a @ f), refused)
-            floor = 2.0 * tol.rank_rel_tol + 8 * (m + n) * math.ulp(1.0)
             fro = kernel.frobenius_norms(a) if a.flags.c_contiguous else [0.0] * k  # ||a_i||_F
-            undecided = [i for i in range(k) if i not in refused and not core_sigma[i, -1] > floor * (
-                fro[i] if kernel.FRO_LOW < fro[i] < math.inf else kernel.residual_norm(ops[i]))]
-        if undecided:  # the core-first bound granted the others
-            found = _clauses(*[[p[i] for i in undecided] for p in (ops, ts, ss, memos)], tol)
-            refused.update((undecided[j], e) for j, e in found.items())
+            top, low = core_sigma[:, 0].tolist(), core_sigma[:, -1].tolist()
+            singular = [i for i in range(k) if i not in refused and _at_most(
+                low[i], tol.rank_rel_tol, top[i], ops[i], memos[i], fro[i])]
+        if singular:  # refused: the clause checks name each one
+            refused.update((singular[j], e) for j, e in _clauses(*[[p[i] for i in singular]
+                           for p in (ops, ts, ss, memos)], tol.rank_rel_tol).items())
         if len(refused) == k:
             return [refused[i] for i in range(k)]
         if refused:  # a refused slice's inverse is never read: keep it finite

@@ -155,8 +155,10 @@ def grid_pool(seed: int, workdir: Path) -> list:
     wide operator: the plain one plus 1e7 (I - P_T), which the inverse annihilates, so the core
     H A F is the plain one's while ||a|| is about 1e7 sigma_max(H A F); its cases come after all
     others. The bench pools reach none of: subnormal and overflowing defects, residuals judged
-    at the exact ||a||. An outcome other than a result, an ExistenceError (a CertificateError is
-    one) or an InputError fails the case's check."""
+    at the exact ||a||. Last comes a near-threshold slice (``_near_threshold_cases``), where
+    sigma_min(H A F) crosses rank_rel_tol ||a||, so a change to the existence decision shows. An
+    outcome other than a result, an ExistenceError (a CertificateError is one) or an InputError
+    fails the case's check."""
     import geninv as gi
     from bench.workloads import Op
 
@@ -175,7 +177,70 @@ def grid_pool(seed: int, workdir: Path) -> list:
                 tol = gi.ToleranceConfig(rank_rel_tol=rank_tol)
                 ops.append(Op(f"grid/{name}/k={k}/rank_tol={rank_tol}", 6,
                               functools.partial(cases[name], 10.0 ** k, tol), expected))
+    for name, call in _near_threshold_cases(rng).items():  # after the others: they keep their ids
+        ops.append(Op(f"grid/{name}", 6, call, expected))
     return ops
+
+
+NEAR_EPS = tuple(10.0 ** -k for k in range(4, 17))  # the nearly degenerate probe's sweep
+CROSSING_EPS = (3e-11, 1e-10, 3e-10)  # sigma_min(core) / ||a|| about rank_rel_tol 1e-10
+
+
+def nearly_degenerate(eps: float) -> tuple:
+    """a = diag(1, eps, 1, 1), T = span(e1, e2) and S = span(w, e4), w = (0, sqrt(1 - eps^2),
+    eps, 0): both clauses hold, at sigma_min(A F) = eps and complement margin about 0.71 eps,
+    but the core's sigma_min is eps^2 ||a||, so kappa = ||a|| ||x|| = 1 / eps^2."""
+    import geninv as gi
+
+    e = np.eye(4)
+    w = np.array([[0.0], [np.sqrt(1 - eps**2)], [eps], [0.0]])
+    return np.diag([1.0, eps, 1.0, 1.0]), gi.Subspace(4, e[:, :2]), gi.Subspace(
+        4, np.hstack([w, e[:, 3:]]))
+
+
+def crossing(kind: str, family: str, rng, complex_: bool):
+    """eps -> a 6 x 6 problem, (a, b, c) for bc and (a, T, S) for outer, whose core's sigma_min
+    is about eps ||a||: "shrink" scales a by eps on a unit vector t0 of T, "tilt" turns S's
+    first basis vector to the angle eps from a t0."""
+    import geninv as gi
+    from geninv import families
+
+    if kind == "bc":
+        a, b, c = families.random_solvable_triple(rng, 6, 3, complex_)
+        t, s = gi.column_space(b), gi.null_space(c)
+    else:
+        a, t, s = families.random_outer_instance(rng, 6, 6, 3, complex_)
+    t0, s0 = t.basis[:, :1], s.basis[:, :1]
+    u = a @ t0 / np.linalg.norm(a @ t0)
+    w = s0 - u @ (u.conj().T @ s0)
+    w /= np.linalg.norm(w)
+    g = families.random_matrix(rng, 6, 3, complex_)
+
+    def problem(eps: float) -> tuple:
+        if family == "shrink":
+            return (a - (1 - eps) * (a @ t0) @ t0.conj().T, *((b, c) if kind == "bc" else (t, s)))
+        turned = np.hstack([np.cos(eps) * u + np.sin(eps) * w, s.basis[:, 1:]])
+        tilted = gi.Subspace(6, np.linalg.qr(turned)[0])
+        if kind == "bc":  # N(c) is the tilted S
+            return a, b, g @ gi.orthogonal_complement(tilted).basis.conj().T
+        return a, t, tilted
+    return problem
+
+
+def _near_threshold_cases(rng) -> dict:
+    """label -> call of the grid's near-threshold slice, at the default tolerance: outer_prescribed
+    of ``nearly_degenerate`` at each of ``NEAR_EPS``, and bc_inverse on both ``crossing`` families,
+    real and complex, at each of ``CROSSING_EPS``."""
+    import geninv as gi
+
+    cases = {f"outer_prescribed/near/eps={eps:.0e}/r": functools.partial(
+        gi.outer_prescribed, *nearly_degenerate(eps)) for eps in NEAR_EPS}
+    for family in ("shrink", "tilt"):
+        for cx in (False, True):
+            problem = crossing("bc", family, rng, cx)
+            cases.update({f"bc_inverse/{family}/eps={eps:.0e}/{'c' if cx else 'r'}":
+                          functools.partial(gi.bc_inverse, *problem(eps)) for eps in CROSSING_EPS})
+    return cases
 
 
 def _grid_cases(rng, cx: bool) -> dict:

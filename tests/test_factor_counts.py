@@ -6,9 +6,10 @@ hold each count to the value of the full-rank construction as an upper bound.
 Where a call factors a stack, its slices (the operand's leading dimension) are
 counted beside the calls: a stack factors each distinct operand object once.
 The outer construction (outer_prescribed: 1 SVD, and 1 QR of a caller's S on
-its first read) factors only its core H A F: both existence clauses and the
-checks scaled by ||a|| are decided at bounds read off the core's singular
-values. H, orthonormal rows spanning the
+its first read) factors only its core H A F: existence, sigma_min(H A F) >
+rank_rel_tol ||a||, and the checks scaled by ||a|| are decided at bounds read
+off the core's singular values; only a refusal takes the clause checks, which
+name it (2 SVDs, or 3 where injectivity holds). H, orthonormal rows spanning the
 orthogonal complement of the prescribed null space S, is the complement S keeps:
 a null space read off a full SVD (of c, d or q for bc_inverse, inverse_along
 and bott_duffin) carries it, so those three take no QR, and an S built by the
@@ -52,7 +53,7 @@ moore_penrose 46 and outer_prescribed on subspaces already read 43, and each pro
 to a bc_inverse_stack at most 12 more (an additive family) or 17 (a rotating one, a new b
 and c per problem): only the spans a problem reads are built, a problem's stacking key
 reads its layouts through a C getter, not a Python call per matrix, each distinct operand
-object is validated once per stack, the core-first floor reads every ||a_i||_F from one
+object is validated once per stack, the existence rule reads every ||a_i||_F from one
 batched norm, and an all-zero defect is taken as 0 with no rescale.
 finite_difference_check builds one inverse per point of its sweep, all of them one
 stacked construction, so its factorizations do not grow with the steps. It reads each
@@ -286,6 +287,29 @@ def test_clause_record_costs_two_svds_on_first_read(linalg_calls, complex_):
     assert linalg_calls == []
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+def test_naming_a_refused_clause_adds_no_factorization(linalg_calls, complex_):
+    # a refusal is decided off the core and named by the clause checks: a T-killing a takes the
+    # core and A F (2 SVDs), no ||a|| and no complement SVD; a(T) meeting S takes the core, A F
+    # and [a(T) | S] (3 SVDs), each a one-slice stack with vectors, and no QR on a read S
+    a, t, s = outer_instance_at_angles(np.random.default_rng(2), N, N, N // 2, complex_)
+    t0 = t.basis[:, :1]
+    gi.outer_prescribed(a, t, s)  # S keeps its complement from here on
+    linalg_calls.clear()
+    with pytest.raises(gi.ExistenceError, match="restriction not injective"):
+        gi.outer_prescribed(a - (a @ t0) @ t0.conj().T, t, s)
+    assert linalg_calls == [("svd", (1, N // 2, N // 2)), ("svd", (1, N, N // 2))]
+    rng = np.random.default_rng(22)
+    t, s = (families.random_subspace(rng, N, N // 2, complex_) for _ in range(2))
+    t1, s1 = t.basis[:, :1], s.basis[:, :1]
+    gi.outer_prescribed(np.eye(N), t, s)
+    linalg_calls.clear()
+    with pytest.raises(gi.ExistenceError, match="complement fails"):
+        gi.outer_prescribed(np.eye(N) + (s1 - t1) @ t1.conj().T, t, s)
+    assert linalg_calls == [("svd", (1, N // 2, N // 2)), ("svd", (1, N, N // 2)),
+                            ("svd", (1, N // 2, N // 2))]
+
+
 def _qr_calls(calls) -> list:
     return [shape for name, shape in calls if name == "qr"]
 
@@ -309,7 +333,7 @@ def test_a_caller_built_null_space_is_factored_once(linalg_calls, complex_):
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_a_refused_complement_and_a_clause_read_share_one_qr(linalg_calls, complex_):
-    # a(T) meets S along s_1: the core cannot decide, so the exact clauses refuse the complement,
+    # a(T) meets S along s_1: the core refuses it and the clause checks name the complement,
     # with the H the construction took. A certificate on the same S then reads its clause
     # records with no QR
     rng = np.random.default_rng(22)

@@ -9,6 +9,7 @@ import geninv as gi
 from geninv import families, inverses, subspace
 from geninv.errors import CertificateError, ExistenceError, InputError
 
+import replay
 from conftest import (
     assert_same_subspace,
     complement_rows,
@@ -469,33 +470,45 @@ def _bits(value: float) -> bytes:
     return np.float64(value).tobytes()
 
 
+def _threshold(a, cert) -> float:
+    """sigma_min(H A F) / ||a||, the rank_rel_tol at which existence flips, on the certificate's
+    T and S, with the core factored as the construction factors it (a stack of one, H the
+    complement S keeps)."""
+    h, f = subspace.complement_rows([cert.prescribed_nullspace]), cert.prescribed_range.basis
+    sigma = np.linalg.svd(h @ (a[None] @ f[None]), full_matrices=False)[1]
+    return sigma[0, -1] / gi.spectral_norm(a)
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("spread", [1.0, 1e3])
 @pytest.mark.parametrize("kind", ["outer", "bc", "along", "bott_duffin"])
 def test_injectivity_is_decided_at_the_exact_norm(monkeypatch, kind, spread, complex_):
-    # rank_rel_tol a relative 1e-6 either side of sigma_min(a F) / ||a||: no bound on ||a||
-    # decides there, so the construction must factor a and refuse above, accept below
+    # rank_rel_tol a relative 1e-6 either side of sigma_min(H A F) / ||a||: no bound on ||a||
+    # decides there, so the construction must factor a, once, and refuse above, naming the
+    # injectivity clause (sigma_min(A F) / ||a|| is far below the complement margin), and accept
+    # below
     a, f, constructions, _ = _boundary_problem(complex_, spread)
     construct, prefix = constructions[kind]
     anorm = gi.spectral_norm(a)
+    ratio = _threshold(a, construct(a, gi.DEFAULT_TOL))
     smin = np.linalg.svd(a @ f, compute_uv=False)[-1]
     factored = []
     monkeypatch.setattr(inverses, "spectral_norm",
                         lambda m: factored.append(m.shape) or gi.spectral_norm(m))
     with pytest.raises(ExistenceError) as refused:
-        construct(a, gi.ToleranceConfig(rank_rel_tol=smin / anorm * (1 + 1e-6)))
+        construct(a, gi.ToleranceConfig(rank_rel_tol=ratio * (1 + 1e-6)))
     assert str(refused.value) == prefix + "restriction not injective"
     assert refused.value.clause == "restriction not injective"
     assert refused.value.margin == pytest.approx(smin, rel=1e-10)
     assert factored == [a.shape]
     factored.clear()
-    cert = construct(a, gi.ToleranceConfig(rank_rel_tol=smin / anorm * (1 - 1e-6)))
+    cert = construct(a, gi.ToleranceConfig(rank_rel_tol=ratio * (1 - 1e-6)))
     assert factored == [a.shape]
     assert _bits(cert.operator_norm) == _bits(anorm) and factored == [a.shape]
-    if spread > 1.0:  # sigma_max(a F) << ||a||: refusing even 100x past the threshold needs ||a||
+    if spread > 1.0:  # sigma_max(H A F) << ||a||: refusing even 100x past the threshold needs ||a||
         factored.clear()
         with pytest.raises(ExistenceError, match="restriction not injective"):
-            construct(a, gi.ToleranceConfig(rank_rel_tol=smin / anorm * 100))
+            construct(a, gi.ToleranceConfig(rank_rel_tol=ratio * 100))
         assert factored == [a.shape]
 
 
@@ -545,16 +558,17 @@ def test_residuals_are_decided_at_the_exact_norm(kind, spread, complex_):
 
 def _clause_problem(complex_: bool, shape: str):
     """An 8x8 a and the four constructions of an outer inverse of it (see ``_constructions``),
-    with the core H A F's bounds on the existence clauses at one of four shapes:
+    at one of four shapes, each refused near its threshold sigma_min(H A F) / ||a|| with the
+    clause named:
 
-      loose   ``_boundary_problem`` at spread 1e3: ||a||_F is about 1e3 ||A F||;
+      loose   ``_boundary_problem`` at spread 1e3: ||a||_F is about 1e3 ||A F||; injectivity;
       tight   dim T = 1, a 20 times smaller off T, S at angle 0.05 to a(T): sigma_min(H A F) is
-              sin ||A F|| and ||a||_F about ||A F||, so the bound on the complement clause
-              nearly holds with equality;
+              sin ||A F|| and ||a||_F about ||A F||; the complement;
       meets   dim T = 4, S at angle 1e-4 to a(T) along A F's least-stretched direction, of
-              sigma 1e-3: sigma_min(H A F) ~ 1e-7 << margin ||A F||, so near the complement
-              clause no bound decides and the exact path runs;
-      narrow  as meets with that sigma 1e-6, below margin ||a||: near the injectivity clause.
+              sigma 1e-3: sigma_min(H A F) ~ 1e-7, the complement margin 7e-5 below
+              sigma_min(A F) / ||a||; the complement;
+      narrow  as meets with that sigma 1e-6, below the complement margin times ||a||, and
+              sigma_min(H A F) ~ 1.0001e-10 ||a||; injectivity.
     """
     if shape == "loose":
         a, _, constructions, _ = _boundary_problem(complex_, 1e3)
@@ -585,15 +599,15 @@ CLAUSE_KINDS = ["outer", "bc", "along", "bott_duffin"]
 @pytest.mark.parametrize("shape", ["loose", "narrow"])
 @pytest.mark.parametrize("kind", CLAUSE_KINDS)
 def test_injectivity_near_its_threshold_is_decided_exactly(kind, shape, complex_):
-    # rank_rel_tol a relative 1e-6 either side of sigma_min(A F) / ||a||: the core's bound
-    # cannot grant injectivity there, so the call refuses above with the exact clause's
-    # message and margin, and accepts below with the clause values a first read gives
+    # rank_rel_tol a relative 1e-6 either side of sigma_min(H A F) / ||a||: the call refuses
+    # above, naming injectivity with the exact clause's message and margin, and accepts below
+    # with the clause values a first read gives
     a, constructions = _clause_problem(complex_, shape)
     construct, prefix = constructions[kind]
     lazy = construct(a, gi.DEFAULT_TOL)
     f = lazy.prescribed_range.basis
     sigma = np.linalg.svd(a[None] @ f[None], full_matrices=False)[1][0]  # as a stack of one
-    ratio = sigma[-1] / gi.spectral_norm(a)
+    ratio = _threshold(a, lazy)
     with pytest.raises(ExistenceError) as refused:
         construct(a, gi.ToleranceConfig(rank_rel_tol=ratio * (1 + 1e-6)))
     assert str(refused.value) == prefix + "restriction not injective"
@@ -609,20 +623,22 @@ def test_injectivity_near_its_threshold_is_decided_exactly(kind, shape, complex_
 @pytest.mark.parametrize("shape", ["tight", "meets"])
 @pytest.mark.parametrize("kind", CLAUSE_KINDS)
 def test_complement_near_its_threshold_is_decided_exactly(kind, shape, complex_):
-    # rank_rel_tol a relative 1e-6 either side of the direct-sum margin sin / sqrt(1 + cos)
-    # at S's angle to a(T): the core's bound (margin >= sin / sqrt 2) cannot decide there
+    # rank_rel_tol a relative 1e-6 either side of sigma_min(H A F) / ||a||, where the
+    # direct-sum margin sin / sqrt(1 + cos) at S's angle to a(T) is the nearer clause: the call
+    # refuses above, naming the complement with that margin, and accepts below
     a, constructions = _clause_problem(complex_, shape)
     construct, prefix = constructions[kind]
     angle = 0.05 if shape == "tight" else 1e-4
     lazy = construct(a, gi.DEFAULT_TOL)
     margin = lazy.complement_margin
     assert margin == pytest.approx(np.sin(angle) / np.sqrt(1 + np.cos(angle)), rel=1e-5)
+    ratio = _threshold(a, lazy)
     with pytest.raises(ExistenceError) as refused:
-        construct(a, gi.ToleranceConfig(rank_rel_tol=margin * (1 + 1e-6)))
+        construct(a, gi.ToleranceConfig(rank_rel_tol=ratio * (1 + 1e-6)))
     assert str(refused.value) == prefix + "complement fails: R(A*T) (+) S != Y"
     assert refused.value.clause == "R(A*T) (+) S != Y"
     assert _bits(refused.value.margin) == _bits(margin)
-    cert = construct(a, gi.ToleranceConfig(rank_rel_tol=margin * (1 - 1e-6)))
+    cert = construct(a, gi.ToleranceConfig(rank_rel_tol=ratio * (1 - 1e-6)))
     assert _bits(cert.complement_margin) == _bits(margin)
     assert _bits(cert.restricted_condition) == _bits(lazy.restricted_condition)
 
@@ -638,39 +654,108 @@ def _count_exact_clauses(monkeypatch) -> list:
 @pytest.mark.parametrize("kind", ["outer", "bott_duffin"])  # T and S not read at the tolerance
 def test_zero_rank_rel_tol_grants_a_clear_core_as_the_exact_clauses_would(
         monkeypatch, kind, complex_):
-    # at rank_rel_tol 0 a core clear of rounding grants both clauses, and the certificate is
-    # bitwise the one the exact clauses give (forced at 0.99 times the complement margin)
+    # at rank_rel_tol 0 a core clear of rounding is granted with no clause read, bitwise the
+    # certificate granted at 0.99 times its threshold; the clause values a first read then
+    # takes are positive, so the exact clauses hold at 0 too
     a, constructions = _clause_problem(complex_, "tight")
     construct, _ = constructions[kind]
     exact = _count_exact_clauses(monkeypatch)
     granted = construct(a, gi.ToleranceConfig(rank_rel_tol=0.0))
+    ratio = _threshold(a, granted)
+    judged = construct(a, gi.ToleranceConfig(rank_rel_tol=ratio * 0.99))
     assert exact == []
-    tol = gi.ToleranceConfig(rank_rel_tol=granted.complement_margin * 0.99)  # a first read
-    exact.clear()
-    judged = construct(a, tol)
-    assert exact == [1]
     assert granted.inverse.tobytes() == judged.inverse.tobytes()
-    for name in ("restricted_condition", "complement_margin", "inverse_norm"):
-        assert _bits(getattr(granted, name)) == _bits(getattr(judged, name)), name
     assert {k: _bits(v) for k, v in granted.residuals.items()} == {
         k: _bits(v) for k, v in judged.residuals.items()}
+    for name in ("restricted_condition", "complement_margin", "inverse_norm"):
+        assert _bits(getattr(granted, name)) == _bits(getattr(judged, name)), name
+    assert exact == [1, 1]  # one first read of each certificate's clause values
+    assert 0.0 < granted.complement_margin and 0.0 < 1.0 / granted.restricted_condition
 
 
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("kind", CLAUSE_KINDS)
-def test_zero_rank_rel_tol_sends_a_core_singular_to_rounding_to_the_exact_clauses(
-        monkeypatch, kind, complex_):
-    # a kills T up to rounding: the core's sigma_min is within rounding of 0, which the
-    # bound's allowance leaves to the exact clauses even at rank_rel_tol 0
+def test_zero_rank_rel_tol_refuses_only_an_exactly_singular_core(monkeypatch, kind, complex_):
+    # a kills T up to rounding: sigma_min(H A F) is rounding, not 0, so at rank_rel_tol 0 no
+    # clause is named and only the residuals may refuse it; a = 0, whose core is 0, is refused
+    # with injectivity named at margin 0
     a, constructions = _clause_problem(complex_, "tight")
-    construct, _ = constructions[kind]
+    construct, prefix = constructions[kind]
     f = construct(a, gi.DEFAULT_TOL).prescribed_range.basis
-    exact = _count_exact_clauses(monkeypatch)
+    exact, zero = _count_exact_clauses(monkeypatch), gi.ToleranceConfig(rank_rel_tol=0.0)
     try:
-        construct(a - (a @ f) @ f.conj().T, gi.ToleranceConfig(rank_rel_tol=0.0))
-    except ExistenceError:  # CertificateError included: the outcome is not at issue here
+        construct(a - (a @ f) @ f.conj().T, zero)
+    except CertificateError:  # a residual over budget, not a clause
         pass
+    assert exact == []
+    with pytest.raises(ExistenceError) as refused:
+        construct(np.zeros_like(a), zero)
     assert exact == [1]
+    assert str(refused.value) == prefix + "restriction not injective"
+    assert refused.value.margin == 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9])
+def test_a_core_below_the_rank_cutoff_is_refused_though_each_clause_holds(eps):
+    # each clause alone clears rank_rel_tol 1e-10, yet kappa = 1 / eps^2 reaches 1e12 and 1e18:
+    # the core decides, and names the complement, the clause nearer its threshold
+    a, t, s = replay.nearly_degenerate(eps)
+    with pytest.raises(ExistenceError) as refused:
+        gi.outer_prescribed(a, t, s)
+    assert str(refused.value) == "complement fails: R(A*T) (+) S != Y"
+    assert refused.value.clause == "R(A*T) (+) S != Y"
+    assert refused.value.margin == pytest.approx(eps / np.sqrt(1 + np.sqrt(1 - eps**2)), rel=1e-5)
+    cert = gi.outer_prescribed(a, t, s, gi.ToleranceConfig(rank_rel_tol=eps**2 / 10))
+    assert cert.inverse_norm == pytest.approx(1 / eps**2, rel=1e-5)
+    if eps > 1e-8:  # the gap bounds' rounding allowance grows with kappa: at 1e18 it passes 1
+        assert max(cert.range_gap, cert.nullspace_gap) < 1e-2
+
+
+@st.composite
+def crossing_problems(draw):
+    """(kind, m, n, dim T, exponent, tilt, rank_rel_tol, complex, seed): a solvable instance of
+    shape up to 8 x 8 (rectangular for outer and Moore-Penrose) made nearly degenerate by
+    eps = 10^exponent rank_rel_tol, across the threshold, on a vector of T (tilt: S turned toward
+    a(T); Moore-Penrose: sigma_r)."""
+    kind = draw(st.sampled_from(["outer", "bc", "along", "bott_duffin", "mp"]))
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(2, 8)) if kind in ("outer", "mp") else n
+    r = draw(st.integers(1, min(m, n) - (kind != "outer")))
+    return (kind, m, n, r, draw(st.floats(-1.0, 2.0)), draw(st.booleans()),
+            draw(st.sampled_from([1e-10, 1e-6, 1e-3])), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(crossing_problems())
+def test_every_certificate_is_conditioned_within_the_rank_cutoff(problem):
+    # a certificate is granted only where sigma_min(H A F) > rank_rel_tol ||a||, so its
+    # kappa = ||a|| ||x|| stays below 1 / rank_rel_tol, as Moore-Penrose's sigma_1 / sigma_r does
+    kind, m, n, r, exponent, tilt, rank_tol, complex_, seed = problem
+    rng, eps, tol = np.random.default_rng(seed), 10.0 ** exponent * rank_tol, gi.ToleranceConfig(
+        rank_rel_tol=rank_tol)
+    if kind == "mp":
+        u, sigma, vh = np.linalg.svd(families.random_rank_matrix(rng, m, n, r, complex_))
+        sigma[r - 1] *= eps
+        construct = gi.moore_penrose
+        a = (u[:, :len(sigma)] * sigma) @ vh[:len(sigma)]
+    else:
+        a, t, s = outer_instance_at_angles(rng, m, n, r, complex_)
+        t0, s0 = t.basis[:, :1], s.basis[:, :1]
+        if tilt and s.dim:  # S's first vector turned to the angle eps from a t0
+            u = a @ t0 / np.linalg.norm(a @ t0)
+            w = s0 - u @ (u.conj().T @ s0)
+            turned = np.cos(eps) * u + np.sin(eps) * w / np.linalg.norm(w)
+            s = gi.Subspace(m, np.linalg.qr(np.hstack([turned, s.basis[:, 1:]]))[0])
+        else:
+            a = a - (1 - eps) * (a @ t0) @ t0.conj().T
+        construct = ((lambda a, tol: gi.outer_prescribed(a, t, s, tol)) if kind == "outer"
+                     else _constructions(rng, t, s, complex_)[0][kind][0])
+    try:
+        cert = construct(a, tol)
+    except ExistenceError:  # a CertificateError included
+        return
+    assert cert.operator_norm * cert.inverse_norm < 1 / rank_tol
 
 
 def test_certificates_and_reports_compare_by_identity_and_hash():

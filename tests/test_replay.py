@@ -163,7 +163,7 @@ def test_the_curves_pool_records_every_derivative_check_passing(tmp_path):
 
 def test_a_grid_slice_replays_identically_and_only_as_results_or_refusals(tmp_path, capsys):
     # every 19th case of the grid (each kind at 10^k scales down to subnormal, at rank
-    # tolerances up to 0.9), in two fresh processes: the same bits, and each outcome a result,
+    # tolerances up to 0.9, then the near-threshold slice), in two fresh processes: the same bits, and each outcome a result,
     # an ExistenceError or an InputError, with no warning reaching the caller
     tree, script = Path(replay.__file__).resolve().parents[1], replay.__file__
     outs = [tmp_path / f"{k}.jsonl" for k in (0, 1)]
@@ -172,7 +172,7 @@ def test_a_grid_slice_replays_identically_and_only_as_results_or_refusals(tmp_pa
             for out in outs]
     assert [run.wait(timeout=60) for run in runs] == [0, 0]
     assert replay.diff(*outs) == 0
-    _replayed_identically(capsys.readouterr().out, 120)
+    _replayed_identically(capsys.readouterr().out, 122)
     lines = [json.loads(line) for line in outs[0].read_text().splitlines()[1:]]
     assert all(line["check"] is None and "warnings" not in line for line in lines)
     kinds = {line["case"].split("/")[4] for line in lines}

@@ -277,22 +277,24 @@ def test_direct_sum_check_decides_with_the_tol_it_is_passed():
 
 
 def test_direct_sum_check_holds_exactly_where_the_projector_exists():
-    # 400 pairs (T, S), each probed at rank tolerances a hair either side of the margin read at
-    # the default one, 1,600 probes: the projector exists exactly where that margin exceeds the
-    # tolerance, whichever path (the core's bound or the exact clauses) decides
+    # 400 pairs (T, S), each probed at rank tolerances a hair either side of the projector's
+    # existence threshold, 1,600 probes: the core H I F's sigma_min over ||I|| = 1, the sine of
+    # the smallest angle between T and S, 1 / ||P||. The direct-sum check holds and the
+    # projector exists exactly where that sine exceeds the tolerance
     rng = np.random.default_rng(27)
     for i in range(400):
         n = int(rng.integers(2, 9))
         dim = int(rng.integers(1, n))
         t, s = (families.random_subspace(rng, n, d, bool(i % 2)) for d in (dim, n - dim))
-        margin = direct_sum(t, s)[1]
+        core = subspace.complement_rows([s]) @ (np.eye(n)[None] @ t.basis[None])
+        sine = np.linalg.svd(core, full_matrices=False)[1][0, -1]  # as the construction takes it
         for factor in (1 - 1e-13, 1 + 1e-13, 1 - 1e-15, 1 + 1e-15):
-            tol = gi.ToleranceConfig(rank_rel_tol=margin * factor)
+            tol = gi.ToleranceConfig(rank_rel_tol=sine * factor)
             try:
                 exists = projector(t, s, tol) is not None
             except ExistenceError:
                 exists = False
-            assert exists == (margin > tol.rank_rel_tol), (i, factor)
+            assert direct_sum(t, s, tol)[0] == exists == (sine > tol.rank_rel_tol), (i, factor)
 
 
 def test_orthogonal_complement_decides_rank_with_the_tol_it_is_passed():
