@@ -210,21 +210,12 @@ def _stacked(problems: list, tol: ToleranceConfig, kind: str) -> list:
     return [found[i] for i in range(len(problems))]
 
 
+_OVERFLOW = "an intermediate product is not finite"  # an inf or NaN: a certificate refusal
+
+
 def _complement_failure(margin: float) -> ExistenceError:
     clause = "R(A*T) (+) S != Y"
     return ExistenceError(f"complement fails: {clause}", clause=clause, margin=margin)
-
-
-def _svd_or_refuse(products: np.ndarray, refused: dict) -> tuple:
-    """``kernel.svd_stack`` of the construction's products; where it refuses an overflow (an inf or
-    NaN entry), each slice holding one is refused in ``refused`` and zeroed in place first."""
-    try:
-        return kernel.svd_stack(products)
-    except CertificateError as exc:
-        overflowed = np.flatnonzero(~np.isfinite(products).all(axis=(-2, -1))).tolist()
-        refused.update((i, CertificateError(str(exc))) for i in overflowed)
-        products[overflowed] = 0.0
-        return kernel.svd_stack(products)
 
 
 def _clauses(ops: list, ts: list, ss: list, memos: list, rel: float | None = None) -> dict:
@@ -233,8 +224,10 @@ def _clauses(ops: list, ts: list, ss: list, memos: list, rel: float | None = Non
     rank_rel_tol that refused each core H A F, slice i's refusal (a CertificateError where A F
     overflowed) names injectivity, margin sigma_min(A F), where that is <= max(rel, complement
     margin) ||a|| (always if dim T > m; no [a(T) | S] SVD if at rel), else the complement."""
-    (m, _), k, dt, ds, refused = ops[0].shape, len(ops), ts[0].dim, ss[0].dim, {}
-    image, sig, _ = _svd_or_refuse(kernel.stack(ops) @ kernel.stack([t.basis for t in ts]), refused)
+    (m, _), k, dt, ds = ops[0].shape, len(ops), ts[0].dim, ss[0].dim
+    image, sig, _, overflowed = kernel.svd_stack(kernel.stack(ops) @ kernel.stack(
+        [t.basis for t in ts]))
+    refused = {i: CertificateError(_OVERFLOW) for i in overflowed}
     sig0, smin = sig[:, 0].tolist(), sig[:, dt - 1].tolist() if dt <= m else [0.0] * k
 
     def deficient(i: int, rel: float) -> bool:  # sigma_min(A_i F) <= rel ||a_i||
@@ -246,8 +239,8 @@ def _clauses(ops: list, ts: list, ss: list, memos: list, rel: float | None = Non
         # sigma_min([image | S]) = sin / sqrt(1 + cos) at the smallest angle between a(T)
         # and S; cos is measured along that angle, as sqrt(1 - sin^2) cancels near sin = 1
         sb = kernel.stack([s.basis for s in ss])
-        _, sines, w = kernel.svd_stack(complement_rows(ss) @ image)
-        cosines = map(np.linalg.norm, sb.conj().swapaxes(-1, -2) @ (image @ w[:, :, -1:]))
+        _, sines, w, _ = kernel.svd_stack(complement_rows(ss) @ image)  # unitary: finite
+        cosines = kernel.frobenius_norms(sb.conj().swapaxes(-1, -2) @ (image @ w[:, :, -1:]))
         margin = [sin / math.sqrt(1.0 + cos) for sin, cos in zip(sines[:, -1].tolist(), cosines)]
     for i in live:
         memos[i].update(restricted_condition=sig0[i] / smin[i], complement_margin=margin[i])
@@ -281,7 +274,8 @@ def _outer(problems: list, tol: ToleranceConfig, kind: str) -> list:
         singular, refused = list(range(k)), {}  # all, where dim T + dim S != m
         if dt + ds == m:
             h, f = complement_rows(ss), kernel.stack([t.basis for t in ts])
-            cu, core_sigma, cv = _svd_or_refuse(h @ (a @ f), refused)
+            cu, core_sigma, cv, overflowed = kernel.svd_stack(h @ (a @ f))
+            refused = {i: CertificateError(_OVERFLOW) for i in overflowed} if overflowed else {}
             fro = kernel.frobenius_norms(a) if a.flags.c_contiguous else [0.0] * k  # ||a_i||_F
             top, low = core_sigma[:, 0].tolist(), core_sigma[:, -1].tolist()
             singular = [i for i in range(k) if i not in refused and _at_most(

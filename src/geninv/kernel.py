@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateError, InputError, KernelError
+from .errors import InputError, KernelError
 
 _REAL = np.float64
 _COMPLEX = np.complex128
@@ -45,7 +45,7 @@ def as_matrix(a, ndim: int = 2) -> np.ndarray:
 class ToleranceConfig:
     """Numerical policy shared by all constructions.
 
-    rank_rel_tol: singular values below ``rank_rel_tol * sigma_max`` count as zero.
+    rank_rel_tol: singular values at or below ``rank_rel_tol * sigma_max`` count as zero.
     residual_tol: relative acceptance threshold for certificate residuals: each
         is accepted within residual_tol times the norms of its equation's factors.
     fd_step_sweep: strictly decreasing finite-difference steps, each in (0, inf).
@@ -114,8 +114,8 @@ def _lapack_svd(a: np.ndarray, **kwargs) -> list:
         raise KernelError(f"svd did not converge on a {a.shape[-2]}x{a.shape[-1]} matrix") from exc
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """The singular values of a matrix, or of each slice of a stack, from both halves of a split."""
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """The singular values of a float matrix, or of each slice of a stack, with no validation."""
     parts = _lapack_svd(a, compute_uv=False)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -151,21 +151,23 @@ def cayley(k_mat: np.ndarray, t) -> np.ndarray:
     return np.linalg.solve(eye - half * k_mat, eye + half * k_mat)
 
 
-def svd_stack(stack: np.ndarray, full: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, sigma, v), a = u diag(sigma) v* thin unless ``full`` and sigma nonincreasing, of each
-    float slice a of a 3-d stack of the library's own products, from one batched LAPACK call.
-    Inputs reach ``svds`` through ``as_matrix``, so an inf or NaN entry here is an overflow in a
-    product, refused as a certificate is: LAPACK may not return on it."""
+def svd_stack(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """(u, sigma, v, overflowed), a = u diag(sigma) v* thin and sigma nonincreasing, of each float
+    slice a of a 3-d stack of the library's own products, from one batched LAPACK call. Inputs
+    reach ``svds`` through ``as_matrix``, so an inf or NaN entry here is an overflow in a product:
+    each slice holding one is zeroed in place (LAPACK may not return on it) and listed, in order."""
+    overflowed = []
     if not np.isfinite(stack).all():
-        raise CertificateError("an intermediate product is not finite")
-    parts = _lapack_svd(stack, full_matrices=full)
+        overflowed = np.flatnonzero(~np.isfinite(stack).all(axis=(-2, -1))).tolist()
+        stack[overflowed] = 0.0
+    parts = _lapack_svd(stack, full_matrices=False)
     u, sigma, vh = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    return u, sigma, vh.conj().swapaxes(-1, -2)
+    return u, sigma, vh.conj().swapaxes(-1, -2), overflowed
 
 
 def svds(matrices, tol: ToleranceConfig, full: bool = True) -> list[tuple]:
     """(u, sigma, v, rank) of each matrix ``as_matrix`` validated, by one LAPACK call per shape and
-    field with no second finiteness pass: its SVD as ``svd_stack`` gives it, and ``numerical_rank``.
+    field with no second finiteness pass: its SVD a = u diag(sigma) v*, and ``numerical_rank``.
     LAPACK reads each slice from its own C-ordered copy: the factors are bitwise the matrix's alone,
     any strides."""
     found: dict = {}
@@ -181,10 +183,6 @@ def complements(bases) -> np.ndarray:
     """Orthonormal columns completing each orthonormal basis of one ``layout`` to a unitary: the
     trailing columns of its complete QR, from one batched LAPACK call, as a 3-d stack."""
     return np.linalg.qr(stack(bases), mode="complete")[0][:, :, bases[0].shape[1]:]
-
-
-def singular_values(a) -> np.ndarray:
-    return _singular_values(as_matrix(a))
 
 
 def numerical_rank(sigma, tol: ToleranceConfig = DEFAULT_TOL) -> int | np.ndarray:
@@ -205,7 +203,7 @@ def sigma_max(sigma) -> float:
 
 def spectral_norm(a) -> float:
     """Largest singular value; 0 exactly for empty or zero matrices."""
-    return sigma_max(singular_values(a))
+    return sigma_max(singular_values(as_matrix(a)))
 
 
 def stack_norms(*stacks: np.ndarray) -> np.ndarray:
@@ -217,7 +215,7 @@ def stack_norms(*stacks: np.ndarray) -> np.ndarray:
         whole = stacks[group[0]] if len(group) == 1 else np.concatenate([stacks[i] for i in group])
         finite = np.isfinite(whole).all(axis=(-2, -1))
         safe = whole if finite.all() else np.where(finite[:, None, None], whole, 0.0)
-        found = _singular_values(safe)[:, 0] if whole.size else np.zeros(len(whole))
+        found = singular_values(safe)[:, 0] if whole.size else np.zeros(len(whole))
         found, start = np.where(finite, found, math.inf), 0
         for i in group:  # each stack's slices, where the group holds them
             norms[i], start = found[start:start + len(stacks[i])], start + len(stacks[i])

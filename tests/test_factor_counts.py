@@ -48,13 +48,14 @@ construction's own factorizations.
 perturbed_bc_inverse and zero_limit_check read ||a|| and ||x|| off the
 certificate; ||x|| costs nothing and ||a|| at most its first read.
 The fixed cost around one construction is held too, in Python frames run inside geninv
-(conftest.python_frames): a 6x6 bc_inverse runs at most 68 (51 with b = c = 0),
-moore_penrose 46 and outer_prescribed on subspaces already read 43, and each problem added
-to a bc_inverse_stack at most 12 more (an additive family) or 17 (a rotating one, a new b
+(conftest.python_frames): a 6x6 bc_inverse runs at most 67 (51 with b = c = 0),
+moore_penrose 43 and outer_prescribed on subspaces already read 42, and each problem added
+to a bc_inverse_stack at most 10 more (an additive family) or 15 (a rotating one, a new b
 and c per problem): only the spans a problem reads are built, a problem's stacking key
 reads its layouts through a C getter, not a Python call per matrix, each distinct operand
 object is validated once per stack, the existence rule reads every ||a_i||_F from one
-batched norm, and an all-zero defect is taken as 0 with no rescale.
+batched norm, an all-zero defect is taken as 0 with no rescale, and the core's SVD lists
+its overflowed slices for the construction to refuse, with no second call.
 finite_difference_check builds one inverse per point of its sweep, all of them one
 stacked construction, so its factorizations do not grow with the steps. It reads each
 curve once, at every point of the sweep: a library curve (families.bc_curves, mp_curve,
@@ -702,16 +703,17 @@ def test_per_call_python_frames_stay_within_their_bounds():
     # a later CPython, which inlines comprehensions, only lowers these counts
     rng = np.random.default_rng(0)
     a, b, c = families.random_solvable_triple(rng, 6, 3)
-    assert python_frames(lambda: gi.bc_inverse(a, b, c)) <= 68
+    assert python_frames(lambda: gi.bc_inverse(a, b, c)) <= 67
     assert python_frames(lambda: gi.bc_inverse(a, np.zeros((6, 6)), np.zeros((6, 6)))) <= 51
-    assert python_frames(lambda: gi.moore_penrose(a)) <= 46
+    assert python_frames(lambda: gi.moore_penrose(a)) <= 43
     a8, t, s = outer_instance_at_angles(rng, 8, 8, 4)
     gi.outer_prescribed(a8, t, s)  # S keeps its complement from here on
-    assert python_frames(lambda: gi.outer_prescribed(a8, t, s)) <= 43
+    assert python_frames(lambda: gi.outer_prescribed(a8, t, s)) <= 42
 
 
-@pytest.mark.parametrize("family, per_problem", [("additive", 12), ("rotating", 17)])
-def test_each_problem_added_to_a_stack_runs_few_python_frames(family, per_problem):
+@pytest.mark.parametrize("family", ["additive", "rotating"])
+def test_each_problem_added_to_a_stack_runs_few_python_frames(family):
+    per_problem = {"additive": 10, "rotating": 15}[family]  # ids without the bound: it tightens
     rng = np.random.default_rng(0)
     a, b, c = families.random_solvable_triple(rng, 6, 3)
     problems = getattr(families, f"{family}_family")(a, b, c, 50, rng)

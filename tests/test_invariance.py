@@ -7,10 +7,12 @@ its inverse within 100 kappa eps ||x||, kappa = ||a|| ||x|| (the constant of tes
 
 The adjoint and a direct sum are gated where decisions are made: on one-parameter families whose
 core H A F crosses the existence threshold sigma_min(H A F) = rank_rel_tol ||a||. The adjoint
-problem's core is (H A F)*, so both decide alike; a direct sum's core is the blocks' cores side
-by side and ||a (+) a'|| = max(||a||, ||a'||), so the sum is refused iff the smaller block
-sigma_min is at most rank_rel_tol max(||a||, ||a'||). Draws within 100 (m + n) eps of the
-threshold, where rounding decides, are skipped."""
+problem's core is (H A F)*, so both decide alike: (a*, c*, b*) for bc, (a*, S-perp, T-perp) for
+outer, (a*, d*) for along and (a*, q*, p*) for Bott-Duffin; MP's rank cutoff on a and a* keeps
+the same rank. A direct sum's core is the blocks' cores side by side and
+||a (+) a'|| = max(||a||, ||a'||), so the sum is refused iff the smaller block sigma_min is at
+most rank_rel_tol max(||a||, ||a'||). Draws within 100 (m + n) eps of the threshold, where
+rounding decides, are skipped."""
 
 import numpy as np
 import pytest
@@ -105,13 +107,43 @@ INJECTIVITY, COMPLEMENT = "restriction not injective", "R(A*T) (+) S != Y"
 # complement on both sides
 ADJOINT_CLAUSES = {"shrink": (INJECTIVITY, COMPLEMENT), "tilt": (COMPLEMENT, COMPLEMENT)}
 CROSSING = np.logspace(-12, -8, 41)  # eps across sigma_min(core) / ||a|| = 1e-10
+CONSTRUCT = {"bc": gi.bc_inverse, "outer": gi.outer_prescribed, "along": gi.inverse_along,
+             "bott_duffin": gi.bott_duffin, "mp": gi.moore_penrose}
+# MP's T and S are a's own, so only the shrink family crosses its threshold, the rank cutoff
+ADJOINT_CASES = [(kind, family) for kind in CONSTRUCT for family in ADJOINT_CLAUSES
+                 if (kind, family) != ("mp", "tilt")]
+
+
+def _crossing(kind: str, family: str, rng, complex_: bool):
+    """eps -> a problem of ``kind`` on ``replay.crossing``'s family (its outer one's T and S for
+    the kinds it does not build): (a, d) with R(d) = T and N(d) = S for along, (a, p, q) with
+    R(p) = T and N(q) = S (p along a fixed W, q onto a fixed V) for Bott-Duffin, (a,) for MP."""
+    if kind in ("bc", "outer"):
+        return replay.crossing(kind, family, rng, complex_)
+    outer = replay.crossing("outer", family, rng, complex_)
+    g = families.random_conditioned(rng, 3, complex_)
+    w, v = (families.random_subspace(rng, 6, 3, complex_) for _ in range(2))
+    p = projector(outer(CROSSING[0])[1], w)  # T is the family's at every eps
+
+    def problem(eps: float) -> tuple:
+        a, t, s = outer(eps)
+        if kind == "along":
+            return a, t.basis @ g @ gi.orthogonal_complement(s).basis.conj().T
+        return (a, p, projector(v, s)) if kind == "bott_duffin" else (a,)
+    return problem
 
 
 def _core_sigma_min(kind: str, problem: tuple) -> float:
-    """sigma_min(H A F), taken apart from the library's construction."""
-    t, s = (gi.column_space(problem[1]), gi.null_space(problem[2])) if kind == "bc" else problem[1:]
+    """sigma_min(H A F), taken apart from the library's construction (MP: sigma_min(a))."""
+    a, *rest = problem
+    if kind == "mp":
+        return np.linalg.svd(a, compute_uv=False)[-1]
+    if kind in ("bc", "along"):  # (b, c), or (d,) as (d, d)
+        t, s = gi.column_space(rest[0]), gi.null_space(rest[-1])
+    else:
+        t, s = (rest[0].range, rest[1].nullspace) if kind == "bott_duffin" else rest
     h = gi.orthogonal_complement(s).basis.conj().T
-    return np.linalg.svd(h @ problem[0] @ t.basis, compute_uv=False)[-1]
+    return np.linalg.svd(h @ a @ t.basis, compute_uv=False)[-1]
 
 
 def _near_threshold(value: float, threshold: float, dim: int) -> bool:
@@ -119,27 +151,35 @@ def _near_threshold(value: float, threshold: float, dim: int) -> bool:
 
 
 def _construct(kind: str, problem: tuple):
-    return _outcome(lambda: (gi.bc_inverse if kind == "bc" else gi.outer_prescribed)(*problem))
+    return _outcome(lambda: CONSTRUCT[kind](*problem))
+
+
+def _adjoint_projector(p) -> gi.ObliqueProjector:
+    """p*: onto N(p)-perp along R(p)-perp, of norm ||p||."""
+    perp = gi.orthogonal_complement
+    return gi.ObliqueProjector(p.matrix.conj().T, perp(p.nullspace), perp(p.range), p.norm)
 
 
 def _adjoint(kind: str, problem: tuple) -> tuple:
-    """The adjoint problem: (a*, c*, b*) for bc, (a*, S-perp, T-perp) for outer."""
+    """The adjoint problem: (a*, c*, b*) for bc, (a*, S-perp, T-perp) for outer, (a*, d*) for
+    along, (a*, q*, p*) for Bott-Duffin and (a*,) for MP."""
     a, *rest = problem
-    if kind == "bc":
-        return a.conj().T, rest[1].conj().T, rest[0].conj().T
-    return a.conj().T, gi.orthogonal_complement(rest[1]), gi.orthogonal_complement(rest[0])
+    if kind == "outer":
+        return a.conj().T, gi.orthogonal_complement(rest[1]), gi.orthogonal_complement(rest[0])
+    if kind == "bott_duffin":
+        return a.conj().T, _adjoint_projector(rest[1]), _adjoint_projector(rest[0])
+    return a.conj().T, *(x.conj().T for x in rest[::-1])
 
 
 @pytest.mark.parametrize("complex_", [False, True])
-@pytest.mark.parametrize("family", list(ADJOINT_CLAUSES))
-@pytest.mark.parametrize("kind", ["bc", "outer"])
+@pytest.mark.parametrize("kind, family", ADJOINT_CASES)
 def test_the_adjoint_decides_alike_across_the_threshold(kind, family, complex_):
-    # the same outcome type, the clauses ADJOINT_CLAUSES names, and accepted inverses x and y
-    # with x* = y within 100 kappa eps ||x||
-    tol, refused = gi.DEFAULT_TOL.rank_rel_tol, 0
+    # the same outcome type, the clauses ADJOINT_CLAUSES names (MP: the same rank), and accepted
+    # inverses x and y with x* = y within 100 kappa eps ||x||
+    tol, crossed = gi.DEFAULT_TOL.rank_rel_tol, 0
     for seed in range(4):
         rng = np.random.default_rng([seed, int(complex_)])
-        problem = replay.crossing(kind, family, rng, complex_)
+        problem = _crossing(kind, family, rng, complex_)
         for eps in CROSSING:
             p = problem(eps)
             if _near_threshold(_core_sigma_min(kind, p), tol * np.linalg.norm(p[0], 2), 12):
@@ -148,12 +188,15 @@ def test_the_adjoint_decides_alike_across_the_threshold(kind, family, complex_):
             assert type(after) is type(before), (seed, eps)
             if type(before) is gi.ExistenceError:
                 assert (before.clause, after.clause) == ADJOINT_CLAUSES[family], (seed, eps)
-                refused += 1
+                crossed += 1
             elif isinstance(before, gi.InverseCertificate):  # x* is the adjoint's inverse
+                rank = before.prescribed_range.dim
+                assert after.prescribed_range.dim == rank, (seed, eps)
                 xn = before.inverse_norm
                 error = np.linalg.norm(before.inverse.conj().T - after.inverse, 2)
                 assert error <= 100 * before.operator_norm * xn * EPS * xn, (seed, eps)
-    assert 0 < refused < 4 * len(CROSSING)  # the families cross the threshold
+                crossed += kind == "mp" and rank < len(p[0])  # MP's rank dropped
+    assert 0 < crossed < 4 * len(CROSSING)  # the families cross the threshold
 
 
 def _block(x, y) -> np.ndarray:

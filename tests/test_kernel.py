@@ -13,9 +13,18 @@ from geninv import kernel
 from geninv.errors import InputError
 
 
+def svd_of_stack(stack, full: bool = False) -> list:
+    """(u, sigma, v) of each slice of a 3-d stack, a = u diag(sigma) v*: thin from
+    ``kernel.svd_stack``, full from ``kernel._lapack_svd`` (the call ``kernel.svds`` makes)."""
+    if not full:
+        return list(zip(*kernel.svd_stack(stack)[:3]))
+    return [(u, sigma, vh.conj().T) for part in kernel._lapack_svd(stack, full_matrices=True)
+            for u, sigma, vh in zip(*part)]
+
+
 def svd(a, full: bool = False):
-    """``kernel.svd_stack`` of a stack of one: (u, sigma, v) of the matrix alone."""
-    return [x[0] for x in kernel.svd_stack(gi.as_matrix(a)[None], full)]
+    """``svd_of_stack`` of a stack of one: (u, sigma, v) of the matrix alone."""
+    return list(svd_of_stack(gi.as_matrix(a)[None], full)[0])
 
 
 def test_svd_diagonal():
@@ -169,16 +178,29 @@ def test_batched_svd_and_norms_match_per_matrix_calls(rng):
         norms = kernel.stack_norms(stack)
         assert norms.shape == (len(stack),)
         assert norms.tolist() == [gi.spectral_norm(m) for m in stack]
+        assert kernel.svd_stack(stack)[3] == []
         for full in (False, True):
-            u, sigma, v = kernel.svd_stack(stack, full=full)
-            for k, m in enumerate(stack):
+            for m, factors in zip(stack, svd_of_stack(stack, full), strict=True):
                 single = svd(m, full=full)
-                assert all(np.array_equal(x[k], y) for x, y in zip((u, sigma, v), single))
-    for bad in (np.inf, np.nan):
-        stack = np.zeros((2, 3, 3))
-        stack[1, 2, 0] = bad
-        with pytest.raises(gi.CertificateError, match="intermediate product is not finite"):
-            kernel.svd_stack(stack)
+                assert all(np.array_equal(x, y) for x, y in zip(factors, single))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_svd_stack_lists_and_zeroes_each_overflowed_slice(rng, complex_):
+    # an inf or NaN entry in a product: its slice is listed and factored as a zero slice, and
+    # every other slice bitwise as it is alone
+    stack = rng.standard_normal((6, 4, 3))
+    stack = stack + 1j * rng.standard_normal((6, 4, 3)) if complex_ else stack
+    alone, zero = [svd(m) for m in stack], svd(np.zeros((4, 3), stack.dtype))
+    stack[1, 2, 0], stack[4, 0, 2] = np.inf, np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, sigma, v, overflowed = kernel.svd_stack(stack)
+    assert overflowed == [1, 4]
+    assert not stack[[1, 4]].any() and np.isfinite(stack).all()
+    for k, want in enumerate(alone):
+        want = zero if k in overflowed else want
+        assert [x[k].tobytes() for x in (u, sigma, v)] == [y.tobytes() for y in want], k
 
 
 def test_svds_of_mixed_layouts_is_each_matrix_alone_in_one_call_per_shape_and_field(
@@ -314,13 +336,13 @@ def _threaded_svd_calls(monkeypatch):
 def test_a_large_stack_is_factored_in_halves_each_slice_bitwise_as_alone(
         rng, monkeypatch, shape, complex_):
     # the first half on the worker thread, the second on the caller's: each slice through the
-    # same gufunc, so svds and svd_stack give its factors bit for bit as its own SVD does
+    # same gufunc, so svds, svd_stack and _lapack_svd give its factors bit for bit as alone
     stack = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0)
     alone = {full: [np.linalg.svd(m, full_matrices=full) for m in stack] for full in (False, True)}
     half, n = shape[0] // 2, shape[1]
     calls = _threaded_svd_calls(monkeypatch)
     for full in (False, True):
-        for factor in (lambda: list(zip(*kernel.svd_stack(stack, full))),
+        for factor in (lambda: svd_of_stack(stack, full),
                        lambda: [x[:3] for x in kernel.svds(list(stack), gi.DEFAULT_TOL, full)]):
             calls.clear()
             got = factor()
@@ -334,7 +356,7 @@ def test_a_small_or_values_only_stack_makes_one_call_on_the_callers_thread(rng, 
     # below SPLIT_MIN_BYTES the hand-off costs more than a thread saves; a values-only half of at
     # most GIL_HELD_MAX_VALUES singular values holds the GIL, so its halves would run one by one
     calls = _threaded_svd_calls(monkeypatch)
-    kernel.svd_stack(rng.standard_normal((2, 40, 40)), full=True)  # 25,600 bytes
+    svd_of_stack(rng.standard_normal((2, 40, 40)), full=True)  # 25,600 bytes
     kernel.svds(list(rng.standard_normal((51, 6, 6))), gi.DEFAULT_TOL)  # 14,688
     kernel.svd_stack(rng.standard_normal((51, 4, 4)) + 1j * rng.standard_normal((51, 4, 4)))
     kernel.stack_norms(rng.standard_normal((252, 4, 4)))  # 32,256 bytes, halves of 504
@@ -387,21 +409,25 @@ def test_a_linalg_error_in_either_half_is_a_kernel_error_and_the_next_call_succe
         with pytest.raises(gi.KernelError, match=f"svd did not converge on a {n}x{n} matrix"):
             kernel.svd_stack(stack)
         assert not failures
-        u, sigma, v = kernel.svd_stack(stack)
+        u, sigma, v, overflowed = kernel.svd_stack(stack)
         want = original(stack, full_matrices=False)
         assert [u.tobytes(), sigma.tobytes(), v.conj().swapaxes(-1, -2).tobytes()] == [
-            x.tobytes() for x in want]
+            x.tobytes() for x in want] and overflowed == []
+
+
+def _full_factors(stack) -> list:
+    return [x.tobytes() for factors in svd_of_stack(stack, full=True) for x in factors]
 
 
 def _factor_in_child(stacks, conn):
-    conn.send([[x.tobytes() for x in kernel.svd_stack(stack, full=True)] for stack in stacks])
+    conn.send([_full_factors(stack) for stack in stacks])
 
 
 def test_a_forked_child_builds_its_own_worker_and_returns_the_parents_bits(rng):
     # a pool inherited across a fork has no thread: waiting on it would hang the child; on a
     # certify-sized and a drivers-sized stack
     stacks = [rng.standard_normal((2, 128, 128)), rng.standard_normal((51, 20, 20))]
-    want = [[x.tobytes() for x in kernel.svd_stack(stack, full=True)] for stack in stacks]
+    want = [_full_factors(stack) for stack in stacks]
     context = multiprocessing.get_context("fork")  # the parent's pool exists
     receive, send = context.Pipe(duplex=False)
     with warnings.catch_warnings():  # a Python that warns on forking a threaded process
